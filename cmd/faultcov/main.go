@@ -14,7 +14,7 @@
 //	faultcov -drop           # cross-test fault dropping in sessions
 //	faultcov -session        # report survivors per session stage
 //	faultcov -seed 99        # reseed the sampled coupling-pair draws
-//	faultcov -chunk 65536    # faults per pull of streaming campaigns
+//	faultcov -chunk 65536    # cap on the faults per pull of every campaign
 //	faultcov -exp e17 -exhaustive-cf  # multi-million-fault exhaustive CF run
 //	faultcov -progress       # live faults/s, ETA and survivors on stderr
 //	faultcov -debug-addr :6060  # /metrics + /debug/pprof while running
@@ -82,9 +82,10 @@
 // line per session with the survivor count after each stage.
 //
 // E17 runs over streaming fault universes (fault.Source): the faults
-// are generated in -chunk sized pulls instead of being materialized,
-// so resident fault storage is O(chunk × workers) however large the
-// universe.  -exhaustive-cf switches E17 to its full-scale sizes,
+// are generated in pulls of at most -chunk faults instead of being
+// materialized, so resident fault storage is O(chunk × workers)
+// however large the universe.  Every campaign, streamed or not, sizes
+// its pulls from its universe, so -chunk is an upper bound.  -exhaustive-cf switches E17 to its full-scale sizes,
 // where the exhaustive coupling universe exceeds two million fault
 // instances — feasible only via the streaming path.
 //
@@ -177,7 +178,7 @@ func main() {
 	drop := flag.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
 	session := flag.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
 	seed := flag.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
-	chunk := flag.Int("chunk", 0, "faults per pull of streaming campaigns (0 = the engine default)")
+	chunk := flag.Int("chunk", 0, "upper bound on the faults per pull of every campaign; each stage sizes its pulls from its universe (0 = the engine default)")
 	lanes := flag.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
 	exhaustiveCF := flag.Bool("exhaustive-cf", false, "run E17 over the full-scale exhaustive coupling universes (millions of fault instances, streaming engine only)")
 	progress := flag.Bool("progress", false, "stream live campaign progress (faults/s, ETA, survivors) and per-stage engine reports to stderr")

@@ -206,9 +206,9 @@ func (m SinkMode) String() string {
 //faultsim:ambient audited ambient-default hook: installed once by the CLI, read by streaming sessions, cleared by SetDefaultPartition(0, 0)
 var defaultPartition atomic.Uint64
 
-// SetDefaultPartition restricts subsequently executed streaming
-// sessions to universe partition index of count (1-based; count <= 0
-// clears the restriction).  Materialized sessions are unaffected.
+// SetDefaultPartition restricts subsequently executed Stream sessions
+// to universe partition index of count (1-based; count <= 0 clears the
+// restriction).  Universe plans are unaffected.
 // Panics unless 1 <= index <= count.
 func SetDefaultPartition(index, count int) {
 	if count <= 0 {
@@ -271,12 +271,9 @@ type Result struct {
 	// memory — a broken configuration.
 	FalsePositive bool
 	// Interrupted marks a partial result: the campaign's context was
-	// cancelled before this stage finished.  Streaming sessions tally
-	// only the faults actually simulated (every count carries a true
-	// verdict); materialized sessions tally the whole presented view
-	// with unsimulated faults reading as undetected, so Detected is a
-	// lower bound there.  Either way the counts are well-formed but
-	// not the full campaign.
+	// cancelled before this stage finished.  The tallies cover only the
+	// faults actually simulated (every count carries a true verdict):
+	// well-formed, but not the full campaign.
 	Interrupted bool
 	// Stats describes how the campaign actually executed.  Engine
 	// reports the strategy that really ran — when a replay-safe runner
@@ -293,9 +290,9 @@ type EngineStats struct {
 	// Engine is the strategy that actually ran (the oracle on
 	// fallback, whatever was requested otherwise).
 	Engine Engine
-	// Workers is the effective goroutine count work was sharded over,
-	// after clamping to the batch (or fault) count — a small universe
-	// run by one worker reports 1, not the requested pool size.
+	// Workers is the effective goroutine count the stage ran on, after
+	// sizing its chunks from the universe — a universe of one batch
+	// reports 1, not the requested pool size.
 	Workers int
 	// Reps is the number of faults simulated after collapsing
 	// (== Total when collapsing was off or not applicable).
@@ -333,9 +330,9 @@ type EngineStats struct {
 	// contention: if its share of Elapsed grows with the worker count,
 	// the serialized sink is the scaling bottleneck.
 	KernelTime, SinkWait, SourceWait []time.Duration
-	// Sink labels the streaming sink discipline the stage ran under —
-	// "ordered" (serialized ChunkSink) or "unordered" (per-worker
-	// sinks merged at drain); empty for materialized stages.
+	// Sink labels the sink discipline the stage ran under — "ordered"
+	// (serialized ChunkSink) or "unordered" (per-worker sinks merged at
+	// drain).
 	Sink string
 	// MergeNanos is the time spent folding the per-worker unordered
 	// sinks into the session accumulators after the drivers drained

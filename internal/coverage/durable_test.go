@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // The resume-equivalence property (this PR's acceptance criterion):
@@ -49,6 +50,15 @@ func (c *cancelSource) Reset() {
 		c.cancel()
 	}
 	c.Source.Reset()
+}
+
+// midStagePull is the source pull a mid-stage cut cancels during: the
+// 4th, or the first stage's last when the stage sizing (stageShape)
+// gives it fewer chunks — a replay stage's chunk holds at least one
+// batch, so a universe smaller than a batch streams as one chunk.
+func midStagePull(count, workers, batch, chunk int) int {
+	c, _ := stageShape(count, true, workers, batch, chunk)
+	return min(4, ceilDiv(count, c))
 }
 
 // assertWellFormed checks the partial-session contract: an interrupted
@@ -94,15 +104,19 @@ func TestResumeEquivalence(t *testing.T) {
 		cancelAtNext  int
 		cancelAtReset int
 	}
-	modes := []mode{
-		{name: "pre-first-chunk", preCancel: true},
-		{name: "mid-stage", cancelAtNext: 4},
-		{name: "stage-boundary", cancelAtReset: 2},
-	}
 	for _, fam := range families {
 		count, _ := fam.src.Count()
-		chunk := count/16 + 1 // ~16 chunks per stage, so mid-stage cancels always leave work
+		chunk := count/16 + 1 // up to ~16 chunks per stage, so mid-stage cancels leave work
 		for _, engine := range engines {
+			batch := sim.BatchSize
+			if engine == EngineOracle {
+				batch = 1
+			}
+			modes := []mode{
+				{name: "pre-first-chunk", preCancel: true},
+				{name: "mid-stage", cancelAtNext: midStagePull(count, 4, batch, chunk)},
+				{name: "stage-boundary", cancelAtReset: 2},
+			}
 			for _, m := range modes {
 				label := fmt.Sprintf("%s [%s %s]", fam.name, engine, m.name)
 				dir := t.TempDir()

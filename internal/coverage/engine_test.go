@@ -150,7 +150,19 @@ func TestEngineFallbacks(t *testing.T) {
 	// An anonymous runner without the ReplaySafe marker.
 	r := opaqueRunner{inner: MarchRunner(march.MATSPlus(), nil)}
 	assertEngineEquivalence(t, r, u, bomFactory(n))
+	// A universe holding one fault without batch injection: the replay
+	// engines must fall back for the whole universe instead of failing.
+	mixed := fault.Universe{Name: "mixed", Faults: append([]fault.Fault(nil), u.Faults...)}
+	mixed.Faults[5] = opaqueFault{mixed.Faults[5]}
+	m := MarchRunner(march.MATSPlus(), nil)
+	assertEngineEquivalence(t, m, mixed, bomFactory(n))
+	if st := CampaignEngine(m, mixed, bomFactory(n), 4, EngineCompiled).Stats; st.Engine != EngineOracle {
+		t.Errorf("non-batchable universe ran on %v, want the oracle fallback", st.Engine)
+	}
 }
+
+// opaqueFault hides the wrapped fault's batch-injection capability.
+type opaqueFault struct{ fault.Fault }
 
 type opaqueRunner struct{ inner Runner }
 

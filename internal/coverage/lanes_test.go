@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/march"
 	"repro/internal/prt"
+	"repro/internal/sim"
 )
 
 // The lane-width property (this PR's acceptance criterion): the lane
@@ -69,7 +70,9 @@ func TestLaneWidthEquivalence(t *testing.T) {
 // byte-identical to an uninterrupted single-word run — the checkpoint
 // cut logic never sees lane geometry, only universe indices.
 func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
-	fam := streamFamilies()[0] // single-cell: small and fully replayable
+	// intra-word: fully replayable, and large enough (1152 faults) that
+	// a stage spans several 256- or 512-fault chunks.
+	fam := streamFamilies()[6]
 	count, _ := fam.src.Count()
 	chunk := count/16 + 1
 	dir := t.TempDir()
@@ -94,7 +97,8 @@ func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
 		label := fmt.Sprintf("lanes=%d", lanes)
 		file := filepath.Join(dir, fmt.Sprintf("wide%d.fckp", lanes))
 		ctx, cancel := context.WithCancel(context.Background())
-		cs := &cancelSource{Source: fam.src, cancel: cancel, cancelAtNext: 4}
+		cs := &cancelSource{Source: fam.src, cancel: cancel,
+			cancelAtNext: midStagePull(count, 4, lanes*sim.BatchSize, chunk)}
 		part := mkPlan(cs, lanes, file, nil).RunContext(ctx)
 		cancel()
 		assertWellFormed(t, label, part)

@@ -161,24 +161,36 @@ func TestEngineEquivalenceMISRReadback(t *testing.T) {
 }
 
 // TestStatsReportEffectiveWorkers: a one-batch universe must report
-// the clamped worker count, not the requested pool size.
+// the clamped worker count, not the requested pool size — whichever
+// shape the plan has.
 func TestStatsReportEffectiveWorkers(t *testing.T) {
 	const n = 16 // 64 single-cell faults = one 64-machine batch
-	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
+	faults := fault.SingleCellUniverse(n, 1)
 	r := misrReadbackRunner{w: 4}
-	res := CampaignEngine(r, u, bomFactory(n), 8, EngineCompiled)
-	if res.Stats == nil || res.Stats.Engine != EngineCompiled {
-		t.Fatalf("Stats = %+v", res.Stats)
-	}
-	if res.Stats.Workers != 1 {
-		t.Errorf("compiled Workers = %d, want the effective 1", res.Stats.Workers)
-	}
-	o := CampaignEngine(r, u, bomFactory(n), 8, EngineOracle)
-	if o.Stats == nil || o.Stats.Engine != EngineOracle {
-		t.Fatalf("oracle Stats = %+v", o.Stats)
-	}
-	if o.Stats.Workers != 8 {
-		t.Errorf("oracle Workers = %d, want 8 (64 faults keep the pool busy)", o.Stats.Workers)
+	for _, stream := range []bool{false, true} {
+		run := func(engine Engine) *EngineStats {
+			p := Plan{Runners: []Runner{r}, Memory: bomFactory(n), Workers: 8, Engine: engine}
+			if stream {
+				p.Stream = &fault.Stream{Name: "single", Source: fault.SliceSource(faults)}
+			} else {
+				p.Universe = fault.Universe{Name: "single", Faults: faults}
+			}
+			return p.Run().Results[0].Stats
+		}
+		c := run(EngineCompiled)
+		if c == nil || c.Engine != EngineCompiled {
+			t.Fatalf("stream=%v: Stats = %+v", stream, c)
+		}
+		if c.Workers != 1 {
+			t.Errorf("stream=%v: compiled Workers = %d, want the effective 1", stream, c.Workers)
+		}
+		o := run(EngineOracle)
+		if o == nil || o.Engine != EngineOracle {
+			t.Fatalf("stream=%v: oracle Stats = %+v", stream, o)
+		}
+		if o.Workers != 8 {
+			t.Errorf("stream=%v: oracle Workers = %d, want 8 (64 per-fault units keep the pool busy)", stream, o.Workers)
+		}
 	}
 }
 

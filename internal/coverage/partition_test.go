@@ -3,6 +3,7 @@ package coverage
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -380,5 +381,37 @@ func TestAmbientDefaultPartition(t *testing.T) {
 	SetDefaultPartition(0, 0)
 	if s := mk().Run(); s.Cumulative.Total != count {
 		t.Errorf("cleared ambient partition: covered %d faults, want %d", s.Cumulative.Total, count)
+	}
+}
+
+// Universe plans never checkpoint or partition, whether the settings
+// come from Plan fields or the process defaults: E17 runs them beside
+// durable, partitioned Stream sessions under one faultcov -checkpoint
+// -partition run.  KeepVectors, which both would refuse, proves it.
+func TestUniversePlansIgnoreDurabilityAndPartition(t *testing.T) {
+	fam := streamFamilies()[0]
+	u := fault.Universe{Name: fam.name, Faults: fault.Collect(fam.src)}
+	dir := t.TempDir()
+	SetDefaultPartition(2, 3)
+	defer SetDefaultPartition(0, 0)
+	SetDefaultCheckpoint(&CheckpointConfig{Path: filepath.Join(dir, "ambient.fckp")})
+	defer SetDefaultCheckpoint(nil)
+	for _, explicit := range []bool{false, true} {
+		p := &Plan{
+			Runners: fam.runners, Universe: u, Memory: fam.mk,
+			Workers: 2, Engine: EngineCompiled, KeepVectors: true,
+		}
+		if explicit {
+			p.PartitionIndex, p.PartitionCount = 1, 2
+			p.Checkpoint = &CheckpointConfig{Path: filepath.Join(dir, "plan.fckp")}
+		}
+		s := p.Run()
+		if s.Cumulative.Total != len(u.Faults) || s.Stages[0].Stats.PartitionIndex != 0 {
+			t.Errorf("explicit=%v: covered %d of %d faults in partition %d", explicit,
+				s.Cumulative.Total, len(u.Faults), s.Stages[0].Stats.PartitionIndex)
+		}
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Errorf("Universe plans wrote checkpoints: %v (%v)", files, err)
 	}
 }

@@ -29,10 +29,9 @@ import (
 //
 //   - cross-test fault dropping (Plan.Drop): once a fault is detected
 //     by one test of the session it is dropped from the remaining
-//     tests, which replay only the survivor subset through a view of
-//     the fault slice (fault.View) — a survivor bitmap (fault.BitView,
-//     one bit per universe fault) rather than materialized index
-//     slices.  Dropping is
+//     tests, which skip every universe index set in the cumulative
+//     detection bitmap (fault.BitSet, one bit per universe fault) as
+//     they pull their chunks.  Dropping is
 //     verdict-preserving: a fault that IS simulated by a stage gets
 //     exactly the verdict an independent campaign would give it
 //     (verdicts are unconditional properties of the (runner, fault)
@@ -99,7 +98,8 @@ type Plan struct {
 	// Session.Results is always index-aligned with this slice whatever
 	// the execution order.
 	Runners []Runner
-	// Universe is the shared fault universe.
+	// Universe is the shared fault universe, run as a
+	// fault.SliceSource by the same executor as Stream.
 	Universe fault.Universe
 	// Stream, when non-nil, replaces Universe with a pull-based fault
 	// source enumerated in bounded chunks (stream.go): the session then
@@ -107,8 +107,11 @@ type Plan struct {
 	// universe fault, whatever the universe size.  Universe is ignored
 	// while Stream is set.
 	Stream *fault.Stream
-	// Chunk is the faults-per-pull of a streaming session (<= 0 means
-	// the package default; see SetDefaultChunk).
+	// Chunk caps the faults-per-pull (<= 0 means the package default;
+	// see SetDefaultChunk).  It is an upper bound: each stage of a
+	// source with an exact Count shrinks its chunks to about a quarter
+	// of its share per worker, rounded up to whole replay batches (a
+	// cap below one batch reads as one batch).
 	Chunk int
 	// Memory builds a fresh fault-free memory per trial.
 	Memory MemoryFactory
@@ -137,30 +140,31 @@ type Plan struct {
 	// for runners implementing TraceKeyer.  SharedProgramCache() is the
 	// process-wide instance the CLI and benchmarks use.
 	Cache *sim.ProgramCache
-	// Checkpoint, when non-nil with a Path, makes a streaming session
+	// Checkpoint, when non-nil with a Path, makes a Stream session
 	// durable: its state is persisted atomically on a cadence and the
 	// session can resume from a prior checkpoint (durable.go).  nil
 	// falls back to the process default (SetDefaultCheckpoint).
-	// Materialized sessions ignore it.
+	// Universe plans ignore both.
 	Checkpoint *CheckpointConfig
-	// Sink selects the streaming chunk-sink discipline: SinkAuto (the
-	// zero value) runs unordered whenever nothing needs ordering — no
+	// Sink selects the chunk-sink discipline: SinkAuto (the zero
+	// value) runs unordered whenever nothing needs ordering — no
 	// checkpoint, no KeepVectors, no live progress callback — and
 	// ordered otherwise; SinkOrdered/SinkUnordered force a path.  The
 	// two paths are property-tested to produce identical Results; the
 	// unordered one removes the serialized sink's contention (see
-	// sim.ShardsCompiledUnordered).  Materialized sessions ignore it.
+	// sim.ShardsCompiledUnordered).  It applies to Universe and Stream
+	// plans alike.
 	Sink SinkMode
-	// PartitionIndex/PartitionCount restrict a streaming session to
-	// one index-range partition of its universe — partition
+	// PartitionIndex/PartitionCount restrict a Stream session to one
+	// index-range partition of its universe — partition
 	// PartitionIndex (1-based) of PartitionCount near-equal ranges
 	// (fault.PartitionRange).  The session then enumerates only that
 	// subrange, its results tally only those faults, and its
 	// checkpoints record the covered range for checkpoint.Merge.
 	// PartitionCount <= 0 defers to the process default
 	// (SetDefaultPartition).  Requires an exact-Count source and is
-	// incompatible with KeepVectors; materialized sessions are never
-	// partitioned.
+	// incompatible with KeepVectors; Universe plans are never
+	// partitioned, by these fields or by the default.
 	PartitionIndex, PartitionCount int
 }
 
@@ -264,160 +268,25 @@ func (p *Plan) Run() *Session { return p.RunContext(DefaultContext()) }
 
 // RunContext executes the session under ctx.  Cancellation is
 // cooperative at batch/chunk granularity: the in-flight stage drains
-// its workers, its partial verdicts are folded into a well-formed
+// its workers, the chunks it completed are folded into a well-formed
 // Result tagged Interrupted, remaining stages are skipped, and the
 // session returns with Session.Interrupted set.
+//
+// Both plan shapes run on one executor (stream.go): a materialized
+// Universe is streamed as a fault.SliceSource.  It keeps two
+// differences from a Stream plan: its faults are probed for batch
+// injection up front, so a universe holding custom non-batchable
+// faults falls back to the oracle instead of failing a replay, and
+// checkpointing and partitioning never apply to it.
 func (p *Plan) RunContext(ctx context.Context) *Session {
 	if p.Stream != nil {
-		return p.runStream(ctx)
+		return p.runStream(ctx, p.Stream, true)
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	nFaults := len(p.Universe.Faults)
-	batchable := sim.Batchable(p.Universe.Faults)
-
-	// Plan: one clean run (or cache hit) per runner, so the executor
-	// knows every stage's trace, program and cost before ordering.
-	stages := make([]*stage, len(p.Runners))
-	for i, r := range p.Runners {
-		stages[i] = p.prepareStage(r, i, batchable)
-	}
-	order := p.executionOrder(stages)
-
-	s := &Session{Results: make([]Result, len(p.Runners))}
-	if p.KeepVectors {
-		s.Vectors = make([][]Verdict, len(p.Runners))
-	}
-	cum := make([]bool, nFaults)
-	cumDetected := 0
-	arenas := &sim.ArenaPool{}
-	reg := telemetry.Active()
-	// Cross-test dropping bookkeeping: one bit per universe fault (set
-	// while undetected), exposed to later stages as a fault.BitView —
-	// the subset never costs more than N/8 bytes however many stages
-	// narrow it.  nil until the first stage has run.
-	var surv *fault.BitSet
-	for _, st := range order {
-		view := fault.Span(p.Universe.Faults)
-		if p.Drop && surv != nil {
-			view = fault.NewBitView(p.Universe.Faults, surv)
-		}
-		var before telemetry.Snapshot
-		if reg != nil {
-			before = reg.Snapshot()
-			reg.BeginStage(st.runner.Name(), int64(view.Len()))
-		}
-		t0 := time.Now() //faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
-		det, stats, err := p.detect(ctx, st, view, workers, arenas)
-		//faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
-		finishStage(stats, st, view.Len(), time.Since(t0), reg, before)
-		res := Result{
-			Runner:        st.runner.Name(),
-			Universe:      p.Universe.Name,
-			Total:         view.Len(),
-			ByClass:       make(map[fault.Class]ClassStat),
-			OpsCleanRun:   st.cleanOps,
-			FalsePositive: st.falsePositive,
-			Stats:         stats,
-			Interrupted:   err != nil,
-		}
-		for i := 0; i < view.Len(); i++ {
-			cs := res.ByClass[view.At(i).Class()]
-			cs.Total++
-			if det[i] {
-				cs.Detected++
-				res.Detected++
-				if u := view.Index(i); !cum[u] {
-					cum[u] = true
-					cumDetected++
-				}
-			}
-			res.ByClass[view.At(i).Class()] = cs
-		}
-		s.Results[st.index] = res
-		if s.Vectors != nil {
-			vec := make([]Verdict, nFaults)
-			if view.Len() != nFaults {
-				for i := range vec {
-					vec[i] = VerdictDropped
-				}
-			}
-			for i := 0; i < view.Len(); i++ {
-				if det[i] {
-					vec[view.Index(i)] = VerdictDetected
-				} else {
-					vec[view.Index(i)] = VerdictUndetected
-				}
-			}
-			s.Vectors[st.index] = vec
-		}
-		s.Stages = append(s.Stages, StageStat{
-			Runner:      st.runner.Name(),
-			RunnerIndex: st.index,
-			Entered:     view.Len(),
-			Detected:    res.Detected,
-			Survivors:   nFaults - cumDetected,
-			CacheHit:    st.cacheHit,
-			Stats:       stats,
-		})
-		if err != nil {
-			// Cancelled mid-stage: the verdict slice covers only the
-			// batches that ran (unsimulated faults read as undetected, so
-			// Detected is a lower bound).  Remaining stages never run.
-			s.Interrupted = true
-			break
-		}
-		if p.Drop {
-			if surv == nil {
-				surv = fault.NewBitSet(nFaults)
-				for i := 0; i < view.Len(); i++ {
-					if !det[i] {
-						surv.Set(view.Index(i))
-					}
-				}
-			} else {
-				for i := 0; i < view.Len(); i++ {
-					if det[i] {
-						surv.Clear(view.Index(i))
-					}
-				}
-			}
-		}
-		if reg != nil {
-			reg.ReportSurvivors(int64(nFaults - cumDetected))
-			p.reportStage(reg, s.Stages[len(s.Stages)-1])
-		}
-	}
-
-	// Session-level cumulative coverage.
-	cumRes := Result{
-		Runner:      p.sessionName(),
-		Universe:    p.Universe.Name,
-		Total:       nFaults,
-		Detected:    cumDetected,
-		ByClass:     make(map[fault.Class]ClassStat),
-		Interrupted: s.Interrupted,
-	}
-	for i, f := range p.Universe.Faults {
-		cs := cumRes.ByClass[f.Class()]
-		cs.Total++
-		if cum[i] {
-			cs.Detected++
-		}
-		cumRes.ByClass[f.Class()] = cs
-	}
-	sumCleanRuns(stages, &cumRes)
-	s.Cumulative = cumRes
-
-	p.notifyObserver(s)
-	return s
+	u := &fault.Stream{Name: p.Universe.Name, Source: fault.SliceSource(p.Universe.Faults)}
+	return p.runStream(ctx, u, false)
 }
 
-// executionOrder applies Plan.Order to the prepared stages — shared by
-// the materialized and streaming executors, which the property tests
-// hold byte-identical.
+// executionOrder applies Plan.Order to the prepared stages.
 func (p *Plan) executionOrder(stages []*stage) []*stage {
 	order := make([]*stage, len(stages))
 	copy(order, stages)
@@ -436,8 +305,7 @@ func (p *Plan) sessionName() string {
 }
 
 // UniverseName returns the universe label whichever shape the plan
-// has: the stream's name for streaming sessions, the materialized
-// universe's otherwise.
+// has: the stream's name for Stream plans, the universe's otherwise.
 func (p *Plan) UniverseName() string {
 	if p.Stream != nil {
 		return p.Stream.Name
@@ -609,114 +477,6 @@ func (p *Plan) laneWords() int {
 func runClean(r Runner, mk MemoryFactory) (falsePositive bool, ops uint64) {
 	detected, ops := r.Run(mk())
 	return detected, ops
-}
-
-// detect runs one stage over the view and returns per-view-position
-// verdicts plus the engine report.  The error is non-nil exactly when
-// ctx was cancelled (the verdicts then cover only the batches that
-// ran); any other driver failure panics, as a broken engine invariant.
-func (p *Plan) detect(ctx context.Context, st *stage, view fault.View, workers int, arenas *sim.ArenaPool) ([]bool, *EngineStats, error) {
-	switch {
-	case st.prog != nil:
-		v := view
-		var col fault.Collapsed
-		collapsed := CollapseEnabled()
-		if collapsed {
-			sum := st.prog.Summary()
-			col = fault.CollapseView(view, &sum)
-			v = fault.Span(col.Reps)
-		}
-		d, w, err := sim.ShardsCompiledView(ctx, st.prog, v, workers, arenas)
-		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: compiled replay of %s on %s: %v", st.runner.Name(), p.Universe.Name, err))
-		}
-		if collapsed {
-			d = col.Expand(d)
-			// The shard driver counted the representatives it simulated;
-			// credit the expanded remainder so the registry's presented-
-			// fault total (and the progress Done count) stays exact.
-			// Skipped on cancellation: the stage did not finish, so the
-			// progress total is not owed.
-			if reg := telemetry.Active(); reg != nil && err == nil && view.Len() > v.Len() {
-				reg.Flush(reg.Worker(0), &telemetry.Local{Faults: uint64(view.Len() - v.Len())})
-			}
-		}
-		return d, &EngineStats{
-			Engine:     EngineCompiled,
-			Workers:    w,
-			Reps:       v.Len(),
-			ProgramOps: st.prog.Ops(),
-			TrimmedOps: st.prog.TrimmedOps(),
-			LaneWords:  st.prog.LaneWords(),
-			FusedOps:   st.prog.FusedOps(),
-		}, err
-	case st.tr != nil:
-		d, w, err := sim.ShardsView(ctx, st.tr, view, workers)
-		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: bitpar replay of %s on %s: %v", st.runner.Name(), p.Universe.Name, err))
-		}
-		return d, &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: view.Len()}, err
-	default:
-		d, w, err := oracleDetectView(ctx, st.runner, view, p.Memory, workers)
-		return d, &EngineStats{Engine: EngineOracle, Workers: w, Reps: view.Len()}, err
-	}
-}
-
-// oracleDetectView is the reference path over a view: one full
-// algorithm run per presented fault, distributed over workers with an
-// atomic cursor.  It also returns the effective worker count, and
-// ctx.Err() when cancelled mid-run (the cancellation check is per
-// fault claim — one algorithm run is the natural response granularity
-// here, matching the replay drivers' per-batch check).
-func oracleDetectView(ctx context.Context, r Runner, v fault.View, mk MemoryFactory, workers int) ([]bool, int, error) {
-	n := v.Len()
-	detected := make([]bool, n)
-	if workers > n {
-		workers = n
-	}
-	ctxDone := ctx.Done()
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	reg := telemetry.Active()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var tw *telemetry.Worker
-			var tl telemetry.Local
-			if reg != nil {
-				tw = reg.Worker(w)
-			}
-			for {
-				idx := int(cursor.Add(1)) - 1
-				if idx >= n {
-					return
-				}
-				select {
-				case <-ctxDone:
-					return
-				default:
-				}
-				var t0 time.Time
-				if tw != nil {
-					t0 = time.Now() //faultsim:ordered per-fault kernel timing is telemetry only
-				}
-				mem := v.At(idx).Inject(mk())
-				d, _ := r.Run(mem)
-				detected[idx] = d
-				if tw != nil {
-					// One full algorithm run per fault dwarfs a flush, so
-					// the oracle flushes per fault.
-					tl.KernelNanos += uint64(time.Since(t0)) //faultsim:ordered per-fault kernel timing is telemetry only
-					tl.Faults++
-					tl.Reps++
-					reg.Flush(tw, &tl)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return detected, workers, ctx.Err()
 }
 
 // FormatStages renders the session's stage progression as one line:

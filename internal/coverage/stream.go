@@ -1,7 +1,7 @@
-// The streaming session executor and its sink folds.  Everything that
-// accumulates results here must be deterministic: streaming sessions
-// are property-tested byte-identical to materialized ones and to
-// interrupted-then-resumed ones.
+// The session executor and its sink folds.  Everything that
+// accumulates results here must be deterministic: sessions are
+// property-tested byte-identical to the per-fault oracle across chunk
+// sizes and worker counts, and to interrupted-then-resumed runs.
 //
 //faultsim:deterministic
 
@@ -19,23 +19,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the streaming session executor: a Plan whose Stream
-// field is set runs its stages over a fault.Source pulled in bounded
-// chunks (sim.ShardsStream / sim.ShardsCompiledStream / a chunked
-// oracle), so session memory is O(Chunk × Workers) fault instances
-// plus one bit per universe fault — the universe size stops being a
-// memory bound.  Cross-test fault dropping is held as the cumulative
+// This file is the session executor: every Plan runs its stages over
+// a fault.Source pulled in bounded chunks (sim.ShardsStream /
+// sim.ShardsCompiledStream / a chunked oracle) — a Stream plan's
+// source, or a Universe plan's faults as a fault.SliceSource — so
+// session memory is O(Chunk × Workers) fault instances plus one bit
+// per universe fault, and the universe size stops being a memory
+// bound.  Cross-test fault dropping is held as the cumulative
 // detection bitmap: a later stage skips every fault some earlier stage
-// already caught, exactly as the materialized executor's BitView path,
-// and the streaming property tests assert byte-identical Results
-// between the two executors for every universe family, engine and
-// chunk size.
+// already caught.  The property tests assert Results byte-identical to
+// the per-fault oracle for every universe family, engine, chunk size
+// and plan shape.
 //
-// Everything else — stage preparation, the program cache, ordering,
-// engine fallbacks — is shared with the materialized executor.  The
-// replay engines additionally require every streamed fault to support
-// batch injection (all built-in fault models do); the per-fault oracle
-// path has no such constraint.
+// Each stage sizes its chunks and worker pool from the exact number of
+// universe indices it will claim (stageShape), so a small campaign
+// keeps every worker busy and never allocates chunk buffers larger
+// than its universe.  The replay engines require every streamed fault
+// to support batch injection (all built-in fault models do); a
+// Universe plan probes its faults up front and falls back to the
+// per-fault oracle, which has no such constraint.
 //
 // Durability (durable.go) composes onto the same loop: when a
 // checkpoint is configured the chunk sink is wrapped to fold verdicts
@@ -44,13 +46,13 @@ import (
 // from the checkpoint and Skip()s the source past the in-flight
 // stage's high-water mark.
 
-// defaultChunk is the chunk size streaming sessions use when
-// Plan.Chunk <= 0 (the faultcov -chunk flag); its own zero value
-// defers to sim.DefaultChunk.
+// defaultChunk is the chunk-size cap sessions use when Plan.Chunk <= 0
+// (the faultcov -chunk flag); its own zero value defers to
+// sim.DefaultChunk.
 var defaultChunk atomic.Int32
 
-// SetDefaultChunk fixes the faults-per-pull of streaming sessions
-// invoked with Chunk <= 0 (n <= 0 restores sim.DefaultChunk).
+// SetDefaultChunk fixes the faults-per-pull cap of sessions invoked
+// with Chunk <= 0 (n <= 0 restores sim.DefaultChunk).
 func SetDefaultChunk(n int) { defaultChunk.Store(int32(n)) }
 
 // DefaultChunk returns the effective default chunk size.
@@ -66,10 +68,10 @@ func DefaultChunk() int {
 // Campaign.  chunk <= 0 selects the package default.  One divergence
 // from Campaign: the replay engines require every streamed fault to
 // support batch injection (all built-in fault models do) and fail
-// loudly otherwise — a streaming session cannot probe the whole
-// universe up front the way the materialized executor does before
-// falling back to the oracle.  Universes of custom non-batchable
-// faults must select EngineOracle explicitly.
+// loudly otherwise — a stream cannot be probed up front the way a
+// Universe plan's slice is before falling back to the oracle.
+// Universes of custom non-batchable faults must select EngineOracle
+// explicitly.
 func CampaignStream(r Runner, s *fault.Stream, mk MemoryFactory, workers, chunk int) Result {
 	p := Plan{
 		Runners: []Runner{r}, Stream: s, Chunk: chunk,
@@ -90,8 +92,11 @@ func CompareStream(runners []Runner, s *fault.Stream, mk MemoryFactory, workers,
 	return p.Run().Results
 }
 
-// runStream executes a streaming session.
-func (p *Plan) runStream(ctx context.Context) *Session {
+// runStream executes the session over stream.  streamed is false when
+// stream wraps a Universe plan's slice: the faults are then probed for
+// batch injection, and checkpointing and partitioning — explicit or
+// process default — never apply.
+func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed bool) *Session {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -100,19 +105,22 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 	if chunk <= 0 {
 		chunk = DefaultChunk()
 	}
-	src := p.Stream.Source
+	src := stream.Source
 	count, exactCount := src.Count() // capacity hint; bitmaps grow if it is low
 
 	// Partitioning: restrict the session to universe indices
 	// [partLo, partHi).  Delivered indices stay universe-absolute (the
 	// SubSource view plus cfg.Base), so detection bitmaps and
 	// checkpoints from different partitions OR/merge exactly.
-	partIdx, partCnt := p.partitionSpec()
+	partIdx, partCnt := 0, 0
+	if streamed {
+		partIdx, partCnt = p.partitionSpec()
+	}
 	partLo, partHi := 0, -1
 	hiBound := count // bitmap capacity: the highest index this session can touch
 	if partCnt > 0 {
 		if !exactCount {
-			panic(fmt.Sprintf("coverage: partitioning %s requires a source with an exact Count", p.Stream.Name))
+			panic(fmt.Sprintf("coverage: partitioning %s requires a source with an exact Count", stream.Name))
 		}
 		if p.KeepVectors {
 			panic("coverage: KeepVectors is incompatible with a partitioned session (vectors span the full universe)")
@@ -126,12 +134,14 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 		hiBound = partHi
 	}
 
-	// Stage preparation and ordering are shared with the materialized
-	// executor.  Streamed faults are assumed batch-injectable (checked
-	// per batch by the replay drivers, which fail loudly otherwise).
+	// Plan: one clean run (or cache hit) per runner, so the executor
+	// knows every stage's trace, program and cost before ordering.
+	// Streamed faults are assumed batch-injectable (checked per batch
+	// by the replay drivers, which fail loudly otherwise).
+	batchable := streamed || sim.Batchable(p.Universe.Faults)
 	stages := make([]*stage, len(p.Runners))
 	for i, r := range p.Runners {
-		stages[i] = p.prepareStage(r, i, true)
+		stages[i] = p.prepareStage(r, i, batchable)
 	}
 	order := p.executionOrder(stages)
 
@@ -146,7 +156,7 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 	if cp == nil {
 		cp = ambientCheckpoint.Load()
 	}
-	if cp != nil && cp.Path != "" {
+	if streamed && cp != nil && cp.Path != "" {
 		if p.KeepVectors {
 			panic("coverage: KeepVectors is incompatible with checkpointing (verdict vectors are not persisted)")
 		}
@@ -174,7 +184,7 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 	if p.KeepVectors {
 		s.Vectors = make([][]Verdict, len(p.Runners))
 	}
-	// Sink discipline for this session's compiled streaming stages:
+	// Sink discipline for this session's compiled stages:
 	// anything needing ordered delivery (checkpoint prefix cuts,
 	// verdict vectors, a live progress frontier) keeps the serialized
 	// sink; otherwise per-worker sinks merged at drain.
@@ -220,7 +230,7 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 			st := stages[rec.RunnerIndex]
 			res := Result{
 				Runner:        rec.Runner,
-				Universe:      p.Stream.Name,
+				Universe:      stream.Name,
 				Total:         int(rec.Entered),
 				Detected:      int(rec.Detected),
 				ByClass:       make(map[fault.Class]ClassStat),
@@ -276,7 +286,7 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 		}
 		res := Result{
 			Runner:        st.runner.Name(),
-			Universe:      p.Stream.Name,
+			Universe:      stream.Name,
 			ByClass:       make(map[fault.Class]ClassStat),
 			OpsCleanRun:   st.cleanOps,
 			FalsePositive: st.falsePositive,
@@ -358,7 +368,7 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 			// indices stay absolute via cfg.Base below.
 			if skipped := src.Skip(rel); skipped != rel {
 				panic(fmt.Sprintf("coverage: resume seek of %s to %d stopped at %d — source shorter than the checkpoint's universe",
-					p.Stream.Name, base, partLo+skipped))
+					stream.Name, base, partLo+skipped))
 			}
 		}
 		var before telemetry.Snapshot
@@ -384,8 +394,9 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 		if reg != nil {
 			reg.SetSinkMode(useUnordered)
 		}
+		cfg := sim.StreamConfig{Drop: stageDrop, Base: base, Arenas: arenas}
+		cfg.Chunk, cfg.Workers = stageShape(count-(base-partLo), exactCount, workers, st.batchWidth(), chunk)
 		t0 := time.Now() //faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
-		cfg := sim.StreamConfig{Chunk: chunk, Workers: workers, Drop: stageDrop, Base: base, Arenas: arenas}
 		var stats *EngineStats
 		var err error
 		if useUnordered {
@@ -473,7 +484,7 @@ func (p *Plan) runStream(ctx context.Context) *Session {
 
 	cumRes := Result{
 		Runner:      p.sessionName(),
-		Universe:    p.Stream.Name,
+		Universe:    stream.Name,
 		Total:       universeN,
 		Detected:    cumDetected,
 		ByClass:     make(map[fault.Class]ClassStat),
@@ -508,6 +519,39 @@ func (p *Plan) partitionSpec() (index, count int) {
 		return p.PartitionIndex, p.PartitionCount
 	}
 	return DefaultPartition()
+}
+
+// stageShape sizes one stage's chunks and worker pool.  left is the
+// number of universe indices the stage will claim, after the
+// partition and the resume seek (exact reports that it is a count, not
+// an estimate); workers is the resolved worker count, batch the faults
+// one replay pass simulates and maxChunk the configured chunk, which
+// is an upper bound.  The stage aims at four chunks per worker, so
+// idle workers can take a slow worker's chunks, rounds chunks up to
+// whole batches (a cap below one batch reads as one batch), and starts
+// no worker that would find no chunk left.  An inexact count keeps the
+// configured values.
+func stageShape(left int, exact bool, workers, batch, maxChunk int) (chunk, nworkers int) {
+	if !exact {
+		return maxChunk, workers
+	}
+	chunk = max(batch, min(maxChunk, ceilDiv(ceilDiv(left, 4*workers), batch)*batch))
+	return chunk, max(1, min(workers, ceilDiv(left, chunk)))
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// batchWidth is the number of faults one replay pass of the stage
+// simulates: the compiled program's lane width, one interpreter word,
+// or a single fault on the oracle.
+func (st *stage) batchWidth() int {
+	switch {
+	case st.prog != nil:
+		return st.prog.BatchFaults()
+	case st.tr != nil:
+		return sim.BatchSize
+	}
+	return 1
 }
 
 // detectStreamUnordered runs one compiled stage on the unordered
@@ -563,7 +607,7 @@ func (p *Plan) detectStreamUnordered(ctx context.Context, st *stage, src fault.S
 	cfg.Collapse = CollapseEnabled()
 	w, reps, err := sim.ShardsCompiledUnordered(ctx, st.prog, src, cfg, sinkFor)
 	if err != nil && ctx.Err() == nil {
-		panic(fmt.Sprintf("coverage: unordered compiled streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+		panic(fmt.Sprintf("coverage: unordered compiled streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 	}
 	t0 := time.Now() //faultsim:ordered merge wall-clock is telemetry, reported beside the deterministic counts
 	for i := range accs {
@@ -615,7 +659,7 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 		cfg.Collapse = CollapseEnabled()
 		w, reps, err := sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sink)
 		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: compiled streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+			panic(fmt.Sprintf("coverage: compiled streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
 		return &EngineStats{
 			Engine:     EngineCompiled,
@@ -630,7 +674,7 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 	case st.tr != nil:
 		w, reps, err := sim.ShardsStream(ctx, st.tr, src, cfg, sink)
 		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: bitpar streaming replay of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+			panic(fmt.Sprintf("coverage: bitpar streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
 		return &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: reps, Sink: SinkOrdered.String()}, err
 	default:
@@ -648,7 +692,7 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 			}, nil
 		}, sink)
 		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: oracle streaming of %s on %s: %v", st.runner.Name(), p.Stream.Name, err))
+			panic(fmt.Sprintf("coverage: oracle streaming of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
 		return &EngineStats{Engine: EngineOracle, Workers: w, Reps: reps, Sink: SinkOrdered.String()}, err
 	}

@@ -12,13 +12,13 @@ import (
 	"repro/internal/sim"
 )
 
-// The streaming-equivalence property (this PR's acceptance criterion):
-// for every universe family and all three engines, a streaming session
-// produces Results byte-identical to the materialized session over the
-// collected universe — across chunk sizes {1, 7, 4096}, with dropping
-// on and off.  Stats is diagnostic metadata outside the contract
-// (Reps and Workers legitimately differ between the executors) and is
-// zeroed before comparing.
+// The session-equivalence property: for every universe family and all
+// three engines, a session produces Results byte-identical to the
+// per-fault oracle reference (oracleSession) — across chunk sizes
+// {1, 7, 4096}, with dropping on and off, and for both plan shapes
+// (a materialized Universe and a Stream over the same faults).  Stats
+// is diagnostic metadata outside the contract (Reps and Workers
+// legitimately vary with the chunking) and is zeroed before comparing.
 
 type streamFamily struct {
 	name    string
@@ -61,11 +61,11 @@ func assertSessionsEqual(t *testing.T, label string, want, got *Session) {
 		w, g := want.Results[i], got.Results[i]
 		w.Stats, g.Stats = nil, nil
 		if !reflect.DeepEqual(w, g) {
-			t.Errorf("%s runner %d: streaming Result differs\nmaterialized: %+v\nstreaming:    %+v", label, i, w, g)
+			t.Errorf("%s runner %d: Result differs\nwant: %+v\ngot:  %+v", label, i, w, g)
 		}
 	}
 	if !reflect.DeepEqual(want.Cumulative, got.Cumulative) {
-		t.Errorf("%s: cumulative differs\nmaterialized: %+v\nstreaming:    %+v", label, want.Cumulative, got.Cumulative)
+		t.Errorf("%s: cumulative differs\nwant: %+v\ngot:  %+v", label, want.Cumulative, got.Cumulative)
 	}
 	if !reflect.DeepEqual(want.Vectors, got.Vectors) {
 		t.Errorf("%s: verdict vectors differ", label)
@@ -75,12 +75,64 @@ func assertSessionsEqual(t *testing.T, label string, want, got *Session) {
 	}
 	for i := range want.Stages {
 		w, g := want.Stages[i], got.Stages[i]
-		if w.Runner != g.Runner || w.Entered != g.Entered || w.Detected != g.Detected || w.Survivors != g.Survivors {
+		if w.Runner != g.Runner || w.RunnerIndex != g.RunnerIndex || w.Entered != g.Entered ||
+			w.Detected != g.Detected || w.Survivors != g.Survivors {
 			t.Errorf("%s stage %d: %s %d/%d→%d, want %s %d/%d→%d", label, i,
 				g.Runner, g.Detected, g.Entered, g.Survivors,
 				w.Runner, w.Detected, w.Entered, w.Survivors)
 		}
 	}
+}
+
+// oracleSession is the tests' independent reference for a session run
+// in the given runner order with KeepVectors: every verdict comes from
+// one full algorithm run on a freshly injected memory, folded with the
+// documented dropping semantics — no chunking, no workers, no shared
+// code with the executor under test.
+func oracleSession(name string, runners []Runner, faults []fault.Fault, mk MemoryFactory, drop bool) *Session {
+	s := &Session{Results: make([]Result, len(runners)), Vectors: make([][]Verdict, len(runners))}
+	cum := Result{Runner: "session", Universe: name, Total: len(faults), ByClass: make(map[fault.Class]ClassStat)}
+	for _, f := range faults {
+		cs := cum.ByClass[f.Class()]
+		cs.Total++
+		cum.ByClass[f.Class()] = cs
+	}
+	caught := make([]bool, len(faults))
+	for ri, r := range runners {
+		falsePositive, ops := r.Run(mk())
+		res := Result{Runner: r.Name(), Universe: name, ByClass: make(map[fault.Class]ClassStat),
+			OpsCleanRun: ops, FalsePositive: falsePositive}
+		vec := make([]Verdict, len(faults))
+		for i, f := range faults {
+			if drop && caught[i] {
+				vec[i] = VerdictDropped
+				continue
+			}
+			cs := res.ByClass[f.Class()]
+			cs.Total++
+			res.Total++
+			if d, _ := r.Run(f.Inject(mk())); d {
+				vec[i] = VerdictDetected
+				cs.Detected++
+				res.Detected++
+				if !caught[i] {
+					caught[i] = true
+					cum.Detected++
+					cc := cum.ByClass[f.Class()]
+					cc.Detected++
+					cum.ByClass[f.Class()] = cc
+				}
+			}
+			res.ByClass[f.Class()] = cs
+		}
+		cum.OpsCleanRun += ops
+		cum.FalsePositive = cum.FalsePositive || falsePositive
+		s.Results[ri], s.Vectors[ri] = res, vec
+		s.Stages = append(s.Stages, StageStat{Runner: r.Name(), RunnerIndex: ri,
+			Entered: res.Total, Detected: res.Detected, Survivors: len(faults) - cum.Detected})
+	}
+	s.Cumulative = cum
+	return s
 }
 
 func TestStreamingMatchesMaterialized(t *testing.T) {
@@ -94,21 +146,25 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 	for _, fam := range families {
 		u := fault.Universe{Name: fam.name, Faults: fault.Collect(fam.src)}
-		for _, engine := range engines {
-			for _, drop := range []bool{false, true} {
-				base := (&Plan{
-					Runners: fam.runners, Universe: u, Memory: fam.mk,
-					Workers: 4, Engine: engine, Drop: drop, KeepVectors: true,
-				}).Run()
+		for _, drop := range []bool{false, true} {
+			want := oracleSession(fam.name, fam.runners, u.Faults, fam.mk, drop)
+			for _, engine := range engines {
 				for _, chunk := range chunks {
-					label := fmt.Sprintf("%s [%s drop=%v chunk=%d]", fam.name, engine, drop, chunk)
-					got := (&Plan{
-						Runners: fam.runners,
-						Stream:  &fault.Stream{Name: fam.name, Source: fam.src},
-						Chunk:   chunk, Memory: fam.mk,
-						Workers: 4, Engine: engine, Drop: drop, KeepVectors: true,
-					}).Run()
-					assertSessionsEqual(t, label, base, got)
+					for _, stream := range []bool{false, true} {
+						p := &Plan{
+							Runners: fam.runners, Chunk: chunk, Memory: fam.mk,
+							Workers: 4, Engine: engine, Drop: drop, KeepVectors: true,
+						}
+						shape := "universe"
+						if stream {
+							shape = "stream"
+							p.Stream = &fault.Stream{Name: fam.name, Source: fam.src}
+						} else {
+							p.Universe = u
+						}
+						label := fmt.Sprintf("%s [%s %s drop=%v chunk=%d]", fam.name, shape, engine, drop, chunk)
+						assertSessionsEqual(t, label, want, p.Run())
+					}
 				}
 			}
 		}
@@ -116,7 +172,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 }
 
 // Streaming sessions must also respect execution ordering and the
-// program cache, like their materialized counterparts.
+// program cache, exactly like Universe plans over the same faults.
 func TestStreamingCheapestFirstAndCache(t *testing.T) {
 	fam := streamFamilies()[0]
 	u := fault.Universe{Name: fam.name, Faults: fault.Collect(fam.src)}
@@ -165,13 +221,45 @@ func (g *guardSource) Next(dst []fault.Fault) (int, bool) {
 	return g.Source.Next(dst)
 }
 
-// TestStreamingMemoryBoundedByChunk is the memory guard: an exhaustive
-// coupling universe of ~783K instances streams through the compiled
-// engine with a 2K chunk while the live heap (sampled after forced
-// GCs mid-run) must stay within a small constant budget — materializing
-// the same universe costs ~50 MB of fault headers alone, so an O(
-// universe) regression trips the assertion with a wide margin.
+// TestStreamingMemoryBoundedByChunk is the memory guard, in two
+// shapes.  An exhaustive coupling universe of ~783K instances streams
+// through the compiled engine with a 2K chunk while the live heap
+// (sampled after forced GCs mid-run) must stay within a small constant
+// budget — materializing the same universe costs ~50 MB of fault
+// headers alone, so an O(universe) regression trips the assertion with
+// a wide margin.  And a small universe under a huge chunk cap must
+// allocate in proportion to the universe, not the cap: the chunk is an
+// upper bound, and each stage sizes its buffers from its exact count.
 func TestStreamingMemoryBoundedByChunk(t *testing.T) {
+	t.Run("small-source-huge-chunk", func(t *testing.T) {
+		const n = 32
+		src := fault.FullCouplingSource(n)
+		count, _ := src.Count()
+		p := Plan{
+			Runners: []Runner{MarchRunner(march.MATSPlus(), nil)},
+			Stream:  &fault.Stream{Name: "cf-small", Source: src},
+			Chunk:   1 << 24,
+			Memory:  bomFactory(n),
+			Workers: 2,
+			Engine:  EngineCompiled,
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res := p.Run().Results[0]
+		runtime.ReadMemStats(&m1)
+		if res.Total != count {
+			t.Fatalf("streamed %d faults, want %d", res.Total, count)
+		}
+		// Chunk buffers cost ~26 bytes per slot and worker: 1<<24 slots
+		// would be ~436 MB each.  The whole run — trace, program,
+		// arenas and chunk buffers sized from the universe — allocates
+		// about 2 MB.
+		const budget = 8 << 20
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
+			t.Errorf("a %d-fault campaign allocated %d bytes under a 1<<24 chunk cap (budget %d): buffers follow the cap, not the universe",
+				count, got, budget)
+		}
+	})
 	if testing.Short() {
 		t.Skip("heap-sampling guard: skipped under -short/-race")
 	}
@@ -210,5 +298,53 @@ func TestStreamingMemoryBoundedByChunk(t *testing.T) {
 	if peak > m0.HeapAlloc+budget {
 		t.Errorf("peak live heap grew %d bytes over baseline (budget %d): fault storage is not O(chunk)",
 			peak-m0.HeapAlloc, budget)
+	}
+}
+
+// TestStageShape pins the stage sizing rule: about four chunks per
+// worker, rounded up to whole batches and capped by the configured
+// chunk, with no more workers than chunks.  left is what runStream
+// passes: the stage's partition range minus the resumed prefix.
+func TestStageShape(t *testing.T) {
+	const workers = 4
+	batches := []int{1, sim.BatchSize, 8 * sim.BatchSize} // oracle, bitpar, compiled at 512 lanes
+	type shape struct{ chunk, workers int }
+	for _, tc := range []struct {
+		name        string
+		universe    int
+		part, parts int // 1-based partition; parts 0 = unpartitioned
+		resumed     int // indices of the stage's range already done
+		inexact     bool
+		maxChunk    int
+		want        [3]shape // per batch width above
+	}{
+		{name: "empty", universe: 0, maxChunk: 8192,
+			want: [3]shape{{1, 1}, {64, 1}, {512, 1}}},
+		{name: "small", universe: 64, maxChunk: 8192,
+			want: [3]shape{{4, 4}, {64, 1}, {512, 1}}},
+		{name: "large", universe: 1_000_000, maxChunk: 8192,
+			want: [3]shape{{8192, 4}, {8192, 4}, {8192, 4}}},
+		{name: "inexact", universe: 100, inexact: true, maxChunk: 8192,
+			want: [3]shape{{8192, 4}, {8192, 4}, {8192, 4}}},
+		{name: "resumed", universe: 10_000, resumed: 9000, maxChunk: 8192,
+			want: [3]shape{{63, 4}, {64, 4}, {512, 2}}},
+		{name: "partitioned", universe: 10_000, part: 3, parts: 4, maxChunk: 8192,
+			want: [3]shape{{157, 4}, {192, 4}, {512, 4}}},
+		{name: "partitioned+resumed", universe: 10_000, part: 4, parts: 4, resumed: 2000, maxChunk: 8192,
+			want: [3]shape{{32, 4}, {64, 4}, {512, 1}}},
+		{name: "cap-below-batch", universe: 1000, maxChunk: 7,
+			want: [3]shape{{7, 4}, {64, 4}, {512, 2}}},
+	} {
+		lo, hi := 0, tc.universe
+		if tc.parts > 0 {
+			lo, hi = fault.PartitionRange(tc.universe, tc.part-1, tc.parts)
+		}
+		left := hi - lo - tc.resumed
+		for i, b := range batches {
+			c, w := stageShape(left, !tc.inexact, workers, b, tc.maxChunk)
+			if got := (shape{c, w}); got != tc.want[i] {
+				t.Errorf("%s (left %d) batch %d: chunk %d workers %d, want %+v", tc.name, left, b, c, w, tc.want[i])
+			}
+		}
 	}
 }

@@ -3,12 +3,13 @@ package fault
 import "math/bits"
 
 // BitSet is a dense bitmap over universe fault positions — the
-// campaign session layer's survivor bookkeeping.  A multi-test dropped
-// session over N faults keeps N bits here instead of materialized
-// index slices, so cross-test dropping costs N/8 bytes however many
-// stages narrow the universe.  Set grows the bitmap on demand (a
-// streaming source's Count may be an estimate); Get outside the
-// current capacity reads false.  A BitSet is not synchronized.
+// campaign session layer's cumulative detection bookkeeping.  A
+// multi-test dropped session over N faults keeps N bits here instead
+// of materialized index slices, so cross-test dropping costs N/8
+// bytes however many stages narrow the universe.  Set grows the
+// bitmap on demand (a streaming source's Count may be an estimate);
+// Get outside the current capacity reads false.  A BitSet is not
+// synchronized.
 type BitSet struct {
 	words []uint64
 }
@@ -34,13 +35,6 @@ func (b *BitSet) Set(i int) {
 		b.words = append(b.words, 0)
 	}
 	b.words[w] |= 1 << (uint(i) & 63)
-}
-
-// Clear clears bit i.
-func (b *BitSet) Clear(i int) {
-	if w := i >> 6; w < len(b.words) {
-		b.words[w] &^= 1 << (uint(i) & 63)
-	}
 }
 
 // Count returns the number of set bits.
@@ -80,105 +74,3 @@ func (b *BitSet) Words() []uint64 { return b.words }
 // BitSetFromWords rebuilds a bitmap around a deserialized word array;
 // the slice is adopted, not copied.
 func BitSetFromWords(words []uint64) *BitSet { return &BitSet{words: words} }
-
-// BitView is a View whose subset is a survivor bitmap over the backing
-// slice: position i of the view is the i-th set bit.  It snapshots the
-// bitmap at construction (later BitSet mutations do not move the
-// view), and carries a per-word rank directory so At/Index resolve a
-// view position with one binary search plus an in-word select —
-// O(N/64) ints of directory, no per-survivor index slice.
-type BitView struct {
-	faults []Fault
-	words  []uint64
-	rank   []int32 // rank[w] = set bits in words[:w]
-	n      int
-}
-
-// NewBitView builds a view of faults restricted to the set bits of
-// bits (bits beyond len(faults) are ignored).
-func NewBitView(faults []Fault, bits_ *BitSet) *BitView {
-	nw := (len(faults) + 63) / 64
-	words := make([]uint64, nw)
-	copy(words, bits_.words)
-	if nw > 0 && len(faults)%64 != 0 {
-		words[nw-1] &= 1<<(uint(len(faults))%64) - 1
-	}
-	v := &BitView{faults: faults, words: words, rank: make([]int32, nw+1)}
-	for w, word := range words {
-		v.rank[w+1] = v.rank[w] + int32(bits.OnesCount64(word))
-	}
-	v.n = int(v.rank[nw])
-	return v
-}
-
-// Len implements View.
-func (v *BitView) Len() int { return v.n }
-
-// Full implements View.
-func (v *BitView) Full() bool { return v.n == len(v.faults) }
-
-// sel returns the backing position of view position i (the i-th set
-// bit): binary search on the rank directory, select within the word.
-func (v *BitView) sel(i int) int {
-	lo, hi := 0, len(v.words)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(v.rank[mid]) <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	rem := i - int(v.rank[lo])
-	word := v.words[lo]
-	for ; rem > 0; rem-- {
-		word &= word - 1
-	}
-	return lo*64 + bits.TrailingZeros64(word)
-}
-
-// At implements View.
-func (v *BitView) At(i int) Fault { return v.faults[v.sel(i)] }
-
-// Index implements View.
-func (v *BitView) Index(i int) int { return v.sel(i) }
-
-// Batch implements View: positions [lo, hi) gathered into scratch (the
-// backing subslice directly when the view is full).
-func (v *BitView) Batch(scratch []Fault, lo, hi int) []Fault {
-	if v.Full() {
-		return v.faults[lo:hi]
-	}
-	scratch = scratch[:0]
-	if hi <= lo {
-		return scratch
-	}
-	pos := v.sel(lo)
-	w, word := pos>>6, v.words[pos>>6]
-	word &= ^uint64(0) << (uint(pos) & 63) // drop bits before the first
-	for len(scratch) < hi-lo {
-		for word == 0 {
-			w++
-			word = v.words[w]
-		}
-		scratch = append(scratch, v.faults[w*64+bits.TrailingZeros64(word)])
-		word &= word - 1
-	}
-	return scratch
-}
-
-// Where implements View: the kept positions as an index view onto the
-// same backing slice.
-func (v *BitView) Where(keep func(i int) bool) View {
-	idx := make([]int32, 0, v.n)
-	pos := 0
-	for w, word := range v.words {
-		for ; word != 0; word &= word - 1 {
-			if keep(pos) {
-				idx = append(idx, int32(w*64+bits.TrailingZeros64(word)))
-			}
-			pos++
-		}
-	}
-	return sliceView{faults: v.faults, idx: idx}
-}

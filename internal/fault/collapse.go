@@ -72,18 +72,9 @@ type Collapsed struct {
 	Map []int
 }
 
-// Expand maps per-representative detection results back onto the full
-// universe.
-func (c *Collapsed) Expand(rep []bool) []bool {
-	out := make([]bool, len(c.Map))
-	for i, r := range c.Map {
-		out[i] = rep[r]
-	}
-	return out
-}
-
-// ExpandInto is Expand into a caller-provided buffer of len(Map) —
-// the streaming drivers' per-chunk expansion, which reuses one worker
+// ExpandInto maps per-representative detection results rep back onto
+// the collapsed faults, writing dst[i] for fault i of len(Map) — the
+// streaming drivers' per-chunk expansion, which reuses one worker
 // buffer across every chunk of a campaign.
 //
 //faultsim:hotpath
@@ -116,9 +107,9 @@ func Collapse(faults []Fault, sum *TraceSummary) Collapsed {
 
 // CollapseView is Collapse over a view: the equivalence classes are
 // computed among the view's faults only (Map is indexed by view
-// position), so collapsing composes with cross-test fault dropping —
-// a representative whose class died out of the survivor set is not
-// simulated, and Expand still scatters results back per view position.
+// position), so a representative whose class has no member in the
+// view is not simulated, and ExpandInto scatters results back per view
+// position.
 func CollapseView(v View, sum *TraceSummary) Collapsed {
 	n := v.Len()
 	col := Collapsed{Map: make([]int, n)}

@@ -126,11 +126,12 @@ func TestCollapsedExpand(t *testing.T) {
 		Reps: []Fault{SAF{}, TF{}},
 		Map:  []int{0, 1, 0, 1, 1},
 	}
-	got := col.Expand([]bool{true, false})
+	got := make([]bool, len(col.Map))
+	col.ExpandInto(got, []bool{true, false})
 	want := []bool{true, false, true, false, false}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Expand[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("ExpandInto[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 	if col.Saved() != 3 {

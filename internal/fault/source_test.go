@@ -185,95 +185,14 @@ func TestBitSet(t *testing.T) {
 	if b.Count() != 4 {
 		t.Fatalf("Count = %d, want 4", b.Count())
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 3 {
-		t.Fatalf("Clear failed: get=%v count=%d", b.Get(64), b.Count())
-	}
 	// Growth beyond the initial capacity; reads past the end are false.
 	b.Set(1000)
 	if !b.Get(1000) || b.Get(5000) {
 		t.Fatal("grown Set/OOB Get wrong")
 	}
 	c := b.Clone()
-	c.Clear(0)
-	if !b.Get(0) || c.Get(0) {
+	c.Set(1)
+	if b.Get(1) || !c.Get(1) {
 		t.Fatal("Clone not independent")
-	}
-}
-
-func TestBitViewMatchesWhere(t *testing.T) {
-	faults := SingleCellUniverse(10, 1) // 40 faults
-	keep := func(i int) bool { return i%3 != 1 }
-	want := Span(faults).Where(keep)
-	bits := NewBitSet(len(faults))
-	for i := range faults {
-		if keep(i) {
-			bits.Set(i)
-		}
-	}
-	v := NewBitView(faults, bits)
-	if v.Full() || v.Len() != want.Len() {
-		t.Fatalf("bitview: full=%v len=%d want %d", v.Full(), v.Len(), want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if v.At(i) != want.At(i) || v.Index(i) != want.Index(i) {
-			t.Fatalf("position %d: At=%v Index=%d, want At=%v Index=%d",
-				i, v.At(i), v.Index(i), want.At(i), want.Index(i))
-		}
-	}
-	scratch := make([]Fault, 0, 8)
-	for lo := 0; lo < v.Len(); lo += 7 {
-		hi := lo + 7
-		if hi > v.Len() {
-			hi = v.Len()
-		}
-		got := v.Batch(scratch, lo, hi)
-		ref := want.Batch(nil, lo, hi)
-		if len(got) != len(ref) {
-			t.Fatalf("batch [%d,%d): len %d want %d", lo, hi, len(got), len(ref))
-		}
-		for j := range got {
-			if got[j] != ref[j] {
-				t.Fatalf("batch [%d,%d) pos %d: %v want %v", lo, hi, j, got[j], ref[j])
-			}
-		}
-	}
-	// Where composes onto the original backing indices.
-	sub := v.Where(func(i int) bool { return i%2 == 0 })
-	wantSub := want.Where(func(i int) bool { return i%2 == 0 })
-	if sub.Len() != wantSub.Len() {
-		t.Fatalf("where len %d want %d", sub.Len(), wantSub.Len())
-	}
-	for i := 0; i < sub.Len(); i++ {
-		if sub.Index(i) != wantSub.Index(i) {
-			t.Fatalf("where pos %d: index %d want %d", i, sub.Index(i), wantSub.Index(i))
-		}
-	}
-	// The view snapshots the bitmap: clearing a bit afterwards does not
-	// move it.
-	bits.Clear(v.Index(0))
-	if v.Len() != want.Len() {
-		t.Fatal("BitView tracked a post-construction BitSet mutation")
-	}
-}
-
-func TestBitViewFullAliasesBacking(t *testing.T) {
-	faults := StuckOpenUniverse(70)
-	bits := NewBitSet(len(faults))
-	for i := range faults {
-		bits.Set(i)
-	}
-	v := NewBitView(faults, bits)
-	if !v.Full() || v.Len() != len(faults) {
-		t.Fatalf("full bitview: full=%v len=%d", v.Full(), v.Len())
-	}
-	b := v.Batch(nil, 3, 9)
-	if len(b) != 6 || &b[0] != &faults[3] {
-		t.Error("full BitView Batch must alias the backing slice")
-	}
-	// Bits beyond the backing slice are ignored.
-	bits.Set(len(faults) + 5)
-	if NewBitView(faults, bits).Len() != len(faults) {
-		t.Error("out-of-range bit counted")
 	}
 }

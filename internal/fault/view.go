@@ -1,92 +1,30 @@
 package fault
 
-// View is a cheap subset of a fault slice: no fault instances are
-// copied, only the shared backing slice plus a subset description.
-// The campaign session layer narrows a universe test after test
-// (cross-test fault dropping) through views instead of rebuilding
-// fault slices.  Two implementations exist: the index view returned by
-// Span/Where (a []int32 of kept positions) and BitView (a survivor
-// bitmap plus rank directory — N bits however small the subset).
+// View is a read-only positional view of a fault universe: no fault
+// instances are copied, and Index maps each view position back to the
+// universe index its verdict belongs to.  CollapseView takes one, so
+// structural collapsing works on whatever subset a caller presents.
+// Span is the identity view over a slice.
 type View interface {
 	// Len returns the number of faults in the view.
 	Len() int
 	// At returns the fault at view position i.
 	At(i int) Fault
-	// Index maps view position i to its position in the backing slice.
+	// Index maps view position i to its position in the universe.
 	Index(i int) int
-	// Full reports whether the view spans its whole backing slice
-	// without indirection.
-	Full() bool
-	// Batch returns view positions [lo, hi) as a contiguous fault
-	// slice: the backing subslice directly for a full view (zero
-	// copying — the common first-stage case), otherwise the headers
-	// gathered into scratch (grown as needed).  Replay drivers pass a
-	// per-worker scratch so steady-state batches allocate nothing.
-	Batch(scratch []Fault, lo, hi int) []Fault
-	// Where returns the sub-view of positions the predicate keeps,
-	// composed onto the same backing slice (indices remain positions in
-	// the original slice, so detection scatter stays exact across
-	// chained narrowing).
-	Where(keep func(i int) bool) View
 }
 
-// sliceView is the index implementation of View: the backing slice
-// plus an optional position list (nil = the whole slice).
-type sliceView struct {
-	faults []Fault
-	idx    []int32 // positions into faults; nil = the whole slice
-}
+// span is the identity View over a fault slice.
+type span []Fault
 
 // Span returns the identity view over the whole slice.
-func Span(faults []Fault) View { return sliceView{faults: faults} }
+func Span(faults []Fault) View { return span(faults) }
 
 // Len implements View.
-func (v sliceView) Len() int {
-	if v.idx != nil {
-		return len(v.idx)
-	}
-	return len(v.faults)
-}
+func (v span) Len() int { return len(v) }
 
 // At implements View.
-func (v sliceView) At(i int) Fault {
-	if v.idx != nil {
-		return v.faults[v.idx[i]]
-	}
-	return v.faults[i]
-}
+func (v span) At(i int) Fault { return v[i] }
 
 // Index implements View.
-func (v sliceView) Index(i int) int {
-	if v.idx != nil {
-		return int(v.idx[i])
-	}
-	return i
-}
-
-// Full implements View.
-func (v sliceView) Full() bool { return v.idx == nil }
-
-// Batch implements View.
-func (v sliceView) Batch(scratch []Fault, lo, hi int) []Fault {
-	if v.idx == nil {
-		return v.faults[lo:hi]
-	}
-	scratch = scratch[:0]
-	for _, j := range v.idx[lo:hi] {
-		scratch = append(scratch, v.faults[j])
-	}
-	return scratch
-}
-
-// Where implements View.
-func (v sliceView) Where(keep func(i int) bool) View {
-	n := v.Len()
-	idx := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if keep(i) {
-			idx = append(idx, int32(v.Index(i)))
-		}
-	}
-	return sliceView{faults: v.faults, idx: idx}
-}
+func (v span) Index(i int) int { return i }

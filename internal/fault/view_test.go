@@ -2,45 +2,36 @@ package fault
 
 import "testing"
 
+// subsetView is a test-only View of the kept positions of a slice.
+type subsetView struct {
+	faults []Fault
+	idx    []int
+}
+
+func where(faults []Fault, keep func(i int) bool) subsetView {
+	v := subsetView{faults: faults}
+	for i := range faults {
+		if keep(i) {
+			v.idx = append(v.idx, i)
+		}
+	}
+	return v
+}
+
+func (v subsetView) Len() int        { return len(v.idx) }
+func (v subsetView) At(i int) Fault  { return v.faults[v.idx[i]] }
+func (v subsetView) Index(i int) int { return v.idx[i] }
+
 func TestViewSpanIsIdentity(t *testing.T) {
 	faults := SingleCellUniverse(4, 1)
 	v := Span(faults)
-	if !v.Full() || v.Len() != len(faults) {
-		t.Fatalf("span: full=%v len=%d want %d", v.Full(), v.Len(), len(faults))
+	if v.Len() != len(faults) {
+		t.Fatalf("span: len=%d want %d", v.Len(), len(faults))
 	}
 	for i := range faults {
 		if v.At(i) != faults[i] || v.Index(i) != i {
 			t.Fatalf("position %d: At=%v Index=%d", i, v.At(i), v.Index(i))
 		}
-	}
-	// Full-view batches are backing subslices, not copies.
-	b := v.Batch(nil, 3, 7)
-	if len(b) != 4 || &b[0] != &faults[3] {
-		t.Error("full-view Batch must alias the backing slice")
-	}
-}
-
-func TestViewWhereComposes(t *testing.T) {
-	faults := SingleCellUniverse(8, 1) // 32 faults
-	even := Span(faults).Where(func(i int) bool { return i%2 == 0 })
-	if even.Full() || even.Len() != 16 {
-		t.Fatalf("even view: full=%v len=%d", even.Full(), even.Len())
-	}
-	// Second narrowing: indices must stay positions in the ORIGINAL
-	// slice (0, 4, 8, ...), not positions in the intermediate view.
-	fourth := even.Where(func(i int) bool { return i%2 == 0 })
-	if fourth.Len() != 8 {
-		t.Fatalf("fourth view len = %d", fourth.Len())
-	}
-	for i := 0; i < fourth.Len(); i++ {
-		if want := 4 * i; fourth.Index(i) != want || fourth.At(i) != faults[want] {
-			t.Fatalf("position %d: Index=%d want %d", i, fourth.Index(i), want)
-		}
-	}
-	scratch := make([]Fault, 0, 4)
-	b := fourth.Batch(scratch, 2, 5)
-	if len(b) != 3 || b[0] != faults[8] || b[2] != faults[16] {
-		t.Fatalf("gathered batch wrong: %v", b)
 	}
 }
 
@@ -50,7 +41,7 @@ func TestViewWhereComposes(t *testing.T) {
 func TestCollapseViewMatchesCollapseOnSubset(t *testing.T) {
 	faults := SingleCellUniverse(6, 1)
 	faults = append(faults, faults[:4]...) // duplicates collapse
-	v := Span(faults).Where(func(i int) bool { return i%3 != 0 })
+	v := where(faults, func(i int) bool { return i%3 != 0 })
 	gathered := make([]Fault, 0, v.Len())
 	for i := 0; i < v.Len(); i++ {
 		gathered = append(gathered, v.At(i))
@@ -76,7 +67,9 @@ func TestCollapseViewMatchesCollapseOnSubset(t *testing.T) {
 	for i := range rep {
 		rep[i] = i%2 == 0
 	}
-	a, b := got.Expand(rep), want.Expand(rep)
+	a, b := make([]bool, len(got.Map)), make([]bool, len(want.Map))
+	got.ExpandInto(a, rep)
+	want.ExpandInto(b, rep)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("expanded %d differs", i)
@@ -96,7 +89,7 @@ func TestCollapseViewDropsDeadRepresentatives(t *testing.T) {
 	if len(full.Reps) != 2 {
 		t.Fatalf("full collapse reps = %d, want 2", len(full.Reps))
 	}
-	v := Span(faults).Where(func(i int) bool { return i == 2 })
+	v := where(faults, func(i int) bool { return i == 2 })
 	col := CollapseView(v, nil)
 	if len(col.Reps) != 1 || col.Reps[0] != faults[2] {
 		t.Fatalf("dead class not dropped: reps = %v", col.Reps)

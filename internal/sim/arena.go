@@ -14,7 +14,7 @@ import (
 // previous batch dirtied are restored (a dirty-cell list with epoch
 // stamps), so steady-state batches allocate nothing and touch
 // O(dirty) instead of O(Size×Width) memory.  An Arena is single-
-// threaded; Shards-style drivers create one per worker.
+// threaded; the streaming drivers create one per worker.
 type Arena struct {
 	p *Program
 

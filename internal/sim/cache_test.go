@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -117,46 +116,6 @@ func TestArenaPoolRetargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	np.Put(c)
-}
-
-// TestShardsViewMatchesFullRun: subset replay must return, per view
-// position, exactly the full run's verdict at that universe index —
-// for the interpreter and the compiled engine (pooled and unpooled).
-func TestShardsViewMatchesFullRun(t *testing.T) {
-	const n = 48
-	tr := recordMarch(t, march.MATSPlus(), n) // imperfect coverage: mixed verdicts
-	p, err := Compile(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fault.StandardUniverse(n, 1, 8, 17).Faults
-	ctx := context.Background()
-	full, _, err := ShardsCompiled(ctx, p, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A ragged subset crossing batch boundaries.
-	v := fault.Span(faults).Where(func(i int) bool { return i%3 != 1 })
-	var pool ArenaPool
-	for name, run := range map[string]func() ([]bool, int, error){
-		"bitpar":        func() ([]bool, int, error) { return ShardsView(ctx, tr, v, 3) },
-		"compiled":      func() ([]bool, int, error) { return ShardsCompiledView(ctx, p, v, 3, nil) },
-		"compiled+pool": func() ([]bool, int, error) { return ShardsCompiledView(ctx, p, v, 3, &pool) },
-	} {
-		got, _, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != v.Len() {
-			t.Fatalf("%s: %d verdicts for a %d-fault view", name, len(got), v.Len())
-		}
-		for i := range got {
-			if got[i] != full[v.Index(i)] {
-				t.Errorf("%s: view fault %d (universe %d) = %v, full run says %v",
-					name, i, v.Index(i), got[i], full[v.Index(i)])
-			}
-		}
-	}
 }
 
 // TestProgramCacheRoundTrip covers hit/miss accounting and the

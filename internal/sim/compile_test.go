@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -269,48 +270,57 @@ func TestArenaResetRestoresExactState(t *testing.T) {
 	}
 }
 
+// TestShardsCompiledMatchesAcrossWorkerCounts: both compiled streaming
+// drivers return the interpreter reference's verdicts at every worker
+// count, with collapsing on.
 func TestShardsCompiledMatchesAcrossWorkerCounts(t *testing.T) {
 	const n = 32
-	tr := recordMarch(t, march.MarchB(), n)
+	tr := recordMarch(t, march.MATSPlus(), n) // imperfect coverage: mixed verdicts
 	p, err := Compile(tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := fault.SingleCellUniverse(n, 1) // 128 faults = 2 batches
-	var ref []bool
+	faults := fault.StandardUniverse(n, 1, 8, 3).Faults
+	ref := replayRef(t, tr, faults)
+	ctx := context.Background()
 	for _, workers := range []int{1, 3, 8} {
-		got, _, err := ShardsCompiled(context.Background(), p, faults, workers)
+		cfg := StreamConfig{Chunk: 64, Workers: workers, Collapse: true}
+		cs := newCollectSink()
+		if _, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, cs.sink); err != nil {
+			t.Fatal(err)
+		}
+		cs.check(t, fmt.Sprintf("ordered workers=%d", workers), ref)
+		got, err := collectUnordered(ctx, p, faults, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for i := range ref {
-			if ref[i] != got[i] {
-				t.Fatalf("workers=%d: fault %d differs from single-worker result", workers, i)
-			}
-		}
+		got.check(t, fmt.Sprintf("unordered workers=%d", workers), ref)
 	}
 }
 
 // TestShardsPropagateBatchErrors: a fault that cannot be batch-injected
-// sits in a later batch; both drivers must surface the error (and the
-// stop flag keeps other workers from churning through the remainder).
+// sits in a later batch of a chunk; every driver must surface the error
+// (and the stop flag keeps other workers from churning through the
+// remainder).
 func TestShardsPropagateBatchErrors(t *testing.T) {
 	const n = 32
 	tr := recordMarch(t, march.MarchB(), n)
 	faults := fault.SingleCellUniverse(n, 1) // 2 batches
 	faults[BatchSize+3] = alienFault{}       // second batch fails injection
-	if _, _, err := Shards(context.Background(), tr, faults, 2); err == nil {
-		t.Fatal("Shards must propagate a failing batch")
+	ctx := context.Background()
+	cfg := StreamConfig{Chunk: 2 * BatchSize, Workers: 2}
+	var discard ChunkSink = func(int, int, []int, []fault.Fault, []bool) {}
+	if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
+		t.Fatal("ShardsStream must propagate a failing batch")
 	}
 	p, err := Compile(tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ShardsCompiled(context.Background(), p, faults, 2); err == nil {
-		t.Fatal("ShardsCompiled must propagate a failing batch")
+	if _, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
+		t.Fatal("ShardsCompiledStream must propagate a failing batch")
+	}
+	if _, err := collectUnordered(ctx, p, faults, cfg); err == nil {
+		t.Fatal("ShardsCompiledUnordered must propagate a failing batch")
 	}
 }

@@ -35,10 +35,11 @@
 //     cancel in the register stay undetected, as in hardware.  A batch
 //     finishes early once all of its machines have detected.
 //
-//  3. Sharded campaigns (Shards): the fault universe is partitioned
-//     into 64-machine batches distributed over a worker pool with an
-//     atomic cursor; per-fault detection lands in disjoint slices, so
-//     results are deterministic regardless of worker count.
+//  3. Streamed campaigns (ShardsStream): workers pull the fault
+//     universe from a fault.Source in chunks, replay each chunk as
+//     64-machine batches and hand its verdicts, keyed by universe
+//     index, to a sink, so results are deterministic regardless of
+//     worker count (stream.go, below).
 //
 // On top of the per-batch interpreter sits the compiled pipeline, the
 // production fast path:
@@ -63,22 +64,23 @@
 //     the regime of the paper's Fig. 1a bit-oriented memories and the
 //     largest campaigns) or the generic word-oriented kernel.
 //
-//   - ShardsCompiled drives the batches with one arena per worker and
-//     a shared stop flag so a failing batch short-circuits the rest.
+//   - ShardsCompiledStream drives the batches with one arena per
+//     worker and a shared stop flag so a failing batch short-circuits
+//     the rest.
 //
-// Campaigns can additionally collapse the universe into exact
+// Campaigns can additionally collapse each chunk into exact
 // equivalence classes (fault.Collapse, fed by Program.Summary) and
-// simulate one representative per class; package coverage expands the
+// simulate one representative per class; the driver expands the
 // results back so every experiment table is unchanged.
 //
 // Three capabilities serve the campaign *session* layer (package
 // coverage's planner/executor, which runs several tests over one
 // universe with cross-test fault dropping):
 //
-//   - subset replay: ShardsView / ShardsCompiledView take an index
-//     view of the fault slice (fault.View) and scatter detections
-//     back through the lane remap, so the survivors of test k are the
-//     only faults replayed against test k+1 — no fault-slice copying;
+//   - survivor filtering: StreamConfig.Drop skips every universe index
+//     an earlier test already detected, so the survivors of test k are
+//     the only faults replayed against test k+1 — no fault-slice
+//     copying;
 //
 //   - a compiled-program cache (ProgramCache) keyed by (runner
 //     identity, memory geometry, initial-image hash), so repeated
@@ -90,12 +92,14 @@
 //     history shape) with a full state reset, and ArenaPool recycles
 //     arenas between a session's stages.
 //
-// On top of the sharded drivers sits the streaming layer (stream.go):
-// ShardsStream / ShardsCompiledStream pull the fault universe from a
-// fault.Source in fixed-size chunks instead of taking a materialized
-// slice, so a campaign's resident fault storage is O(chunk × workers)
-// — the universe size stops being a memory bound (the regime of
-// exhaustive multi-million-fault coupling universes, experiment E17).
+// The drivers live in stream.go: ShardsStream / ShardsCompiledStream
+// pull the fault universe from a fault.Source in chunks of at most
+// StreamConfig.Chunk faults, so a campaign's resident fault storage is
+// O(chunk × workers) — the universe size stops being a memory bound
+// (the regime of exhaustive multi-million-fault coupling universes,
+// experiment E17), and a materialized universe is just a
+// fault.SliceSource.  Package coverage sizes each stage's chunks and
+// worker count from the universe, so small campaigns stay parallel.
 // Each worker owns one reusable chunk buffer plus its arena; chunks
 // are claimed under a source mutex, optionally filtered against a
 // dropped-fault bitmap (fault.BitSet — the session layer's cross-test

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -23,6 +24,25 @@ func recordMarch(t *testing.T, test march.Test, n int) *Trace {
 		t.Fatalf("empty trace")
 	}
 	return tr
+}
+
+// replayRef is the suites' reference verdict vector: the per-batch
+// interpreter (ReplayBatch) run over the faults one 64-fault batch at
+// a time on the calling goroutine.
+func replayRef(t *testing.T, tr *Trace, faults []fault.Fault) []bool {
+	t.Helper()
+	det := make([]bool, len(faults))
+	for lo := 0; lo < len(faults); lo += BatchSize {
+		hi := min(lo+BatchSize, len(faults))
+		mask, err := ReplayBatch(tr, faults[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := lo; i < hi; i++ {
+			det[i] = mask>>uint(i-lo)&1 == 1
+		}
+	}
+	return det
 }
 
 func TestRecorderCapturesAnnotatedStream(t *testing.T) {
@@ -122,24 +142,20 @@ func TestBatchableDetectsForeignFaults(t *testing.T) {
 	}
 }
 
+// TestShardsMatchesReplayBatchAcrossWorkerCounts: the interpreter's
+// streaming driver returns the per-batch reference's verdicts at every
+// worker count.
 func TestShardsMatchesReplayBatchAcrossWorkerCounts(t *testing.T) {
 	const n = 32
-	tr := recordMarch(t, march.MarchB(), n)
-	faults := fault.SingleCellUniverse(n, 1) // 128 faults = 2 batches
-	var ref []bool
+	tr := recordMarch(t, march.MATSPlus(), n) // imperfect coverage: mixed verdicts
+	faults := fault.StandardUniverse(n, 1, 8, 3).Faults
+	ref := replayRef(t, tr, faults)
 	for _, workers := range []int{1, 3, 8} {
-		got, _, err := Shards(context.Background(), tr, faults, workers)
-		if err != nil {
+		cs := newCollectSink()
+		if _, _, err := ShardsStream(context.Background(), tr, fault.SliceSource(faults),
+			StreamConfig{Chunk: 64, Workers: workers}, cs.sink); err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for i := range ref {
-			if ref[i] != got[i] {
-				t.Fatalf("workers=%d: fault %d differs from single-worker result", workers, i)
-			}
-		}
+		cs.check(t, fmt.Sprintf("workers=%d", workers), ref)
 	}
 }

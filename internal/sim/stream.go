@@ -11,11 +11,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the streaming campaign layer: the fault universe is
-// pulled from a fault.Source in fixed-size chunks instead of being
-// materialized as one slice, so a campaign's resident fault storage is
-// O(chunk × workers) — the universe size stops being a memory bound
-// and becomes pure simulation time.  Each worker owns one reusable
+// This file is the campaign driver: the fault universe is pulled from
+// a fault.Source in fixed-size chunks instead of being taken as one
+// slice, so a campaign's resident fault storage is O(chunk × workers)
+// — the universe size stops being a memory bound and becomes pure
+// simulation time.  Each worker owns one reusable
 // chunk buffer (plus, on the compiled path, its arena); chunks are
 // claimed from the source under a mutex, replayed as program-width
 // batches (64 machines per lane word), and the per-chunk verdicts
@@ -29,6 +29,24 @@ import (
 // (tallies, bitmaps) observes deterministic results — and an
 // order-sensitive one (the checkpoint layer's contiguous-cut tracker)
 // can reorder on the [base, base+n) keys it is handed.
+
+// BatchSize is the number of machines simulated per lane word — one
+// per bit.  A replay pass simulates BatchSize machines per lane word
+// of its program (Program.BatchFaults), i.e. 64 for the classic
+// single-word configuration and 256/512 for wide-lane programs.
+const BatchSize = 64
+
+// Batchable reports whether every fault of the slice supports batch
+// injection, i.e. whether the whole universe can take the bit-parallel
+// path.
+func Batchable(faults []fault.Fault) bool {
+	for _, f := range faults {
+		if _, ok := f.(fault.BatchInjector); !ok {
+			return false
+		}
+	}
+	return true
+}
 
 // DefaultChunk is the fault count pulled per chunk when the caller
 // passes chunk <= 0: large enough to amortize the per-chunk costs
@@ -107,8 +125,9 @@ func sharedSink(sink ChunkSink) func(worker int) ChunkSink {
 }
 
 // ShardsStream replays a recorded trace over a streaming universe with
-// the per-batch interpreter — the reference streaming path, mirroring
-// Shards.
+// the per-batch interpreter (ReplayBatch), which rebuilds the machine
+// array for every batch — the bit-parallel reference path beside the
+// compiled drivers.
 func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sink ChunkSink) (int, int, error) {
 	return streamShard(ctx, src, cfg, nil, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
 		return func(batch []fault.Fault, det []uint64) error {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -11,7 +13,7 @@ import (
 
 // collectSink gathers chunk verdicts back into universe order so the
 // streaming drivers can be compared position for position against the
-// materialized shard drivers.
+// interpreter reference (replayRef).
 type collectSink struct {
 	det  map[int]bool
 	seen int
@@ -27,6 +29,36 @@ func (c *collectSink) sink(_, _ int, idx []int, faults []fault.Fault, det []bool
 		c.det[idx[i]] = det[i]
 		c.seen++
 	}
+}
+
+// check asserts that the sink saw every universe index of want once,
+// with want's verdict.
+func (c *collectSink) check(t *testing.T, label string, want []bool) {
+	t.Helper()
+	if c.seen != len(want) {
+		t.Fatalf("%s: %d verdicts, want %d", label, c.seen, len(want))
+	}
+	for i, d := range want {
+		if c.det[i] != d {
+			t.Fatalf("%s fault %d: driver %v, reference %v", label, i, c.det[i], d)
+		}
+	}
+}
+
+// collectUnordered runs the unordered compiled driver over faults and
+// merges its per-worker sinks, failing on an index delivered twice.
+func collectUnordered(ctx context.Context, p *Program, faults []fault.Fault, cfg StreamConfig) (*collectSink, error) {
+	merged := newCollectSink()
+	var mu sync.Mutex
+	_, _, err := ShardsCompiledUnordered(ctx, p, fault.SliceSource(faults), cfg,
+		func(int) ChunkSink {
+			return func(base, n int, idx []int, faults []fault.Fault, det []bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				merged.sink(base, n, idx, faults, det)
+			}
+		})
+	return merged, err
 }
 
 func (c *collectSink) indices() []int {
@@ -47,10 +79,7 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 	}
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
 	ctx := context.Background()
-	wantDet, _, err := ShardsCompiled(ctx, p, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantDet := replayRef(t, tr, faults)
 	for _, chunk := range []int{1, 7, 100, 4096} {
 		for _, collapse := range []bool{false, true} {
 			cs := newCollectSink()
@@ -59,21 +88,13 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cs.seen != len(faults) {
-				t.Fatalf("chunk=%d collapse=%v: %d verdicts, want %d", chunk, collapse, cs.seen, len(faults))
-			}
 			// Collapsing is chunk-local, so single-fault chunks cannot
 			// shrink; larger chunks must (SA0/SA1 pairs are adjacent in
 			// the universe order).
 			if collapse && chunk > 1 && reps >= len(faults) {
 				t.Errorf("chunk=%d: collapsing simulated %d reps for %d faults", chunk, reps, len(faults))
 			}
-			for i := range faults {
-				if cs.det[i] != wantDet[i] {
-					t.Fatalf("chunk=%d collapse=%v fault %d: stream %v, shard %v",
-						chunk, collapse, i, cs.det[i], wantDet[i])
-				}
-			}
+			cs.check(t, fmt.Sprintf("chunk=%d collapse=%v", chunk, collapse), wantDet)
 		}
 		// The interpreter path agrees too.
 		cs := newCollectSink()
@@ -81,11 +102,7 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 			StreamConfig{Chunk: chunk, Workers: 3}, cs.sink); err != nil {
 			t.Fatal(err)
 		}
-		for i := range faults {
-			if cs.det[i] != wantDet[i] {
-				t.Fatalf("bitpar chunk=%d fault %d: stream %v, shard %v", chunk, i, cs.det[i], wantDet[i])
-			}
-		}
+		cs.check(t, fmt.Sprintf("bitpar chunk=%d", chunk), wantDet)
 	}
 }
 
@@ -103,33 +120,33 @@ func TestStreamDropFilter(t *testing.T) {
 			drop.Set(i)
 		}
 	}
-	cs := newCollectSink()
-	if _, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-		StreamConfig{Chunk: 5, Workers: 2, Drop: drop, Collapse: true}, cs.sink); err != nil {
-		t.Fatal(err)
-	}
+	full := replayRef(t, tr, faults)
 	want := 0
 	for i := range faults {
 		if i%3 != 0 {
 			want++
 		}
 	}
-	if cs.seen != want {
-		t.Fatalf("presented %d faults, want %d", cs.seen, want)
-	}
-	for _, i := range cs.indices() {
-		if i%3 == 0 {
-			t.Fatalf("dropped fault %d was presented", i)
+	// Pooled and fresh arenas alike: a session's stages share a pool.
+	for _, arenas := range []*ArenaPool{nil, {}} {
+		cs := newCollectSink()
+		if _, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
+			StreamConfig{Chunk: 5, Workers: 2, Drop: drop, Collapse: true, Arenas: arenas}, cs.sink); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Verdicts of the survivors equal the full replay's.
-	full, _, err := ShardsCompiled(context.Background(), p, faults, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range cs.det {
-		if d != full[i] {
-			t.Fatalf("fault %d: filtered verdict %v, full %v", i, d, full[i])
+		if cs.seen != want {
+			t.Fatalf("presented %d faults, want %d", cs.seen, want)
+		}
+		for _, i := range cs.indices() {
+			if i%3 == 0 {
+				t.Fatalf("dropped fault %d was presented", i)
+			}
+		}
+		// Verdicts of the survivors equal the full replay's.
+		for i, d := range cs.det {
+			if d != full[i] {
+				t.Fatalf("pooled=%v fault %d: filtered verdict %v, full %v", arenas != nil, i, d, full[i])
+			}
 		}
 	}
 }
@@ -158,8 +175,8 @@ func TestStreamErrorStops(t *testing.T) {
 	if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("interpreter driver swallowed a batch-injection error")
 	}
-	// A trace with no detection points is rejected like the
-	// materialized drivers reject it.
+	// A trace with no detection points is rejected like ReplayBatch
+	// rejects it.
 	if _, _, err := ShardsStream(ctx, &Trace{Size: n, Width: 1}, fault.SliceSource(faults[:1]),
 		StreamConfig{Chunk: 8, Workers: 1}, discard); err == nil {
 		t.Fatal("unreplayable trace accepted")

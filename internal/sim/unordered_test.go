@@ -21,10 +21,7 @@ func TestUnorderedMatchesOrdered(t *testing.T) {
 	}
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
 	ctx := context.Background()
-	wantDet, _, err := ShardsCompiled(ctx, p, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantDet := replayRef(t, tr, faults)
 	for _, chunk := range []int{1, 7, 100, 4096} {
 		for _, collapse := range []bool{false, true} {
 			const workers = 4

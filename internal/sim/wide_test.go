@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -96,58 +97,48 @@ func TestWideKernelMatchesWidth1(t *testing.T) {
 	}
 }
 
-// TestWideShardsCompiledMatchesWidth1 runs the full shard driver over
-// wide programs: verdict slices must be identical to the single-word
-// drive at every worker count (batch boundaries move with the width,
-// worker interleaving with the count — neither may show).
+// TestWideShardsCompiledMatchesWidth1 runs both compiled streaming
+// drivers over wide programs: verdicts must be identical to the
+// 64-wide interpreter reference at every worker count (batch
+// boundaries move with the width, worker interleaving with the count —
+// neither may show).
 func TestWideShardsCompiledMatchesWidth1(t *testing.T) {
 	const n = 32
 	tr := recordMarch(t, march.MarchB(), n)
-	p1, err := Compile(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := fault.StandardUniverse(n, 1, 8, 11).Faults
 	ctx := context.Background()
-	ref, _, err := ShardsCompiled(ctx, p1, faults, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := replayRef(t, tr, faults)
 	for _, w := range []int{4, 8} {
 		pw, err := Compile(tr, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			got, _, err := ShardsCompiled(ctx, pw, faults, workers)
+			cfg := StreamConfig{Chunk: pw.BatchFaults(), Workers: workers}
+			label := fmt.Sprintf("w=%d workers=%d", w, workers)
+			cs := newCollectSink()
+			if _, _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults), cfg, cs.sink); err != nil {
+				t.Fatal(err)
+			}
+			cs.check(t, label+" ordered", ref)
+			got, err := collectUnordered(ctx, pw, faults, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("w=%d workers=%d: fault %d differs from width-1 verdict", w, workers, i)
-				}
-			}
+			got.check(t, label+" unordered", ref)
 		}
 	}
 }
 
-// TestWideStreamMatchesWidth1 is the streaming variant across chunk
-// sizes and collapse settings: chunk-local collapsing and the wide
-// batch layout must compose without changing a single verdict.
+// TestWideStreamMatchesWidth1 sweeps chunk sizes and collapse
+// settings instead: chunk-local collapsing and the wide batch layout
+// must compose without changing a single verdict.
 func TestWideStreamMatchesWidth1(t *testing.T) {
 	const n = 33
 	tr := recordMarch(t, march.MarchCMinus(), n)
-	p1, err := Compile(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
 	ctx := context.Background()
-	ref, _, err := ShardsCompiled(ctx, p1, faults, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := replayRef(t, tr, faults)
 	for _, w := range []int{4, 8} {
 		pw, err := Compile(tr, w)
 		if err != nil {

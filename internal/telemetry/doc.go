@@ -1,7 +1,7 @@
 // Package telemetry is the campaign instrumentation layer: cheap,
-// race-clean counters threaded through the simulation engines
-// (sim.Shards*, the streaming drivers, the program cache, the arena
-// pool, fault collapsing) and the coverage session executors.
+// race-clean counters threaded through the simulation engines (the
+// sim streaming drivers, the program cache, the arena pool, fault
+// collapsing) and the coverage session executor.
 //
 // # Design
 //
@@ -14,10 +14,9 @@
 //
 //   - Per-worker flush slots (Worker): cache-line-padded blocks of
 //     atomic counters, one per worker index.  A worker flushes its
-//     Local into its slot once per batch (materialized drivers) or once
-//     per chunk (streaming drivers) — a handful of uncontended atomic
-//     adds amortized over 64..8192 faults.  False sharing is kept off
-//     the table by the padding.
+//     Local into its slot once per chunk — a handful of uncontended
+//     atomic adds amortized over up to 8192 faults.  False sharing is
+//     kept off the table by the padding.
 //
 //   - Aggregation on read (Snapshot): readers sum the slots (plus the
 //     low-frequency global counters: program-cache hits, arena reuse,
