@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -444,18 +445,11 @@ func BenchmarkStreamingCampaign(b *testing.B) {
 // 256-machine batch width.  Two metrics per sub-bench: faults/s (the
 // scaling curve — workers=4 should hold ≥0.6× linear over workers=1 on
 // a ≥4-core machine) and sinkwait/worker, the mean fraction of a
-// worker's wall time spent blocked acquiring the serialized chunk
-// sink.  The workers=16 row exists for the latter: oversubscribed
-// workers quantify how far the single-lock sink design is from
-// becoming the bottleneck (see README "Scaling" for measured shares).
-//
-// The unnamed-sink rows pin Sink explicitly: the historical baseline
-// rows force SinkOrdered (SinkAuto now picks the unordered path for
-// exactly this plan shape, which would silently change what they
-// measure), and the sink=unordered rows measure the per-worker-sink
-// path that removes the lock — their sinkwait/worker is structurally
-// zero, and their faults/s at 16+ workers is the scaling headline the
-// CI per-benchmark regression gate holds.
+// worker's wall time spent blocked acquiring the lock of the session's
+// completion-frontier fold.  The 16- and 32-worker rows oversubscribe
+// any small machine on purpose: they show how far the one lock is from
+// becoming the bottleneck, and the CI per-benchmark regression gate
+// holds their faults/s.
 func BenchmarkCampaignParallel(b *testing.B) {
 	const n = 256
 	src := fault.FullCouplingSource(n)
@@ -463,8 +457,12 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	st := &fault.Stream{Name: "cf-exhaustive", Source: src}
 	mk := func() ram.Memory { return ram.NewBOM(n) }
 	r := coverage.MarchRunner(march.MarchCMinus(), nil)
-	run := func(name string, workers int, mode coverage.SinkMode) {
-		b.Run(name, func(b *testing.B) {
+	workerSet := []int{1, 2, 4, 16, 32}
+	if g := runtime.GOMAXPROCS(0); !slices.Contains(workerSet, g) {
+		workerSet = append(workerSet, g)
+	}
+	for _, workers := range workerSet {
+		b.Run(fmt.Sprintf("n=%d/lanes=256/workers=%d", n, workers), func(b *testing.B) {
 			// A registry is attached so the per-worker sink-wait split is
 			// captured; BenchmarkTelemetryOverhead bounds its cost at ~2%.
 			telemetry.SetActive(telemetry.NewRegistry())
@@ -478,7 +476,6 @@ func BenchmarkCampaignParallel(b *testing.B) {
 					Memory: mk, Workers: workers,
 					Engine: coverage.EngineCompiled, LaneWords: 4,
 					Cache: coverage.SharedProgramCache(),
-					Sink:  mode,
 				}
 				res := p.Run().Results[0]
 				sink = uint64(res.Detected)
@@ -492,20 +489,6 @@ func BenchmarkCampaignParallel(b *testing.B) {
 				b.ReportMetric(shareSum/float64(shareN), "sinkwait/worker")
 			}
 		})
-	}
-	workerSet := []int{1, 2, 4, 16}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 && g != 16 {
-		workerSet = append(workerSet, g)
-	}
-	for _, workers := range workerSet {
-		run(fmt.Sprintf("n=%d/lanes=256/workers=%d", n, workers), workers, coverage.SinkOrdered)
-	}
-	unorderedSet := []int{16, 32}
-	if g := runtime.GOMAXPROCS(0); g != 16 && g != 32 {
-		unorderedSet = append(unorderedSet, g)
-	}
-	for _, workers := range unorderedSet {
-		run(fmt.Sprintf("n=%d/lanes=256/sink=unordered/workers=%d", n, workers), workers, coverage.SinkUnordered)
 	}
 }
 

@@ -52,8 +52,10 @@
 // stderr lines: periodic `# progress` lines during a stage (faults
 // done, faults/s, ETA, survivors when known) and one `# stage` line
 // after each stage (engine, elapsed, throughput, collapse ratio, and
-// each worker's share of wall time spent blocked on the serialized
-// streaming sink).  -debug-addr serves the same counters as JSON on
+// each worker's share of wall time spent blocked on the lock of the
+// session's completion-frontier fold).  Attaching -progress changes
+// nothing about how a campaign runs: every session folds its chunks
+// the same way, with or without an observer.  -debug-addr serves the same counters as JSON on
 // /metrics plus the standard net/http/pprof profiles for the duration
 // of the run; both flags cost nothing when absent (the engines check
 // one nil pointer per batch).

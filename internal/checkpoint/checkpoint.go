@@ -17,6 +17,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"repro/internal/fault"
 )
 
 // magic identifies a checkpoint file; version gates the layout.  Bump
@@ -77,8 +79,8 @@ type StageRecord struct {
 // invariant: every universe index below HighWater of the current stage
 // has been fully accounted (tallies and detection bits), and no index
 // at or above it has — the streaming executor folds chunk verdicts in
-// contiguous order when checkpointing, so an interrupt never leaves a
-// torn state.
+// contiguous universe order, so an interrupt never leaves a torn
+// state.
 //
 // A State carries no timestamps: encoding the same campaign state
 // always produces the same bytes, so the final checkpoints of an
@@ -358,7 +360,40 @@ func Decode(b []byte) (*State, error) {
 	if d.bad || d.pos != len(body) {
 		return nil, fmt.Errorf("%w: malformed body", ErrCorrupt)
 	}
+	if err := s.check(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// check rejects a state its own fields contradict: a high-water mark
+// below zero, outside the partition range it records or past the
+// universe size it records, or a class tally naming no fault.Class.
+// The checksum cannot catch these (a file written that way checksums
+// fine), and resuming one would seek or index out of range.
+func (s *State) check() error {
+	lo, hi, partitioned := s.PartitionRange()
+	switch {
+	case s.HighWater < 0:
+		return fmt.Errorf("%w: negative high-water mark %d", ErrCorrupt, s.HighWater)
+	case partitioned && !s.Complete && (s.HighWater < lo || s.HighWater > hi):
+		return fmt.Errorf("%w: high-water mark %d outside partition [%d, %d)", ErrCorrupt, s.HighWater, lo, hi)
+	case s.UniverseN >= 0 && s.HighWater-lo > s.UniverseN:
+		return fmt.Errorf("%w: high-water mark %d past the %d-fault universe", ErrCorrupt, s.HighWater, s.UniverseN)
+	}
+	tallies := [][]ClassTally{s.Universe, s.Cur.ByClass}
+	for _, r := range s.Done {
+		tallies = append(tallies, r.ByClass)
+	}
+	nc := int32(len(fault.Classes()))
+	for _, ts := range tallies {
+		for _, t := range ts {
+			if t.Class < 0 || t.Class >= nc {
+				return fmt.Errorf("%w: tally for unknown fault class %d", ErrCorrupt, t.Class)
+			}
+		}
+	}
+	return nil
 }
 
 // WriteAtomic durably replaces path with the encoded state: the bytes

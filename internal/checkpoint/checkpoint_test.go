@@ -8,17 +8,23 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func sampleState() *State {
 	return &State{
-		SpecHash:   Hash("universe", "runner-a", "runner-b", "compiled", "drop"),
-		Seed:       42,
-		Size:       1024,
-		Width:      4,
-		Label:      "-exp E17 -seed 42",
-		UniverseN:  9000,
-		StageNames: []string{"MATS+", "March C-"},
+		SpecHash: Hash("universe", "runner-a", "runner-b", "compiled", "drop"),
+		Seed:     42,
+		Size:     1024,
+		Width:    4,
+		// The unpartitioned sentinel, as sessions write it: a (0, 0)
+		// range would claim an empty partition, which a high-water mark
+		// of 4096 contradicts.
+		PartitionHi: -1,
+		Label:       "-exp E17 -seed 42",
+		UniverseN:   9000,
+		StageNames:  []string{"MATS+", "March C-"},
 		Done: []StageRecord{{
 			Runner: "MATS+", RunnerIndex: 1,
 			Entered: 9000, Detected: 7000, Survivors: 2000,
@@ -83,6 +89,47 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// Trailing garbage is also a corruption, not an extension point.
 	if _, err := Decode(append(append([]byte(nil), b...), 0)); err == nil {
 		t.Fatal("decode accepted trailing garbage")
+	}
+}
+
+// TestDecodeRejectsContradictoryStates: a state whose own fields
+// contradict each other checksums fine when written that way, so
+// Decode must refuse it as ErrCorrupt before resume seeks or indexes
+// with it.  Each case is a well-formed sample with one field
+// rewritten; the in-range controls must still decode.
+func TestDecodeRejectsContradictoryStates(t *testing.T) {
+	partitioned := func(s *State) { s.PartitionLo, s.PartitionHi = 1000, 5000 }
+	for _, tc := range []struct {
+		name    string
+		edit    func(*State)
+		corrupt bool
+	}{
+		{"negative high water", func(s *State) { s.HighWater = -5 }, true},
+		{"high water past the universe", func(s *State) { s.HighWater = 99_999_999 }, true},
+		{"high water one past the universe", func(s *State) { s.HighWater = s.UniverseN + 1 }, true},
+		{"high water at the universe end", func(s *State) { s.HighWater = s.UniverseN }, false},
+		{"high water below the partition", func(s *State) { partitioned(s); s.HighWater = 999 }, true},
+		{"high water past the partition", func(s *State) { partitioned(s); s.HighWater = 5001 }, true},
+		{"high water inside the partition", func(s *State) { partitioned(s); s.HighWater = 5000 }, false},
+		{"complete partition at high water 0", func(s *State) { partitioned(s); s.HighWater, s.Complete = 0, true }, false},
+		{"unknown universe size", func(s *State) { s.UniverseN, s.HighWater = -1, 99_999_999 }, false},
+		{"negative universe class", func(s *State) { s.Universe[0].Class = -1 }, true},
+		{"universe class past the last", func(s *State) { s.Universe[1].Class = int32(len(fault.Classes())) }, true},
+		{"in-flight class past the last", func(s *State) { s.Cur.ByClass[0].Class = 99 }, true},
+		{"done class past the last", func(s *State) { s.Done[0].ByClass[1].Class = 1 << 20 }, true},
+		{"last class", func(s *State) { s.Universe[1].Class = int32(len(fault.Classes()) - 1) }, false},
+	} {
+		s := sampleState()
+		tc.edit(s)
+		got, err := Decode(s.Encode())
+		switch {
+		case tc.corrupt && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		case !tc.corrupt && err != nil:
+			t.Errorf("%s: valid state refused: %v", tc.name, err)
+		case !tc.corrupt && !reflect.DeepEqual(got, s):
+			t.Errorf("%s: round trip mutated the state", tc.name)
+		}
 	}
 }
 

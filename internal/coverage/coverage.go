@@ -171,34 +171,6 @@ func DefaultContext() context.Context {
 	return context.Background()
 }
 
-// SinkMode selects the streaming chunk-sink discipline of a Plan.
-type SinkMode int
-
-const (
-	// SinkAuto picks per session: ordered whenever something needs the
-	// serialized, order-capable sink (checkpointing, KeepVectors, a
-	// live progress callback), unordered otherwise.
-	SinkAuto SinkMode = iota
-	// SinkOrdered forces the serialized ChunkSink path.
-	SinkOrdered
-	// SinkUnordered forces per-worker sinks merged at drain — the
-	// lock-free path.  Incompatible with checkpointing and KeepVectors
-	// (both need ordered delivery); non-compiled stages (bitpar,
-	// oracle — the reference paths) still run ordered.
-	SinkUnordered
-)
-
-// String implements fmt.Stringer with the /metrics label values.
-func (m SinkMode) String() string {
-	switch m {
-	case SinkOrdered:
-		return "ordered"
-	case SinkUnordered:
-		return "unordered"
-	}
-	return "auto"
-}
-
 // defaultPartition packs the ambient partition spec (index<<32|count)
 // of streaming sessions whose plan leaves PartitionCount unset — the
 // faultcov -partition flag.  Zero means unpartitioned.
@@ -272,8 +244,9 @@ type Result struct {
 	FalsePositive bool
 	// Interrupted marks a partial result: the campaign's context was
 	// cancelled before this stage finished.  The tallies cover only the
-	// faults actually simulated (every count carries a true verdict):
-	// well-formed, but not the full campaign.
+	// universe prefix below the stage's completion frontier (every
+	// count carries a true verdict): well-formed, but not the full
+	// campaign.
 	Interrupted bool
 	// Stats describes how the campaign actually executed.  Engine
 	// reports the strategy that really ran — when a replay-safe runner
@@ -323,23 +296,13 @@ type EngineStats struct {
 	// (telemetry registry attached only; zero otherwise).
 	ArenaReuse, ArenaFresh uint64
 	// KernelTime, SinkWait and SourceWait split each worker's stage
-	// time: inside the replay kernel, blocked acquiring the serialized
-	// streaming sink, and claiming chunks from the source.
-	// Populated when a telemetry.Registry is attached; indexed by
-	// worker slot.  SinkWait is the direct measure of streaming-sink
+	// time: inside the replay kernel, blocked acquiring the lock of the
+	// session's completion-frontier fold, and claiming chunks from the
+	// source.  Populated when a telemetry.Registry is attached; indexed
+	// by worker slot.  SinkWait is the direct measure of sink
 	// contention: if its share of Elapsed grows with the worker count,
-	// the serialized sink is the scaling bottleneck.
+	// the fold's lock is the scaling bottleneck.
 	KernelTime, SinkWait, SourceWait []time.Duration
-	// Sink labels the sink discipline the stage ran under — "ordered"
-	// (serialized ChunkSink) or "unordered" (per-worker sinks merged at
-	// drain).
-	Sink string
-	// MergeNanos is the time spent folding the per-worker unordered
-	// sinks into the session accumulators after the drivers drained
-	// (unordered stages only) — the unordered path's whole
-	// serialization cost, paid once per stage instead of once per
-	// chunk.
-	MergeNanos time.Duration
 	// PartitionIndex is the 1-based index of the universe partition
 	// this session ran (0 when the session spanned the full universe).
 	PartitionIndex int

@@ -1,7 +1,7 @@
-// Checkpoint glue for streaming sessions: contiguous-frontier folding
-// must be deterministic (resumed sessions byte-compare against
-// uninterrupted ones) and every checkpoint write sits on the durable
-// path.
+// Checkpoint glue for streaming sessions: every checkpoint write sits
+// on the durable path, and the state it serializes must be
+// deterministic (resumed sessions byte-compare against uninterrupted
+// ones).
 //
 //faultsim:deterministic
 //faultsim:durable
@@ -10,32 +10,25 @@ package coverage
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 // This file is the durability glue of streaming sessions: periodic
-// checkpoint writes from the serialized chunk sink, and resume.
+// checkpoint writes of the fold's cut, and resume.
 //
-// The consistency problem checkpointing has to solve is that chunks
-// complete in scheduling order, not universe order, while a usable
-// checkpoint must describe a prefix-closed cut ("everything below
-// HighWater is done, nothing above it").  When a session checkpoints,
-// the durable wrapper therefore folds chunk verdicts into the session
-// accumulators only in contiguous universe order: a chunk arriving at
-// the frontier is applied immediately (plus any buffered successors it
-// unblocks), an out-of-order chunk is copied into a reorder buffer
-// bounded by O(chunk × workers) — the most the drivers can have in
-// flight.  The session accumulators are then themselves always a
-// consistent cut, and a checkpoint is just their serialization; an
-// interrupt at any instant loses only the buffered out-of-order tail,
-// which the resumed run re-simulates.
+// A usable checkpoint must describe a prefix-closed cut ("everything
+// below HighWater is done, nothing above it") although chunks complete
+// in scheduling order.  The completion-frontier fold (fold.go) keeps
+// the session state itself such a cut, so a checkpoint is just its
+// serialization, written from the fold whenever the frontier has
+// advanced a full cadence; an interrupt at any instant loses only the
+// chunks parked ahead of the frontier, which the resumed run
+// re-simulates.
 //
 // Resume is the mirror image: the source is Reset and Skip()ed past
 // HighWater (O(1) for the index-addressable generator families), the
@@ -43,7 +36,7 @@ import (
 // the cumulative detection bitmap doubles as the stage's drop filter.
 // That filter is taken from the checkpoint — which already includes
 // the current stage's own detections below HighWater — rather than
-// from a stage-start snapshot as in an uninterrupted run; the two are
+// from the stage-start state as in an uninterrupted run; the two are
 // equivalent because a contiguous cut guarantees every current-stage
 // detection sits below HighWater, and no index below HighWater is ever
 // presented again.
@@ -156,8 +149,10 @@ func (p *Plan) specHash() uint64 {
 // validateResume checks a loaded state against the resuming session's
 // identity.  A nil return means the state describes this exact
 // campaign (including its partition range [partLo, partHi); -1 for
-// unpartitioned) and can be applied.
-func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int64, names []string, partLo, partHi int) error {
+// unpartitioned) and can be applied.  end is the source's end index
+// (-1 when its Count is inexact): an in-flight stage cannot resume
+// past it.
+func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int64, names []string, partLo, partHi, end int) error {
 	if !rs.Matches(spec, size, width, seed) {
 		return fmt.Errorf("coverage: checkpoint %q was written by a different campaign "+
 			"(spec/geometry/seed mismatch: file has %dx%d seed %d)", rs.Label, rs.Size, rs.Width, rs.Seed)
@@ -189,6 +184,9 @@ func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int
 	if rs.Complete && len(rs.Done) != len(names) {
 		return fmt.Errorf("coverage: checkpoint %q marked complete with %d of %d stages done", rs.Label, len(rs.Done), len(names))
 	}
+	if !rs.Complete && end >= 0 && rs.HighWater > int64(end) {
+		return fmt.Errorf("coverage: checkpoint %q resumes at universe index %d, past the source's end at %d", rs.Label, rs.HighWater, end)
+	}
 	return nil
 }
 
@@ -197,27 +195,20 @@ func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int
 // treating a mismatched explicit Resume as a programmer error).
 func (p *Plan) ValidateResume(rs *checkpoint.State, seed int64) error {
 	spec, size, width, names := p.PlanIdentity()
-	partLo, partHi := 0, -1
-	if idx, cnt := p.partitionSpec(); cnt > 0 {
-		if n, exact := p.Stream.Source.Count(); exact {
+	partLo, partHi, end := 0, -1, -1
+	if n, exact := p.Stream.Source.Count(); exact {
+		end = n
+		if idx, cnt := p.partitionSpec(); cnt > 0 {
 			partLo, partHi = fault.PartitionRange(n, idx-1, cnt)
+			end = partHi
 		}
 	}
-	return validateResume(rs, spec, size, width, seed, names, partLo, partHi)
+	return validateResume(rs, spec, size, width, seed, names, partLo, partHi, end)
 }
 
-// pendingChunk is one out-of-order chunk parked in the reorder buffer:
-// private copies, since the driver reuses the sink's slices.
-type pendingChunk struct {
-	n      int
-	idx    []int
-	faults []fault.Fault
-	det    []bool
-}
-
-// durable is one streaming session's checkpoint state machine.  All
-// mutation happens inside the serialized sink or between stages, so it
-// needs no locking of its own.
+// durable is one streaming session's checkpoint writer.  It writes
+// from the fold (under the fold's lock) or between stages, so it needs
+// no locking of its own.
 type durable struct {
 	cfg   CheckpointConfig
 	every int
@@ -225,13 +216,7 @@ type durable struct {
 	size  int32
 	width int32
 
-	pending   map[int]pendingChunk
-	frontier  int // universe index: everything below is folded
-	lastWrite int
-
-	// snap builds the current-stage state at a given high-water mark;
-	// assigned by the executor at each stage's start.
-	snap func(highWater int) *checkpoint.State
+	lastWrite int // high-water mark of the last write
 }
 
 func newDurable(cfg CheckpointConfig, spec uint64, size, width int) *durable {
@@ -240,53 +225,6 @@ func newDurable(cfg CheckpointConfig, spec uint64, size, width int) *durable {
 		every = DefaultCheckpointEvery
 	}
 	return &durable{cfg: cfg, every: every, spec: spec, size: int32(size), width: int32(width)}
-}
-
-// beginStage resets the fold frontier for a stage starting (or
-// resuming) at universe index base.
-func (d *durable) beginStage(base int) {
-	d.pending = make(map[int]pendingChunk)
-	d.frontier = base
-	d.lastWrite = base
-}
-
-// wrap returns a ChunkSink that folds chunks into inner in contiguous
-// universe order, buffering out-of-order arrivals, and writes a
-// checkpoint whenever the frontier has advanced a full cadence.
-func (d *durable) wrap(inner sim.ChunkSink) sim.ChunkSink {
-	return func(base, n int, idx []int, faults []fault.Fault, det []bool) {
-		if base != d.frontier {
-			d.pending[base] = pendingChunk{
-				n:      n,
-				idx:    append([]int(nil), idx...),
-				faults: append([]fault.Fault(nil), faults...),
-				det:    append([]bool(nil), det...),
-			}
-			return
-		}
-		inner(base, n, idx, faults, det)
-		d.frontier += n
-		for {
-			pc, ok := d.pending[d.frontier]
-			if !ok {
-				break
-			}
-			delete(d.pending, d.frontier)
-			inner(d.frontier, pc.n, pc.idx, pc.faults, pc.det)
-			d.frontier += pc.n
-		}
-		if d.frontier-d.lastWrite >= d.every {
-			d.write(d.snap(d.frontier))
-		}
-	}
-}
-
-// flush writes the current stage's state at the fold frontier — the
-// interrupt path's final checkpoint.
-func (d *durable) flush() {
-	if d.snap != nil {
-		d.write(d.snap(d.frontier))
-	}
 }
 
 // write persists st atomically.  A failing write panics: checkpointing
@@ -299,43 +237,40 @@ func (d *durable) write(st *checkpoint.State) {
 		panic(fmt.Sprintf("coverage: checkpoint write: %v", err))
 	}
 	telemetry.Active().CheckpointWrite(time.Since(t0)) //faultsim:ordered telemetry timing only
-	d.lastWrite = d.frontier
+	d.lastWrite = int(st.HighWater)
 }
 
-// resultTallies converts a Result's per-class map to the checkpoint's
-// sorted representation.
-func resultTallies(m map[fault.Class]ClassStat) []checkpoint.ClassTally {
-	out := make([]checkpoint.ClassTally, 0, len(m))
-	for c, s := range m { //faultsim:ordered order-insensitive accumulation; sorted below
-		out = append(out, checkpoint.ClassTally{Class: int32(c), Total: int64(s.Total), Detected: int64(s.Detected)})
+// stageRecord is st's checkpoint record with the class-indexed tallies
+// t (nil for a stage that has presented nothing).
+func stageRecord(st *stage, t []ClassStat) checkpoint.StageRecord {
+	total, detected := totals(t)
+	return checkpoint.StageRecord{
+		Runner:      st.runner.Name(),
+		RunnerIndex: int32(st.index),
+		Entered:     int64(total),
+		Detected:    int64(detected),
+		ByClass:     classTallies(t),
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
+}
+
+// classTallies converts a class-indexed tally to the checkpoint's
+// representation: one entry per class with faults, in class order.
+func classTallies(t []ClassStat) []checkpoint.ClassTally {
+	var out []checkpoint.ClassTally
+	for c, cs := range t {
+		if cs.Total > 0 {
+			out = append(out, checkpoint.ClassTally{Class: int32(c), Total: int64(cs.Total), Detected: int64(cs.Detected)})
+		}
+	}
 	return out
 }
 
-// classTallies converts the session's universe class tallies to the
-// checkpoint's sorted representation.
-func classTallies(total, det map[fault.Class]int) []checkpoint.ClassTally {
-	out := make([]checkpoint.ClassTally, 0, len(total))
-	for c, t := range total { //faultsim:ordered order-insensitive accumulation; sorted below
-		out = append(out, checkpoint.ClassTally{Class: int32(c), Total: int64(t), Detected: int64(det[c])})
+// classStats is the inverse of classTallies.  checkpoint.Decode
+// guarantees every class id indexes fault.Classes().
+func classStats(ts []checkpoint.ClassTally) []ClassStat {
+	t := make([]ClassStat, len(fault.Classes()))
+	for _, ct := range ts {
+		t[ct.Class] = ClassStat{Total: int(ct.Total), Detected: int(ct.Detected)}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
-}
-
-// tallyMaps is the inverse of classTallies: seed the session's
-// universe class maps from a checkpoint.
-func tallyMaps(ts []checkpoint.ClassTally, total, det map[fault.Class]int) {
-	for _, t := range ts {
-		total[fault.Class(t.Class)] = int(t.Total)
-		det[fault.Class(t.Class)] = int(t.Detected)
-	}
-}
-
-// applyTallies seeds a Result's per-class map from a stage record.
-func applyTallies(ts []checkpoint.ClassTally, m map[fault.Class]ClassStat) {
-	for _, t := range ts {
-		m[fault.Class(t.Class)] = ClassStat{Total: int(t.Total), Detected: int(t.Detected)}
-	}
+	return t
 }

@@ -3,10 +3,12 @@ package coverage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,24 +18,27 @@ import (
 	"repro/internal/sim"
 )
 
-// The resume-equivalence property (this PR's acceptance criterion):
-// for every universe family and all three engines, a session
-// interrupted at an arbitrary point and resumed from its checkpoint
-// produces Results byte-identical to an uninterrupted run — and the
-// final checkpoint files of the two runs are byte-identical too (the
-// format carries no timestamps).  Interrupt points cover the three
-// qualitatively different cuts: before the first chunk, mid-stage, and
-// at a stage boundary.
+// The resume-equivalence property: for every universe family and all
+// three engines, a session interrupted at an arbitrary point and
+// resumed from its checkpoint produces Results byte-identical to an
+// uninterrupted run — and the final checkpoint files of the two runs
+// are byte-identical too (the format carries no timestamps).
+// Interrupt points cover the qualitatively different cuts: before the
+// first chunk, mid-stage, at a stage boundary, and during every chunk
+// pull of the first stage, where the chunks in flight complete out of
+// order and the fold parks those ahead of its frontier.
 
 // cancelSource interposes on a Source to cancel a context at a chosen
 // enumeration point: during the k-th chunk pull, or at the k-th Reset
-// (stage starts).  Skip and Count pass through.
+// (stage starts).  Skip and Count pass through; resetNexts records the
+// pull count at each Reset.
 type cancelSource struct {
 	fault.Source
 	cancel        context.CancelFunc
 	cancelAtNext  int // 1-based pull index; 0 disables
 	cancelAtReset int // 1-based Reset index; 0 disables
 	nexts, resets int
+	resetNexts    []int
 }
 
 func (c *cancelSource) Next(dst []fault.Fault) (int, bool) {
@@ -45,6 +50,7 @@ func (c *cancelSource) Next(dst []fault.Fault) (int, bool) {
 }
 
 func (c *cancelSource) Reset() {
+	c.resetNexts = append(c.resetNexts, c.nexts)
 	c.resets++
 	if c.resets == c.cancelAtReset {
 		c.cancel()
@@ -100,6 +106,7 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 	type mode struct {
 		name          string
+		workers       int
 		preCancel     bool
 		cancelAtNext  int
 		cancelAtReset int
@@ -112,32 +119,35 @@ func TestResumeEquivalence(t *testing.T) {
 			if engine == EngineOracle {
 				batch = 1
 			}
+			dir := t.TempDir()
+			mkPlan := func(src fault.Source, path string, workers int, rs *checkpoint.State) *Plan {
+				return &Plan{
+					Runners: fam.runners,
+					Stream:  &fault.Stream{Name: fam.name, Source: src},
+					Chunk:   chunk, Memory: fam.mk, Workers: workers,
+					Engine: engine, Drop: true,
+					Checkpoint: &CheckpointConfig{
+						Path: path, Every: chunk, Label: "prop", Seed: 7, Resume: rs,
+					},
+				}
+			}
+			fileA := filepath.Join(dir, "ref.fckp")
+			counter := &cancelSource{Source: fam.src, cancel: func() {}}
+			want := mkPlan(counter, fileA, 3, nil).Run()
+			if want.Interrupted || len(counter.resetNexts) < 2 {
+				t.Fatalf("%s [%s]: reference run interrupted or single-stage", fam.name, engine)
+			}
 			modes := []mode{
-				{name: "pre-first-chunk", preCancel: true},
-				{name: "mid-stage", cancelAtNext: midStagePull(count, 4, batch, chunk)},
-				{name: "stage-boundary", cancelAtReset: 2},
+				{name: "pre-first-chunk", workers: 4, preCancel: true},
+				{name: "mid-stage", workers: 4, cancelAtNext: midStagePull(count, 4, batch, chunk)},
+				{name: "stage-boundary", workers: 4, cancelAtReset: 2},
+			}
+			for k := 1; k <= counter.resetNexts[1]; k++ {
+				modes = append(modes, mode{name: fmt.Sprintf("pull-%d", k), workers: 3, cancelAtNext: k})
 			}
 			for _, m := range modes {
 				label := fmt.Sprintf("%s [%s %s]", fam.name, engine, m.name)
-				dir := t.TempDir()
-				fileA := filepath.Join(dir, "ref.fckp")
-				fileB := filepath.Join(dir, "interrupted.fckp")
-				mkPlan := func(src fault.Source, path string, rs *checkpoint.State) *Plan {
-					return &Plan{
-						Runners: fam.runners,
-						Stream:  &fault.Stream{Name: fam.name, Source: src},
-						Chunk:   chunk, Memory: fam.mk, Workers: 4,
-						Engine: engine, Drop: true,
-						Checkpoint: &CheckpointConfig{
-							Path: path, Every: chunk, Label: "prop", Seed: 7, Resume: rs,
-						},
-					}
-				}
-
-				want := mkPlan(fam.src, fileA, nil).Run()
-				if want.Interrupted {
-					t.Fatalf("%s: reference run reports interrupted", label)
-				}
+				fileB := filepath.Join(dir, m.name+".fckp")
 
 				ctx, cancel := context.WithCancel(context.Background())
 				if m.preCancel {
@@ -147,7 +157,7 @@ func TestResumeEquivalence(t *testing.T) {
 					Source: fam.src, cancel: cancel,
 					cancelAtNext: m.cancelAtNext, cancelAtReset: m.cancelAtReset,
 				}
-				part := mkPlan(cs, fileB, nil).RunContext(ctx)
+				part := mkPlan(cs, fileB, m.workers, nil).RunContext(ctx)
 				cancel()
 				assertWellFormed(t, label, part)
 
@@ -155,7 +165,7 @@ func TestResumeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: loading the interrupt checkpoint: %v", label, err)
 				}
-				got := mkPlan(fam.src, fileB, rs).Run()
+				got := mkPlan(fam.src, fileB, m.workers, rs).Run()
 				if got.Interrupted {
 					t.Fatalf("%s: resumed run reports interrupted", label)
 				}
@@ -275,6 +285,62 @@ func TestResumeMismatchRefused(t *testing.T) {
 		}
 	}()
 	mkPlan(EngineBitParallel, fam.runners, rs).Run()
+}
+
+// A checkpoint whose high-water mark lies outside the session's range
+// is refused, never a panic mid-seek: checkpoint.Decode rejects what
+// the state alone contradicts, and ValidateResume — or the session, for
+// an explicit Resume — what only the source's exact Count reveals.
+func TestResumeRefusesOutOfRangeStates(t *testing.T) {
+	fam := streamFamilies()[0]
+	count, _ := fam.src.Count()
+	path := filepath.Join(t.TempDir(), "r.fckp")
+	mkPlan := func(rs *checkpoint.State) *Plan {
+		return &Plan{
+			Runners: fam.runners,
+			Stream:  &fault.Stream{Name: fam.name, Source: fam.src},
+			Chunk:   16, Memory: fam.mk, Workers: 2,
+			Engine: EngineCompiled, Drop: true,
+			Checkpoint: &CheckpointConfig{Path: path, Label: "range", Seed: 7, Resume: rs},
+		}
+	}
+	mkPlan(nil).Run()
+	done, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The finished state rewritten as in flight in its last stage.
+	inFlight := func(highWater, universeN int64) *checkpoint.State {
+		st := *done
+		last := done.Done[len(done.Done)-1]
+		st.Done = done.Done[:len(done.Done)-1]
+		st.Cur = checkpoint.StageRecord{Runner: last.Runner, RunnerIndex: last.RunnerIndex}
+		st.Complete, st.HighWater, st.UniverseN = false, highWater, universeN
+		return &st
+	}
+	n := done.UniverseN
+	for _, tc := range []struct {
+		name      string
+		highWater int64
+	}{{"negative", -5}, {"past the universe", 99_999_999}, {"one past the universe", n + 1}} {
+		if _, err := checkpoint.Decode(inFlight(tc.highWater, n).Encode()); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s high water %d: Decode returned %v, want ErrCorrupt", tc.name, tc.highWater, err)
+		}
+	}
+	// Before the first stage completes the universe size is unknown to
+	// the state; the source's exact Count still bounds the seek.
+	past, err := checkpoint.Decode(inFlight(int64(count)+1, -1).Encode())
+	if err != nil {
+		t.Fatalf("state of unknown universe size refused by Decode: %v", err)
+	}
+	const want = "past the source's end"
+	if err := mkPlan(nil).ValidateResume(past, 7); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ValidateResume past the source's end: %v, want it to mention %q", err, want)
+	}
+	expectPanic(t, "explicit resume past the end", want, func() { mkPlan(past).Run() })
+	if err := mkPlan(nil).ValidateResume(inFlight(int64(count), -1), 7); err != nil {
+		t.Errorf("high water at the source's end refused: %v", err)
+	}
 }
 
 // KeepVectors holds per-fault verdict vectors that checkpoints do not

@@ -2,8 +2,11 @@ package coverage
 
 import (
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/gf"
 	"repro/internal/lfsr"
@@ -15,11 +18,13 @@ import (
 // FuzzSessionMatchesOracle differentially fuzzes the session executor:
 // the input decodes into a small random campaign (fuzzCampaign), and
 // the compiled and bit-parallel sessions over it — at the decoded
-// chunk cap, worker count, lane width, dropping mode and plan shape —
-// must equal the oracle's session over the same universe at one worker
-// and the default chunk: Results, Cumulative and Stages, Stats aside.
-// The seed corpus lives in testdata/fuzz/FuzzSessionMatchesOracle; run
-// the search with
+// chunk cap, worker count, lane width, dropping mode, plan shape and
+// session mode — must equal the oracle's session over the same
+// universe at one worker and the default chunk: Results, Cumulative,
+// Stages and (with KeepVectors) Vectors, Stats aside.  A checkpointed
+// session's completion checkpoint must also record exactly that
+// session.  The seed corpus lives in
+// testdata/fuzz/FuzzSessionMatchesOracle; run the search with
 //
 //	go test -run '^$' -fuzz '^FuzzSessionMatchesOracle$' -fuzztime 30s ./internal/coverage
 func FuzzSessionMatchesOracle(f *testing.F) {
@@ -28,21 +33,72 @@ func FuzzSessionMatchesOracle(f *testing.F) {
 		ref := &Plan{
 			Runners: c.runners, Universe: fault.Universe{Name: c.name, Faults: fault.Collect(c.src)},
 			Memory: c.mk, Workers: 1, Engine: EngineOracle, Drop: c.drop, Order: c.order,
+			KeepVectors: c.vectors,
 		}
 		want := ref.Run()
 		for _, engine := range []Engine{EngineBitParallel, EngineCompiled} {
 			p := &Plan{
 				Runners: c.runners, Chunk: c.chunk, Memory: c.mk, Workers: c.workers,
 				LaneWords: c.lanes, Engine: engine, Drop: c.drop, Order: c.order,
+				KeepVectors: c.vectors,
 			}
 			if c.stream {
 				p.Stream = &fault.Stream{Name: c.name, Source: c.src}
 			} else {
 				p.Universe = ref.Universe
 			}
-			assertSessionsEqual(t, fmt.Sprintf("%s [%s]", c, engine), want, p.Run())
+			path := ""
+			if c.checkpoint {
+				path = filepath.Join(t.TempDir(), "session.fckp")
+				p.Checkpoint = &CheckpointConfig{Path: path, Every: c.chunk}
+			}
+			label := fmt.Sprintf("%s [%s]", c, engine)
+			got := p.Run()
+			assertSessionsEqual(t, label, want, got)
+			if path != "" {
+				assertCompletionCheckpoint(t, label, path, got)
+			}
 		}
 	})
+}
+
+// assertCompletionCheckpoint checks that the completion checkpoint at
+// path records session s: its stage records and class tallies, the
+// universe size and the number of detected faults.
+func assertCompletionCheckpoint(t *testing.T, label string, path string, s *Session) {
+	t.Helper()
+	rs, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatalf("%s: loading the completion checkpoint: %v", label, err)
+	}
+	tallies := func(r Result) []checkpoint.ClassTally {
+		var out []checkpoint.ClassTally
+		for _, c := range r.Classes() {
+			cs := r.ByClass[c]
+			out = append(out, checkpoint.ClassTally{Class: int32(c), Total: int64(cs.Total), Detected: int64(cs.Detected)})
+		}
+		return out
+	}
+	if !rs.Complete || rs.UniverseN != int64(s.Cumulative.Total) || len(rs.Done) != len(s.Stages) {
+		t.Fatalf("%s: checkpoint complete=%v universe=%d with %d stages, session has %d faults in %d stages",
+			label, rs.Complete, rs.UniverseN, len(rs.Done), s.Cumulative.Total, len(s.Stages))
+	}
+	for i, st := range s.Stages {
+		rec := rs.Done[i]
+		if rec.Runner != st.Runner || int(rec.RunnerIndex) != st.RunnerIndex || rec.Entered != int64(st.Entered) ||
+			rec.Detected != int64(st.Detected) || rec.Survivors != int64(st.Survivors) {
+			t.Errorf("%s stage %d: checkpoint records %+v, session ran %+v", label, i, rec, st)
+		}
+		if want := tallies(s.Results[st.RunnerIndex]); !reflect.DeepEqual(rec.ByClass, want) {
+			t.Errorf("%s stage %d: checkpoint class tallies %v, session %v", label, i, rec.ByClass, want)
+		}
+	}
+	if want := tallies(s.Cumulative); !reflect.DeepEqual(rs.Universe, want) {
+		t.Errorf("%s: checkpoint universe tallies %v, session %v", label, rs.Universe, want)
+	}
+	if got := fault.BitSetFromWords(rs.Bits).Count(); got != s.Cumulative.Detected {
+		t.Errorf("%s: checkpoint bitmap holds %d detections, session %d", label, got, s.Cumulative.Detected)
+	}
 }
 
 // fuzzCampaign is one decoded fuzz input.
@@ -58,6 +114,10 @@ type fuzzCampaign struct {
 	drop    bool
 	order   Order
 	stream  bool
+	// One session mode at most: verdict vectors, or a checkpointed
+	// Stream run.
+	vectors    bool
+	checkpoint bool
 }
 
 func (c fuzzCampaign) String() string { return c.desc }
@@ -161,7 +221,14 @@ func decodeCampaign(data []byte) fuzzCampaign {
 	c.drop = next()%2 == 1
 	c.order = Order(next() % 2)
 	c.stream = next()%2 == 1
-	c.desc = fmt.Sprintf("n=%d m=%d bom=%v %v %s seed=%d chunk=%d workers=%d lanes=%d drop=%v order=%d stream=%v",
-		n, m, bom, names, c.name, seed, c.chunk, c.workers, c.lanes, c.drop, c.order, c.stream)
+	// Session mode: 0 (also an exhausted input) is a plain session.
+	switch next() % 3 {
+	case 1:
+		c.vectors = true
+	case 2:
+		c.checkpoint, c.stream = true, true
+	}
+	c.desc = fmt.Sprintf("n=%d m=%d bom=%v %v %s seed=%d chunk=%d workers=%d lanes=%d drop=%v order=%d stream=%v vectors=%v checkpoint=%v",
+		n, m, bom, names, c.name, seed, c.chunk, c.workers, c.lanes, c.drop, c.order, c.stream, c.vectors, c.checkpoint)
 	return c
 }

@@ -230,76 +230,6 @@ func TestPartitionResumeMismatchRefused(t *testing.T) {
 	}
 }
 
-// The unordered per-worker sink must be invisible in the results: the
-// same plan run with SinkOrdered and SinkUnordered produces identical
-// Sessions across chunk and worker sweeps, dropping on and off.
-func TestUnorderedSinkMatchesOrdered(t *testing.T) {
-	families := streamFamilies()
-	if testing.Short() {
-		families = families[:3]
-	}
-	for _, fam := range families {
-		for _, drop := range []bool{false, true} {
-			for _, chunk := range []int{1, 64, 4096} {
-				for _, workers := range []int{1, 4} {
-					mkPlan := func(mode SinkMode) *Plan {
-						return &Plan{
-							Runners: fam.runners,
-							Stream:  &fault.Stream{Name: fam.name, Source: fam.src},
-							Chunk:   chunk, Memory: fam.mk,
-							Workers: workers, Engine: EngineCompiled, Drop: drop,
-							Sink: mode,
-						}
-					}
-					label := fmt.Sprintf("%s [drop=%v chunk=%d workers=%d]", fam.name, drop, chunk, workers)
-					want := mkPlan(SinkOrdered).Run()
-					got := mkPlan(SinkUnordered).Run()
-					assertSessionsEqual(t, label, want, got)
-					for i, st := range got.Stages {
-						if st.Stats.Sink != "unordered" {
-							t.Errorf("%s stage %d: Stats.Sink = %q, want unordered", label, i, st.Stats.Sink)
-						}
-						for w, d := range st.Stats.SinkWait {
-							if d != 0 {
-								t.Errorf("%s stage %d worker %d: unordered sink reported %v sink wait", label, i, w, d)
-							}
-						}
-					}
-					for i, st := range want.Stages {
-						if st.Stats.Sink != "ordered" {
-							t.Errorf("%s stage %d: Stats.Sink = %q, want ordered", label, i, st.Stats.Sink)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// SinkAuto picks the unordered path exactly when nothing needs ordered
-// delivery: a checkpointed session stays ordered, a plain one does not.
-func TestSinkAutoSelection(t *testing.T) {
-	fam := streamFamilies()[0]
-	mkPlan := func(cp *CheckpointConfig) *Plan {
-		return &Plan{
-			Runners: fam.runners,
-			Stream:  &fault.Stream{Name: fam.name, Source: fam.src},
-			Chunk:   64, Memory: fam.mk,
-			Workers: 2, Engine: EngineCompiled,
-			Checkpoint: cp,
-		}
-	}
-	s := mkPlan(nil).Run()
-	if got := s.Stages[0].Stats.Sink; got != "unordered" {
-		t.Errorf("plain auto session: Sink = %q, want unordered", got)
-	}
-	path := filepath.Join(t.TempDir(), "auto.fckp")
-	s = mkPlan(&CheckpointConfig{Path: path}).Run()
-	if got := s.Stages[0].Stats.Sink; got != "ordered" {
-		t.Errorf("checkpointed auto session: Sink = %q, want ordered", got)
-	}
-}
-
 func expectPanic(t *testing.T, label, want string, f func()) {
 	t.Helper()
 	defer func() {
@@ -315,8 +245,8 @@ func expectPanic(t *testing.T, label, want string, f func()) {
 	f()
 }
 
-// Invalid partition and sink combinations must refuse loudly up front
-// rather than silently produce wrong results.
+// Invalid partition combinations must refuse loudly up front rather
+// than silently produce wrong results.
 func TestPartitionAndSinkMisuse(t *testing.T) {
 	fam := streamFamilies()[0]
 	base := func() *Plan {
@@ -334,16 +264,6 @@ func TestPartitionAndSinkMisuse(t *testing.T) {
 	p = base()
 	p.PartitionIndex, p.PartitionCount = 5, 3
 	expectPanic(t, "index out of range", "PartitionIndex", func() { p.Run() })
-
-	p = base()
-	p.Sink = SinkUnordered
-	p.KeepVectors = true
-	expectPanic(t, "unordered+KeepVectors", "verdict vectors", func() { p.Run() })
-
-	p = base()
-	p.Sink = SinkUnordered
-	p.Checkpoint = &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.fckp")}
-	expectPanic(t, "unordered+checkpoint", "checkpoint", func() { p.Run() })
 
 	expectPanic(t, "ambient index out of range", "index", func() { SetDefaultPartition(4, 3) })
 }

@@ -133,8 +133,9 @@ type Plan struct {
 	// Order selects the stage execution order.
 	Order Order
 	// KeepVectors retains a per-runner verdict vector over the full
-	// universe (Session.Vectors) — the property tests' view of exactly
-	// what each stage simulated and decided.
+	// universe (Session.Vectors), rebuilt from each stage's detection
+	// bitmap after it drains — the property tests' view of exactly what
+	// each stage simulated and decided.
 	KeepVectors bool
 	// Cache, when non-nil, memoizes compiled programs across sessions
 	// for runners implementing TraceKeyer.  SharedProgramCache() is the
@@ -146,15 +147,6 @@ type Plan struct {
 	// falls back to the process default (SetDefaultCheckpoint).
 	// Universe plans ignore both.
 	Checkpoint *CheckpointConfig
-	// Sink selects the chunk-sink discipline: SinkAuto (the zero
-	// value) runs unordered whenever nothing needs ordering — no
-	// checkpoint, no KeepVectors, no live progress callback — and
-	// ordered otherwise; SinkOrdered/SinkUnordered force a path.  The
-	// two paths are property-tested to produce identical Results; the
-	// unordered one removes the serialized sink's contention (see
-	// sim.ShardsCompiledUnordered).  It applies to Universe and Stream
-	// plans alike.
-	Sink SinkMode
 	// PartitionIndex/PartitionCount restrict a Stream session to one
 	// index-range partition of its universe — partition
 	// PartitionIndex (1-based) of PartitionCount near-equal ranges
@@ -268,9 +260,10 @@ func (p *Plan) Run() *Session { return p.RunContext(DefaultContext()) }
 
 // RunContext executes the session under ctx.  Cancellation is
 // cooperative at batch/chunk granularity: the in-flight stage drains
-// its workers, the chunks it completed are folded into a well-formed
-// Result tagged Interrupted, remaining stages are skipped, and the
-// session returns with Session.Interrupted set.
+// its workers, the contiguous prefix of chunks it completed (the
+// fold's frontier) makes up a well-formed Result tagged Interrupted,
+// remaining stages are skipped, and the session returns with
+// Session.Interrupted set.
 //
 // Both plan shapes run on one executor (stream.go): a materialized
 // Universe is streamed as a fault.SliceSource.  It keeps two

@@ -1,4 +1,4 @@
-// The session executor and its sink folds.  Everything that
+// The session executor.  Everything that
 // accumulates results here must be deterministic: sessions are
 // property-tested byte-identical to the per-fault oracle across chunk
 // sizes and worker counts, and to interrupted-then-resumed runs.
@@ -39,9 +39,10 @@ import (
 // Universe plan probes its faults up front and falls back to the
 // per-fault oracle, which has no such constraint.
 //
-// Durability (durable.go) composes onto the same loop: when a
-// checkpoint is configured the chunk sink is wrapped to fold verdicts
-// in contiguous universe order and persist the session state on a
+// Every stage's chunks reach the session state through one sink
+// discipline, the completion-frontier fold (fold.go), so the state is
+// always a prefix-closed cut.  Durability (durable.go) composes onto
+// it: when a checkpoint is configured the fold persists that cut on a
 // cadence, and a resumed session reconstructs its completed stages
 // from the checkpoint and Skip()s the source past the in-flight
 // stage's high-water mark.
@@ -167,13 +168,17 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 			names[i] = st.runner.Name()
 		}
 		d = newDurable(*cp, spec, mem.Size(), mem.Width())
+		end := -1 // the source's end index, when its Count is exact
+		if exactCount {
+			end = hiBound
+		}
 		if cp.Resume != nil {
-			if err := validateResume(cp.Resume, spec, mem.Size(), mem.Width(), cp.Seed, names, partLo, partHi); err != nil {
+			if err := validateResume(cp.Resume, spec, mem.Size(), mem.Width(), cp.Seed, names, partLo, partHi, end); err != nil {
 				panic(err.Error())
 			}
 			rs = cp.Resume
 		} else if amb := ambientResume.Load(); amb != nil {
-			if validateResume(amb, spec, mem.Size(), mem.Width(), cp.Seed, names, partLo, partHi) == nil &&
+			if validateResume(amb, spec, mem.Size(), mem.Width(), cp.Seed, names, partLo, partHi, end) == nil &&
 				ambientResume.CompareAndSwap(amb, nil) {
 				rs = amb
 			}
@@ -184,33 +189,14 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 	if p.KeepVectors {
 		s.Vectors = make([][]Verdict, len(p.Runners))
 	}
-	// Sink discipline for this session's compiled stages:
-	// anything needing ordered delivery (checkpoint prefix cuts,
-	// verdict vectors, a live progress frontier) keeps the serialized
-	// sink; otherwise per-worker sinks merged at drain.
-	reg0 := telemetry.Active()
-	sinkMode := p.Sink
-	if sinkMode == SinkAuto {
-		if d != nil || p.KeepVectors || reg0.ProgressAttached() {
-			sinkMode = SinkOrdered
-		} else {
-			sinkMode = SinkUnordered
-		}
-	} else if sinkMode == SinkUnordered {
-		if d != nil {
-			panic("coverage: the unordered sink cannot checkpoint (durable cuts need ordered delivery)")
-		}
-		if p.KeepVectors {
-			panic("coverage: the unordered sink cannot keep verdict vectors")
-		}
-	}
 
-	cum := fault.NewBitSet(hiBound)
-	cumDetected := 0
-	classTotal := make(map[fault.Class]int)
-	classDet := make(map[fault.Class]int)
-	arenas := &sim.ArenaPool{}
 	reg := telemetry.Active()
+	survivorsOf := -1 // live survivors need the universe size
+	if exactCount {
+		survivorsOf = count
+	}
+	f := newFold(hiBound, survivorsOf, reg)
+	arenas := &sim.ArenaPool{}
 	universeN := -1 // presented count of the first executed stage = |universe|
 	doneStages := 0
 	var doneRecs []checkpoint.StageRecord
@@ -220,25 +206,23 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 	// stage metadata — clean-run cost, cache hits — comes from the
 	// preparation above, which ran either way).
 	if rs != nil {
-		cum = fault.BitSetFromWords(append([]uint64(nil), rs.Bits...))
-		cumDetected = cum.Count()
-		tallyMaps(rs.Universe, classTotal, classDet)
+		f.cum = fault.BitSetFromWords(append([]uint64(nil), rs.Bits...))
+		f.detected = f.cum.Count()
+		f.universe = classStats(rs.Universe)
 		universeN = int(rs.UniverseN)
 		doneStages = len(rs.Done)
 		doneRecs = append(doneRecs, rs.Done...)
 		for _, rec := range rs.Done {
 			st := stages[rec.RunnerIndex]
-			res := Result{
+			s.Results[rec.RunnerIndex] = Result{
 				Runner:        rec.Runner,
 				Universe:      stream.Name,
 				Total:         int(rec.Entered),
 				Detected:      int(rec.Detected),
-				ByClass:       make(map[fault.Class]ClassStat),
+				ByClass:       classMap(classStats(rec.ByClass)),
 				OpsCleanRun:   st.cleanOps,
 				FalsePositive: st.falsePositive,
 			}
-			applyTallies(rec.ByClass, res.ByClass)
-			s.Results[rec.RunnerIndex] = res
 			s.Stages = append(s.Stages, StageStat{
 				Runner:      rec.Runner,
 				RunnerIndex: int(rec.RunnerIndex),
@@ -250,8 +234,8 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		}
 	}
 
-	// buildState serializes the session accumulators; cur is the
-	// in-flight stage's partial record (zero between stages).
+	// buildState serializes the session's cut; cur is the in-flight
+	// stage's record (the next stage's, tallies empty, between stages).
 	buildState := func(cur checkpoint.StageRecord, highWater int, complete bool) *checkpoint.State {
 		return &checkpoint.State{
 			SpecHash:    d.spec,
@@ -267,100 +251,37 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 			Cur:         cur,
 			HighWater:   int64(highWater),
 			Complete:    complete,
-			Universe:    classTallies(classTotal, classDet),
-			Bits:        append([]uint64(nil), cum.Words()...),
+			Universe:    classTallies(f.universe),
+			Bits:        f.bits(),
 		}
 	}
 
 	for si := doneStages; si < len(order); si++ {
 		st := order[si]
 		// The survivor filter for this stage is the cumulative detection
-		// bitmap so far, snapshotted: the sink below keeps updating cum
-		// while workers read the snapshot.  (On resume the snapshot also
-		// carries this stage's own pre-interrupt detections — equivalent,
-		// since those indices are below the seek point and never
-		// presented again.)
+		// bitmap, which stays frozen while the stage runs.  (On resume it
+		// also carries this stage's own pre-interrupt detections —
+		// equivalent, since those indices are below the seek point and
+		// never presented again.)
 		var stageDrop *fault.BitSet
-		if p.Drop && cumDetected > 0 {
-			stageDrop = cum.Clone()
-		}
-		res := Result{
-			Runner:        st.runner.Name(),
-			Universe:      stream.Name,
-			ByClass:       make(map[fault.Class]ClassStat),
-			OpsCleanRun:   st.cleanOps,
-			FalsePositive: st.falsePositive,
+		if p.Drop && f.detected > 0 {
+			stageDrop = f.cum
 		}
 		base := partLo
+		var resumed []ClassStat
 		if rs != nil && si == doneStages && !rs.Complete {
 			// Resuming into this stage: restore its partial tallies and
 			// seek past the contiguous completed prefix.
 			base = int(rs.HighWater)
-			res.Total = int(rs.Cur.Entered)
-			res.Detected = int(rs.Cur.Detected)
-			applyTallies(rs.Cur.ByClass, res.ByClass)
+			resumed = classStats(rs.Cur.ByClass)
 		}
-		var vec []Verdict
-		if s.Vectors != nil {
-			vec = make([]Verdict, count)
-			if stageDrop != nil {
-				for i := range vec {
-					vec[i] = VerdictDropped
-				}
-			}
-		}
-		tallyUniverse := universeN < 0
-		vecFill := VerdictUndetected
-		if stageDrop != nil {
-			vecFill = VerdictDropped // what undelivered positions mean this stage
-		}
-		sink := sim.ChunkSink(func(_, _ int, idx []int, faults []fault.Fault, det []bool) {
-			for i, f := range faults {
-				c := f.Class()
-				cs := res.ByClass[c]
-				cs.Total++
-				res.Total++
-				u := idx[i]
-				for vec != nil && u >= len(vec) { // inexact Count undershot
-					vec = append(vec, vecFill)
-				}
-				if det[i] {
-					cs.Detected++
-					res.Detected++
-					if !cum.Get(u) {
-						cum.Set(u)
-						cumDetected++
-						classDet[c]++
-					}
-					if vec != nil {
-						vec[u] = VerdictDetected
-					}
-				} else if vec != nil {
-					vec[u] = VerdictUndetected
-				}
-				res.ByClass[c] = cs
-				if tallyUniverse {
-					classTotal[c]++
-				}
-			}
-			// Live survivor count for the progress line: the sink runs
-			// serialized, so cumDetected is coherent here.
-			if reg != nil && exactCount {
-				reg.ReportSurvivors(int64(count - cumDetected))
-			}
-		})
 		if d != nil {
-			d.beginStage(base)
-			d.snap = func(hw int) *checkpoint.State {
-				return buildState(checkpoint.StageRecord{
-					Runner:      st.runner.Name(),
-					RunnerIndex: int32(st.index),
-					Entered:     int64(res.Total),
-					Detected:    int64(res.Detected),
-					ByClass:     resultTallies(res.ByClass),
-				}, hw, false)
+			d.lastWrite = base
+			f.checkpoint = func(frontier int) {
+				if frontier-d.lastWrite >= d.every {
+					d.write(buildState(stageRecord(st, f.stage), frontier, false))
+				}
 			}
-			sink = d.wrap(sink)
 		}
 		src.Reset()
 		if rel := base - partLo; rel > 0 {
@@ -381,66 +302,56 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 			if exactCount && base == partLo {
 				total = int64(count)
 				if stageDrop != nil {
-					total -= int64(cumDetected)
+					total -= int64(f.detected)
 				}
 			}
 			reg.BeginStage(st.runner.Name(), total)
 		}
-		// Compiled stages without an ordered-sink requirement run on the
-		// unordered driver: per-worker accumulators, merged below.  The
-		// reference paths (bitpar, oracle) and ordered sessions keep the
-		// serialized sink.
-		useUnordered := sinkMode == SinkUnordered && st.prog != nil
-		if reg != nil {
-			reg.SetSinkMode(useUnordered)
-		}
+		f.beginStage(base, universeN < 0, resumed)
 		cfg := sim.StreamConfig{Drop: stageDrop, Base: base, Arenas: arenas}
 		cfg.Chunk, cfg.Workers = stageShape(count-(base-partLo), exactCount, workers, st.batchWidth(), chunk)
 		t0 := time.Now() //faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
-		var stats *EngineStats
-		var err error
-		if useUnordered {
-			stats, err = p.detectStreamUnordered(ctx, st, src, cfg, &res,
-				cum, &cumDetected, classTotal, classDet, tallyUniverse)
-		} else {
-			stats, err = p.detectStream(ctx, st, src, cfg, sink)
-		}
+		stats, err := p.detectStream(ctx, st, src, cfg, f.sinkFor)
 		stats.PartitionIndex = partIdx
+		total, detected := totals(f.stage)
 		//faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
-		finishStage(stats, st, res.Total, time.Since(t0), reg, before)
-		res.Stats = stats
-		if err != nil {
-			res.Interrupted = true
-			s.Interrupted = true
+		finishStage(stats, st, total, time.Since(t0), reg, before)
+		res := Result{
+			Runner:        st.runner.Name(),
+			Universe:      stream.Name,
+			Total:         total,
+			Detected:      detected,
+			ByClass:       classMap(f.stage),
+			OpsCleanRun:   st.cleanOps,
+			FalsePositive: st.falsePositive,
+			Interrupted:   err != nil,
+			Stats:         stats,
 		}
-		if tallyUniverse && err == nil {
-			universeN = res.Total
-		}
+		s.Interrupted = s.Interrupted || err != nil
 		s.Results[st.index] = res
-		if vec != nil && err == nil {
-			// Normalize to the enumerated universe size: an inexact Count
-			// may have over-allocated (phantom trailing entries) or
-			// undershot past the last delivered index (undelivered faults
-			// keep this stage's fill meaning).
-			for len(vec) < universeN {
-				vec = append(vec, vecFill)
-			}
-			vec = vec[:universeN]
+		if universeN < 0 && err == nil {
+			universeN = total
 		}
 		if s.Vectors != nil {
-			s.Vectors[st.index] = vec
+			// An interrupted first stage has not enumerated the universe:
+			// its vector covers the folded prefix.
+			n := universeN
+			if n < 0 {
+				n = f.frontier
+			}
+			s.Vectors[st.index] = verdicts(f.stageDet, stageDrop, n)
 		}
-		survivors := universeN - cumDetected
+		survivors := universeN - f.detected
 		if universeN < 0 {
 			// Interrupted before the first stage finished enumerating:
 			// the survivor count among the faults seen so far.
-			survivors = res.Total - res.Detected
+			survivors = total - detected
 		}
 		s.Stages = append(s.Stages, StageStat{
 			Runner:      st.runner.Name(),
 			RunnerIndex: st.index,
-			Entered:     res.Total,
-			Detected:    res.Detected,
+			Entered:     total,
+			Detected:    detected,
 			Survivors:   survivors,
 			CacheHit:    st.cacheHit,
 			Stats:       stats,
@@ -449,32 +360,25 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 			// Interrupted: flush a final checkpoint at the fold frontier
 			// and stop — the remaining stages never ran.
 			if d != nil {
-				d.flush()
+				d.write(buildState(stageRecord(st, f.stage), f.frontier, false))
 			}
+			f.endStage()
 			break
 		}
+		f.endStage()
 		if d != nil {
-			doneRecs = append(doneRecs, checkpoint.StageRecord{
-				Runner:      st.runner.Name(),
-				RunnerIndex: int32(st.index),
-				Entered:     int64(res.Total),
-				Detected:    int64(res.Detected),
-				Survivors:   int64(survivors),
-				ByClass:     resultTallies(res.ByClass),
-			})
-			d.snap = nil
+			rec := stageRecord(st, f.stage)
+			rec.Survivors = int64(survivors)
+			doneRecs = append(doneRecs, rec)
+			f.checkpoint = nil
 			if si < len(order)-1 {
 				// Stage-boundary checkpoint: the next stage at its range
 				// start (high water partLo; 0 unpartitioned).
-				next := order[si+1]
-				d.write(buildState(checkpoint.StageRecord{
-					Runner:      next.runner.Name(),
-					RunnerIndex: int32(next.index),
-				}, partLo, false))
+				d.write(buildState(stageRecord(order[si+1], nil), partLo, false))
 			}
 		}
 		if reg != nil {
-			reg.ReportSurvivors(int64(universeN - cumDetected))
+			reg.ReportSurvivors(int64(universeN - f.detected))
 			p.reportStage(reg, s.Stages[len(s.Stages)-1])
 		}
 	}
@@ -482,19 +386,15 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		universeN = 0
 	}
 
-	cumRes := Result{
+	s.Cumulative = Result{
 		Runner:      p.sessionName(),
 		Universe:    stream.Name,
 		Total:       universeN,
-		Detected:    cumDetected,
-		ByClass:     make(map[fault.Class]ClassStat),
+		Detected:    f.detected,
+		ByClass:     classMap(f.universe),
 		Interrupted: s.Interrupted,
 	}
-	for c, total := range classTotal { //faultsim:ordered fills a map keyed by the same classes; order-insensitive
-		cumRes.ByClass[c] = ClassStat{Total: total, Detected: classDet[c]}
-	}
-	sumCleanRuns(stages, &cumRes)
-	s.Cumulative = cumRes
+	sumCleanRuns(stages, &s.Cumulative)
 
 	if d != nil && !s.Interrupted {
 		// Completion checkpoint: every stage in Done, nothing in flight.
@@ -554,110 +454,15 @@ func (st *stage) batchWidth() int {
 	return 1
 }
 
-// detectStreamUnordered runs one compiled stage on the unordered
-// driver: each worker folds its chunks into a private accumulator
-// (detection bitmap plus class tallies) with no sink lock, and the
-// accumulators are merged into the session state once after the
-// drivers drain.  Sums and bit-ORs are order-insensitive and chunk
-// index ranges are disjoint across workers, so the merged result is
-// byte-identical to the serialized sink's whatever the scheduling —
-// the unordered≡ordered property tests assert exactly that.  The
-// whole serialization cost of the stage is the merge below, reported
-// as EngineStats.MergeNanos.
-func (p *Plan) detectStreamUnordered(ctx context.Context, st *stage, src fault.Source, cfg sim.StreamConfig,
-	res *Result, cum *fault.BitSet, cumDetected *int, classTotal, classDet map[fault.Class]int,
-	tallyUniverse bool) (*EngineStats, error) {
-	nc := len(fault.Classes())
-	type acc struct {
-		det             *fault.BitSet
-		total, detected int
-		byClassTotal    []int // faults presented, by class
-		byClassDet      []int // faults this stage detected, by class
-		byClassNew      []int // first-ever detections, by class (vs the session prefix)
-	}
-	accs := make([]acc, cfg.Workers)
-	sinkFor := func(w int) sim.ChunkSink {
-		a := &accs[w]
-		a.det = fault.NewBitSet(0)
-		a.byClassTotal = make([]int, nc)
-		a.byClassDet = make([]int, nc)
-		a.byClassNew = make([]int, nc)
-		return func(_, _ int, idx []int, faults []fault.Fault, det []bool) {
-			for i, f := range faults {
-				c := int(f.Class())
-				a.byClassTotal[c]++
-				a.total++
-				if det[i] {
-					a.byClassDet[c]++
-					a.detected++
-					u := idx[i]
-					// cum is frozen during an unordered stage (the merge
-					// below is the only writer), so reading it lock-free
-					// here is the exact analogue of the ordered sink's
-					// !cum.Get(u) check — each universe index is presented
-					// at most once per stage.
-					if !cum.Get(u) {
-						a.byClassNew[c]++
-					}
-					a.det.Set(u)
-				}
-			}
-		}
-	}
-	cfg.Collapse = CollapseEnabled()
-	w, reps, err := sim.ShardsCompiledUnordered(ctx, st.prog, src, cfg, sinkFor)
-	if err != nil && ctx.Err() == nil {
-		panic(fmt.Sprintf("coverage: unordered compiled streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
-	}
-	t0 := time.Now() //faultsim:ordered merge wall-clock is telemetry, reported beside the deterministic counts
-	for i := range accs {
-		a := &accs[i]
-		if a.det == nil {
-			continue // worker never started (cancelled before sinkFor)
-		}
-		res.Total += a.total
-		res.Detected += a.detected
-		for c := 0; c < nc; c++ {
-			if a.byClassTotal[c] == 0 {
-				continue
-			}
-			fc := fault.Class(c)
-			cs := res.ByClass[fc]
-			cs.Total += a.byClassTotal[c]
-			cs.Detected += a.byClassDet[c]
-			res.ByClass[fc] = cs
-			if tallyUniverse {
-				classTotal[fc] += a.byClassTotal[c]
-			}
-			if a.byClassNew[c] > 0 {
-				classDet[fc] += a.byClassNew[c]
-			}
-		}
-		cum.Or(a.det)
-	}
-	*cumDetected = cum.Count()
-	return &EngineStats{
-		Engine:     EngineCompiled,
-		Workers:    w,
-		Reps:       reps,
-		ProgramOps: st.prog.Ops(),
-		TrimmedOps: st.prog.TrimmedOps(),
-		LaneWords:  st.prog.LaneWords(),
-		FusedOps:   st.prog.FusedOps(),
-		Sink:       SinkUnordered.String(),
-		MergeNanos: time.Since(t0), //faultsim:ordered merge wall-clock is telemetry, reported beside the deterministic counts
-	}, err
-}
-
 // detectStream runs one stage over the source and returns the engine
-// report; verdicts flow to the sink chunk by chunk.  The error is
-// non-nil exactly when ctx was cancelled (a partial run); any other
-// driver failure panics, as a broken engine invariant.
-func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cfg sim.StreamConfig, sink sim.ChunkSink) (*EngineStats, error) {
+// report; verdicts flow to the sinks sinkFor builds, chunk by chunk.
+// The error is non-nil exactly when ctx was cancelled (a partial run);
+// any other driver failure panics, as a broken engine invariant.
+func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cfg sim.StreamConfig, sinkFor func(int) sim.ChunkSink) (*EngineStats, error) {
 	switch {
 	case st.prog != nil:
 		cfg.Collapse = CollapseEnabled()
-		w, reps, err := sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sink)
+		w, reps, err := sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sinkFor)
 		if err != nil && ctx.Err() == nil {
 			panic(fmt.Sprintf("coverage: compiled streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
@@ -669,14 +474,13 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 			TrimmedOps: st.prog.TrimmedOps(),
 			LaneWords:  st.prog.LaneWords(),
 			FusedOps:   st.prog.FusedOps(),
-			Sink:       SinkOrdered.String(),
 		}, err
 	case st.tr != nil:
-		w, reps, err := sim.ShardsStream(ctx, st.tr, src, cfg, sink)
+		w, reps, err := sim.ShardsStream(ctx, st.tr, src, cfg, sinkFor)
 		if err != nil && ctx.Err() == nil {
 			panic(fmt.Sprintf("coverage: bitpar streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
-		return &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: reps, Sink: SinkOrdered.String()}, err
+		return &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: reps}, err
 	default:
 		// Chunked oracle: the generic driver pulls and filters chunks,
 		// the replay closure runs the full algorithm once per fault.
@@ -690,10 +494,10 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 				}
 				return nil
 			}, nil
-		}, sink)
+		}, sinkFor)
 		if err != nil && ctx.Err() == nil {
 			panic(fmt.Sprintf("coverage: oracle streaming of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
-		return &EngineStats{Engine: EngineOracle, Workers: w, Reps: reps, Sink: SinkOrdered.String()}, err
+		return &EngineStats{Engine: EngineOracle, Workers: w, Reps: reps}, err
 	}
 }

@@ -15,8 +15,9 @@ import (
 // The session-equivalence property: for every universe family and all
 // three engines, a session produces Results byte-identical to the
 // per-fault oracle reference (oracleSession) — across chunk sizes
-// {1, 7, 4096}, with dropping on and off, and for both plan shapes
-// (a materialized Universe and a Stream over the same faults).  Stats
+// {1, 7, 4096}, one worker and four, with dropping on and off, and for
+// both plan shapes (a materialized Universe and a Stream over the same
+// faults).  Stats
 // is diagnostic metadata outside the contract (Reps and Workers
 // legitimately vary with the chunking) and is zeroed before comparing.
 
@@ -150,20 +151,23 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			want := oracleSession(fam.name, fam.runners, u.Faults, fam.mk, drop)
 			for _, engine := range engines {
 				for _, chunk := range chunks {
-					for _, stream := range []bool{false, true} {
-						p := &Plan{
-							Runners: fam.runners, Chunk: chunk, Memory: fam.mk,
-							Workers: 4, Engine: engine, Drop: drop, KeepVectors: true,
+					for _, workers := range []int{1, 4} {
+						for _, stream := range []bool{false, true} {
+							p := &Plan{
+								Runners: fam.runners, Chunk: chunk, Memory: fam.mk,
+								Workers: workers, Engine: engine, Drop: drop, KeepVectors: true,
+							}
+							shape := "universe"
+							if stream {
+								shape = "stream"
+								p.Stream = &fault.Stream{Name: fam.name, Source: fam.src}
+							} else {
+								p.Universe = u
+							}
+							label := fmt.Sprintf("%s [%s %s drop=%v chunk=%d workers=%d]",
+								fam.name, shape, engine, drop, chunk, workers)
+							assertSessionsEqual(t, label, want, p.Run())
 						}
-						shape := "universe"
-						if stream {
-							shape = "stream"
-							p.Stream = &fault.Stream{Name: fam.name, Source: fam.src}
-						} else {
-							p.Universe = u
-						}
-						label := fmt.Sprintf("%s [%s %s drop=%v chunk=%d]", fam.name, shape, engine, drop, chunk)
-						assertSessionsEqual(t, label, want, p.Run())
 					}
 				}
 			}

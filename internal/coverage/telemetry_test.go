@@ -2,10 +2,13 @@ package coverage
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/march"
+	"repro/internal/ram"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -159,5 +162,89 @@ func TestSinkWaitSharesDetached(t *testing.T) {
 	}
 	if res.Stats.Elapsed <= 0 {
 		t.Errorf("always-on Elapsed missing: %v", res.Stats.Elapsed)
+	}
+}
+
+// blockingFault holds its Inject until release closes (or a timeout
+// passes, which the test reports) — a chunk that completes last.
+type blockingFault struct {
+	fault.Fault
+	release  <-chan struct{}
+	timedOut *atomic.Bool
+}
+
+func (b blockingFault) Inject(m ram.Memory) ram.Memory {
+	select {
+	case <-b.release:
+	case <-time.After(10 * time.Second):
+		b.timedOut.Store(true)
+	}
+	return b.Fault.Inject(m)
+}
+
+// TestProgressHighWaterIsFrontier: Progress.HighWater is the resume
+// point, so it must be the fold's completion frontier, never the
+// largest index some worker delivered.  The first fault of the stage
+// (the first of partition 2/2, so the base is not 0) blocks its
+// oracle chunk until every other chunk has been delivered; until then
+// every sample must report the stage base, and the last one the end of
+// the partition.
+func TestProgressHighWaterIsFrontier(t *testing.T) {
+	const n = 4
+	faults := fault.SingleCellUniverse(n, 1)
+	lo, hi := fault.PartitionRange(len(faults), 1, 2)
+	release := make(chan struct{})
+	var timedOut atomic.Bool
+	faults[lo] = blockingFault{Fault: faults[lo], release: release, timedOut: &timedOut}
+
+	type sample struct {
+		done, highWater int64
+		released        bool
+	}
+	var (
+		mu       sync.Mutex
+		samples  []sample
+		released bool
+	)
+	reg := telemetry.NewRegistry()
+	reg.OnProgress(0, func(p telemetry.Progress) { // every flush
+		mu.Lock()
+		defer mu.Unlock()
+		samples = append(samples, sample{p.Done, p.HighWater, released})
+		// Every chunk but the blocked one (a single fault: the oracle
+		// stage of 2·n faults shrinks its chunks to one) is in.
+		if !released && p.Done == int64(hi-lo-1) {
+			released = true
+			close(release)
+		}
+	})
+	telemetry.SetActive(reg)
+	defer telemetry.SetActive(nil)
+
+	s := (&Plan{
+		Runners: []Runner{MarchRunner(march.MATSPlus(), nil)},
+		Stream:  &fault.Stream{Name: "single", Source: fault.SliceSource(faults)},
+		Memory:  bomFactory(n), Workers: 2, Engine: EngineOracle,
+		PartitionIndex: 2, PartitionCount: 2,
+	}).Run()
+	if timedOut.Load() {
+		t.Fatal("the blocked chunk was never released: the other chunks did not all complete")
+	}
+	if s.Results[0].Total != hi-lo {
+		t.Fatalf("stage presented %d faults, want %d", s.Results[0].Total, hi-lo)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !released {
+		t.Fatal("no sample saw every unblocked chunk delivered")
+	}
+	for i, sm := range samples {
+		if !sm.released && sm.highWater != int64(lo) {
+			t.Errorf("sample %d (done %d) before the first chunk completed: HighWater %d, want the stage base %d",
+				i, sm.done, sm.highWater, lo)
+		}
+	}
+	if last := samples[len(samples)-1]; last.highWater != int64(hi) {
+		t.Errorf("final HighWater %d, want the partition end %d", last.highWater, hi)
 	}
 }

@@ -61,6 +61,21 @@ func (b *BitSet) Or(other *BitSet) {
 	}
 }
 
+// OrWords folds words into b at word offset lo (words[i] holds bits
+// 64·(lo+i) through 64·(lo+i)+63), growing b only as far as a set bit
+// needs, as Set does.
+func (b *BitSet) OrWords(lo int, words []uint64) {
+	for i, w := range words {
+		if w == 0 {
+			continue
+		}
+		for len(b.words) <= lo+i {
+			b.words = append(b.words, 0)
+		}
+		b.words[lo+i] |= w
+	}
+}
+
 // Clone returns an independent copy.
 func (b *BitSet) Clone() *BitSet {
 	return &BitSet{words: append([]uint64(nil), b.words...)}

@@ -270,9 +270,9 @@ func TestArenaResetRestoresExactState(t *testing.T) {
 	}
 }
 
-// TestShardsCompiledMatchesAcrossWorkerCounts: both compiled streaming
-// drivers return the interpreter reference's verdicts at every worker
-// count, with collapsing on.
+// TestShardsCompiledMatchesAcrossWorkerCounts: the compiled streaming
+// driver returns the interpreter reference's verdicts at every worker
+// count, with collapsing on, through one sink per worker.
 func TestShardsCompiledMatchesAcrossWorkerCounts(t *testing.T) {
 	const n = 32
 	tr := recordMarch(t, march.MATSPlus(), n) // imperfect coverage: mixed verdicts
@@ -284,17 +284,13 @@ func TestShardsCompiledMatchesAcrossWorkerCounts(t *testing.T) {
 	ref := replayRef(t, tr, faults)
 	ctx := context.Background()
 	for _, workers := range []int{1, 3, 8} {
-		cfg := StreamConfig{Chunk: 64, Workers: workers, Collapse: true}
 		cs := newCollectSink()
-		if _, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, cs.sink); err != nil {
-			t.Fatal(err)
-		}
-		cs.check(t, fmt.Sprintf("ordered workers=%d", workers), ref)
-		got, err := collectUnordered(ctx, p, faults, cfg)
+		w, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
+			StreamConfig{Chunk: 64, Workers: workers, Collapse: true}, cs.sinkFor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.check(t, fmt.Sprintf("unordered workers=%d", workers), ref)
+		cs.check(t, fmt.Sprintf("workers=%d", workers), ref, w)
 	}
 }
 
@@ -309,7 +305,6 @@ func TestShardsPropagateBatchErrors(t *testing.T) {
 	faults[BatchSize+3] = alienFault{}       // second batch fails injection
 	ctx := context.Background()
 	cfg := StreamConfig{Chunk: 2 * BatchSize, Workers: 2}
-	var discard ChunkSink = func(int, int, []int, []fault.Fault, []bool) {}
 	if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("ShardsStream must propagate a failing batch")
 	}
@@ -319,8 +314,5 @@ func TestShardsPropagateBatchErrors(t *testing.T) {
 	}
 	if _, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("ShardsCompiledStream must propagate a failing batch")
-	}
-	if _, err := collectUnordered(ctx, p, faults, cfg); err == nil {
-		t.Fatal("ShardsCompiledUnordered must propagate a failing batch")
 	}
 }

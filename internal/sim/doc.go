@@ -105,28 +105,17 @@
 // dropped-fault bitmap (fault.BitSet — the session layer's cross-test
 // dropping), structurally collapsed chunk-locally (representatives
 // and their expansion never outlive the chunk), replayed as 64-machine
-// batches, and the verdicts delivered to a serialized per-chunk sink
-// keyed by universe index — so order-insensitive sinks (tallies,
-// bitmaps) observe deterministic results whatever the chunk
-// scheduling, and order-sensitive ones (the checkpoint layer's
-// contiguous-cut tracker) can reorder on the delivered [base, base+n)
-// keys.  StreamShard exposes the same loop over a caller-supplied
-// replay function (package coverage's chunked oracle).
-//
-// The streaming drivers offer two sink disciplines.  The serialized
-// path (ShardsStream, ShardsCompiledStream, StreamShard) delivers
-// every chunk under one sink mutex — required whenever the sink is
-// order-sensitive across workers, e.g. the checkpoint layer's
-// contiguous prefix cut — and its per-worker lock-wait time is what
-// telemetry reports as sink-wait shares.  ShardsCompiledUnordered
-// instead gives each worker its own sink (a caller-supplied factory),
-// so workers fold verdicts into private accumulators — detection
-// bitmap words, class tallies — with no lock at all, and the caller
-// merges the accumulators once after the drivers drain.  Because
-// chunk index ranges are disjoint and the folds are sums and bit-ORs,
-// the merged result is byte-identical to the serialized path's; the
-// session layer picks the discipline per plan (checkpoint or live
-// progress frontier ⇒ serialized, else unordered).
+// batches, and the verdicts delivered, keyed by universe index, to the
+// worker's own sink.  Every driver takes a per-worker sink factory and
+// calls each worker's sink without a driver lock, so workers never
+// queue on the driver; a caller whose sinks share state brings its own
+// lock, and each sink reports the time it spent blocked on it, which
+// telemetry shows as that worker's sink wait.  Because delivered
+// chunks carry their [base, base+n) index range, a caller can fold
+// them in universe order whatever the scheduling — package coverage's
+// completion-frontier fold does exactly that, so its checkpoints are
+// prefix-closed cuts.  StreamShard exposes the same loop over a
+// caller-supplied replay function (package coverage's chunked oracle).
 //
 // All drivers take a context.Context and cancel cooperatively at
 // batch/chunk granularity: the check is one non-blocking channel

@@ -152,10 +152,11 @@ func TestShardsMatchesReplayBatchAcrossWorkerCounts(t *testing.T) {
 	ref := replayRef(t, tr, faults)
 	for _, workers := range []int{1, 3, 8} {
 		cs := newCollectSink()
-		if _, _, err := ShardsStream(context.Background(), tr, fault.SliceSource(faults),
-			StreamConfig{Chunk: 64, Workers: workers}, cs.sink); err != nil {
+		w, _, err := ShardsStream(context.Background(), tr, fault.SliceSource(faults),
+			StreamConfig{Chunk: 64, Workers: workers}, cs.sinkFor)
+		if err != nil {
 			t.Fatal(err)
 		}
-		cs.check(t, fmt.Sprintf("workers=%d", workers), ref)
+		cs.check(t, fmt.Sprintf("workers=%d", workers), ref, w)
 	}
 }

@@ -19,16 +19,12 @@ import (
 // chunk buffer (plus, on the compiled path, its arena); chunks are
 // claimed from the source under a mutex, replayed as program-width
 // batches (64 machines per lane word), and the per-chunk verdicts
-// handed to a sink callback.  On the ordered path the driver
-// serializes sink calls behind one mutex, so sinks need no locking of
-// their own; on the unordered path (ShardsCompiledUnordered) each
-// worker owns a private sink and delivers lock-free — the caller
-// merges the per-worker sinks once after the drain.
+// handed to the worker's own sink, built once per worker by the
+// caller's factory and called without a driver lock.
 // Chunk completion order is scheduling-dependent, but every chunk is
-// keyed by its universe index range, so any order-insensitive sink
-// (tallies, bitmaps) observes deterministic results — and an
-// order-sensitive one (the checkpoint layer's contiguous-cut tracker)
-// can reorder on the [base, base+n) keys it is handed.
+// keyed by its universe index range, so a caller that folds chunks
+// (package coverage's completion frontier) can order them on the
+// [base, base+n) keys it is handed and observe deterministic results.
 
 // BatchSize is the number of machines simulated per lane word — one
 // per bit.  A replay pass simulates BatchSize machines per lane word
@@ -57,12 +53,15 @@ const DefaultChunk = 8192
 // ChunkSink receives one completed chunk: the chunk claimed universe
 // indices [base, base+n) from the source, and faults[i] (universe
 // fault idx[i]) got verdict detected[i].  Chunks whose faults were all
-// drop-filtered are still delivered (with empty slices), so a sink
-// always observes every claimed index range exactly once — the
-// invariant checkpoint cuts are built on.  The driver serializes sink
-// calls; the slices are reused for the next chunk, so sinks must not
-// retain them.
-type ChunkSink func(base, n int, idx []int, faults []fault.Fault, detected []bool)
+// drop-filtered are still delivered (with empty slices), so the sinks
+// together observe every claimed index range exactly once — the
+// invariant checkpoint cuts are built on.  Every driver takes a
+// per-worker factory: worker w calls the sink the factory built for it
+// with no driver lock held, and reuses the slices for its next chunk,
+// so sinks must not retain them.  A sink returns how long it was
+// blocked on a lock shared with other workers' sinks (zero when it
+// shares none); telemetry reports that as the worker's sink-wait time.
+type ChunkSink func(base, n int, idx []int, faults []fault.Fault, detected []bool) (blocked time.Duration)
 
 // StreamConfig parameterizes one streaming shard run.
 type StreamConfig struct {
@@ -104,9 +103,9 @@ func (c StreamConfig) workerCount() int {
 // function: workers pull chunks from src, skip faults filtered by
 // cfg.Drop, replay the rest in 64-fault batches through their private
 // replay function (det[0] receives the batch's detection mask), and
-// deliver verdicts to sink.  It returns the worker count and how many
-// faults were simulated (after drop filtering; collapsing on the
-// compiled wrapper reduces it further).
+// deliver verdicts to the sink sinkFor built for them.  It returns the
+// worker count and how many faults were simulated (after drop
+// filtering; collapsing on the compiled wrapper reduces it further).
 //
 // Cancellation is cooperative at batch granularity: ctx is checked on
 // every chunk claim and between the chunk's batches, an interrupted
@@ -114,28 +113,22 @@ func (c StreamConfig) workerCount() int {
 // sees complete chunks), workers drain, and the error is ctx.Err().
 func StreamShard(ctx context.Context, src fault.Source, cfg StreamConfig,
 	newWorker func() (replay func(batch []fault.Fault, det []uint64) error, done func()),
-	sink ChunkSink) (int, int, error) {
-	return streamShard(ctx, src, cfg, nil, BatchSize, newWorker, sharedSink(sink), true)
-}
-
-// sharedSink adapts a single serialized sink to the per-worker sink
-// factory shape of the generalized driver.
-func sharedSink(sink ChunkSink) func(worker int) ChunkSink {
-	return func(int) ChunkSink { return sink } //faultsim:alloc-ok one closure per drive call
+	sinkFor func(worker int) ChunkSink) (int, int, error) {
+	return streamShard(ctx, src, cfg, nil, BatchSize, newWorker, sinkFor)
 }
 
 // ShardsStream replays a recorded trace over a streaming universe with
 // the per-batch interpreter (ReplayBatch), which rebuilds the machine
 // array for every batch — the bit-parallel reference path beside the
-// compiled drivers.
-func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sink ChunkSink) (int, int, error) {
+// compiled driver.
+func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) (int, int, error) {
 	return streamShard(ctx, src, cfg, nil, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
 		return func(batch []fault.Fault, det []uint64) error {
 			mask, err := ReplayBatch(tr, batch)
 			det[0] = mask
 			return err
 		}, nil
-	}, sharedSink(sink), true)
+	}, sinkFor)
 }
 
 // ShardsCompiledStream replays a compiled program over a streaming
@@ -144,28 +137,7 @@ func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamCo
 // each chunk is structurally collapsed before replay and the
 // representative verdicts expanded back chunk-locally, so collapsing
 // never needs the whole universe in memory either.
-func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sink ChunkSink) (int, int, error) {
-	return shardsCompiled(ctx, p, src, cfg, sharedSink(sink), true)
-}
-
-// ShardsCompiledUnordered is ShardsCompiledStream without the sink
-// serialization: sinkFor(w) builds one private sink per worker, and
-// each worker delivers its chunks to its own sink with no locking and
-// no cross-worker ordering.  This removes the single-consumer
-// bottleneck of the serialized path (per-worker sink-wait time is
-// identically zero) for campaigns whose sinks are order-insensitive
-// and mergeable — worker-local tallies and detection bitmaps, OR'd
-// together once after the drivers drain.  Within one worker, chunks
-// still arrive in claim order and every claimed index range is
-// delivered exactly once across all sinks, so a merged result is
-// deterministic whatever the scheduling.  Sinks needing a global
-// order (checkpoint prefix cuts, live progress over the frontier)
-// must stay on ShardsCompiledStream.
-func ShardsCompiledUnordered(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) (int, int, error) {
-	return shardsCompiled(ctx, p, src, cfg, sinkFor, false)
-}
-
-func shardsCompiled(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink, serialize bool) (int, int, error) {
+func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) (int, int, error) {
 	var sum *fault.TraceSummary
 	if cfg.Collapse {
 		s := p.Summary()
@@ -177,21 +149,18 @@ func shardsCompiled(ctx context.Context, p *Program, src fault.Source, cfg Strea
 		return func(batch []fault.Fault, det []uint64) error {
 			return p.ReplayInto(a, batch, det)
 		}, func() { arenas.Put(a) }
-	}, sinkFor, serialize)
+	}, sinkFor)
 }
 
 // streamShard is the shared driver; sum non-nil enables per-chunk
 // structural collapsing; batchFaults is the machines per replay pass
 // (the replay function's det buffer gets one word per 64).  sinkFor
-// builds worker w's sink once at worker startup; with serialize the
-// calls across all workers are additionally interlocked behind one
-// mutex (the ordered ChunkSink contract), without it each worker
-// calls its own sink lock-free (the unordered path).
+// builds worker w's sink once at worker startup.
 //
 //faultsim:hotpath
 func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *fault.TraceSummary, batchFaults int,
 	newWorker func() (func([]fault.Fault, []uint64) error, func()),
-	sinkFor func(worker int) ChunkSink, serialize bool) (int, int, error) {
+	sinkFor func(worker int) ChunkSink) (int, int, error) {
 	chunk := cfg.chunkSize()
 	workers := cfg.workerCount()
 	drop := cfg.Drop
@@ -200,7 +169,6 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 		srcMu     sync.Mutex
 		base      = cfg.Base
 		exhausted bool
-		sinkMu    sync.Mutex
 		stop      atomic.Bool
 		reps      atomic.Int64
 	)
@@ -238,9 +206,10 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 			repDet := make([]bool, chunk)                 //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
 			mask := make([]uint64, batchFaults/BatchSize) //faultsim:alloc-ok per-worker detection mask, reused for every batch
 			// Telemetry: worker-local counters, flushed into the padded
-			// per-worker slot once per chunk.  The source-claim and
-			// sink-acquire waits are timed separately from the kernel so a
-			// scaling run can see exactly where a worker's wall time goes.
+			// per-worker slot once per chunk.  The source-claim wait and
+			// the sink's reported lock wait are timed separately from the
+			// kernel so a scaling run can see exactly where a worker's
+			// wall time goes.
 			var tw *telemetry.Worker
 			var tl telemetry.Local
 			if reg != nil {
@@ -340,30 +309,15 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 				} else {
 					copy(d, rd)
 				}
-				if serialize {
-					if tw != nil {
-						t0 = time.Now()
-					}
-					sinkMu.Lock()
-					if tw != nil {
-						tl.SinkWaitNanos += uint64(time.Since(t0))
-						t0 = time.Now()
-					}
-					sink(b, n, ids, faults, d)
-					sinkMu.Unlock()
-				} else {
-					// Unordered delivery: worker-private sink, no lock, no
-					// wait — sink-wait time is identically zero by design.
-					if tw != nil {
-						t0 = time.Now()
-					}
-					sink(b, n, ids, faults, d)
-				}
 				if tw != nil {
-					tl.SinkNanos += uint64(time.Since(t0))
+					t0 = time.Now()
+				}
+				blocked := sink(b, n, ids, faults, d)
+				if tw != nil {
+					tl.SinkWaitNanos += uint64(blocked)
+					tl.SinkNanos += uint64(time.Since(t0) - blocked)
 					tl.Chunks++
 					tl.Faults += uint64(len(faults))
-					reg.ObserveIndex(int64(b + n))
 					reg.Flush(tw, &tl)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/march"
@@ -13,28 +14,50 @@ import (
 
 // collectSink gathers chunk verdicts back into universe order so the
 // streaming drivers can be compared position for position against the
-// interpreter reference (replayRef).
+// interpreter reference (replayRef).  Its factory (sinkFor) builds one
+// sink per worker, as every driver requires; the sinks share one map
+// behind a mutex, and a universe index delivered twice — to one worker
+// or two — panics.
 type collectSink struct {
-	det  map[int]bool
-	seen int
+	mu      sync.Mutex
+	det     map[int]bool
+	seen    int
+	workers map[int]bool // worker slots the driver built a sink for
 }
 
-func newCollectSink() *collectSink { return &collectSink{det: make(map[int]bool)} }
+func newCollectSink() *collectSink {
+	return &collectSink{det: make(map[int]bool), workers: make(map[int]bool)}
+}
 
-func (c *collectSink) sink(_, _ int, idx []int, faults []fault.Fault, det []bool) {
-	for i := range idx {
-		if _, dup := c.det[idx[i]]; dup {
-			panic("universe index delivered twice")
+func (c *collectSink) sinkFor(w int) ChunkSink {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.workers[w] {
+		panic("sink factory called twice for one worker")
+	}
+	c.workers[w] = true
+	return func(_, _ int, idx []int, _ []fault.Fault, det []bool) time.Duration {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i := range idx {
+			if _, dup := c.det[idx[i]]; dup {
+				panic("universe index delivered twice")
+			}
+			c.det[idx[i]] = det[i]
+			c.seen++
 		}
-		c.det[idx[i]] = det[i]
-		c.seen++
+		return 0
 	}
 }
 
-// check asserts that the sink saw every universe index of want once,
-// with want's verdict.
-func (c *collectSink) check(t *testing.T, label string, want []bool) {
+// check asserts that the sinks saw every universe index of want once,
+// with want's verdict, and that the driver built one sink for each of
+// the workers it reported.
+func (c *collectSink) check(t *testing.T, label string, want []bool, workers int) {
 	t.Helper()
+	if len(c.workers) != workers {
+		t.Fatalf("%s: driver built %d sinks for %d workers", label, len(c.workers), workers)
+	}
 	if c.seen != len(want) {
 		t.Fatalf("%s: %d verdicts, want %d", label, c.seen, len(want))
 	}
@@ -45,22 +68,6 @@ func (c *collectSink) check(t *testing.T, label string, want []bool) {
 	}
 }
 
-// collectUnordered runs the unordered compiled driver over faults and
-// merges its per-worker sinks, failing on an index delivered twice.
-func collectUnordered(ctx context.Context, p *Program, faults []fault.Fault, cfg StreamConfig) (*collectSink, error) {
-	merged := newCollectSink()
-	var mu sync.Mutex
-	_, _, err := ShardsCompiledUnordered(ctx, p, fault.SliceSource(faults), cfg,
-		func(int) ChunkSink {
-			return func(base, n int, idx []int, faults []fault.Fault, det []bool) {
-				mu.Lock()
-				defer mu.Unlock()
-				merged.sink(base, n, idx, faults, det)
-			}
-		})
-	return merged, err
-}
-
 func (c *collectSink) indices() []int {
 	out := make([]int, 0, len(c.det))
 	for i := range c.det {
@@ -68,6 +75,11 @@ func (c *collectSink) indices() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// discard is a sink factory whose sinks drop every chunk.
+func discard(int) ChunkSink {
+	return func(int, int, []int, []fault.Fault, []bool) time.Duration { return 0 }
 }
 
 func TestStreamDriversMatchShardDrivers(t *testing.T) {
@@ -83,8 +95,8 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 	for _, chunk := range []int{1, 7, 100, 4096} {
 		for _, collapse := range []bool{false, true} {
 			cs := newCollectSink()
-			_, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
-				StreamConfig{Chunk: chunk, Workers: 3, Collapse: collapse}, cs.sink)
+			w, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
+				StreamConfig{Chunk: chunk, Workers: 3, Collapse: collapse}, cs.sinkFor)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,18 +106,20 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 			if collapse && chunk > 1 && reps >= len(faults) {
 				t.Errorf("chunk=%d: collapsing simulated %d reps for %d faults", chunk, reps, len(faults))
 			}
-			cs.check(t, fmt.Sprintf("chunk=%d collapse=%v", chunk, collapse), wantDet)
+			cs.check(t, fmt.Sprintf("chunk=%d collapse=%v", chunk, collapse), wantDet, w)
 		}
 		// The interpreter path agrees too.
 		cs := newCollectSink()
-		if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults),
-			StreamConfig{Chunk: chunk, Workers: 3}, cs.sink); err != nil {
+		w, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor)
+		if err != nil {
 			t.Fatal(err)
 		}
-		cs.check(t, fmt.Sprintf("bitpar chunk=%d", chunk), wantDet)
+		cs.check(t, fmt.Sprintf("bitpar chunk=%d", chunk), wantDet, w)
 	}
 }
 
+// TestStreamDropFilter: every worker's sink sees exactly the survivors
+// of the drop filter, with the full replay's verdicts.
 func TestStreamDropFilter(t *testing.T) {
 	const n = 17
 	tr := recordMarch(t, march.MATSPlus(), n)
@@ -129,23 +143,27 @@ func TestStreamDropFilter(t *testing.T) {
 	}
 	// Pooled and fresh arenas alike: a session's stages share a pool.
 	for _, arenas := range []*ArenaPool{nil, {}} {
-		cs := newCollectSink()
-		if _, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-			StreamConfig{Chunk: 5, Workers: 2, Drop: drop, Collapse: true, Arenas: arenas}, cs.sink); err != nil {
-			t.Fatal(err)
-		}
-		if cs.seen != want {
-			t.Fatalf("presented %d faults, want %d", cs.seen, want)
-		}
-		for _, i := range cs.indices() {
-			if i%3 == 0 {
-				t.Fatalf("dropped fault %d was presented", i)
+		for _, workers := range []int{1, 2, 3} {
+			label := fmt.Sprintf("pooled=%v workers=%d", arenas != nil, workers)
+			cs := newCollectSink()
+			w, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
+				StreamConfig{Chunk: 5, Workers: workers, Drop: drop, Collapse: true, Arenas: arenas}, cs.sinkFor)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Verdicts of the survivors equal the full replay's.
-		for i, d := range cs.det {
-			if d != full[i] {
-				t.Fatalf("pooled=%v fault %d: filtered verdict %v, full %v", arenas != nil, i, d, full[i])
+			if cs.seen != want || len(cs.workers) != w {
+				t.Fatalf("%s: presented %d faults to %d sinks, want %d to %d", label, cs.seen, len(cs.workers), want, w)
+			}
+			for _, i := range cs.indices() {
+				if i%3 == 0 {
+					t.Fatalf("%s: dropped fault %d was presented", label, i)
+				}
+			}
+			// Verdicts of the survivors equal the full replay's.
+			for i, d := range cs.det {
+				if d != full[i] {
+					t.Fatalf("%s fault %d: filtered verdict %v, full %v", label, i, d, full[i])
+				}
 			}
 		}
 	}
@@ -166,12 +184,9 @@ func TestStreamErrorStops(t *testing.T) {
 	faults[37] = failInjector{faults[37]} // strips the BatchInjector capability
 	ctx := context.Background()
 	cfg := StreamConfig{Chunk: 8, Workers: 2}
-	cs := newCollectSink()
-	_, _, err = ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, cs.sink)
-	if err == nil {
+	if _, _, err = ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("driver swallowed a batch-injection error")
 	}
-	var discard ChunkSink = func(int, int, []int, []fault.Fault, []bool) {}
 	if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("interpreter driver swallowed a batch-injection error")
 	}

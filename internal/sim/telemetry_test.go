@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/march"
@@ -12,8 +13,9 @@ import (
 
 // TestStreamTelemetryCounters: a streaming compiled run with a
 // registry attached accounts every fault exactly once, splits its time
-// between kernel/sink/source, and drives the high-water mark to the
-// resume point of the (index-addressable) source.
+// between kernel/sink/source, and reports as sink wait exactly the
+// lock wait its sinks return.  The high-water mark is the session
+// layer's completion frontier, so the driver leaves it alone.
 func TestStreamTelemetryCounters(t *testing.T) {
 	const n = 33
 	tr := recordMarch(t, march.MarchCMinus(), n)
@@ -35,9 +37,11 @@ func TestStreamTelemetryCounters(t *testing.T) {
 	defer telemetry.SetActive(nil)
 
 	reg.BeginStage("march", int64(len(faults)))
-	cs := newCollectSink()
+	const blocked = time.Microsecond
 	if _, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-		StreamConfig{Chunk: 7, Workers: 1}, cs.sink); err != nil {
+		StreamConfig{Chunk: 7, Workers: 1}, func(int) ChunkSink {
+			return func(int, int, []int, []fault.Fault, []bool) time.Duration { return blocked }
+		}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,13 +59,15 @@ func TestStreamTelemetryCounters(t *testing.T) {
 	if s.Kernel <= 0 {
 		t.Errorf("kernel time = %v", s.Kernel)
 	}
+	if want := time.Duration(wantChunks) * blocked; s.SinkWait != want {
+		t.Errorf("sink wait = %v, want %v (the sinks' reported lock wait)", s.SinkWait, want)
+	}
 	if len(s.Workers) != 1 || s.Workers[0].Faults != s.Faults {
 		t.Errorf("worker rows: %+v", s.Workers)
 	}
 
-	// The single worker claims chunks in order, so the final progress
-	// sample is the completed stage: everything done, ETA zero, high
-	// water at the source's end (the resume point).
+	// The final progress sample is the completed stage: everything
+	// done, ETA zero, and no high-water mark from the driver.
 	mu.Lock()
 	defer mu.Unlock()
 	if len(samples) == 0 {
@@ -74,8 +80,8 @@ func TestStreamTelemetryCounters(t *testing.T) {
 	if last.ETA != 0 {
 		t.Errorf("final ETA = %v, want 0", last.ETA)
 	}
-	if last.HighWater != int64(len(faults)) {
-		t.Errorf("final high water = %d, want %d", last.HighWater, len(faults))
+	if last.HighWater != 0 {
+		t.Errorf("final high water = %d, want 0 (the driver publishes none)", last.HighWater)
 	}
 	if last.FaultsPerSec <= 0 {
 		t.Errorf("final faults/s = %v", last.FaultsPerSec)
@@ -124,8 +130,7 @@ func TestStreamTelemetryRace(t *testing.T) {
 		go func(i int) {
 			defer runsWG.Done()
 			_, _, errs[i] = ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-				StreamConfig{Chunk: 5, Workers: 3, Collapse: true},
-				func(int, int, []int, []fault.Fault, []bool) {})
+				StreamConfig{Chunk: 5, Workers: 3, Collapse: true}, discard)
 		}(i)
 	}
 	runsWG.Wait()

@@ -97,11 +97,11 @@ func TestWideKernelMatchesWidth1(t *testing.T) {
 	}
 }
 
-// TestWideShardsCompiledMatchesWidth1 runs both compiled streaming
-// drivers over wide programs: verdicts must be identical to the
-// 64-wide interpreter reference at every worker count (batch
-// boundaries move with the width, worker interleaving with the count —
-// neither may show).
+// TestWideShardsCompiledMatchesWidth1 runs the compiled streaming
+// driver over wide programs: verdicts must be identical to the 64-wide
+// interpreter reference at every worker count (batch boundaries move
+// with the width, worker interleaving with the count — neither may
+// show).
 func TestWideShardsCompiledMatchesWidth1(t *testing.T) {
 	const n = 32
 	tr := recordMarch(t, march.MarchB(), n)
@@ -114,18 +114,13 @@ func TestWideShardsCompiledMatchesWidth1(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			cfg := StreamConfig{Chunk: pw.BatchFaults(), Workers: workers}
-			label := fmt.Sprintf("w=%d workers=%d", w, workers)
 			cs := newCollectSink()
-			if _, _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults), cfg, cs.sink); err != nil {
-				t.Fatal(err)
-			}
-			cs.check(t, label+" ordered", ref)
-			got, err := collectUnordered(ctx, pw, faults, cfg)
+			got, _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
+				StreamConfig{Chunk: pw.BatchFaults(), Workers: workers}, cs.sinkFor)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.check(t, label+" unordered", ref)
+			cs.check(t, fmt.Sprintf("w=%d workers=%d", w, workers), ref, got)
 		}
 	}
 }
@@ -148,7 +143,7 @@ func TestWideStreamMatchesWidth1(t *testing.T) {
 			for _, collapse := range []bool{false, true} {
 				cs := newCollectSink()
 				if _, _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
-					StreamConfig{Chunk: chunk, Workers: 3, Collapse: collapse}, cs.sink); err != nil {
+					StreamConfig{Chunk: chunk, Workers: 3, Collapse: collapse}, cs.sinkFor); err != nil {
 					t.Fatal(err)
 				}
 				if cs.seen != len(faults) {

@@ -8,26 +8,15 @@ import (
 )
 
 // MetricsHandler serves the registry's current Snapshot as a flat
-// expvar-style JSON object (one name → value pair per metric; json
-// renders map keys sorted).  Numeric counters are joined by one
-// string label, "sink" — which streaming sink path the engine last
-// ran ("ordered" or "unordered"; absent before any streaming stage).
-// It is exported so services embedding the engines can mount it on
-// their own mux.
+// expvar-style JSON object, one name → number pair per metric (json
+// renders map keys sorted).  It is exported so services embedding the
+// engines can mount it on their own mux.
 func MetricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		m := r.Snapshot().Metrics()
-		doc := make(map[string]any, len(m)+1)
-		for k, v := range m {
-			doc[k] = v
-		}
-		if mode := r.SinkMode(); mode != "" {
-			doc["sink"] = mode
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(doc)
+		enc.Encode(r.Snapshot().Metrics())
 	})
 }
 

@@ -34,13 +34,14 @@
 // A Registry carries one active campaign stage at a time
 // (BeginStage): flushes feed a rate-limited Progress callback
 // (OnProgress) with faults done/total, throughput, an ETA extrapolated
-// from the rate so far, the universe-index high-water mark (streaming
-// sources are index-addressable, so the high-water mark is exactly the
-// checkpoint a resumable run would restart from), and the session's
-// current survivor count.  Completed stages are reported through
-// OnStage with per-worker kernel / sink-wait / source-wait time — the
-// sink-wait share is the direct answer to "is the serialized streaming
-// sink the bottleneck at N workers".
+// from the rate so far, the universe-index high-water mark, and the
+// session's current survivor count.  The coverage executor reports the
+// last two from its completion-frontier fold: every index below the
+// high-water mark is done, so it is exactly the point a resumable run
+// would restart from.  Completed stages are reported through OnStage
+// with per-worker kernel / sink-wait / source-wait time — the
+// sink-wait share is the direct answer to "is the fold's lock the
+// bottleneck at N workers".
 //
 // # Debug endpoint
 //

@@ -11,8 +11,9 @@ type Progress struct {
 	// Total the number the stage will present (<= 0 when unknown —
 	// an inexact streaming Count).
 	Done, Total int64
-	// HighWater is the highest universe index delivered so far — the
-	// resume point of an index-addressable streaming source.
+	// HighWater is the stage's completion frontier: every universe
+	// index below it is done — the resume point of an index-addressable
+	// streaming source.
 	HighWater int64
 	// Survivors is the session's current undetected-fault count, -1
 	// until the session layer has reported one.
@@ -66,9 +67,9 @@ type StageReport struct {
 	// CacheHit reports the compiled program came from the cache.
 	CacheHit bool
 	// KernelTime, SinkWait and SourceWait split each worker's stage
-	// time: inside the replay kernel, waiting on the serialized sink,
-	// and claiming chunks from the source (streaming stages only for
-	// the latter two).  Indexed by worker slot.
+	// time: inside the replay kernel, blocked on the lock its sink
+	// shares with the other workers' (the session fold's), and claiming
+	// chunks from the source.  Indexed by worker slot.
 	KernelTime, SinkWait, SourceWait []time.Duration
 }
 

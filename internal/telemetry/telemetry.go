@@ -15,7 +15,7 @@ const (
 	ctrBatches           // 64-machine replay batches
 	ctrChunks            // streaming chunks completed
 	ctrKernel            // nanoseconds inside replay kernels
-	ctrSinkWait          // nanoseconds waiting to acquire the serialized sink
+	ctrSinkWait          // nanoseconds the sink spent blocked on its shared lock
 	ctrSink              // nanoseconds inside the sink callback
 	ctrSourceWait        // nanoseconds claiming chunks from the source
 	numCounters
@@ -79,47 +79,6 @@ type Registry struct {
 	lastEmit    atomic.Int64
 	progressFn  func(Progress)
 	stageFn     func(StageReport)
-
-	// sinkMode labels the streaming sink path of the most recent stage
-	// (0 unset, 1 ordered, 2 unordered) — surfaced as the /metrics
-	// "sink" label so the debug endpoint distinguishes the two paths.
-	sinkMode atomic.Int32
-}
-
-// SetSinkMode records which streaming sink discipline the active stage
-// runs under (the coverage executor calls this per stage).
-func (r *Registry) SetSinkMode(unordered bool) {
-	if r == nil {
-		return
-	}
-	if unordered {
-		r.sinkMode.Store(2)
-	} else {
-		r.sinkMode.Store(1)
-	}
-}
-
-// SinkMode returns the recorded sink label: "ordered", "unordered", or
-// "" when no streaming stage has run.
-func (r *Registry) SinkMode() string {
-	if r == nil {
-		return ""
-	}
-	switch r.sinkMode.Load() {
-	case 1:
-		return "ordered"
-	case 2:
-		return "unordered"
-	}
-	return ""
-}
-
-// ProgressAttached reports whether a live progress callback is
-// installed (OnProgress with a non-nil function).  The coverage
-// executor consults it when auto-selecting the streaming sink: live
-// progress needs the ordered sink's coherent frontier.
-func (r *Registry) ProgressAttached() bool {
-	return r != nil && r.hasProgress.Load()
 }
 
 // NewRegistry returns an empty registry using the real clock.
@@ -232,7 +191,9 @@ func (r *Registry) CheckpointWrite(d time.Duration) {
 }
 
 // ObserveIndex raises the active stage's universe-index high-water
-// mark — the resume point of an index-addressable streaming source.
+// mark.  The coverage executor reports its completion frontier here:
+// every index below it is done, so it is the resume point of an
+// index-addressable streaming source.
 func (r *Registry) ObserveIndex(idx int64) {
 	if r == nil {
 		return
