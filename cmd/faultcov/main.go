@@ -10,7 +10,6 @@
 //	faultcov -format json    # JSON Lines: one object per table row
 //	faultcov -engine oracle  # per-fault reference engine
 //	faultcov -workers 4      # fixed campaign worker count
-//	faultcov -collapse=false # simulate the full universe, uncollapsed
 //	faultcov -drop           # cross-test fault dropping in sessions
 //	faultcov -session        # report survivors per session stage
 //	faultcov -seed 99        # reseed the sampled coupling-pair draws
@@ -176,7 +175,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV (legacy alias for -format csv)")
 	engine := flag.String("engine", "compiled", "campaign engine: compiled (arena replay), bitpar (per-batch interpreter) or oracle (one run per fault)")
 	workers := flag.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
-	collapse := flag.Bool("collapse", true, "collapse equivalent faults before simulation (compiled engine)")
 	drop := flag.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
 	session := flag.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
 	seed := flag.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
@@ -258,7 +256,6 @@ func main() {
 	}
 	coverage.SetDefaultEngine(eng)
 	coverage.SetDefaultWorkers(*workers)
-	coverage.SetCollapse(*collapse)
 	coverage.SetDefaultDrop(*drop)
 	coverage.SetDefaultChunk(*chunk)
 	coverage.SetDefaultLaneWords(laneWords)
@@ -377,8 +374,8 @@ func main() {
 		if partCnt > 0 {
 			partLabel = fmt.Sprintf(" partition=%d/%d", partIdx, partCnt)
 		}
-		fmt.Printf("# engine=%s workers=%d lanes=%d collapse=%v drop=%v seed=%s chunk=%d%s\n\n",
-			eng, effWorkers, *lanes, *collapse, *drop, seedLabel, coverage.DefaultChunk(), partLabel)
+		fmt.Printf("# engine=%s workers=%d lanes=%d drop=%v seed=%s chunk=%d%s\n\n",
+			eng, effWorkers, *lanes, *drop, seedLabel, coverage.DefaultChunk(), partLabel)
 	}
 
 	id := strings.ToLower(*exp)

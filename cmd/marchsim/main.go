@@ -48,6 +48,9 @@ func main() {
 		}
 	}
 
+	if *n < 1 || *m < 1 || *m > 32 {
+		fatalf("bad geometry n=%d m=%d (want n >= 1 and 1 <= m <= 32)", *n, *m)
+	}
 	var mem ram.Memory
 	if *m == 1 {
 		mem = ram.NewBOM(*n)

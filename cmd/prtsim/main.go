@@ -61,6 +61,9 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
+		if err := fault.CheckGeometry(f, *n, *m); err != nil {
+			fatalf("%v", err)
+		}
 		injected = f
 		mem = f.Inject(mem)
 	}

@@ -83,7 +83,9 @@ func main() {
 	// bit-parallel trace interpreter, and the compiled arena engine, on
 	// a larger memory where the difference matters.  The "simulated"
 	// column shows how many machines actually ran: the compiled engine
-	// collapses equivalent faults and expands the representatives'
+	// collapses each chunk's equivalent faults — here the mirrored
+	// bridges of each adjacent pair, and the SA0/SA1 pairs March C−
+	// reads in both polarities — and expands the representatives'
 	// results back over the universe.
 	fmt.Println()
 	bigN := 512

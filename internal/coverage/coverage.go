@@ -200,18 +200,6 @@ func DefaultPartition() (index, count int) {
 	return int(v >> 32), int(uint32(v))
 }
 
-// collapseOff disables structural fault collapsing on the compiled
-// engine; the zero value means collapsing is on.
-var collapseOff atomic.Bool
-
-// SetCollapse toggles structural fault collapsing (the -collapse flag).
-// Collapsing is exact — collapsed campaigns are property-tested
-// byte-identical to full ones — so it defaults to on.
-func SetCollapse(on bool) { collapseOff.Store(!on) }
-
-// CollapseEnabled reports whether the compiled engine collapses.
-func CollapseEnabled() bool { return !collapseOff.Load() }
-
 // MemoryFactory builds a fresh fault-free memory for each trial.
 type MemoryFactory func() ram.Memory
 
@@ -286,8 +274,9 @@ type EngineStats struct {
 	// on every path, oracle fallbacks included.
 	Elapsed      time.Duration
 	FaultsPerSec float64
-	// CollapseRatio is Reps per presented fault: 1 with collapsing off
-	// or inapplicable, smaller the harder collapsing worked.
+	// CollapseRatio is Reps per presented fault: 1 on the engines that
+	// never collapse or where nothing merged, smaller the harder
+	// collapsing worked.
 	CollapseRatio float64
 	// CacheHits/CacheMisses count the stage's program-cache lookups
 	// (at most one of each: a stage looks its program up once).

@@ -13,35 +13,24 @@ import (
 
 // The engine-equivalence property: for every replay-safe runner and
 // every batchable fault universe, the bit-parallel and compiled
-// engines — the latter with collapsing both on and off — must produce
-// a Result byte-identical to the per-fault oracle: same totals, same
-// per-class detected counts, same clean-run metadata.  Stats is
-// diagnostic metadata outside the contract and is zeroed before
-// comparing.
+// engines — the latter collapsing each chunk — must produce a Result
+// byte-identical to the per-fault oracle: same totals, same per-class
+// detected counts, same clean-run metadata.  Stats is diagnostic
+// metadata outside the contract and is zeroed before comparing.
 
 func assertEngineEquivalence(t *testing.T, r Runner, u fault.Universe, mk MemoryFactory) {
 	t.Helper()
 	oracle := CampaignEngine(r, u, mk, 4, EngineOracle)
 	oracle.Stats = nil
-	for _, mode := range []struct {
-		name     string
-		engine   Engine
-		collapse bool
-	}{
-		{"bitpar", EngineBitParallel, false},
-		{"compiled", EngineCompiled, false},
-		{"compiled+collapse", EngineCompiled, true},
-	} {
-		SetCollapse(mode.collapse)
-		got := CampaignEngine(r, u, mk, 4, mode.engine)
-		SetCollapse(true)
+	for _, engine := range []Engine{EngineBitParallel, EngineCompiled} {
+		got := CampaignEngine(r, u, mk, 4, engine)
 		got.Stats = nil
 		if !reflect.DeepEqual(oracle, got) {
 			t.Errorf("%s on %s: engines disagree\noracle: %+v\n%s: %+v",
-				r.Name(), u.Name, oracle, mode.name, got)
+				r.Name(), u.Name, oracle, engine, got)
 			for _, c := range oracle.Classes() {
 				if oracle.ByClass[c] != got.ByClass[c] {
-					t.Errorf("  class %s: oracle %+v %s %+v", c, oracle.ByClass[c], mode.name, got.ByClass[c])
+					t.Errorf("  class %s: oracle %+v %s %+v", c, oracle.ByClass[c], engine, got.ByClass[c])
 				}
 			}
 			perFaultDiff(t, r, u, mk)

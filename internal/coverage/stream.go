@@ -461,7 +461,6 @@ func (st *stage) batchWidth() int {
 func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cfg sim.StreamConfig, sinkFor func(int) sim.ChunkSink) (*EngineStats, error) {
 	switch {
 	case st.prog != nil:
-		cfg.Collapse = CollapseEnabled()
 		w, reps, err := sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sinkFor)
 		if err != nil && ctx.Err() == nil {
 			panic(fmt.Sprintf("coverage: compiled streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))

@@ -4,18 +4,24 @@ import (
 	"testing"
 )
 
+// TestCollapseDeduplicatesIdenticalFaults: a duplicate of a fault some
+// rule can merge (a bridge, a benign instance) shares its key and
+// merges; a duplicate of any other fault is not keyed and is simulated
+// again, which costs a replay but never changes a verdict.
 func TestCollapseDeduplicatesIdenticalFaults(t *testing.T) {
 	faults := []Fault{
-		SAF{Cell: 3, Bit: 1, Value: 1},
+		BF{CellA: 3, BitA: 1, CellB: 5, BitB: 0, And: true},
 		TF{Cell: 2, Up: true},
-		SAF{Cell: 3, Bit: 1, Value: 1}, // duplicate of 0
-		TF{Cell: 2, Up: true},          // duplicate of 1
+		AF{Kind: AFAlias, Addr: 4, Target: 4},
+		BF{CellA: 3, BitA: 1, CellB: 5, BitB: 0, And: true}, // duplicate of 0
+		TF{Cell: 2, Up: true},                               // duplicate of 1, kept apart
+		AF{Kind: AFAlias, Addr: 4, Target: 4},               // duplicate of 2
 	}
 	col := Collapse(faults, nil)
-	if len(col.Reps) != 2 {
-		t.Fatalf("got %d representatives, want 2", len(col.Reps))
+	if len(col.Reps) != 4 {
+		t.Fatalf("got %d representatives, want 4", len(col.Reps))
 	}
-	want := []int{0, 1, 0, 1}
+	want := []int{0, 1, 2, 0, 3, 2}
 	for i, r := range col.Map {
 		if r != want[i] {
 			t.Errorf("Map[%d] = %d, want %d", i, r, want[i])
@@ -136,5 +142,38 @@ func TestCollapsedExpand(t *testing.T) {
 	}
 	if col.Saved() != 3 {
 		t.Fatalf("Saved = %d, want 3", col.Saved())
+	}
+}
+
+// TestCollapserSteadyStateAllocatesNothing: a worker's Collapser, warmed
+// on one chunk, collapses the next chunk of the same shape without
+// allocating — a coupling chunk whose bridges merge with their mirrors,
+// and a single-cell chunk whose SA0/SA1 pairs merge under a summary.
+func TestCollapserSteadyStateAllocatesNothing(t *testing.T) {
+	cf := Collect(FullCouplingSource(8)) // aggressors 0–3, then aggressors 4–7
+	single := SingleCellUniverse(64, 2)
+	sum := &TraceSummary{Width: 2, Expect: make([]uint8, 64*2)}
+	for i := range sum.Expect {
+		sum.Expect[i] = []uint8{3, 0, 1, ExpectFolded}[i%4]
+	}
+	for _, tc := range []struct {
+		name       string
+		warm, next []Fault
+		sum        *TraceSummary
+	}{
+		{"coupling", cf[:len(cf)/2], cf[len(cf)/2:], nil},
+		{"saf-pairs", single[:len(single)/2], single[len(single)/2:], sum},
+	} {
+		var c Collapser
+		if c.Collapse(tc.warm, tc.sum) == nil {
+			t.Fatalf("%s: test premise broken: the warm-up chunk merges nothing", tc.name)
+		}
+		var col *Collapsed
+		if allocs := testing.AllocsPerRun(20, func() { col = c.Collapse(tc.next, tc.sum) }); allocs != 0 {
+			t.Errorf("%s: steady-state collapse allocates %v times per chunk", tc.name, allocs)
+		}
+		if col == nil || len(col.Reps) == len(tc.next) {
+			t.Fatalf("%s: test premise broken: the measured chunk merges nothing", tc.name)
+		}
 	}
 }

@@ -131,6 +131,63 @@ func MustParseSpec(s string) Fault {
 	return f
 }
 
+// CheckGeometry reports an error unless every cell and bit f names lies
+// inside an n-cell memory of m-bit words.  ParseSpec checks syntax
+// only, so a CLI that injects a parsed fault calls this first: a fault
+// on a cell or bit the memory lacks would otherwise panic at injection
+// or, for a bit past the word, silently change nothing.
+func CheckGeometry(f Fault, n, m int) error {
+	var sites [][2]int // (cell, bit) pairs the fault touches
+	switch t := f.(type) {
+	case SAF:
+		sites = [][2]int{{t.Cell, t.Bit}}
+	case TF:
+		sites = [][2]int{{t.Cell, t.Bit}}
+	case SOF:
+		sites = [][2]int{{t.Cell, 0}}
+	case DRF:
+		sites = [][2]int{{t.Cell, t.Bit}}
+	case AF:
+		sites = [][2]int{{t.Addr, 0}}
+		if t.Kind != AFNone {
+			sites = append(sites, [2]int{t.Target, 0})
+		}
+	case CFin:
+		sites = [][2]int{{t.AggCell, t.AggBit}, {t.VicCell, t.VicBit}}
+	case CFid:
+		sites = [][2]int{{t.AggCell, t.AggBit}, {t.VicCell, t.VicBit}}
+	case CFst:
+		sites = [][2]int{{t.AggCell, t.AggBit}, {t.VicCell, t.VicBit}}
+	case BF:
+		sites = [][2]int{{t.CellA, t.BitA}, {t.CellB, t.BitB}}
+	case SNPSF:
+		sites = neighbourhoodSites(t.Nb)
+	case ANPSF:
+		sites = neighbourhoodSites(t.Nb)
+	default:
+		return fmt.Errorf("fault: cannot check the geometry of %T", f)
+	}
+	for _, s := range sites {
+		if s[0] < 0 || s[0] >= n {
+			return fmt.Errorf("fault: %v names cell %d, outside the %d-cell memory", f, s[0], n)
+		}
+		if s[1] < 0 || s[1] >= m {
+			return fmt.Errorf("fault: %v names bit %d, outside the %d-bit word", f, s[1], m)
+		}
+	}
+	return nil
+}
+
+// neighbourhoodSites lists bit 0 of the base cell and of every
+// neighbour present (a negative neighbour is one the grid edge cut off).
+func neighbourhoodSites(nb Neighbourhood) [][2]int {
+	sites := [][2]int{{nb.Base, 0}}
+	for _, c := range nb.cells() {
+		sites = append(sites, [2]int{c, 0})
+	}
+	return sites
+}
+
 func bitOf(b bool) ram.Word {
 	if b {
 		return 1

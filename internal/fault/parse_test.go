@@ -73,3 +73,47 @@ func TestParsedSpecsAreInjectable(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckGeometry(t *testing.T) {
+	const n, m = 16, 4
+	edge := GridNeighbourhood(0, n, 4) // N and W cut off by the grid edge
+	far := Neighbourhood{Base: 5, N: 1, E: 6, S: 16, W: 4}
+	for _, tc := range []struct {
+		f  Fault
+		ok bool
+	}{
+		{SAF{Cell: 15, Bit: 3, Value: 1}, true},
+		{SAF{Cell: 16, Bit: 0}, false},
+		{SAF{Cell: -1, Bit: 0}, false},
+		{SAF{Cell: 3, Bit: 4}, false},
+		{SAF{Cell: 3, Bit: -1}, false},
+		{TF{Cell: 2, Bit: 4, Up: true}, false},
+		{SOF{Cell: 15}, true},
+		{SOF{Cell: 99999}, false},
+		{DRF{Cell: 4, Bit: 5, Delay: 7}, false},
+		{AF{Kind: AFNone, Addr: 3, Target: 99999}, true}, // AFNone has no target
+		{AF{Kind: AFAlias, Addr: 1, Target: 99999}, false},
+		{AF{Kind: AFMulti, Addr: 16, Target: 1}, false},
+		{CFin{AggCell: 1, VicCell: 2, VicBit: 3}, true},
+		{CFin{AggCell: 1, VicCell: 16}, false},
+		{CFid{AggCell: 1, AggBit: 4, VicCell: 2}, false},
+		{CFst{AggCell: 1, VicCell: 2, VicBit: 7}, false},
+		{BF{CellA: 0, BitA: 3, CellB: 15, BitB: 0}, true},
+		{BF{CellA: 0, CellB: 15, BitB: 4}, false},
+		{SNPSF{Nb: edge}, true},
+		{SNPSF{Nb: far}, false},
+		{ANPSF{Nb: GridNeighbourhood(5, n, 4)}, true},
+		{ANPSF{Nb: far}, false},
+	} {
+		err := CheckGeometry(tc.f, n, m)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckGeometry(%v, %d, %d) = %v, want ok=%v", tc.f, n, m, err, tc.ok)
+		}
+	}
+	if err := CheckGeometry(MustParseSpec("saf0@3.2"), 16, 1); err == nil {
+		t.Error("a stuck-at on bit 2 of a bit-oriented memory was accepted")
+	}
+	if err := CheckGeometry(nil, n, m); err == nil {
+		t.Error("a nil fault was accepted")
+	}
+}

@@ -271,8 +271,10 @@ func CouplingSource(pairs []CouplingPair) Source {
 // The pairs are computed from the stream index, so nothing is
 // materialized: exhaustive universes of tens of millions of instances
 // stream through a campaign in chunk-sized bites (the E17 workload).
-// BF is symmetric in its two ends, so the reverse-pair duplicates
-// collapse structurally when fault collapsing is on.
+// BF is symmetric in its two ends, but collapsing is chunk-local and
+// the bridges of pair (a, v) sit at least (n−1)·12 indices from those
+// of (v, a): once that exceeds the 8192-fault default chunk cap (from
+// n = 684), no mirror pair shares a chunk and no bridge merges.
 func FullCouplingSource(n int) Source {
 	if n < 2 {
 		panic("fault: coupling pairs need at least 2 cells")

@@ -40,14 +40,18 @@ func TestViewSpanIsIdentity(t *testing.T) {
 // same map, exact expansion.
 func TestCollapseViewMatchesCollapseOnSubset(t *testing.T) {
 	faults := SingleCellUniverse(6, 1)
-	faults = append(faults, faults[:4]...) // duplicates collapse
+	faults = append(faults, faults[:4]...) // paired SAFs and their duplicates collapse
+	sum := &TraceSummary{Width: 1, Expect: []uint8{3, 0, 1, 3, 2, 0}}
 	v := where(faults, func(i int) bool { return i%3 != 0 })
 	gathered := make([]Fault, 0, v.Len())
 	for i := 0; i < v.Len(); i++ {
 		gathered = append(gathered, v.At(i))
 	}
-	got := CollapseView(v, nil)
-	want := Collapse(gathered, nil)
+	got := CollapseView(v, sum)
+	want := Collapse(gathered, sum)
+	if len(want.Reps) == len(want.Map) {
+		t.Fatal("test premise broken: nothing in the subset merges")
+	}
 	if len(got.Reps) != len(want.Reps) || len(got.Map) != len(want.Map) {
 		t.Fatalf("shape differs: got %d reps/%d map, want %d/%d",
 			len(got.Reps), len(got.Map), len(want.Reps), len(want.Map))
@@ -81,8 +85,8 @@ func TestCollapseViewMatchesCollapseOnSubset(t *testing.T) {
 // left the view contributes no representative.
 func TestCollapseViewDropsDeadRepresentatives(t *testing.T) {
 	faults := []Fault{
-		SAF{Cell: 0, Bit: 0, Value: 0},
-		SAF{Cell: 0, Bit: 0, Value: 0}, // duplicate of 0
+		BF{CellA: 0, BitA: 0, CellB: 1, BitB: 0, And: true},
+		BF{CellA: 1, BitA: 0, CellB: 0, BitB: 0, And: true}, // mirror of 0
 		SAF{Cell: 1, Bit: 0, Value: 1},
 	}
 	full := Collapse(faults, nil)

@@ -286,7 +286,7 @@ func TestShardsCompiledMatchesAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		cs := newCollectSink()
 		w, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
-			StreamConfig{Chunk: 64, Workers: workers, Collapse: true}, cs.sinkFor)
+			StreamConfig{Chunk: 64, Workers: workers}, cs.sinkFor)
 		if err != nil {
 			t.Fatal(err)
 		}

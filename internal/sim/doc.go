@@ -68,10 +68,12 @@
 //     worker and a shared stop flag so a failing batch short-circuits
 //     the rest.
 //
-// Campaigns can additionally collapse each chunk into exact
-// equivalence classes (fault.Collapse, fed by Program.Summary) and
-// simulate one representative per class; the driver expands the
-// results back so every experiment table is unchanged.
+// The compiled driver collapses each chunk into exact equivalence
+// classes (a fault.Collapser per worker, fed by Program.Summary) and
+// simulates one representative per class; it expands the results back
+// so every experiment table is unchanged.  Only faults a collapse rule
+// can merge are keyed, and a chunk in which nothing merges replays as
+// pulled, so collapsing costs little where it saves nothing.
 //
 // Three capabilities serve the campaign *session* layer (package
 // coverage's planner/executor, which runs several tests over one
@@ -100,22 +102,23 @@
 // experiment E17), and a materialized universe is just a
 // fault.SliceSource.  Package coverage sizes each stage's chunks and
 // worker count from the universe, so small campaigns stay parallel.
-// Each worker owns one reusable chunk buffer plus its arena; chunks
-// are claimed under a source mutex, optionally filtered against a
-// dropped-fault bitmap (fault.BitSet — the session layer's cross-test
-// dropping), structurally collapsed chunk-locally (representatives
-// and their expansion never outlive the chunk), replayed as 64-machine
-// batches, and the verdicts delivered, keyed by universe index, to the
-// worker's own sink.  Every driver takes a per-worker sink factory and
-// calls each worker's sink without a driver lock, so workers never
-// queue on the driver; a caller whose sinks share state brings its own
-// lock, and each sink reports the time it spent blocked on it, which
-// telemetry shows as that worker's sink wait.  Because delivered
-// chunks carry their [base, base+n) index range, a caller can fold
-// them in universe order whatever the scheduling — package coverage's
-// completion-frontier fold does exactly that, so its checkpoints are
-// prefix-closed cuts.  StreamShard exposes the same loop over a
-// caller-supplied replay function (package coverage's chunked oracle).
+// Each worker owns one reusable chunk buffer, its collapser and its
+// arena; chunks are claimed under a source mutex, optionally filtered
+// against a dropped-fault bitmap (fault.BitSet — the session layer's
+// cross-test dropping), structurally collapsed chunk-locally on the
+// compiled path (representatives and their expansion never outlive the
+// chunk), replayed as 64-machine batches, and the verdicts delivered,
+// keyed by universe index, to the worker's own sink.  Every driver
+// takes a per-worker sink factory and calls each worker's sink without
+// a driver lock, so workers never queue on the driver; a caller whose
+// sinks share state brings its own lock, and each sink reports the
+// time it spent blocked on it, which telemetry shows as that worker's
+// sink wait.  Because delivered chunks carry their [base, base+n)
+// index range, a caller can fold them in universe order whatever the
+// scheduling — package coverage's completion-frontier fold does
+// exactly that, so its checkpoints are prefix-closed cuts.
+// StreamShard exposes the same loop over a caller-supplied replay
+// function (package coverage's chunked oracle).
 //
 // All drivers take a context.Context and cancel cooperatively at
 // batch/chunk granularity: the check is one non-blocking channel

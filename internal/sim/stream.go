@@ -46,8 +46,8 @@ func Batchable(faults []fault.Fault) bool {
 
 // DefaultChunk is the fault count pulled per chunk when the caller
 // passes chunk <= 0: large enough to amortize the per-chunk costs
-// (source lock, collapse map, sink call) over thousands of batches,
-// small enough that a worker's resident faults stay ~100s of KB.
+// (source lock, sink call) over thousands of batches, small enough
+// that a worker's resident faults stay ~100s of KB.
 const DefaultChunk = 8192
 
 // ChunkSink receives one completed chunk: the chunk claimed universe
@@ -77,9 +77,6 @@ type StreamConfig struct {
 	// past the completed prefix and sets Base to the skip count so
 	// delivered indices stay universe-absolute.
 	Base int
-	// Collapse enables chunk-local structural fault collapsing
-	// (ShardsCompiledStream only).
-	Collapse bool
 	// Arenas optionally pools the per-worker arenas
 	// (ShardsCompiledStream only; nil builds fresh ones).
 	Arenas *ArenaPool
@@ -105,7 +102,7 @@ func (c StreamConfig) workerCount() int {
 // replay function (det[0] receives the batch's detection mask), and
 // deliver verdicts to the sink sinkFor built for them.  It returns the
 // worker count and how many faults were simulated (after drop
-// filtering; collapsing on the compiled wrapper reduces it further).
+// filtering; collapsing on the compiled driver reduces it further).
 //
 // Cancellation is cooperative at batch granularity: ctx is checked on
 // every chunk claim and between the chunk's batches, an interrupted
@@ -133,18 +130,15 @@ func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamCo
 
 // ShardsCompiledStream replays a compiled program over a streaming
 // universe: one arena per worker, reused across every batch of every
-// chunk (optionally drawn from cfg.Arenas).  When cfg.Collapse is true
-// each chunk is structurally collapsed before replay and the
-// representative verdicts expanded back chunk-locally, so collapsing
-// never needs the whole universe in memory either.
+// chunk (optionally drawn from cfg.Arenas).  Each chunk is structurally
+// collapsed against the program's trace summary by the worker's own
+// fault.Collapser, and the representative verdicts expanded back
+// chunk-locally, so collapsing never needs the whole universe in
+// memory either; a chunk in which nothing merges replays as pulled.
 func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) (int, int, error) {
-	var sum *fault.TraceSummary
-	if cfg.Collapse {
-		s := p.Summary()
-		sum = &s
-	}
+	sum := p.Summary()
 	arenas := cfg.Arenas
-	return streamShard(ctx, src, cfg, sum, p.BatchFaults(), func() (func([]fault.Fault, []uint64) error, func()) {
+	return streamShard(ctx, src, cfg, &sum, p.BatchFaults(), func() (func([]fault.Fault, []uint64) error, func()) {
 		a := arenas.Get(p)
 		return func(batch []fault.Fault, det []uint64) error {
 			return p.ReplayInto(a, batch, det)
@@ -205,6 +199,7 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 			det := make([]bool, chunk)                    //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
 			repDet := make([]bool, chunk)                 //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
 			mask := make([]uint64, batchFaults/BatchSize) //faultsim:alloc-ok per-worker detection mask, reused for every batch
+			var collapser fault.Collapser                 // per-worker class state, reused for every chunk
 			// Telemetry: worker-local counters, flushed into the padded
 			// per-worker slot once per chunk.  The source-claim wait and
 			// the sink's reported lock wait are timed separately from the
@@ -255,12 +250,14 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 				}
 				// Per-chunk collapsing: equivalence classes are computed
 				// among the chunk's survivors only and expanded back before
-				// the chunk leaves the worker — nothing outlives the chunk.
+				// the chunk leaves the worker.  col is nil when nothing
+				// merged, and the chunk replays as pulled.
 				r := faults
-				var col fault.Collapsed
-				if sum != nil && len(faults) > 0 {
-					col = fault.Collapse(faults, sum)
-					r = col.Reps
+				var col *fault.Collapsed
+				if sum != nil {
+					if col = collapser.Collapse(faults, sum); col != nil {
+						r = col.Reps
+					}
 				}
 				reps.Add(int64(len(r)))
 				rd := repDet[:len(r)]
@@ -303,11 +300,10 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 					reg.Flush(tw, &tl)
 					return
 				}
-				d := det[:len(faults)]
-				if sum != nil && len(faults) > 0 {
+				d := rd
+				if col != nil {
+					d = det[:len(faults)]
 					col.ExpandInto(d, rd)
-				} else {
-					copy(d, rd)
 				}
 				if tw != nil {
 					t0 = time.Now()

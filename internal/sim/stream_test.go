@@ -93,24 +93,22 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 	ctx := context.Background()
 	wantDet := replayRef(t, tr, faults)
 	for _, chunk := range []int{1, 7, 100, 4096} {
-		for _, collapse := range []bool{false, true} {
-			cs := newCollectSink()
-			w, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
-				StreamConfig{Chunk: chunk, Workers: 3, Collapse: collapse}, cs.sinkFor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Collapsing is chunk-local, so single-fault chunks cannot
-			// shrink; larger chunks must (SA0/SA1 pairs are adjacent in
-			// the universe order).
-			if collapse && chunk > 1 && reps >= len(faults) {
-				t.Errorf("chunk=%d: collapsing simulated %d reps for %d faults", chunk, reps, len(faults))
-			}
-			cs.check(t, fmt.Sprintf("chunk=%d collapse=%v", chunk, collapse), wantDet, w)
-		}
-		// The interpreter path agrees too.
 		cs := newCollectSink()
-		w, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor)
+		w, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
+			StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Collapsing is chunk-local, so single-fault chunks cannot
+		// shrink; larger chunks must (SA0/SA1 pairs are adjacent in the
+		// universe order).
+		if chunk > 1 && reps >= len(faults) {
+			t.Errorf("chunk=%d: collapsing simulated %d reps for %d faults", chunk, reps, len(faults))
+		}
+		cs.check(t, fmt.Sprintf("chunk=%d", chunk), wantDet, w)
+		// The interpreter path, which never collapses, agrees too.
+		cs = newCollectSink()
+		w, _, err = ShardsStream(ctx, tr, fault.SliceSource(faults), StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +145,7 @@ func TestStreamDropFilter(t *testing.T) {
 			label := fmt.Sprintf("pooled=%v workers=%d", arenas != nil, workers)
 			cs := newCollectSink()
 			w, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-				StreamConfig{Chunk: 5, Workers: workers, Drop: drop, Collapse: true, Arenas: arenas}, cs.sinkFor)
+				StreamConfig{Chunk: 5, Workers: workers, Drop: drop, Arenas: arenas}, cs.sinkFor)
 			if err != nil {
 				t.Fatal(err)
 			}

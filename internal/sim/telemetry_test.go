@@ -49,8 +49,8 @@ func TestStreamTelemetryCounters(t *testing.T) {
 	if s.Faults != uint64(len(faults)) {
 		t.Errorf("faults presented = %d, want %d", s.Faults, len(faults))
 	}
-	if s.Reps != uint64(len(faults)) {
-		t.Errorf("uncollapsed reps = %d, want %d", s.Reps, len(faults))
+	if s.CollapseIn != s.Faults || s.Reps != s.CollapseOut {
+		t.Errorf("reps = %d, collapse in/out = %d/%d for %d faults", s.Reps, s.CollapseIn, s.CollapseOut, s.Faults)
 	}
 	wantChunks := uint64((len(faults) + 6) / 7)
 	if s.Chunks != wantChunks {
@@ -130,7 +130,7 @@ func TestStreamTelemetryRace(t *testing.T) {
 		go func(i int) {
 			defer runsWG.Done()
 			_, _, errs[i] = ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-				StreamConfig{Chunk: 5, Workers: 3, Collapse: true}, discard)
+				StreamConfig{Chunk: 5, Workers: 3}, discard)
 		}(i)
 	}
 	runsWG.Wait()

@@ -125,9 +125,9 @@ func TestWideShardsCompiledMatchesWidth1(t *testing.T) {
 	}
 }
 
-// TestWideStreamMatchesWidth1 sweeps chunk sizes and collapse
-// settings instead: chunk-local collapsing and the wide batch layout
-// must compose without changing a single verdict.
+// TestWideStreamMatchesWidth1 sweeps chunk sizes instead: chunk-local
+// collapsing and the wide batch layout must compose without changing a
+// single verdict of the interpreter reference, which never collapses.
 func TestWideStreamMatchesWidth1(t *testing.T) {
 	const n = 33
 	tr := recordMarch(t, march.MarchCMinus(), n)
@@ -140,20 +140,18 @@ func TestWideStreamMatchesWidth1(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, chunk := range []int{7, 100, 4096} {
-			for _, collapse := range []bool{false, true} {
-				cs := newCollectSink()
-				if _, _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
-					StreamConfig{Chunk: chunk, Workers: 3, Collapse: collapse}, cs.sinkFor); err != nil {
-					t.Fatal(err)
-				}
-				if cs.seen != len(faults) {
-					t.Fatalf("w=%d chunk=%d: %d verdicts, want %d", w, chunk, cs.seen, len(faults))
-				}
-				for i := range faults {
-					if cs.det[i] != ref[i] {
-						t.Fatalf("w=%d chunk=%d collapse=%v fault %d: stream %v, width-1 %v",
-							w, chunk, collapse, i, cs.det[i], ref[i])
-					}
+			cs := newCollectSink()
+			if _, _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
+				StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor); err != nil {
+				t.Fatal(err)
+			}
+			if cs.seen != len(faults) {
+				t.Fatalf("w=%d chunk=%d: %d verdicts, want %d", w, chunk, cs.seen, len(faults))
+			}
+			for i := range faults {
+				if cs.det[i] != ref[i] {
+					t.Fatalf("w=%d chunk=%d fault %d: stream %v, width-1 %v",
+						w, chunk, i, cs.det[i], ref[i])
 				}
 			}
 		}

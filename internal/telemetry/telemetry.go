@@ -169,7 +169,7 @@ func (r *Registry) ArenaGet(reused bool) {
 }
 
 // CollapseDelta records one structural-collapse pass: in faults
-// entered, out representatives survived (fault.CollapseView).
+// entered, out representatives survived (fault.Collapser.Collapse).
 func (r *Registry) CollapseDelta(in, out int) {
 	if r == nil {
 		return
@@ -320,7 +320,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 }
 
 // CollapseRatio returns simulated representatives per presented fault
-// (1 with collapsing off or no collapse passes recorded).
+// (1 when no collapse passes were recorded).
 func (s Snapshot) CollapseRatio() float64 {
 	if s.CollapseIn == 0 {
 		return 1
