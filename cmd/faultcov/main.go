@@ -26,7 +26,9 @@
 // i-th of N near-equal index ranges of its fault universe, so N
 // faultcov processes (or machines) can split one campaign.  It
 // requires -checkpoint: the per-partition checkpoint file is the
-// partition's output artifact.  -merge validates that the named
+// partition's output artifact.  Both flags reach streaming sessions
+// only (E17's exhaustive campaigns), so a run whose experiments
+// stream nothing exits 1 instead of leaving no file to merge.  -merge validates that the named
 // checkpoint files are completed partitions of the same campaign
 // (identical spec hash, seed and memory geometry; ranges tiling the
 // universe with no gap or overlap), ORs their detection bitmaps, sums
@@ -94,6 +96,17 @@
 // coupling-pair draw (E5, E6, E10, E16 and E17's sampled baseline);
 // the effective seed is printed in the run header so sampled tables
 // are reproducible on demand.
+//
+// Every other campaign setting reaches the experiments as one value,
+// repro.Config: a template coverage.Plan (engine, dropping, chunk,
+// lanes, partition, checkpoint) plus the -session report, installed
+// with repro.Configure together with the signal-cancelled context.
+//
+// Exit status: 0 on success; 1 when a setting reached no campaign
+// session (-resume matched none, or -partition/-checkpoint with no
+// streaming session); 2 on refused input (bad flags, an unknown
+// experiment, a mismatched or corrupt checkpoint); 3 when a signal
+// interrupted the run, after the partial tables print.
 package main
 
 import (
@@ -101,6 +114,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -125,7 +139,9 @@ type experiment struct {
 	build func() *report.Table
 }
 
-func catalogue() []experiment {
+// catalogue returns the experiments; exhaustiveCF is the -exhaustive-cf
+// flag, read when E17's table is built.
+func catalogue(exhaustiveCF *bool) []experiment {
 	return []experiment{
 		{"fig1a", func() *report.Table { return repro.ExperimentFig1a(16) }},
 		{"fig1b", func() *report.Table { return repro.ExperimentFig1b(257) }},
@@ -148,7 +164,7 @@ func catalogue() []experiment {
 		{"e17", func() *report.Table {
 			// -exhaustive-cf scales the exhaustive coupling universes into
 			// the millions (n=512 → 3.1M instances) — streaming only.
-			if exhaustiveCFSizes {
+			if *exhaustiveCF {
 				return repro.ExperimentExhaustiveCoupling([]int{64, 128, 256, 512}, 64)
 			}
 			return repro.ExperimentExhaustiveCoupling([]int{48, 96}, 64)
@@ -156,12 +172,24 @@ func catalogue() []experiment {
 	}
 }
 
-// exhaustiveCFSizes is set by the -exhaustive-cf flag before the
-// catalogue's build closures run.
-var exhaustiveCFSizes bool
-
 func main() {
-	exps := catalogue()
+	// SIGINT/SIGTERM cancel the campaign context: in-flight stages drain
+	// within a chunk, durable sessions flush a final checkpoint, and the
+	// partial tables still print before run reports the interrupt.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stopSignals()
+	os.Exit(code)
+}
+
+// run is faultcov: it parses args, runs the selected experiments under
+// ctx, writes tables to stdout and diagnostics to stderr, and returns
+// the exit status (see the package comment).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("faultcov", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exhaustiveCF := fs.Bool("exhaustive-cf", false, "run E17 over the full-scale exhaustive coupling universes (millions of fault instances, streaming engine only)")
+	exps := catalogue(exhaustiveCF)
 	order := make([]string, len(exps))
 	byID := make(map[string]func() *report.Table, len(exps))
 	for i, e := range exps {
@@ -170,76 +198,77 @@ func main() {
 	}
 	ids := strings.Join(order, ", ")
 
-	exp := flag.String("exp", "all", fmt.Sprintf("experiment id: %s or all", ids))
-	format := flag.String("format", "text", "output format: text (aligned), csv, or json (JSON Lines, one object per row)")
-	csv := flag.Bool("csv", false, "emit CSV (legacy alias for -format csv)")
-	engine := flag.String("engine", "compiled", "campaign engine: compiled (arena replay), bitpar (per-batch interpreter) or oracle (one run per fault)")
-	workers := flag.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
-	drop := flag.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
-	session := flag.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
-	seed := flag.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
-	chunk := flag.Int("chunk", 0, "upper bound on the faults per pull of every campaign; each stage sizes its pulls from its universe (0 = the engine default)")
-	lanes := flag.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
-	exhaustiveCF := flag.Bool("exhaustive-cf", false, "run E17 over the full-scale exhaustive coupling universes (millions of fault instances, streaming engine only)")
-	progress := flag.Bool("progress", false, "stream live campaign progress (faults/s, ETA, survivors) and per-stage engine reports to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060) for the duration of the run")
-	checkpointPath := flag.String("checkpoint", "", "write streaming-campaign checkpoints atomically to this file (enables durable campaigns)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in universe faults (0 = the package default; requires -checkpoint)")
-	resume := flag.Bool("resume", false, "resume the campaign from the -checkpoint file if it exists")
-	partitionFlag := flag.String("partition", "", "run only one index-range shard of each streaming campaign, format i/N (1-based, N >= 2; requires -checkpoint; combine the shard checkpoints with -merge)")
-	merge := flag.Bool("merge", false, "merge completed partition checkpoint files (the positional arguments) and print the combined result tables; -checkpoint writes the merged state to that file")
-	flag.Parse()
-	exhaustiveCFSizes = *exhaustiveCF
+	exp := fs.String("exp", "all", fmt.Sprintf("experiment id: %s or all", ids))
+	format := fs.String("format", "text", "output format: text (aligned), csv, or json (JSON Lines, one object per row)")
+	csv := fs.Bool("csv", false, "emit CSV (legacy alias for -format csv)")
+	engine := fs.String("engine", "compiled", "campaign engine: compiled (arena replay), bitpar (per-batch interpreter) or oracle (one run per fault)")
+	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
+	drop := fs.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
+	session := fs.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
+	seed := fs.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
+	chunk := fs.Int("chunk", 0, "upper bound on the faults per pull of every campaign; each stage sizes its pulls from its universe (0 = the engine default)")
+	lanes := fs.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
+	progress := fs.Bool("progress", false, "stream live campaign progress (faults/s, ETA, survivors) and per-stage engine reports to stderr")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060) for the duration of the run")
+	checkpointPath := fs.String("checkpoint", "", "write streaming-campaign checkpoints atomically to this file (enables durable campaigns)")
+	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint cadence in universe faults (0 = the package default; requires -checkpoint)")
+	resume := fs.Bool("resume", false, "resume the campaign from the -checkpoint file if it exists")
+	partitionFlag := fs.String("partition", "", "run only one index-range shard of each streaming campaign, format i/N (1-based, N >= 2; requires -checkpoint; combine the shard checkpoints with -merge)")
+	merge := fs.Bool("merge", false, "merge completed partition checkpoint files (the positional arguments) and print the combined result tables; -checkpoint writes the merged state to that file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "faultcov: "+format+"\n", args...)
-		os.Exit(2)
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "faultcov: "+format+"\n", args...)
+		return 2
 	}
 	// Up-front flag validation: a bad combination must refuse before any
 	// campaign runs, not fail (or silently misbehave) hours in.
 	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if explicit["chunk"] && *chunk < 1 {
-		fail("-chunk must be at least 1 (got %d)", *chunk)
+		return fail("-chunk must be at least 1 (got %d)", *chunk)
 	}
 	if *workers < 0 {
-		fail("-workers must be non-negative (got %d)", *workers)
+		return fail("-workers must be non-negative (got %d)", *workers)
 	}
 	if explicit["checkpoint-every"] && *checkpointPath == "" {
-		fail("-checkpoint-every requires -checkpoint")
+		return fail("-checkpoint-every requires -checkpoint")
 	}
 	if *checkpointEvery < 0 {
-		fail("-checkpoint-every must be non-negative (got %d)", *checkpointEvery)
+		return fail("-checkpoint-every must be non-negative (got %d)", *checkpointEvery)
 	}
 	if *resume && *checkpointPath == "" {
-		fail("-resume requires -checkpoint")
+		return fail("-resume requires -checkpoint")
 	}
 	partIdx, partCnt := 0, 0
 	if *partitionFlag != "" {
 		if *merge {
-			fail("-partition and -merge are mutually exclusive (run the partitions first, then merge their checkpoints)")
+			return fail("-partition and -merge are mutually exclusive (run the partitions first, then merge their checkpoints)")
 		}
 		var ok bool
 		partIdx, partCnt, ok = parsePartition(*partitionFlag)
 		if !ok {
-			fail("-partition wants i/N with integers 1 <= i <= N and N >= 2 (got %q); e.g. -partition 2/3", *partitionFlag)
+			return fail("-partition wants i/N with integers 1 <= i <= N and N >= 2 (got %q); e.g. -partition 2/3", *partitionFlag)
 		}
 		if *checkpointPath == "" {
-			fail("-partition requires -checkpoint: the per-partition checkpoint file is the shard's output (combine them with faultcov -merge)")
+			return fail("-partition requires -checkpoint: the per-partition checkpoint file is the shard's output (combine them with faultcov -merge)")
 		}
 	}
 	if *merge && *resume {
-		fail("-resume is meaningless with -merge (with -merge, -checkpoint names the output file)")
+		return fail("-resume is meaningless with -merge (with -merge, -checkpoint names the output file)")
 	}
 	laneWords, err := sim.LaneWordsForMachines(*lanes)
 	if err != nil {
-		fail("-lanes: %v", err)
+		return fail("-lanes: %v", err)
 	}
-
 	eng, err := coverage.ParseEngine(*engine)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "faultcov: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	if *csv {
 		*format = "csv"
@@ -247,56 +276,48 @@ func main() {
 	switch *format {
 	case "text", "csv", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "faultcov: unknown format %q (want text, csv or json)\n", *format)
-		os.Exit(2)
+		return fail("unknown format %q (want text, csv or json)", *format)
 	}
 	if *merge {
-		mergeCheckpoints(flag.Args(), *checkpointPath, *format, fail)
-		return
+		return mergeCheckpoints(fs.Args(), *checkpointPath, *format, stdout, stderr, fail)
 	}
-	coverage.SetDefaultEngine(eng)
+	id := strings.ToLower(*exp)
+	if _, ok := byID[id]; !ok && id != "all" {
+		return fail("unknown experiment %q (choose from %s)", *exp, ids)
+	}
 	coverage.SetDefaultWorkers(*workers)
-	coverage.SetDefaultDrop(*drop)
-	coverage.SetDefaultChunk(*chunk)
-	coverage.SetDefaultLaneWords(laneWords)
-	if partCnt > 0 {
-		coverage.SetDefaultPartition(partIdx, partCnt)
-	}
 	repro.SetSampleSeed(*seed)
 
-	// SIGINT/SIGTERM cancel the campaign context: in-flight stages drain
-	// within a chunk, durable sessions flush a final checkpoint, and the
-	// partial tables still print before the exit-3 report below.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	coverage.SetDefaultContext(ctx)
-
-	resumeOffered := false
+	// Every faultcov setting but the worker count and the seed reaches
+	// the experiments' sessions through this one value.
+	cfg := repro.Config{Plan: coverage.Plan{
+		Engine: eng, Drop: *drop, Chunk: *chunk, LaneWords: laneWords,
+		PartitionIndex: partIdx, PartitionCount: partCnt,
+	}}
 	if *checkpointPath != "" {
-		coverage.SetDefaultCheckpoint(&coverage.CheckpointConfig{
+		cfg.Plan.Checkpoint = &coverage.CheckpointConfig{
 			Path:  *checkpointPath,
 			Every: *checkpointEvery,
-			Label: fmt.Sprintf("faultcov -exp %s -engine %s -drop=%v -seed %d", strings.ToLower(*exp), eng, *drop, *seed),
+			Label: fmt.Sprintf("faultcov -exp %s -engine %s -drop=%v -seed %d", id, eng, *drop, *seed),
 			Seed:  *seed,
-		})
+		}
 		if *resume {
 			st, err := checkpoint.Load(*checkpointPath)
 			switch {
 			case err == nil:
 				// The full identity (spec hash, geometry, stage order) is
-				// validated by the session that consumes the offer; the seed
-				// is checkable right here, so refuse the obvious mismatch
-				// before any simulation starts.
+				// validated against each streaming session before it runs;
+				// the seed is checkable right here, so refuse the obvious
+				// mismatch before any simulation starts.
 				if st.Seed != *seed {
-					fail("-resume: checkpoint %q was written with seed %d, this run has seed %d", *checkpointPath, st.Seed, *seed)
+					return fail("-resume: checkpoint %q was written with seed %d, this run has seed %d", *checkpointPath, st.Seed, *seed)
 				}
-				coverage.SetDefaultResume(st)
-				resumeOffered = true
-				fmt.Fprintf(os.Stderr, "# resuming from %s (%q)\n", *checkpointPath, st.Label)
+				cfg.Plan.Checkpoint.Resume = st
+				fmt.Fprintf(stderr, "# resuming from %s (%q)\n", *checkpointPath, st.Label)
 			case errors.Is(err, os.ErrNotExist):
-				fmt.Fprintf(os.Stderr, "# no checkpoint at %s yet; starting fresh\n", *checkpointPath)
+				fmt.Fprintf(stderr, "# no checkpoint at %s yet; starting fresh\n", *checkpointPath)
 			default:
-				fail("-resume: %v", err)
+				return fail("-resume: %v", err)
 			}
 		}
 	}
@@ -315,7 +336,7 @@ func main() {
 				if p.Survivors >= 0 {
 					line += fmt.Sprintf(", survivors %d", p.Survivors)
 				}
-				fmt.Fprintln(os.Stderr, line)
+				fmt.Fprintln(stderr, line)
 			})
 			reg.OnStage(func(rep telemetry.StageReport) {
 				line := fmt.Sprintf("# stage %s/%s [%s]: %d faults in %s, %s faults/s",
@@ -334,85 +355,99 @@ func main() {
 					}
 					line += fmt.Sprintf(", sink-wait/worker [%s]", strings.Join(shares, " "))
 				}
-				fmt.Fprintln(os.Stderr, line)
+				fmt.Fprintln(stderr, line)
 			})
 		}
 		telemetry.SetActive(reg)
+		defer telemetry.SetActive(nil)
 		if *debugAddr != "" {
 			addr, err := telemetry.ServeDebug(*debugAddr, reg)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "faultcov: debug endpoint: %v\n", err)
-				os.Exit(2)
+				return fail("debug endpoint: %v", err)
 			}
-			fmt.Fprintf(os.Stderr, "# debug endpoint on http://%s (/metrics, /debug/pprof)\n", addr)
+			fmt.Fprintf(stderr, "# debug endpoint on http://%s (/metrics, /debug/pprof)\n", addr)
 		}
 	}
 	if *session {
 		// Session lines go to stdout only in text mode; the csv/json
 		// streams stay machine-readable, so the report moves to stderr.
-		sessionOut := os.Stdout
+		sessionOut := stdout
 		if *format != "text" {
-			sessionOut = os.Stderr
+			sessionOut = stderr
 		}
-		coverage.SetSessionObserver(func(p *coverage.Plan, s *coverage.Session) {
+		cfg.OnSession = func(p *coverage.Plan, s *coverage.Session) {
 			fmt.Fprintf(sessionOut, "# session %s [%s]: %s — cumulative %s\n",
 				p.UniverseName(), eng, s.FormatStages(),
 				report.Percent(s.Cumulative.Detected, s.Cumulative.Total))
-		})
+		}
 	}
+	repro.Configure(ctx, cfg)
 
-	effWorkers := *workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0)
-	}
-	seedLabel := "default"
-	if *seed != 0 {
-		seedLabel = fmt.Sprintf("%d", *seed)
-	}
 	if *format == "text" {
+		effWorkers := *workers
+		if effWorkers <= 0 {
+			effWorkers = runtime.GOMAXPROCS(0)
+		}
+		seedLabel := "default"
+		if *seed != 0 {
+			seedLabel = fmt.Sprintf("%d", *seed)
+		}
+		effChunk := *chunk
+		if effChunk <= 0 {
+			effChunk = sim.DefaultChunk
+		}
 		partLabel := ""
 		if partCnt > 0 {
 			partLabel = fmt.Sprintf(" partition=%d/%d", partIdx, partCnt)
 		}
-		fmt.Printf("# engine=%s workers=%d lanes=%d drop=%v seed=%s chunk=%d%s\n\n",
-			eng, effWorkers, *lanes, *drop, seedLabel, coverage.DefaultChunk(), partLabel)
+		fmt.Fprintf(stdout, "# engine=%s workers=%d lanes=%d drop=%v seed=%s chunk=%d%s\n\n",
+			eng, effWorkers, *lanes, *drop, seedLabel, effChunk, partLabel)
 	}
 
-	id := strings.ToLower(*exp)
-	var tables []*report.Table
-	if id == "all" {
-		for _, k := range order {
-			tables = append(tables, byID[k]())
-		}
-	} else {
-		f, ok := byID[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "faultcov: unknown experiment %q (choose from %s)\n", *exp, ids)
-			os.Exit(2)
-		}
-		tables = append(tables, f())
+	selected := order
+	if id != "all" {
+		selected = []string{id}
+	}
+	tables := make([]*report.Table, len(selected))
+	for i, k := range selected {
+		tables[i] = byID[k]()
 	}
 	for _, t := range tables {
-		switch *format {
-		case "csv":
-			t.CSV(os.Stdout)
-		case "json":
-			t.JSONL(os.Stdout)
-		default:
-			t.Render(os.Stdout)
-		}
-		if *format != "json" {
-			fmt.Println()
-		}
+		writeTable(stdout, t, *format)
 	}
 
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "# interrupted: tables above are partial; rerun with -checkpoint ... -resume to continue")
-		os.Exit(3)
+		fmt.Fprintln(stderr, "# interrupted: tables above are partial; rerun with -checkpoint ... -resume to continue")
+		return 3
 	}
-	if resumeOffered && coverage.DefaultResumePending() {
-		fmt.Fprintf(os.Stderr, "faultcov: checkpoint %s matched no campaign session of this run (wrong -exp or flags?)\n", *checkpointPath)
-		os.Exit(1)
+	if *checkpointPath != "" && repro.StreamedSessions() == 0 {
+		flagName := "-checkpoint"
+		if partCnt > 0 {
+			flagName = "-partition"
+		}
+		fmt.Fprintf(stderr, "faultcov: %s applies to streaming campaign sessions only, and -exp %s ran none: nothing was partitioned or checkpointed\n", flagName, *exp)
+		return 1
+	}
+	if repro.ResumePending() {
+		fmt.Fprintf(stderr, "faultcov: checkpoint %s matched no campaign session of this run (wrong -exp or flags?)\n", *checkpointPath)
+		return 1
+	}
+	return 0
+}
+
+// writeTable prints one table in the selected format; text and csv
+// tables are followed by a blank line.
+func writeTable(w io.Writer, t *report.Table, format string) {
+	switch format {
+	case "csv":
+		t.CSV(w)
+	case "json":
+		t.JSONL(w)
+	default:
+		t.Render(w)
+	}
+	if format != "json" {
+		fmt.Fprintln(w)
 	}
 }
 
@@ -440,41 +475,33 @@ func parsePartition(s string) (i, n int, ok bool) {
 // tables are rendered from the merged State alone, so merging N
 // partition files and "merging" the single checkpoint of an
 // unpartitioned run of the same campaign print byte-identical output.
-func mergeCheckpoints(paths []string, outPath, format string, fail func(string, ...any)) {
+// It returns the exit status.
+func mergeCheckpoints(paths []string, outPath, format string, stdout, stderr io.Writer, fail func(string, ...any) int) int {
 	if len(paths) == 0 {
-		fail("-merge needs the partition checkpoint files as arguments, e.g. faultcov -merge part1.fckp part2.fckp part3.fckp")
+		return fail("-merge needs the partition checkpoint files as arguments, e.g. faultcov -merge part1.fckp part2.fckp part3.fckp")
 	}
 	states := make([]*checkpoint.State, len(paths))
 	for i, p := range paths {
 		st, err := checkpoint.Load(p)
 		if err != nil {
-			fail("-merge: %s: %v", p, err)
+			return fail("-merge: %s: %v", p, err)
 		}
 		states[i] = st
 	}
 	merged, err := checkpoint.Merge(states)
 	if err != nil {
-		fail("-merge: %v", err)
+		return fail("-merge: %v", err)
 	}
 	if outPath != "" {
 		if err := checkpoint.WriteAtomic(outPath, merged); err != nil {
-			fail("-merge: writing %s: %v", outPath, err)
+			return fail("-merge: writing %s: %v", outPath, err)
 		}
-		fmt.Fprintf(os.Stderr, "# merged %d checkpoint(s) into %s\n", len(paths), outPath)
+		fmt.Fprintf(stderr, "# merged %d checkpoint(s) into %s\n", len(paths), outPath)
 	}
 	for _, t := range mergeTables(merged) {
-		switch format {
-		case "csv":
-			t.CSV(os.Stdout)
-		case "json":
-			t.JSONL(os.Stdout)
-		default:
-			t.Render(os.Stdout)
-		}
-		if format != "json" {
-			fmt.Println()
-		}
+		writeTable(stdout, t, format)
 	}
+	return 0
 }
 
 // mergeTables renders a merged State's result tables: the per-stage

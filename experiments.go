@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
 
 	"repro/internal/bist"
+	"repro/internal/checkpoint"
 	"repro/internal/coverage"
 	"repro/internal/fault"
 	"repro/internal/gf"
@@ -41,6 +43,120 @@ func SampleSeed(def int64) int64 {
 		return s
 	}
 	return def
+}
+
+// Config is the campaign configuration of the experiment harness:
+// faultcov's flags as one value, installed with Configure.  The zero
+// Config is what the experiments run under unconfigured: the compiled
+// engine, no dropping, sim.DefaultChunk, 64 lanes, and no partition,
+// checkpoint or session report.
+type Config struct {
+	// Plan is the template of every experiment session.  Engine, Chunk
+	// and LaneWords reach every session, Drop the comparison sessions
+	// (E16 pins it off), and PartitionIndex, PartitionCount and
+	// Checkpoint the streaming sessions only.  Checkpoint.Resume is an
+	// offer: the first streaming session it validates against resumes
+	// from it, and every other session runs fresh.  The other fields
+	// are ignored: each session sets its own, and the worker count
+	// comes from coverage.SetDefaultWorkers.
+	Plan coverage.Plan
+	// OnSession, when non-nil, receives every executed session of two
+	// or more runners (faultcov -session); it must not mutate them.
+	OnSession func(*coverage.Plan, *coverage.Session)
+}
+
+// configuration is one Configure call: the settings, the context every
+// session runs under, and what the sessions did with them.
+type configuration struct {
+	Config
+	//faultsim:ambient the harness's one stored context: faultcov installs its signal-cancelled context with Configure, and the context-less Experiment functions run every session under it
+	ctx      context.Context
+	offer    atomic.Pointer[checkpoint.State] // the resume offer, until a session takes it
+	streamed atomic.Int64                     // streaming sessions run so far
+}
+
+// configured is the installed configuration; nil until Configure.
+var configured atomic.Pointer[configuration]
+
+// Configure installs cfg, under ctx, as the configuration of every
+// later experiment session, and resets what ResumePending and
+// StreamedSessions report.
+func Configure(ctx context.Context, cfg Config) {
+	c := &configuration{Config: cfg, ctx: ctx}
+	if cfg.Plan.Checkpoint != nil {
+		c.offer.Store(cfg.Plan.Checkpoint.Resume)
+	}
+	configured.Store(c)
+}
+
+// current returns the installed configuration, or a zero one.
+func current() *configuration {
+	if c := configured.Load(); c != nil {
+		return c
+	}
+	return &configuration{}
+}
+
+// ResumePending reports whether the resume offer is still untaken:
+// after a run, that no streaming session matched the checkpoint.
+func ResumePending() bool { return current().offer.Load() != nil }
+
+// StreamedSessions returns the number of streaming sessions run since
+// Configure: the only sessions a partition or checkpoint reaches.
+func StreamedSessions() int { return int(current().streamed.Load()) }
+
+// run executes p under the configuration: the template's Engine, Chunk
+// and LaneWords and, on a streaming session, its partition and
+// checkpoint, with the resume offer attached if it validates against
+// p.  A session of two or more runners is reported to OnSession.
+func (c *configuration) run(p coverage.Plan) *coverage.Session {
+	tpl := &c.Plan
+	p.Engine, p.Chunk, p.LaneWords = tpl.Engine, tpl.Chunk, tpl.LaneWords
+	if p.Stream != nil {
+		c.streamed.Add(1)
+		p.PartitionIndex, p.PartitionCount = tpl.PartitionIndex, tpl.PartitionCount
+		if tpl.Checkpoint != nil {
+			cp := *tpl.Checkpoint
+			cp.Resume = nil
+			if offer := c.offer.Load(); offer != nil && p.ValidateResume(offer, cp.Seed) == nil && c.offer.CompareAndSwap(offer, nil) {
+				cp.Resume = offer
+			}
+			p.Checkpoint = &cp
+		}
+	}
+	var s *coverage.Session
+	if c.ctx == nil {
+		s = p.Run()
+	} else {
+		s = p.RunContext(c.ctx)
+	}
+	if len(p.Runners) > 1 && c.OnSession != nil {
+		c.OnSession(&p, s)
+	}
+	return s
+}
+
+// compare runs the runners as one comparison session over u, on the
+// shared program cache and dropping as configured.
+func compare(runners []coverage.Runner, u fault.Universe, mk coverage.MemoryFactory) []coverage.Result {
+	c := current()
+	return c.run(coverage.Plan{
+		Runners: runners, Universe: u, Memory: mk,
+		Drop: c.Plan.Drop, Cache: coverage.SharedProgramCache(),
+	}).Results
+}
+
+// campaign runs one runner over u, without the program cache.
+func campaign(r coverage.Runner, u fault.Universe, mk coverage.MemoryFactory) coverage.Result {
+	return current().run(coverage.Plan{Runners: []coverage.Runner{r}, Universe: u, Memory: mk}).Results[0]
+}
+
+// campaignStream runs one runner over a streaming universe, on the
+// shared program cache.
+func campaignStream(r coverage.Runner, s *fault.Stream, mk coverage.MemoryFactory) coverage.Result {
+	return current().run(coverage.Plan{
+		Runners: []coverage.Runner{r}, Stream: s, Memory: mk, Cache: coverage.SharedProgramCache(),
+	}).Results[0]
 }
 
 // ExperimentFig1a regenerates Figure 1a: the bit-oriented π-iteration
@@ -144,7 +260,7 @@ func ExperimentSingleCell(n int) *report.Table {
 		for it := 1; it <= 4; it++ {
 			runners[it-1] = coverage.PRTRunner(prt.StandardScheme4(g.gen).Truncate(it))
 		}
-		for it, res := range coverage.Compare(runners, u, g.mk, 0) {
+		for it, res := range compare(runners, u, g.mk) {
 			t.AddRowf(g.label, fmt.Sprintf("%d", it+1),
 				report.Percent(res.ByClass[fault.ClassSAF].Detected, res.ByClass[fault.ClassSAF].Total),
 				report.Percent(res.ByClass[fault.ClassTF].Detected, res.ByClass[fault.ClassTF].Total),
@@ -183,7 +299,7 @@ func ExperimentCoupling(n int) *report.Table {
 		rows = append(rows, row{fmt.Sprintf("PRT-x%d", blocks), 4 * blocks})
 		runners = append(runners, coverage.PRTRunner(prt.ExtendedScheme(gen, blocks)))
 	}
-	for i, res := range coverage.Compare(runners, u, mk, 0) {
+	for i, res := range compare(runners, u, mk) {
 		t.AddRowf(rows[i].name, fmt.Sprintf("%d", rows[i].iters),
 			report.Percent(res.ByClass[fault.ClassCFin].Detected, res.ByClass[fault.ClassCFin].Total),
 			report.Percent(res.ByClass[fault.ClassCFid].Detected, res.ByClass[fault.ClassCFid].Total),
@@ -233,7 +349,7 @@ func ExperimentPRTvsMarch(n, m int) *report.Table {
 	opsPerCell["PRT-4"] = prt.StandardScheme4(gen).OpsPerCell()
 	opsPerCell["PRT-x2"] = prt.ExtendedScheme(gen, 2).OpsPerCell()
 
-	for _, res := range coverage.Compare(append(runners, prtRunners...), u, mk, 0) {
+	for _, res := range compare(append(runners, prtRunners...), u, mk) {
 		cfDet, cfTot := coverage.Sum(res.ByClass,
 			fault.ClassCFin, fault.ClassCFid, fault.ClassCFst, fault.ClassBF, fault.ClassIWCF)
 		t.AddRowf(res.Runner,
@@ -325,7 +441,7 @@ func ExperimentIntraWord(n, m int) *report.Table {
 		runners = append(runners, coverage.PRTRunner(prt.ExtendedScheme(gen, blocks)))
 		iterLabels = append(iterLabels, fmt.Sprintf("%d", 4*blocks))
 	}
-	for i, res := range coverage.Compare(runners, u, mk, 0) {
+	for i, res := range compare(runners, u, mk) {
 		t.AddRowf(res.Runner, iterLabels[i],
 			report.Percent(res.Detected, res.Total))
 	}
@@ -400,7 +516,7 @@ func ExperimentQualityFactors(n int) *report.Table {
 		s.Iters[0] = it0
 		run("trajectory", e.name, s)
 	}
-	for i, res := range coverage.Compare(runners, u, mk, 0) {
+	for i, res := range compare(runners, u, mk) {
 		t.AddRowf(labels[i].factor, labels[i].setting, report.Percent(res.Detected, res.Total))
 	}
 	return t
@@ -452,8 +568,8 @@ func ExperimentNPSF(n, width int) *report.Table {
 		coverage.PRTRunner(prt.ExtendedScheme(gen, 3)),
 	}
 	// One session per universe; rows zip the two.
-	resS := coverage.Compare(runners, snpsf, mk, 0)
-	resA := coverage.Compare(runners, anpsf, mk, 0)
+	resS := compare(runners, snpsf, mk)
+	resA := compare(runners, anpsf, mk)
 	for i := range runners {
 		rs, ra := resS[i], resA[i]
 		t.AddRowf(rs.Runner,
@@ -482,7 +598,7 @@ func ExperimentRetention(n int) *report.Table {
 			Name:   "drf",
 			Faults: fault.RetentionUniverse(n, 4, delay),
 		}
-		rs := coverage.Compare([]coverage.Runner{prtR, marchR}, u, mk, 0)
+		rs := compare([]coverage.Runner{prtR, marchR}, u, mk)
 		t.AddRowf(fmt.Sprintf("%d", delay),
 			report.Percent(rs[0].Detected, rs[0].Total),
 			report.Percent(rs[1].Detected, rs[1].Total))
@@ -509,7 +625,7 @@ func ExperimentRingMode(sizes []int) *report.Table {
 				mode = "ring"
 			}
 			s := prt.Scheme{Name: "PRT-1/" + mode, Iters: []prt.Config{cfg}}
-			res := coverage.Campaign(coverage.PRTRunner(s), u, mk, 0)
+			res := campaign(coverage.PRTRunner(s), u, mk)
 			t.AddRowf(fmt.Sprintf("%d", n), mode,
 				fmt.Sprintf("%v", prt.RingCloses(cfg, n)),
 				fmt.Sprintf("%d", res.OpsCleanRun),
@@ -535,11 +651,11 @@ func ExperimentMISR(n int) *report.Table {
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 4)}
 	mk := func() ram.Memory { return ram.NewWOM(n, 4) }
 
-	rs := coverage.Compare([]coverage.Runner{
+	rs := compare([]coverage.Runner{
 		coverage.PRTRunner(prt.PaperWOMScheme3()),
 		misrCompressedRunner{n: n},
 		coverage.BISTRunner(prt.PaperWOMScheme3(), 0),
-	}, u, mk, 0)
+	}, u, mk)
 	t.AddRowf("exact comparator", report.Percent(rs[0].Detected, rs[0].Total))
 	t.AddRowf("MISR-compressed", report.Percent(rs[1].Detected, rs[1].Total))
 	t.AddRowf("BIST controller (compressed)", report.Percent(rs[2].Detected, rs[2].Total))
@@ -629,18 +745,16 @@ func ExperimentMISRAliasing(sizes, widths []int) *report.Table {
 		mk := func() ram.Memory { return ram.NewBOM(n) }
 		// One session per size: the exact comparator and every register
 		// width observe the same universe.  Dropping is pinned off (not
-		// Compare's global default): the escape rate below subtracts
+		// the configured Drop): the escape rate below subtracts
 		// sisr.Detected from exact.Detected, which is only meaningful
 		// when every runner sees the full universe unconditionally.
 		runners := []coverage.Runner{sisrRunner{exact: true}}
 		for _, w := range widths {
 			runners = append(runners, sisrRunner{w: w})
 		}
-		p := coverage.Plan{
-			Runners: runners, Universe: u, Memory: mk,
-			Engine: coverage.DefaultEngine(), Cache: coverage.SharedProgramCache(),
-		}
-		rs := p.Run().Results
+		rs := current().run(coverage.Plan{
+			Runners: runners, Universe: u, Memory: mk, Cache: coverage.SharedProgramCache(),
+		}).Results
 		exact := rs[0]
 		for i, w := range widths {
 			sisr := rs[i+1]
@@ -810,10 +924,10 @@ func ExperimentExhaustiveCoupling(sizes []int, samples int) *report.Table {
 			Faults: fault.CouplingUniverse(fault.SamplePairs(n, 1, samples, SampleSeed(11))),
 		}
 		for _, r := range runners {
-			sres := coverage.Campaign(r, sampled, mk, 0)
+			sres := campaign(r, sampled, mk)
 			rate := 1 - sres.Coverage()
 			est := rate * float64(count)
-			xres := coverage.CampaignStream(r, &fault.Stream{Name: "cf-exhaustive", Source: full}, mk, 0, 0)
+			xres := campaignStream(r, &fault.Stream{Name: "cf-exhaustive", Source: full}, mk)
 			exact := xres.Total - xres.Detected
 			errCol := "n/a"
 			if exact > 0 {

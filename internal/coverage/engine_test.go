@@ -77,6 +77,7 @@ func equivalenceSizes(sizes []int, t *testing.T) []int {
 }
 
 func TestEngineEquivalenceMarch(t *testing.T) {
+	t.Parallel()
 	for _, n := range equivalenceSizes([]int{16, 33, 48}, t) {
 		for _, u := range womUniverses(n, 4) {
 			r := MarchRunner(march.MarchCMinus(), march.DataBackgrounds(4))
@@ -89,6 +90,7 @@ func TestEngineEquivalenceMarch(t *testing.T) {
 }
 
 func TestEngineEquivalencePRT(t *testing.T) {
+	t.Parallel()
 	gen := prt.PaperWOMConfig().Gen
 	ringCfg := prt.PaperWOMConfig()
 	ringCfg.Ring = true
@@ -108,6 +110,7 @@ func TestEngineEquivalencePRT(t *testing.T) {
 }
 
 func TestEngineEquivalenceBitSlicedLaneModes(t *testing.T) {
+	t.Parallel()
 	const n, m = 32, 4
 	for _, mode := range []prt.LaneMode{prt.ParallelLanes, prt.RandomLanes} {
 		r := BitSlicedRunner(fmt.Sprintf("lanes/%s", mode), prt.BitSlicedScheme3(m, mode))
@@ -122,6 +125,7 @@ func TestEngineEquivalenceBitSlicedLaneModes(t *testing.T) {
 }
 
 func TestEngineEquivalenceNPSF(t *testing.T) {
+	t.Parallel()
 	const n, width = 36, 6
 	u := fault.Universe{Name: "npsf", Faults: append(
 		fault.NPSFUniverse(n, width, 3), fault.ANPSFUniverse(n, width, 5)...)}
@@ -134,6 +138,7 @@ func TestEngineEquivalenceNPSF(t *testing.T) {
 // TestEngineFallbacks: non-replay-safe runners and non-batchable
 // faults must silently take the oracle path with identical results.
 func TestEngineFallbacks(t *testing.T) {
+	t.Parallel()
 	const n = 16
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
 	// An anonymous runner without the ReplaySafe marker.

@@ -29,6 +29,7 @@ import (
 //	go test -run '^$' -fuzz '^FuzzSessionMatchesOracle$' -fuzztime 30s ./internal/coverage
 func FuzzSessionMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		t.Parallel()
 		c := decodeCampaign(data)
 		ref := &Plan{
 			Runners: c.runners, Universe: fault.Universe{Name: c.name, Faults: fault.Collect(c.src)},

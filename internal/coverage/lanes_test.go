@@ -22,6 +22,7 @@ import (
 // ignore the knob), with dropping on and off.
 
 func TestLaneWidthEquivalence(t *testing.T) {
+	t.Parallel()
 	gen := prt.PaperWOMConfig().Gen
 	bgs := march.DataBackgrounds(4)
 	runners := []Runner{
@@ -70,6 +71,7 @@ func TestLaneWidthEquivalence(t *testing.T) {
 // byte-identical to an uninterrupted single-word run — the checkpoint
 // cut logic never sees lane geometry, only universe indices.
 func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
+	t.Parallel()
 	// intra-word: fully replayable, and large enough (1152 faults) that
 	// a stage spans several 256- or 512-fault chunks.
 	fam := streamFamilies()[6]
@@ -115,41 +117,31 @@ func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestDefaultLaneWordsKnob: the process default resolves exactly like
-// the other campaign knobs — plan value wins, unset defers to the
-// default, invalid restores 1.
+// TestDefaultLaneWordsKnob: Plan.LaneWords wins when set, and an unset
+// plan compiles at DefaultLaneWords, the fixed single-word width.
 func TestDefaultLaneWordsKnob(t *testing.T) {
-	defer SetDefaultLaneWords(0)
+	t.Parallel()
 	if DefaultLaneWords() != 1 {
-		t.Fatalf("zero-value default = %d, want 1", DefaultLaneWords())
-	}
-	SetDefaultLaneWords(4)
-	if DefaultLaneWords() != 4 {
-		t.Fatalf("after SetDefaultLaneWords(4): %d", DefaultLaneWords())
+		t.Fatalf("DefaultLaneWords() = %d, want 1", DefaultLaneWords())
 	}
 	p := &Plan{}
-	if p.laneWords() != 4 {
-		t.Fatalf("unset plan resolves %d, want the default 4", p.laneWords())
+	if p.laneWords() != 1 {
+		t.Fatalf("unset plan resolves %d, want the default 1", p.laneWords())
 	}
 	p.LaneWords = 8
 	if p.laneWords() != 8 {
 		t.Fatalf("explicit plan resolves %d, want 8", p.laneWords())
 	}
-	SetDefaultLaneWords(-3)
-	if DefaultLaneWords() != 1 {
-		t.Fatalf("invalid default resolves %d, want 1", DefaultLaneWords())
-	}
 
-	// The default is what cache keys and compilation actually consume:
-	// a session run under the knob reports the width in its stats.
-	SetDefaultLaneWords(4)
+	// The resolved width is what cache keys and compilation actually
+	// consume: a session reports it in its stats.
 	u := womUniverses(16, 4)[0]
 	s := (&Plan{
 		Runners:  []Runner{MarchRunner(march.MATSPlus(), march.DataBackgrounds(4))},
 		Universe: u, Memory: womFactory(16, 4), Engine: EngineCompiled,
 	}).Run()
-	if got := s.Stages[0].Stats.LaneWords; got != 4 {
-		t.Fatalf("session under SetDefaultLaneWords(4) compiled at %d words", got)
+	if got := s.Stages[0].Stats.LaneWords; got != DefaultLaneWords() {
+		t.Fatalf("unset plan's session compiled at %d words", got)
 	}
 	if !reflect.DeepEqual(s.Cumulative.ByClass, s.Results[0].ByClass) {
 		t.Fatal("single-runner session cumulative disagrees with its only result")

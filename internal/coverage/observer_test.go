@@ -91,6 +91,7 @@ func (r misrReadbackRunner) Run(mem ram.Memory) (bool, uint64) {
 // and off, while also keeping the SA0/SA1 split that a folded (but
 // unchecked) bit demands of the collapser.
 func TestObserverReplayReproducesMISRCancellation(t *testing.T) {
+	t.Parallel()
 	const n, w = 8, 2 // GF(2^2): ord(α) = 3
 	u := fault.Universe{Name: "alias", Faults: []fault.Fault{
 		// Errors 3 apart: cancels, undetected.
@@ -137,6 +138,7 @@ func TestObserverReplayReproducesMISRCancellation(t *testing.T) {
 // property to the signature-observer runners: the compressed BIST
 // controller over full scheme iterations.
 func TestEngineEquivalenceObserverRunners(t *testing.T) {
+	t.Parallel()
 	gen := prt.PaperWOMConfig().Gen
 	for _, n := range []int{17, 33} {
 		r := BISTRunner(prt.StandardScheme3(gen), 0)
@@ -147,6 +149,7 @@ func TestEngineEquivalenceObserverRunners(t *testing.T) {
 }
 
 func TestEngineEquivalenceMISRReadback(t *testing.T) {
+	t.Parallel()
 	for _, n := range []int{16, 33} {
 		for _, w := range []int{1, 4} {
 			r := misrReadbackRunner{w: w}
@@ -164,6 +167,7 @@ func TestEngineEquivalenceMISRReadback(t *testing.T) {
 // the clamped worker count, not the requested pool size — whichever
 // shape the plan has.
 func TestStatsReportEffectiveWorkers(t *testing.T) {
+	t.Parallel()
 	const n = 16 // 64 single-cell faults = one 64-machine batch
 	faults := fault.SingleCellUniverse(n, 1)
 	r := misrReadbackRunner{w: 4}
@@ -225,6 +229,7 @@ func (falsePositiveReplaySafe) Run(mem ram.Memory) (bool, uint64) {
 // actually replay, the silent oracle fallback must be visible in
 // Stats instead of leaving the requested engine's label standing.
 func TestOracleFallbackVisibleInStats(t *testing.T) {
+	t.Parallel()
 	const n = 8
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
 	for _, tc := range []struct {

@@ -105,6 +105,7 @@ func assertTalliesEqual(t *testing.T, label string, want, got tallySum) {
 }
 
 func TestPartitionedMatchesUnpartitioned(t *testing.T) {
+	t.Parallel()
 	engines := []Engine{EngineOracle, EngineBitParallel, EngineCompiled}
 	ks := []int{2, 3, 7}
 	chunks := []int{1, 4096}
@@ -133,6 +134,9 @@ func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 					parts := make([]*Session, k)
 					for i := range parts {
 						parts[i] = mkPlan(i+1, k).Run()
+						if got := parts[i].Stages[0].Stats.PartitionIndex; got != i+1 {
+							t.Errorf("%s: partition %d reports Stats.PartitionIndex %d", label, i+1, got)
+						}
 					}
 					assertTalliesEqual(t, label, want, sumSessions(parts...))
 				}
@@ -147,6 +151,7 @@ func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 // checkpoint of the unpartitioned run — same tallies, same stage
 // records, same cumulative detection bitmap words.
 func TestPartitionCheckpointsMergeByteIdentical(t *testing.T) {
+	t.Parallel()
 	families := streamFamilies()
 	ks := []int{2, 3, 7}
 	if testing.Short() {
@@ -201,6 +206,7 @@ func TestPartitionCheckpointsMergeByteIdentical(t *testing.T) {
 // Resuming a partition's checkpoint under a different partition spec
 // (or none) must be refused before any simulation runs.
 func TestPartitionResumeMismatchRefused(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	dir := t.TempDir()
 	mkPlan := func(i, k int, cp *CheckpointConfig) *Plan {
@@ -248,6 +254,7 @@ func expectPanic(t *testing.T, label, want string, f func()) {
 // Invalid partition combinations must refuse loudly up front rather
 // than silently produce wrong results.
 func TestPartitionAndSinkMisuse(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	base := func() *Plan {
 		return &Plan{
@@ -264,72 +271,24 @@ func TestPartitionAndSinkMisuse(t *testing.T) {
 	p = base()
 	p.PartitionIndex, p.PartitionCount = 5, 3
 	expectPanic(t, "index out of range", "PartitionIndex", func() { p.Run() })
-
-	expectPanic(t, "ambient index out of range", "index", func() { SetDefaultPartition(4, 3) })
 }
 
-// The ambient default partition (the faultcov -partition flag) applies
-// to plans that do not set their own partition fields.
-func TestAmbientDefaultPartition(t *testing.T) {
-	fam := streamFamilies()[0]
-	mk := func() *Plan {
-		return &Plan{
-			Runners: fam.runners,
-			Stream:  &fault.Stream{Name: fam.name, Source: fam.src},
-			Chunk:   64, Memory: fam.mk, Workers: 2, Engine: EngineCompiled,
-		}
-	}
-	count, _ := fam.src.Count()
-	SetDefaultPartition(2, 3)
-	defer SetDefaultPartition(0, 0)
-	lo, hi := fault.PartitionRange(count, 1, 3)
-	s := mk().Run()
-	if s.Cumulative.Total != hi-lo {
-		t.Errorf("ambient partition 2/3: covered %d faults, want %d", s.Cumulative.Total, hi-lo)
-	}
-	if got := s.Stages[0].Stats.PartitionIndex; got != 2 {
-		t.Errorf("Stats.PartitionIndex = %d, want 2", got)
-	}
-	// Plan fields win over the ambient default.
-	p := mk()
-	p.PartitionIndex, p.PartitionCount = 1, 2
-	lo, hi = fault.PartitionRange(count, 0, 2)
-	if s := p.Run(); s.Cumulative.Total != hi-lo {
-		t.Errorf("plan partition 1/2 under ambient 2/3: covered %d faults, want %d", s.Cumulative.Total, hi-lo)
-	}
-	// Clearing restores full-universe sessions.
-	SetDefaultPartition(0, 0)
-	if s := mk().Run(); s.Cumulative.Total != count {
-		t.Errorf("cleared ambient partition: covered %d faults, want %d", s.Cumulative.Total, count)
-	}
-}
-
-// Universe plans never checkpoint or partition, whether the settings
-// come from Plan fields or the process defaults: E17 runs them beside
-// durable, partitioned Stream sessions under one faultcov -checkpoint
-// -partition run.  KeepVectors, which both would refuse, proves it.
+// Universe plans never checkpoint or partition: KeepVectors, which
+// both would refuse, proves that the fields are ignored.
 func TestUniversePlansIgnoreDurabilityAndPartition(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	u := fault.Universe{Name: fam.name, Faults: fault.Collect(fam.src)}
 	dir := t.TempDir()
-	SetDefaultPartition(2, 3)
-	defer SetDefaultPartition(0, 0)
-	SetDefaultCheckpoint(&CheckpointConfig{Path: filepath.Join(dir, "ambient.fckp")})
-	defer SetDefaultCheckpoint(nil)
-	for _, explicit := range []bool{false, true} {
-		p := &Plan{
-			Runners: fam.runners, Universe: u, Memory: fam.mk,
-			Workers: 2, Engine: EngineCompiled, KeepVectors: true,
-		}
-		if explicit {
-			p.PartitionIndex, p.PartitionCount = 1, 2
-			p.Checkpoint = &CheckpointConfig{Path: filepath.Join(dir, "plan.fckp")}
-		}
-		s := p.Run()
-		if s.Cumulative.Total != len(u.Faults) || s.Stages[0].Stats.PartitionIndex != 0 {
-			t.Errorf("explicit=%v: covered %d of %d faults in partition %d", explicit,
-				s.Cumulative.Total, len(u.Faults), s.Stages[0].Stats.PartitionIndex)
-		}
+	s := (&Plan{
+		Runners: fam.runners, Universe: u, Memory: fam.mk,
+		Workers: 2, Engine: EngineCompiled, KeepVectors: true,
+		PartitionIndex: 1, PartitionCount: 2,
+		Checkpoint: &CheckpointConfig{Path: filepath.Join(dir, "plan.fckp")},
+	}).Run()
+	if s.Cumulative.Total != len(u.Faults) || s.Stages[0].Stats.PartitionIndex != 0 {
+		t.Errorf("covered %d of %d faults in partition %d",
+			s.Cumulative.Total, len(u.Faults), s.Stages[0].Stats.PartitionIndex)
 	}
 	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
 		t.Errorf("Universe plans wrote checkpoints: %v (%v)", files, err)

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -88,8 +86,11 @@ type TraceKeyer interface {
 	TraceKey() string
 }
 
-// Plan describes a campaign session.  The zero values give the default
-// pipeline: compiled engine, no dropping, given order, no caching.
+// Plan describes a campaign session.  A Plan and the context passed to
+// RunContext are its whole configuration: every unset field falls back
+// to a constant, or to DefaultWorkers for Workers.  The zero values
+// give the default pipeline: compiled engine, no dropping, given
+// order, no caching.
 type Plan struct {
 	// Name labels the session's cumulative result ("session" when
 	// empty).
@@ -107,22 +108,21 @@ type Plan struct {
 	// universe fault, whatever the universe size.  Universe is ignored
 	// while Stream is set.
 	Stream *fault.Stream
-	// Chunk caps the faults-per-pull (<= 0 means the package default;
-	// see SetDefaultChunk).  It is an upper bound: each stage of a
-	// source with an exact Count shrinks its chunks to about a quarter
-	// of its share per worker, rounded up to whole replay batches (a
-	// cap below one batch reads as one batch).
+	// Chunk caps the faults-per-pull (<= 0 means sim.DefaultChunk).  It
+	// is an upper bound: each stage of a source with an exact Count
+	// shrinks its chunks to about a quarter of its share per worker,
+	// rounded up to whole replay batches (a cap below one batch reads
+	// as one batch).
 	Chunk int
 	// Memory builds a fresh fault-free memory per trial.
 	Memory MemoryFactory
-	// Workers caps the campaign goroutines (<= 0 means the package
-	// default).
+	// Workers caps the campaign goroutines (<= 0 means
+	// DefaultWorkers()).
 	Workers int
 	// LaneWords is the lane width compiled programs use, in 64-machine
 	// words (1, 4 or 8 — i.e. 64, 256 or 512 machines per batch; <= 0
-	// means the package default, see SetDefaultLaneWords).  Only the
-	// compiled engine is affected; the interpreter and oracle always
-	// run 64-wide.
+	// means DefaultLaneWords()).  Only the compiled engine is
+	// affected; the interpreter and oracle always run 64-wide.
 	LaneWords int
 	// Engine selects the execution strategy for every stage (with the
 	// usual per-stage oracle fallback for non-replayable runners).
@@ -139,13 +139,12 @@ type Plan struct {
 	KeepVectors bool
 	// Cache, when non-nil, memoizes compiled programs across sessions
 	// for runners implementing TraceKeyer.  SharedProgramCache() is the
-	// process-wide instance the CLI and benchmarks use.
+	// process-wide instance the experiment harness and benchmarks use.
 	Cache *sim.ProgramCache
 	// Checkpoint, when non-nil with a Path, makes a Stream session
 	// durable: its state is persisted atomically on a cadence and the
 	// session can resume from a prior checkpoint (durable.go).  nil
-	// falls back to the process default (SetDefaultCheckpoint).
-	// Universe plans ignore both.
+	// means not durable.  Universe plans ignore it.
 	Checkpoint *CheckpointConfig
 	// PartitionIndex/PartitionCount restrict a Stream session to one
 	// index-range partition of its universe — partition
@@ -153,10 +152,9 @@ type Plan struct {
 	// (fault.PartitionRange).  The session then enumerates only that
 	// subrange, its results tally only those faults, and its
 	// checkpoints record the covered range for checkpoint.Merge.
-	// PartitionCount <= 0 defers to the process default
-	// (SetDefaultPartition).  Requires an exact-Count source and is
-	// incompatible with KeepVectors; Universe plans are never
-	// partitioned, by these fields or by the default.
+	// PartitionCount <= 0 means unpartitioned.  Requires an
+	// exact-Count source and is incompatible with KeepVectors;
+	// Universe plans ignore both fields.
 	PartitionIndex, PartitionCount int
 }
 
@@ -207,39 +205,13 @@ type Session struct {
 	Interrupted bool
 }
 
-// defaultDrop is the Drop value Compare-built sessions use (the CLI's
-// -drop flag); the zero value keeps sessions undropped.
-var defaultDrop atomic.Bool
-
-// SetDefaultDrop toggles cross-test fault dropping for Compare-built
-// sessions.
-func SetDefaultDrop(on bool) { defaultDrop.Store(on) }
-
-// DefaultDrop reports whether Compare-built sessions drop.
-func DefaultDrop() bool { return defaultDrop.Load() }
-
 // sharedCache is the process-wide program cache.
 var sharedCache = sim.NewProgramCache()
 
 // SharedProgramCache returns the process-wide compiled-program cache
-// used by Compare (and anything else that opts in via Plan.Cache).
+// the experiment harness, CampaignStream and the benchmarks opt in to
+// via Plan.Cache.
 func SharedProgramCache() *sim.ProgramCache { return sharedCache }
-
-// sessionObserver, when set, receives every executed multi-runner
-// session — the CLI hook behind faultcov -session.
-var sessionObserver struct {
-	mu sync.RWMutex
-	fn func(*Plan, *Session)
-}
-
-// SetSessionObserver installs a callback invoked after every session
-// of two or more runners completes (nil uninstalls).  It is a
-// reporting hook for CLIs; the callback must not mutate the session.
-func SetSessionObserver(fn func(*Plan, *Session)) {
-	sessionObserver.mu.Lock()
-	sessionObserver.fn = fn
-	sessionObserver.mu.Unlock()
-}
 
 // stage is one runner's prepared execution state.
 type stage struct {
@@ -253,10 +225,12 @@ type stage struct {
 	cacheTried    bool // a program-cache lookup happened during prepare
 }
 
-// Run executes the session under the process default context (see
-// SetDefaultContext — context.Background() unless a CLI installed a
-// signal-aware one).
-func (p *Plan) Run() *Session { return p.RunContext(DefaultContext()) }
+// Run executes the session uncancellably: RunContext under
+// context.Background().
+func (p *Plan) Run() *Session {
+	//faultsim:ambient the context-less entry point for callers with nothing to cancel; cancellable callers use RunContext
+	return p.RunContext(context.Background())
+}
 
 // RunContext executes the session under ctx.  Cancellation is
 // cooperative at batch/chunk granularity: the in-flight stage drains
@@ -379,20 +353,6 @@ func sumCleanRuns(stages []*stage, cum *Result) {
 	for _, st := range stages {
 		cum.OpsCleanRun += st.cleanOps
 		cum.FalsePositive = cum.FalsePositive || st.falsePositive
-	}
-}
-
-// notifyObserver reports a completed multi-runner session to the
-// installed session observer, if any.
-func (p *Plan) notifyObserver(s *Session) {
-	if len(p.Runners) <= 1 {
-		return
-	}
-	sessionObserver.mu.RLock()
-	fn := sessionObserver.fn
-	sessionObserver.mu.RUnlock()
-	if fn != nil {
-		fn(p, s)
 	}
 }
 

@@ -114,6 +114,7 @@ func assertSessionSemantics(t *testing.T, runners []Runner, u fault.Universe, mk
 }
 
 func TestSessionDroppingSemanticsPreserving(t *testing.T) {
+	t.Parallel()
 	engines := []Engine{EngineOracle, EngineBitParallel, EngineCompiled}
 	universes := womUniverses(16, 4)
 	if testing.Short() {
@@ -131,6 +132,7 @@ func TestSessionDroppingSemanticsPreserving(t *testing.T) {
 // TestSessionCheapestFirstOrdersByCleanOps: the planner's schedule is
 // ascending clean-run length while Results stay in runner order.
 func TestSessionCheapestFirstOrdersByCleanOps(t *testing.T) {
+	t.Parallel()
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(16, 1)}
 	runners := []Runner{
 		MarchRunner(march.MarchB(), nil),      // 17n
@@ -158,6 +160,7 @@ func TestSessionCheapestFirstOrdersByCleanOps(t *testing.T) {
 // session-ordered coverage progression, and under dropping each
 // stage's Entered equals the previous stage's Survivors.
 func TestSessionStagesReportSurvivors(t *testing.T) {
+	t.Parallel()
 	const n = 24
 	u := fault.StandardUniverse(n, 1, 6, 9)
 	runners := []Runner{
@@ -186,6 +189,7 @@ func TestSessionStagesReportSurvivors(t *testing.T) {
 // TestSessionProgramCache: a second run of the same plan hits the
 // cache (no re-recording) and returns byte-identical results.
 func TestSessionProgramCache(t *testing.T) {
+	t.Parallel()
 	const n = 16
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 4)}
 	cache := sim.NewProgramCache()
@@ -226,6 +230,7 @@ func cacheStats(c *sim.ProgramCache) (uint64, uint64, int) { return c.Stats() }
 // schemes sharing a display name but differing in configuration must
 // not share a cached program.
 func TestSessionCacheKeyDistinguishesConfigurations(t *testing.T) {
+	t.Parallel()
 	const n = 16
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
 	f1 := prt.PaperBOMConfig().Gen
@@ -256,42 +261,24 @@ func TestSessionCacheKeyDistinguishesConfigurations(t *testing.T) {
 	_ = resA
 }
 
-// TestCompareBackwardCompatible: with the defaults, Compare's rows are
-// byte-identical to independent Campaigns (the experiment tables'
-// contract).
+// TestCompareBackwardCompatible: an undropped comparison session over
+// the shared program cache — the experiment tables' sessions — yields
+// rows byte-identical to independent Campaigns.
 func TestCompareBackwardCompatible(t *testing.T) {
+	t.Parallel()
 	const n = 16
 	u := fault.StandardUniverse(n, 1, 4, 2)
 	runners := []Runner{
 		MarchRunner(march.MATSPlus(), nil),
 		MarchRunner(march.MarchY(), nil),
 	}
-	got := Compare(runners, u, bomFactory(n), 2)
+	got := (&Plan{Runners: runners, Universe: u, Memory: bomFactory(n), Workers: 2, Cache: SharedProgramCache()}).Run().Results
 	for i, r := range runners {
 		want := Campaign(r, u, bomFactory(n), 2)
 		a, b := got[i], want
 		a.Stats, b.Stats = nil, nil
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("Compare[%d] differs from Campaign:\n got %+v\nwant %+v", i, a, b)
+			t.Errorf("session row %d differs from Campaign:\n got %+v\nwant %+v", i, a, b)
 		}
-	}
-}
-
-// TestSessionObserverFiresForMultiRunnerPlans only.
-func TestSessionObserverFiresForMultiRunnerPlans(t *testing.T) {
-	var seen []*Session
-	SetSessionObserver(func(_ *Plan, s *Session) { seen = append(seen, s) })
-	defer SetSessionObserver(nil)
-	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(8, 1)}
-	Campaign(MarchRunner(march.MATSPlus(), nil), u, bomFactory(8), 1)
-	if len(seen) != 0 {
-		t.Fatal("observer fired for a single-runner campaign")
-	}
-	Compare([]Runner{
-		MarchRunner(march.MATSPlus(), nil),
-		MarchRunner(march.MarchCMinus(), nil),
-	}, u, bomFactory(8), 1)
-	if len(seen) != 1 {
-		t.Fatalf("observer fired %d times for one comparison session", len(seen))
 	}
 }

@@ -10,7 +10,6 @@ package coverage
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -47,56 +46,26 @@ import (
 // from the checkpoint and Skip()s the source past the in-flight
 // stage's high-water mark.
 
-// defaultChunk is the chunk-size cap sessions use when Plan.Chunk <= 0
-// (the faultcov -chunk flag); its own zero value defers to
-// sim.DefaultChunk.
-var defaultChunk atomic.Int32
-
-// SetDefaultChunk fixes the faults-per-pull cap of sessions invoked
-// with Chunk <= 0 (n <= 0 restores sim.DefaultChunk).
-func SetDefaultChunk(n int) { defaultChunk.Store(int32(n)) }
-
-// DefaultChunk returns the effective default chunk size.
-func DefaultChunk() int {
-	if n := int(defaultChunk.Load()); n > 0 {
-		return n
-	}
-	return sim.DefaultChunk
-}
-
 // CampaignStream runs a single-runner campaign over a streaming
-// universe on the default engine — the bounded-memory analogue of
-// Campaign.  chunk <= 0 selects the package default.  One divergence
-// from Campaign: the replay engines require every streamed fault to
-// support batch injection (all built-in fault models do) and fail
-// loudly otherwise — a stream cannot be probed up front the way a
-// Universe plan's slice is before falling back to the oracle.
-// Universes of custom non-batchable faults must select EngineOracle
-// explicitly.
+// universe on the compiled engine, sharing the process-wide program
+// cache — the bounded-memory analogue of Campaign.  chunk <= 0 selects
+// sim.DefaultChunk.  One divergence from Campaign: the replay engines
+// require every streamed fault to support batch injection (all
+// built-in fault models do) and fail loudly otherwise — a stream
+// cannot be probed up front the way a Universe plan's slice is before
+// falling back to the oracle.  Universes of custom non-batchable
+// faults must run a Plan with EngineOracle.
 func CampaignStream(r Runner, s *fault.Stream, mk MemoryFactory, workers, chunk int) Result {
 	p := Plan{
 		Runners: []Runner{r}, Stream: s, Chunk: chunk,
-		Memory: mk, Workers: workers, Engine: DefaultEngine(),
-		Cache: SharedProgramCache(),
+		Memory: mk, Workers: workers, Cache: SharedProgramCache(),
 	}
 	return p.Run().Results[0]
 }
 
-// CompareStream is Compare over a streaming universe: one session,
-// shared program cache, dropping per the process default.
-func CompareStream(runners []Runner, s *fault.Stream, mk MemoryFactory, workers, chunk int) []Result {
-	p := Plan{
-		Runners: runners, Stream: s, Chunk: chunk,
-		Memory: mk, Workers: workers, Engine: DefaultEngine(),
-		Drop: DefaultDrop(), Cache: SharedProgramCache(),
-	}
-	return p.Run().Results
-}
-
 // runStream executes the session over stream.  streamed is false when
 // stream wraps a Universe plan's slice: the faults are then probed for
-// batch injection, and checkpointing and partitioning — explicit or
-// process default — never apply.
+// batch injection, and checkpointing and partitioning never apply.
 func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed bool) *Session {
 	workers := p.Workers
 	if workers <= 0 {
@@ -104,7 +73,7 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 	}
 	chunk := p.Chunk
 	if chunk <= 0 {
-		chunk = DefaultChunk()
+		chunk = sim.DefaultChunk
 	}
 	src := stream.Source
 	count, exactCount := src.Count() // capacity hint; bitmaps grow if it is low
@@ -146,17 +115,13 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 	}
 	order := p.executionOrder(stages)
 
-	// Durability setup: an explicit Plan.Checkpoint wins, else the
-	// process default (the faultcov flags).  The resume state is either
-	// explicit (strict: a mismatch is a programmer error) or the
-	// ambient offer, consumed only if it matches this session.
+	// Durability setup.  A resume state must match this session: a
+	// mismatch is a programmer error (callers validate first with
+	// ValidateResume).
 	var d *durable
 	var rs *checkpoint.State
 	var names []string
 	cp := p.Checkpoint
-	if cp == nil {
-		cp = ambientCheckpoint.Load()
-	}
 	if streamed && cp != nil && cp.Path != "" {
 		if p.KeepVectors {
 			panic("coverage: KeepVectors is incompatible with checkpointing (verdict vectors are not persisted)")
@@ -177,11 +142,6 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 				panic(err.Error())
 			}
 			rs = cp.Resume
-		} else if amb := ambientResume.Load(); amb != nil {
-			if validateResume(amb, spec, mem.Size(), mem.Width(), cp.Seed, names, partLo, partHi, end) == nil &&
-				ambientResume.CompareAndSwap(amb, nil) {
-				rs = amb
-			}
 		}
 	}
 
@@ -403,22 +363,20 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		// byte-identical files.
 		d.write(buildState(checkpoint.StageRecord{}, 0, true))
 	}
-
-	p.notifyObserver(s)
 	return s
 }
 
-// partitionSpec resolves the session's partition restriction: the
-// plan's explicit fields win, else the process default
-// (SetDefaultPartition).  (0, 0) means unpartitioned.
+// partitionSpec returns the session's partition restriction, (0, 0)
+// when unpartitioned.  Panics unless 1 <= PartitionIndex <=
+// PartitionCount on a partitioned plan.
 func (p *Plan) partitionSpec() (index, count int) {
-	if p.PartitionCount > 0 {
-		if p.PartitionIndex < 1 || p.PartitionIndex > p.PartitionCount {
-			panic(fmt.Sprintf("coverage: PartitionIndex %d outside [1, %d]", p.PartitionIndex, p.PartitionCount))
-		}
-		return p.PartitionIndex, p.PartitionCount
+	if p.PartitionCount <= 0 {
+		return 0, 0
 	}
-	return DefaultPartition()
+	if p.PartitionIndex < 1 || p.PartitionIndex > p.PartitionCount {
+		panic(fmt.Sprintf("coverage: PartitionIndex %d outside [1, %d]", p.PartitionIndex, p.PartitionCount))
+	}
+	return p.PartitionIndex, p.PartitionCount
 }
 
 // stageShape sizes one stage's chunks and worker pool.  left is the

@@ -137,6 +137,7 @@ func oracleSession(name string, runners []Runner, faults []fault.Fault, mk Memor
 }
 
 func TestStreamingMatchesMaterialized(t *testing.T) {
+	t.Parallel()
 	engines := []Engine{EngineOracle, EngineBitParallel, EngineCompiled}
 	chunks := []int{1, 7, 4096}
 	families := streamFamilies()
@@ -178,6 +179,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 // Streaming sessions must also respect execution ordering and the
 // program cache, exactly like Universe plans over the same faults.
 func TestStreamingCheapestFirstAndCache(t *testing.T) {
+	t.Parallel()
 	fam := streamFamilies()[0]
 	u := fault.Universe{Name: fam.name, Faults: fault.Collect(fam.src)}
 	cache := sim.NewProgramCache()
@@ -310,6 +312,7 @@ func TestStreamingMemoryBoundedByChunk(t *testing.T) {
 // chunk, with no more workers than chunks.  left is what runStream
 // passes: the stage's partition range minus the resumed prefix.
 func TestStageShape(t *testing.T) {
+	t.Parallel()
 	const workers = 4
 	batches := []int{1, sim.BatchSize, 8 * sim.BatchSize} // oracle, bitpar, compiled at 512 lanes
 	type shape struct{ chunk, workers int }

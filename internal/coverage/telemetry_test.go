@@ -18,6 +18,7 @@ import (
 // strategies and the silent oracle fallback alike — with no telemetry
 // registry attached.
 func TestStageTimingAllEngines(t *testing.T) {
+	t.Parallel()
 	const n = 16
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
 	r := MarchRunner(march.MarchCMinus(), nil)
@@ -148,6 +149,7 @@ func TestStreamTelemetryDetail(t *testing.T) {
 // detail, and the shares helper reports that as nil rather than
 // fabricating zeros.
 func TestSinkWaitSharesDetached(t *testing.T) {
+	t.Parallel()
 	src := fault.FullCouplingSource(9)
 	st := &fault.Stream{Name: "cf-exhaustive", Source: src}
 	res := CampaignStream(MarchRunner(march.MarchCMinus(), nil), st, bomFactory(9), 2, 64)
