@@ -463,10 +463,8 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	}
 	for _, workers := range workerSet {
 		b.Run(fmt.Sprintf("n=%d/lanes=256/workers=%d", n, workers), func(b *testing.B) {
-			// A registry is attached so the per-worker sink-wait split is
-			// captured; BenchmarkTelemetryOverhead bounds its cost at ~2%.
-			telemetry.SetActive(telemetry.NewRegistry())
-			defer telemetry.SetActive(nil)
+			// Every stage returns its per-worker sink-wait split, so no
+			// registry is needed to report it.
 			b.ReportAllocs()
 			var shareSum float64
 			var shareN int
@@ -494,11 +492,12 @@ func BenchmarkCampaignParallel(b *testing.B) {
 
 // BenchmarkTelemetryOverhead guards the "near-free when detached,
 // cheap when attached" telemetry contract on the hottest path: the
-// compiled engine over the 1K acceptance universe.  "off" runs with no
-// registry attached (one nil pointer load per batch); "on" attaches a
-// registry with no progress callback, so every batch also flushes its
-// worker-local counters into the padded atomic slots.  The two
-// sub-benches should stay within ~2% of each other.
+// compiled engine over the 1K acceptance universe.  Both sub-benches
+// time every chunk into the workers' own stage totals; "off" runs with
+// no registry attached (one nil check per chunk flush), and "on"
+// attaches a registry with no progress callback, so every chunk also
+// flushes its counts into the registry's atomic process counters.  The
+// two sub-benches should stay within ~2% of each other.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	const n = 1024
 	u := fault.Universe{Name: "saf+cf", Faults: append(

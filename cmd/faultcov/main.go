@@ -51,15 +51,18 @@
 //
 // -progress attaches the telemetry registry and streams two kinds of
 // stderr lines: periodic `# progress` lines during a stage (faults
-// done, faults/s, ETA, survivors when known) and one `# stage` line
-// after each stage (engine, elapsed, throughput, collapse ratio, and
-// each worker's share of wall time spent blocked on the lock of the
-// session's completion-frontier fold).  Attaching -progress changes
-// nothing about how a campaign runs: every session folds its chunks
-// the same way, with or without an observer.  -debug-addr serves the same counters as JSON on
+// done, faults/s, ETA, survivors when known) and, when each session
+// ends, one `# stage` line per stage it ran, in execution order
+// (engine, elapsed, throughput, collapse ratio, and each worker's
+// share of wall time spent blocked on the lock of the session's
+// completion-frontier fold).  The stage lines come from the executed
+// session itself, whose statistics every stage carries.  Attaching
+// -progress changes nothing about how a campaign runs: every session
+// folds its chunks the same way, with or without an observer.
+// -debug-addr serves the registry's process counters as JSON on
 // /metrics plus the standard net/http/pprof profiles for the duration
-// of the run; both flags cost nothing when absent (the engines check
-// one nil pointer per batch).
+// of the run; without either flag no registry is attached and the
+// engines skip every flush behind one nil check.
 //
 // The experiment catalogue is defined once in this file (the order
 // slice below) and the -exp help text is generated from it, so the two
@@ -82,7 +85,8 @@
 // faults the preceding algorithms missed (the per-algorithm rows are
 // then conditional on session order; defaults keep every row an
 // independent full-universe campaign).  -session prints one summary
-// line per session with the survivor count after each stage.
+// line per session of two or more runners, with the survivor count
+// after each stage.
 //
 // E17 runs over streaming fault universes (fault.Source): the faults
 // are generated in pulls of at most -chunk faults instead of being
@@ -204,7 +208,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	engine := fs.String("engine", "compiled", "campaign engine: compiled (arena replay), bitpar (per-batch interpreter) or oracle (one run per fault)")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
 	drop := fs.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
-	session := fs.Bool("session", false, "print one summary line per campaign session with survivors after each stage")
+	session := fs.Bool("session", false, "print one summary line per comparison session (two or more runners) with survivors after each stage")
 	seed := fs.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
 	chunk := fs.Int("chunk", 0, "upper bound on the faults per pull of every campaign; each stage sizes its pulls from its universe (0 = the engine default)")
 	lanes := fs.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
@@ -338,25 +342,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				}
 				fmt.Fprintln(stderr, line)
 			})
-			reg.OnStage(func(rep telemetry.StageReport) {
-				line := fmt.Sprintf("# stage %s/%s [%s]: %d faults in %s, %s faults/s",
-					rep.Universe, rep.Stage, rep.Engine, rep.Entered,
-					coverage.FormatDuration(rep.Elapsed), coverage.FormatRate(rep.FaultsPerSec))
-				if rep.CollapseRatio > 0 && rep.CollapseRatio < 1 {
-					line += fmt.Sprintf(", collapse %.2f", rep.CollapseRatio)
-				}
-				if rep.CacheHit {
-					line += ", cached program"
-				}
-				if len(rep.SinkWait) > 0 && rep.Elapsed > 0 {
-					shares := make([]string, len(rep.SinkWait))
-					for i, w := range rep.SinkWait {
-						shares[i] = fmt.Sprintf("%.0f%%", 100*w.Seconds()/rep.Elapsed.Seconds())
-					}
-					line += fmt.Sprintf(", sink-wait/worker [%s]", strings.Join(shares, " "))
-				}
-				fmt.Fprintln(stderr, line)
-			})
 		}
 		telemetry.SetActive(reg)
 		defer telemetry.SetActive(nil)
@@ -368,7 +353,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "# debug endpoint on http://%s (/metrics, /debug/pprof)\n", addr)
 		}
 	}
-	if *session {
+	if *progress || *session {
 		// Session lines go to stdout only in text mode; the csv/json
 		// streams stay machine-readable, so the report moves to stderr.
 		sessionOut := stdout
@@ -376,9 +361,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			sessionOut = stderr
 		}
 		cfg.OnSession = func(p *coverage.Plan, s *coverage.Session) {
-			fmt.Fprintf(sessionOut, "# session %s [%s]: %s — cumulative %s\n",
-				p.UniverseName(), eng, s.FormatStages(),
-				report.Percent(s.Cumulative.Detected, s.Cumulative.Total))
+			if *progress {
+				for _, st := range s.Stages {
+					// A stage restored from a checkpoint, or cut short by an
+					// interrupt, has no run of its own to report.
+					if st.Stats != nil && !s.Results[st.RunnerIndex].Interrupted {
+						fmt.Fprintln(stderr, stageLine(p.UniverseName(), st))
+					}
+				}
+			}
+			if *session && len(p.Runners) > 1 {
+				fmt.Fprintf(sessionOut, "# session %s [%s]: %s — cumulative %s\n",
+					p.UniverseName(), eng, s.FormatStages(),
+					report.Percent(s.Cumulative.Detected, s.Cumulative.Total))
+			}
 		}
 	}
 	repro.Configure(ctx, cfg)
@@ -433,6 +429,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// stageLine renders one executed stage as -progress reports it: the
+// engine that ran, elapsed time, throughput, collapse ratio, and each
+// worker's share of the stage's wall time spent blocked on the lock of
+// the session's completion-frontier fold.
+func stageLine(universe string, st coverage.StageStat) string {
+	es := st.Stats
+	line := fmt.Sprintf("# stage %s/%s [%s]: %d faults in %s, %s faults/s",
+		universe, st.Runner, es.Engine, st.Entered,
+		coverage.FormatDuration(es.Elapsed), coverage.FormatRate(es.FaultsPerSec))
+	if es.CollapseRatio > 0 && es.CollapseRatio < 1 {
+		line += fmt.Sprintf(", collapse %.2f", es.CollapseRatio)
+	}
+	if st.CacheHit {
+		line += ", cached program"
+	}
+	if shares := es.SinkWaitShares(); len(shares) > 0 {
+		pct := make([]string, len(shares))
+		for i, sh := range shares {
+			pct[i] = fmt.Sprintf("%.0f%%", 100*sh)
+		}
+		line += fmt.Sprintf(", sink-wait/worker [%s]", strings.Join(pct, " "))
+	}
+	return line
 }
 
 // writeTable prints one table in the selected format; text and csv

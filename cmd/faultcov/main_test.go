@@ -128,3 +128,70 @@ func TestRunTextHeader(t *testing.T) {
 		t.Errorf("output does not open with %q:\n%s", header, stdout)
 	}
 }
+
+// reportLines returns the lines of out that start with prefix.
+func reportLines(out, prefix string) []string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, prefix) {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// TestRunReportLines: -progress prints one `# stage` line per stage a
+// session ran, on stderr and in execution order, naming the universe,
+// the runner and the engine; a stage cut short by an interrupt prints
+// none.  -session prints one `# session` line per session of two or
+// more runners: E6 is one ten-runner session, and every E14 session
+// has one runner.
+func TestRunReportLines(t *testing.T) {
+	ctx := context.Background()
+	code, stdout, stderr := runFaultcov(ctx, "-exp", "e14", "-progress", "-workers", "2")
+	if code != 0 {
+		t.Fatalf("e14 -progress exited %d; stderr:\n%s", code, stderr)
+	}
+	if got := reportLines(stdout, "# stage"); len(got) != 0 {
+		t.Errorf("stage lines on stdout: %q", got)
+	}
+	want := []string{
+		"# stage single/PRT-1/plain [compiled]: 1024 faults in ",
+		"# stage single/PRT-1/ring [compiled]: 1024 faults in ",
+		"# stage single/PRT-1/plain [compiled]: 4080 faults in ",
+		"# stage single/PRT-1/ring [compiled]: 4080 faults in ",
+		"# stage single/PRT-1/plain [compiled]: 4112 faults in ",
+		"# stage single/PRT-1/ring [compiled]: 4112 faults in ",
+	}
+	got := reportLines(stderr, "# stage")
+	if len(got) != len(want) {
+		t.Fatalf("e14 -progress printed %d stage lines, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i, line := range got {
+		if !strings.HasPrefix(line, want[i]) || !strings.Contains(line, "sink-wait/worker [") {
+			t.Errorf("stage line %d = %q, want prefix %q and the sink-wait shares", i, line, want[i])
+		}
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if code, _, stderr := runFaultcov(cancelled, "-exp", "e17", "-progress", "-workers", "2"); code != 3 || len(reportLines(stderr, "# stage")) != 0 {
+		t.Errorf("cancelled e17 -progress exited %d with stage lines %q, want 3 and none", code, reportLines(stderr, "# stage"))
+	}
+
+	for _, c := range []struct {
+		exp      string
+		sessions int
+	}{{"e6", 1}, {"e14", 0}} {
+		code, stdout, stderr := runFaultcov(ctx, "-exp", c.exp, "-session", "-workers", "2")
+		if code != 0 {
+			t.Fatalf("%s -session exited %d; stderr:\n%s", c.exp, code, stderr)
+		}
+		if got := reportLines(stdout, "# session"); len(got) != c.sessions {
+			t.Errorf("%s -session printed %d session lines, want %d: %q", c.exp, len(got), c.sessions, got)
+		}
+		if got := reportLines(stderr, "# stage"); len(got) != 0 {
+			t.Errorf("%s -session printed stage lines without -progress: %q", c.exp, got)
+		}
+	}
+}

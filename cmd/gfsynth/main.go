@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/gf"
@@ -18,13 +20,35 @@ import (
 	"repro/internal/xorsynth"
 )
 
-func main() {
-	m := flag.Int("m", 4, "extension degree of GF(2^m)")
-	pstr := flag.String("p", "", "field modulus p(z) (default: smallest primitive)")
-	c := flag.Uint("c", 2, "the constant to multiply by")
-	verilog := flag.Bool("verilog", false, "emit a structural Verilog listing")
-	survey := flag.Bool("survey", false, "survey all nonzero constants of the field")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is gfsynth: it parses args, synthesises the requested networks,
+// writes them to stdout and diagnostics to stderr, and returns the
+// exit status: 0 on success, 2 on refused input.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gfsynth", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	m := fs.Int("m", 4, "extension degree of GF(2^m), 1..32")
+	pstr := fs.String("p", "", "field modulus p(z) (default: smallest primitive)")
+	c := fs.Uint("c", 2, "the constant to multiply by")
+	verilog := fs.Bool("verilog", false, "emit a structural Verilog listing")
+	survey := fs.Bool("survey", false, "survey all nonzero constants of the field")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "gfsynth: "+format+"\n", args...)
+		return 2
+	}
+	if *m < 1 || *m > 32 {
+		return fail("-m must be in 1..32 (got %d)", *m)
+	}
+	if *c > 1<<32-1 {
+		return fail("-c %d does not fit a 32-bit field element", *c)
+	}
 
 	var field *gf.Field
 	if *pstr == "" {
@@ -32,14 +56,14 @@ func main() {
 	} else {
 		p, err := gf2.Parse(*pstr)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		field, err = gf.NewFieldPoly(p)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 	}
-	fmt.Printf("field: %v\n", field)
+	fmt.Fprintf(stdout, "field: %v\n", field)
 
 	if *survey {
 		t := report.New("constant multiplier survey", "constant", "naive", "CSE", "saved", "depth")
@@ -55,28 +79,24 @@ func main() {
 		}
 		t.AddRowf("total", fmt.Sprintf("%d", totN), fmt.Sprintf("%d", totC),
 			fmt.Sprintf("%d", totN-totC), "-")
-		t.Render(os.Stdout)
-		return
+		t.Render(stdout)
+		return 0
 	}
 
 	elem, err := field.ElemFromBits(uint32(*c))
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	mat := field.ConstMulMatrix(elem)
 	naive := xorsynth.Naive(mat)
 	cse := xorsynth.CSE(mat)
-	fmt.Printf("constant: %s\n", field.FormatElem(elem))
-	fmt.Printf("matrix (rows = output bits):\n%v\n", mat)
-	fmt.Printf("naive: %d XORs depth %d | CSE: %d XORs depth %d\n",
+	fmt.Fprintf(stdout, "constant: %s\n", field.FormatElem(elem))
+	fmt.Fprintf(stdout, "matrix (rows = output bits):\n%v\n", mat)
+	fmt.Fprintf(stdout, "naive: %d XORs depth %d | CSE: %d XORs depth %d\n",
 		naive.GateCount(), naive.Depth(), cse.GateCount(), cse.Depth())
 	if *verilog {
-		fmt.Println()
-		fmt.Print(cse.Verilog(fmt.Sprintf("gfmul_%x", *c)))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, cse.Verilog(fmt.Sprintf("gfmul_%x", *c)))
 	}
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "gfsynth: "+format+"\n", args...)
-	os.Exit(2)
+	return 0
 }

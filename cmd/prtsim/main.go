@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/fault"
@@ -23,18 +25,40 @@ import (
 	"repro/internal/ram"
 )
 
-func main() {
-	n := flag.Int("n", 256, "memory cells")
-	m := flag.Int("m", 4, "word width in bits (1 = bit-oriented)")
-	iters := flag.Int("iters", 3, "π-test iterations (1-4)")
-	blocks := flag.Int("blocks", 0, "use the extended scheme with this many 4-iteration blocks")
-	sig := flag.Bool("sig", false, "signature-only (the paper's pure Fin vs Fin* comparator)")
-	faultSpec := flag.String("fault", "", "fault to inject (see doc comment)")
-	trace := flag.Bool("trace", false, "print the first TDB cells")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is prtsim: it parses args, runs the scheme, writes the report to
+// stdout and diagnostics to stderr, and returns the exit status: 0 on a
+// pass, 1 when the scheme detects a fault, 2 on refused input.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("prtsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 256, "memory cells")
+	m := fs.Int("m", 4, "word width in bits (1 = bit-oriented)")
+	iters := fs.Int("iters", 3, "π-test iterations (1-4)")
+	blocks := fs.Int("blocks", 0, "use the extended scheme with this many 4-iteration blocks")
+	sig := fs.Bool("sig", false, "signature-only (the paper's pure Fin vs Fin* comparator)")
+	faultSpec := fs.String("fault", "", "fault to inject (see doc comment)")
+	trace := fs.Bool("trace", false, "print the first TDB cells")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "prtsim: "+format+"\n", args...)
+		return 2
+	}
 
 	if *n < 4 || *m < 1 || *m > 16 {
-		fatalf("bad geometry n=%d m=%d", *n, *m)
+		return fail("bad geometry n=%d m=%d", *n, *m)
+	}
+	if *iters < 1 || *iters > 4 {
+		return fail("-iters must be in 1..4 (got %d)", *iters)
+	}
+	if *blocks < 0 {
+		return fail("-blocks must be non-negative (got %d)", *blocks)
 	}
 	gen := genFor(*m)
 	var scheme prt.Scheme
@@ -59,48 +83,46 @@ func main() {
 	if *faultSpec != "" {
 		f, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		if err := fault.CheckGeometry(f, *n, *m); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		injected = f
 		mem = f.Inject(mem)
 	}
 
-	fmt.Printf("memory: %d cells × %d bit(s)\n", *n, *m)
-	fmt.Printf("scheme: %s (g(x) = %v, ops/cell = %d)\n", scheme.Name, gen, scheme.OpsPerCell())
+	fmt.Fprintf(stdout, "memory: %d cells × %d bit(s)\n", *n, *m)
+	fmt.Fprintf(stdout, "scheme: %s (g(x) = %v, ops/cell = %d)\n", scheme.Name, gen, scheme.OpsPerCell())
 	if injected != nil {
-		fmt.Printf("fault:  %v\n", injected)
+		fmt.Fprintf(stdout, "fault:  %v\n", injected)
 	}
 
 	res, err := scheme.Run(mem)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	if *trace {
-		show := *n
-		if show > 16 {
-			show = 16
-		}
-		fmt.Print("tdb:    ")
+		show := min(*n, 16)
+		fmt.Fprint(stdout, "tdb:    ")
 		for i := 0; i < show; i++ {
-			fmt.Printf("%X ", mem.Read(i))
+			fmt.Fprintf(stdout, "%X ", mem.Read(i))
 		}
-		fmt.Println("...")
+		fmt.Fprintln(stdout, "...")
 	}
 	for i, ir := range res.PerIteration {
 		f := gen.Field
-		fmt.Printf("it.%d: Fin=%s Fin*=%s sig=%v stale=%d verify=%d\n",
+		fmt.Fprintf(stdout, "it.%d: Fin=%s Fin*=%s sig=%v stale=%d verify=%d\n",
 			i+1, prt.FormatState(f, ir.Fin), prt.FormatState(f, ir.FinStar),
 			!ir.SignatureMiss, ir.StaleMismatches, ir.VerifyMismatches)
 	}
-	fmt.Printf("ops: %d (%.2f per cell)\n", res.Ops, float64(res.Ops)/float64(*n))
+	fmt.Fprintf(stdout, "ops: %d (%.2f per cell)\n", res.Ops, float64(res.Ops)/float64(*n))
 	if res.Detected {
-		fmt.Printf("RESULT: FAULT DETECTED (iteration %d)\n", res.DetectedAt)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "RESULT: FAULT DETECTED (iteration %d)\n", res.DetectedAt)
+		return 1
 	}
-	fmt.Println("RESULT: PASS")
+	fmt.Fprintln(stdout, "RESULT: PASS")
+	return 0
 }
 
 func genFor(m int) lfsr.GenPoly {
@@ -109,9 +131,4 @@ func genFor(m int) lfsr.GenPoly {
 	}
 	f := gf.NewField(m)
 	return lfsr.MustGenPoly(f, []gf.Elem{1, 2, 2})
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "prtsim: "+format+"\n", args...)
-	os.Exit(2)
 }

@@ -60,8 +60,8 @@ type Config struct {
 	// are ignored: each session sets its own, and the worker count
 	// comes from coverage.SetDefaultWorkers.
 	Plan coverage.Plan
-	// OnSession, when non-nil, receives every executed session of two
-	// or more runners (faultcov -session); it must not mutate them.
+	// OnSession, when non-nil, receives every executed session and its
+	// plan (faultcov -progress and -session); it must not mutate them.
 	OnSession func(*coverage.Plan, *coverage.Session)
 }
 
@@ -108,7 +108,7 @@ func StreamedSessions() int { return int(current().streamed.Load()) }
 // run executes p under the configuration: the template's Engine, Chunk
 // and LaneWords and, on a streaming session, its partition and
 // checkpoint, with the resume offer attached if it validates against
-// p.  A session of two or more runners is reported to OnSession.
+// p.  Every session is reported to OnSession.
 func (c *configuration) run(p coverage.Plan) *coverage.Session {
 	tpl := &c.Plan
 	p.Engine, p.Chunk, p.LaneWords = tpl.Engine, tpl.Chunk, tpl.LaneWords
@@ -130,7 +130,7 @@ func (c *configuration) run(p coverage.Plan) *coverage.Session {
 	} else {
 		s = p.RunContext(c.ctx)
 	}
-	if len(p.Runners) > 1 && c.OnSession != nil {
+	if c.OnSession != nil {
 		c.OnSession(&p, s)
 	}
 	return s

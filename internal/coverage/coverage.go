@@ -191,16 +191,16 @@ type EngineStats struct {
 	// CacheHits/CacheMisses count the stage's program-cache lookups
 	// (at most one of each: a stage looks its program up once).
 	CacheHits, CacheMisses uint64
-	// ArenaReuse/ArenaFresh count the stage's arena-pool checkouts
-	// (telemetry registry attached only; zero otherwise).
-	ArenaReuse, ArenaFresh uint64
 	// KernelTime, SinkWait and SourceWait split each worker's stage
 	// time: inside the replay kernel, blocked acquiring the lock of the
 	// session's completion-frontier fold, and claiming chunks from the
-	// source.  Populated when a telemetry.Registry is attached; indexed
-	// by worker slot.  SinkWait is the direct measure of sink
-	// contention: if its share of Elapsed grows with the worker count,
-	// the fold's lock is the scaling bottleneck.
+	// source.  They hold one entry per worker (Workers of them), come
+	// back from the streaming driver with the stage itself, and so are
+	// filled on every stage, with or without a telemetry registry, and
+	// describe this stage alone.  A worker's three times sum to at most
+	// Elapsed.  SinkWait is the direct measure of sink contention: if
+	// its share of Elapsed grows with the worker count, the fold's lock
+	// is the scaling bottleneck.
 	KernelTime, SinkWait, SourceWait []time.Duration
 	// PartitionIndex is the 1-based index of the universe partition
 	// this session ran (0 when the session spanned the full universe).
@@ -209,7 +209,7 @@ type EngineStats struct {
 
 // SinkWaitShares returns each worker's sink-wait time as a fraction of
 // the stage's wall time — the per-worker sink-contention report (nil
-// when no per-worker telemetry was captured).
+// when the stage took no measurable time).
 func (s *EngineStats) SinkWaitShares() []float64 {
 	if s == nil || len(s.SinkWait) == 0 || s.Elapsed <= 0 {
 		return nil

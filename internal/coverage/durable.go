@@ -9,6 +9,7 @@
 package coverage
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -76,9 +77,10 @@ type CheckpointConfig struct {
 }
 
 // PlanIdentity returns the spec hash, geometry and stage execution
-// order a streaming plan would stamp into its checkpoints — what a CLI
-// needs to validate a loaded checkpoint up front (ValidateResume) and
-// refuse gracefully instead of panicking mid-campaign.
+// order the plan would stamp into its checkpoints — what a CLI needs
+// to validate a loaded checkpoint up front (ValidateResume) and refuse
+// gracefully instead of panicking mid-campaign.  Only Stream plans
+// write checkpoints, but every plan has an identity.
 func (p *Plan) PlanIdentity() (specHash uint64, size, width int, stageNames []string) {
 	mem := p.Memory()
 	names := make([]string, len(p.Runners))
@@ -102,7 +104,7 @@ func (p *Plan) PlanIdentity() (specHash uint64, size, width int, stageNames []st
 // not results, so a resumed run may change them freely.
 func (p *Plan) specHash() uint64 {
 	parts := []string{
-		"universe=" + p.Stream.Name,
+		"universe=" + p.UniverseName(),
 		"engine=" + p.Engine.String(),
 		fmt.Sprintf("drop=%t", p.Drop),
 		fmt.Sprintf("order=%d", p.Order),
@@ -161,11 +163,19 @@ func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int
 	return nil
 }
 
+// ErrUniversePlan is ValidateResume's refusal of a Universe plan,
+// which never checkpoints or resumes.
+var ErrUniversePlan = errors.New("coverage: a Universe plan never checkpoints or resumes")
+
 // ValidateResume reports whether the state can resume this plan — the
 // check a caller makes before attaching a state as
 // CheckpointConfig.Resume (the in-session validation panics, treating
-// a mismatched Resume as a programmer error).
+// a mismatched Resume as a programmer error).  A Universe plan is
+// refused with ErrUniversePlan.
 func (p *Plan) ValidateResume(rs *checkpoint.State, seed int64) error {
+	if p.Stream == nil {
+		return ErrUniversePlan
+	}
 	spec, size, width, names := p.PlanIdentity()
 	partLo, partHi, end := 0, -1, -1
 	if n, exact := p.Stream.Source.Count(); exact {

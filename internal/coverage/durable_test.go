@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
+	"repro/internal/march"
 	"repro/internal/sim"
 )
 
@@ -217,6 +219,60 @@ func TestResumeCompletedSession(t *testing.T) {
 		t.Errorf("resuming a complete checkpoint pulled %d chunks, want 0", cs.nexts)
 	}
 	assertSessionsEqual(t, "complete-resume", want, got)
+}
+
+// universeAndStreamPlans returns a Universe plan and the Stream plan
+// over the same faults, under the same name, runners and settings.
+func universeAndStreamPlans() (uni, str *Plan) {
+	const n = 8
+	runners := []Runner{MarchRunner(march.MarchCMinus(), nil), MarchRunner(march.MATSPlus(), nil)}
+	faults := fault.SingleCellUniverse(n, 1)
+	uni = &Plan{
+		Runners: runners, Universe: fault.Universe{Name: "single", Faults: faults},
+		Memory: bomFactory(n), Drop: true, Order: OrderCheapestFirst,
+	}
+	str = &Plan{
+		Runners: runners, Stream: &fault.Stream{Name: "single", Source: fault.SliceSource(faults)},
+		Memory: bomFactory(n), Drop: true, Order: OrderCheapestFirst,
+	}
+	return uni, str
+}
+
+// TestUniversePlanIdentity: a Universe plan has the identity of the
+// Stream plan with the same universe name, runners and settings.
+func TestUniversePlanIdentity(t *testing.T) {
+	t.Parallel()
+	uni, str := universeAndStreamPlans()
+	spec, size, width, names := uni.PlanIdentity()
+	wantSpec, wantSize, wantWidth, wantNames := str.PlanIdentity()
+	if spec != wantSpec || size != wantSize || width != wantWidth || !reflect.DeepEqual(names, wantNames) {
+		t.Errorf("Universe plan identity %x %dx%d %v, want the Stream plan's %x %dx%d %v",
+			spec, size, width, names, wantSpec, wantSize, wantWidth, wantNames)
+	}
+	if !reflect.DeepEqual(names, []string{"MATS+", "March C-"}) {
+		t.Errorf("stage order %v, want cheapest first", names)
+	}
+}
+
+// TestValidateResumeRefusesUniversePlan: Universe plans never
+// checkpoint or resume, so ValidateResume refuses one with
+// ErrUniversePlan, even for a checkpoint its Stream twin accepts.
+func TestValidateResumeRefusesUniversePlan(t *testing.T) {
+	t.Parallel()
+	uni, str := universeAndStreamPlans()
+	path := filepath.Join(t.TempDir(), "c.fckp")
+	str.Checkpoint = &CheckpointConfig{Path: path}
+	str.Run()
+	rs, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := str.ValidateResume(rs, 0); err != nil {
+		t.Fatalf("the Stream plan's own checkpoint refused: %v", err)
+	}
+	if err := uni.ValidateResume(rs, 0); !errors.Is(err, ErrUniversePlan) {
+		t.Errorf("Universe plan ValidateResume = %v, want ErrUniversePlan", err)
+	}
 }
 
 // Mismatched-resume safety: a checkpoint from a different campaign is

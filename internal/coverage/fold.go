@@ -155,18 +155,11 @@ func (f *fold) bits() []uint64 {
 // the lock — the time spent acquiring it is the worker's sink wait.
 func (f *fold) sinkFor(int) sim.ChunkSink {
 	cur := &chunkSummary{byClass: make([]classCount, len(f.stage))}
-	timed := f.reg != nil
 	return func(base, n int, idx []int, faults []fault.Fault, det []bool) time.Duration {
 		cur.reduce(base, n, idx, faults, det, f.cum)
-		var t0 time.Time
-		if timed {
-			t0 = time.Now() //faultsim:ordered lock-wait telemetry, never reaches results
-		}
+		t0 := time.Now() //faultsim:ordered lock-wait telemetry, never reaches results
 		f.mu.Lock()
-		var blocked time.Duration
-		if timed {
-			blocked = time.Since(t0) //faultsim:ordered lock-wait telemetry, never reaches results
-		}
+		blocked := time.Since(t0) //faultsim:ordered lock-wait telemetry, never reaches results
 		cur = f.deliver(cur)
 		f.mu.Unlock()
 		return blocked

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // This file is the campaign session layer: Plan describes an ordered
@@ -280,13 +279,11 @@ func (p *Plan) UniverseName() string {
 	return p.Universe.Name
 }
 
-// finishStage completes a stage's engine report: the always-on timing
-// fields (elapsed, faults/s, collapse ratio, cache lookups — every
-// path gets them, oracle fallbacks included), plus the per-worker time
-// split and arena-pool counters captured over the stage when a
-// telemetry registry is attached.  presented is the fault count the
-// stage was handed (the survivor subset when dropping).
-func finishStage(stats *EngineStats, st *stage, presented int, elapsed time.Duration, reg *telemetry.Registry, before telemetry.Snapshot) {
+// finishStage completes a stage's engine report with its timing
+// fields (elapsed, faults/s, collapse ratio, cache lookups), which
+// every path gets, oracle fallbacks included.  presented is the fault
+// count the stage was handed (the survivor subset when dropping).
+func finishStage(stats *EngineStats, st *stage, presented int, elapsed time.Duration) {
 	stats.Elapsed = elapsed
 	if elapsed > 0 {
 		stats.FaultsPerSec = float64(presented) / elapsed.Seconds()
@@ -302,49 +299,6 @@ func finishStage(stats *EngineStats, st *stage, presented int, elapsed time.Dura
 			stats.CacheMisses = 1
 		}
 	}
-	if reg == nil {
-		return
-	}
-	d := reg.Snapshot().Sub(before)
-	stats.ArenaReuse, stats.ArenaFresh = d.ArenaReuse, d.ArenaFresh
-	n := len(d.Workers)
-	if stats.Workers < n {
-		n = stats.Workers
-	}
-	if n <= 0 {
-		return
-	}
-	stats.KernelTime = make([]time.Duration, n)
-	stats.SinkWait = make([]time.Duration, n)
-	stats.SourceWait = make([]time.Duration, n)
-	for i := 0; i < n; i++ {
-		stats.KernelTime[i] = d.Workers[i].Kernel
-		stats.SinkWait[i] = d.Workers[i].SinkWait
-		stats.SourceWait[i] = d.Workers[i].SourceWait
-	}
-}
-
-// reportStage hands a completed stage to the telemetry registry's
-// OnStage callback (the faultcov -progress per-stage report).
-func (p *Plan) reportStage(reg *telemetry.Registry, st StageStat) {
-	if reg == nil || st.Stats == nil {
-		return
-	}
-	reg.StageDone(telemetry.StageReport{
-		Universe:      p.UniverseName(),
-		Stage:         st.Runner,
-		Engine:        st.Stats.Engine.String(),
-		Entered:       st.Entered,
-		Detected:      st.Detected,
-		Survivors:     st.Survivors,
-		Elapsed:       st.Stats.Elapsed,
-		FaultsPerSec:  st.Stats.FaultsPerSec,
-		CollapseRatio: st.Stats.CollapseRatio,
-		CacheHit:      st.CacheHit,
-		KernelTime:    st.Stats.KernelTime,
-		SinkWait:      st.Stats.SinkWait,
-		SourceWait:    st.Stats.SourceWait,
-	})
 }
 
 // sumCleanRuns folds the stages' clean-run metadata into the

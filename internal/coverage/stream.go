@@ -252,9 +252,7 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 					stream.Name, base, partLo+skipped))
 			}
 		}
-		var before telemetry.Snapshot
 		if reg != nil {
-			before = reg.Snapshot()
 			// The stage will present the universe minus what earlier
 			// stages already detected (the drop filter); an inexact Count
 			// (or a mid-stage resume) leaves the progress total unknown.
@@ -275,7 +273,7 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		stats.PartitionIndex = partIdx
 		total, detected := totals(f.stage)
 		//faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
-		finishStage(stats, st, total, time.Since(t0), reg, before)
+		finishStage(stats, st, total, time.Since(t0))
 		res := Result{
 			Runner:        st.runner.Name(),
 			Universe:      stream.Name,
@@ -337,10 +335,7 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 				d.write(buildState(stageRecord(order[si+1], nil), partLo, false))
 			}
 		}
-		if reg != nil {
-			reg.ReportSurvivors(int64(universeN - f.detected))
-			p.reportStage(reg, s.Stages[len(s.Stages)-1])
-		}
+		reg.ReportSurvivors(int64(universeN - f.detected))
 	}
 	if universeN < 0 {
 		universeN = 0
@@ -413,35 +408,32 @@ func (st *stage) batchWidth() int {
 }
 
 // detectStream runs one stage over the source and returns the engine
-// report; verdicts flow to the sinks sinkFor builds, chunk by chunk.
-// The error is non-nil exactly when ctx was cancelled (a partial run);
-// any other driver failure panics, as a broken engine invariant.
+// report, with the per-worker times the driver measured; verdicts flow
+// to the sinks sinkFor builds, chunk by chunk.  The error is non-nil
+// exactly when ctx was cancelled (a partial run); any other driver
+// failure panics, as a broken engine invariant.
 func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cfg sim.StreamConfig, sinkFor func(int) sim.ChunkSink) (*EngineStats, error) {
+	var stats *EngineStats
+	var workers []telemetry.Local
+	var err error
 	switch {
 	case st.prog != nil:
-		w, reps, err := sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sinkFor)
-		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: compiled streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
-		}
-		return &EngineStats{
+		stats = &EngineStats{
 			Engine:     EngineCompiled,
-			Workers:    w,
-			Reps:       reps,
 			ProgramOps: st.prog.Ops(),
 			TrimmedOps: st.prog.TrimmedOps(),
 			LaneWords:  st.prog.LaneWords(),
 			FusedOps:   st.prog.FusedOps(),
-		}, err
-	case st.tr != nil:
-		w, reps, err := sim.ShardsStream(ctx, st.tr, src, cfg, sinkFor)
-		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: bitpar streaming replay of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
 		}
-		return &EngineStats{Engine: EngineBitParallel, Workers: w, Reps: reps}, err
+		workers, err = sim.ShardsCompiledStream(ctx, st.prog, src, cfg, sinkFor)
+	case st.tr != nil:
+		stats = &EngineStats{Engine: EngineBitParallel}
+		workers, err = sim.ShardsStream(ctx, st.tr, src, cfg, sinkFor)
 	default:
 		// Chunked oracle: the generic driver pulls and filters chunks,
 		// the replay closure runs the full algorithm once per fault.
-		w, reps, err := sim.StreamShard(ctx, src, cfg, func() (func([]fault.Fault, []uint64) error, func()) {
+		stats = &EngineStats{Engine: EngineOracle}
+		workers, err = sim.StreamShard(ctx, src, cfg, func() (func([]fault.Fault, []uint64) error, func()) {
 			return func(batch []fault.Fault, det []uint64) error {
 				det[0] = 0
 				for i, f := range batch {
@@ -452,9 +444,17 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 				return nil
 			}, nil
 		}, sinkFor)
-		if err != nil && ctx.Err() == nil {
-			panic(fmt.Sprintf("coverage: oracle streaming of %s on %s: %v", st.runner.Name(), p.UniverseName(), err))
-		}
-		return &EngineStats{Engine: EngineOracle, Workers: w, Reps: reps}, err
 	}
+	if err != nil && ctx.Err() == nil {
+		panic(fmt.Sprintf("coverage: %s streaming replay of %s on %s: %v", stats.Engine, st.runner.Name(), p.UniverseName(), err))
+	}
+	stats.Workers = len(workers)
+	stats.KernelTime = make([]time.Duration, len(workers))
+	stats.SinkWait = make([]time.Duration, len(workers))
+	stats.SourceWait = make([]time.Duration, len(workers))
+	for i, w := range workers {
+		stats.Reps += int(w.Reps)
+		stats.KernelTime[i], stats.SinkWait[i], stats.SourceWait[i] = w.Kernel, w.SinkWait, w.SourceWait
+	}
+	return stats, err
 }

@@ -48,21 +48,14 @@ func TestStageTimingAllEngines(t *testing.T) {
 	}
 }
 
-// TestSessionTelemetryDetail: with a registry attached, a materialized
-// session populates the registry-gated EngineStats detail (per-worker
-// kernel time, cache accounting) and delivers one StageReport per
-// stage through OnStage.
+// TestSessionTelemetryDetail: with a registry attached, a
+// materialized session still fills the per-worker detail from its
+// driver, and the registry's process counters see every presented
+// fault and program-cache lookup.
 func TestSessionTelemetryDetail(t *testing.T) {
 	const n = 32
 	u := fault.Universe{Name: "single", Faults: fault.SingleCellUniverse(n, 1)}
 	reg := telemetry.NewRegistry()
-	var mu sync.Mutex
-	var reports []telemetry.StageReport
-	reg.OnStage(func(rep telemetry.StageReport) {
-		mu.Lock()
-		reports = append(reports, rep)
-		mu.Unlock()
-	})
 	telemetry.SetActive(reg)
 	defer telemetry.SetActive(nil)
 
@@ -76,22 +69,11 @@ func TestSessionTelemetryDetail(t *testing.T) {
 		if st.Stats.Elapsed <= 0 || st.Stats.FaultsPerSec <= 0 {
 			t.Errorf("%s: timing %v / %v", st.Runner, st.Stats.Elapsed, st.Stats.FaultsPerSec)
 		}
-		if len(st.Stats.KernelTime) == 0 {
-			t.Errorf("%s: no per-worker kernel time with registry attached", st.Runner)
+		if len(st.Stats.KernelTime) != st.Stats.Workers {
+			t.Errorf("%s: %d kernel-time rows for %d workers", st.Runner, len(st.Stats.KernelTime), st.Stats.Workers)
 		}
 		if st.Stats.CacheMisses != 1 {
 			t.Errorf("%s: cold-cache stage CacheMisses = %d", st.Runner, st.Stats.CacheMisses)
-		}
-	}
-	if len(reports) != len(s.Stages) {
-		t.Fatalf("stage reports = %d, want %d", len(reports), len(s.Stages))
-	}
-	for _, rep := range reports {
-		if rep.Universe != "single" || rep.Engine != "compiled" {
-			t.Errorf("report labels: %+v", rep)
-		}
-		if rep.Entered != u.Len() || rep.Elapsed <= 0 {
-			t.Errorf("report body: %+v", rep)
 		}
 	}
 
@@ -105,17 +87,10 @@ func TestSessionTelemetryDetail(t *testing.T) {
 }
 
 // TestStreamTelemetryDetail: a streaming session fills the sink-wait
-// and source-wait splits (the 16-worker contention question), computes
-// sink-wait shares, and reports its stages.
+// and source-wait splits (the 16-worker contention question) and
+// computes sink-wait shares.
 func TestStreamTelemetryDetail(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var mu sync.Mutex
-	var reports []telemetry.StageReport
-	reg.OnStage(func(rep telemetry.StageReport) {
-		mu.Lock()
-		reports = append(reports, rep)
-		mu.Unlock()
-	})
 	telemetry.SetActive(reg)
 	defer telemetry.SetActive(nil)
 
@@ -125,8 +100,8 @@ func TestStreamTelemetryDetail(t *testing.T) {
 	if res.Stats == nil || res.Stats.Elapsed <= 0 || res.Stats.FaultsPerSec <= 0 {
 		t.Fatalf("streaming Stats = %+v", res.Stats)
 	}
-	if got := len(res.Stats.SinkWait); got == 0 || got > res.Stats.Workers {
-		t.Errorf("SinkWait rows = %d of %d workers", got, res.Stats.Workers)
+	if got := len(res.Stats.SinkWait); got != res.Stats.Workers || len(res.Stats.SourceWait) != got {
+		t.Errorf("SinkWait/SourceWait rows = %d/%d of %d workers", got, len(res.Stats.SourceWait), res.Stats.Workers)
 	}
 	shares := res.Stats.SinkWaitShares()
 	if len(shares) != len(res.Stats.SinkWait) {
@@ -137,17 +112,11 @@ func TestStreamTelemetryDetail(t *testing.T) {
 			t.Errorf("worker %d sink-wait share = %v", i, sh)
 		}
 	}
-	if len(reports) != 1 || reports[0].Universe != "cf-exhaustive" {
-		t.Fatalf("stage reports: %+v", reports)
-	}
-	if len(reports[0].SinkWait) != len(res.Stats.SinkWait) {
-		t.Errorf("report sink-wait rows = %d", len(reports[0].SinkWait))
-	}
 }
 
-// TestSinkWaitSharesDetached: without a registry there is no per-worker
-// detail, and the shares helper reports that as nil rather than
-// fabricating zeros.
+// TestSinkWaitSharesDetached: without a registry a stage still has
+// its per-worker detail, one row per worker, because the driver
+// returns it with the stage.
 func TestSinkWaitSharesDetached(t *testing.T) {
 	t.Parallel()
 	src := fault.FullCouplingSource(9)
@@ -156,14 +125,58 @@ func TestSinkWaitSharesDetached(t *testing.T) {
 	if res.Stats == nil {
 		t.Fatal("Stats nil")
 	}
-	if res.Stats.SinkWait != nil {
-		t.Errorf("detached run has per-worker SinkWait: %v", res.Stats.SinkWait)
+	es := res.Stats
+	if es.Workers < 1 || len(es.KernelTime) != es.Workers || len(es.SinkWait) != es.Workers || len(es.SourceWait) != es.Workers {
+		t.Errorf("detached rows: kernel %d, sink-wait %d, source-wait %d for %d workers",
+			len(es.KernelTime), len(es.SinkWait), len(es.SourceWait), es.Workers)
 	}
-	if shares := res.Stats.SinkWaitShares(); shares != nil {
-		t.Errorf("detached SinkWaitShares = %v, want nil", shares)
+	if shares := es.SinkWaitShares(); len(shares) != es.Workers {
+		t.Errorf("detached SinkWaitShares = %v, want %d rows", shares, es.Workers)
 	}
-	if res.Stats.Elapsed <= 0 {
-		t.Errorf("always-on Elapsed missing: %v", res.Stats.Elapsed)
+	if es.Elapsed <= 0 {
+		t.Errorf("always-on Elapsed missing: %v", es.Elapsed)
+	}
+}
+
+// TestConcurrentSessionsKeepTheirOwnTimes: two streaming sessions run
+// at once in one process with a registry attached.  Each stage's
+// per-worker times come from its own driver, so no worker can have
+// spent more time in the kernel, the source and the fold's lock than
+// its stage lasted.
+func TestConcurrentSessionsKeepTheirOwnTimes(t *testing.T) {
+	const n = 48
+	telemetry.SetActive(telemetry.NewRegistry())
+	defer telemetry.SetActive(nil)
+	plan := func() *Plan {
+		return &Plan{
+			Runners: []Runner{MarchRunner(march.MarchCMinus(), nil), MarchRunner(march.MATSPlus(), nil)},
+			Stream:  &fault.Stream{Name: "cf-exhaustive", Source: fault.FullCouplingSource(n)},
+			Memory:  bomFactory(n), Workers: 2, Chunk: 64,
+		}
+	}
+	sessions := make([]*Session, 2)
+	var wg sync.WaitGroup
+	for i := range sessions {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sessions[i] = plan().Run()
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range sessions {
+		for _, st := range s.Stages {
+			es := st.Stats
+			if len(es.KernelTime) != es.Workers {
+				t.Fatalf("session %d %s: %d rows for %d workers", i, st.Runner, len(es.KernelTime), es.Workers)
+			}
+			for w := range es.KernelTime {
+				if busy := es.KernelTime[w] + es.SourceWait[w] + es.SinkWait[w]; busy > es.Elapsed {
+					t.Errorf("session %d %s worker %d: kernel %v + source wait %v + sink wait %v = %v, past the stage's %v",
+						i, st.Runner, w, es.KernelTime[w], es.SourceWait[w], es.SinkWait[w], busy, es.Elapsed)
+				}
+			}
+		}
 	}
 }
 

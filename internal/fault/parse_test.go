@@ -3,31 +3,41 @@ package fault
 import (
 	"testing"
 
+	"repro/internal/march"
 	"repro/internal/ram"
 )
 
+// specCases are well-formed specs and the faults they name.
+var specCases = map[string]Fault{
+	"saf0@3.1":          SAF{Cell: 3, Bit: 1, Value: 0},
+	"saf1@17":           SAF{Cell: 17, Value: 1},
+	"tfup@5.2":          TF{Cell: 5, Bit: 2, Up: true},
+	"tfdown@9":          TF{Cell: 9, Up: false},
+	"sof@12":            SOF{Cell: 12},
+	"drf0@4.1/100":      DRF{Cell: 4, Bit: 1, Decay: 0, Delay: 100},
+	"drf1@4/7":          DRF{Cell: 4, Decay: 1, Delay: 7},
+	"afnone@8":          AF{Kind: AFNone, Addr: 8},
+	"afalias@2:6":       AF{Kind: AFAlias, Addr: 2, Target: 6},
+	"afmulti@2:6":       AF{Kind: AFMulti, Addr: 2, Target: 6},
+	"cfin@1.0>2.0":      CFin{AggCell: 1, VicCell: 2, Up: true},
+	"cfind@1>2":         CFin{AggCell: 1, VicCell: 2, Up: false},
+	"cfid0@1>2":         CFid{AggCell: 1, VicCell: 2, Up: true, Value: 0},
+	"cfid1@1.3>2.1":     CFid{AggCell: 1, AggBit: 3, VicCell: 2, VicBit: 1, Up: true, Value: 1},
+	"cfst@1.0=1>2.0=0":  CFst{AggCell: 1, VicCell: 2, AggValue: 1, Value: 0},
+	"bridge@1.0~2.0":    BF{CellA: 1, CellB: 2, And: false},
+	"bridgeand@1.2~3.1": BF{CellA: 1, BitA: 2, CellB: 3, BitB: 1, And: true},
+	" SAF1@2 ":          SAF{Cell: 2, Value: 1}, // case/space tolerant
+}
+
+// badSpecs are specs ParseSpec must refuse.
+var badSpecs = []string{
+	"", "saf0", "bogus@1", "saf0@x", "saf0@1.y", "saf0@-1",
+	"drf0@1", "drf0@1/x", "afalias@1", "afalias@x:2", "afalias@1:y",
+	"cfin@1", "cfst@1>2", "cfst@1.0=2>2.0=0", "bridge@1",
+}
+
 func TestParseSpecRoundTrips(t *testing.T) {
-	cases := map[string]Fault{
-		"saf0@3.1":          SAF{Cell: 3, Bit: 1, Value: 0},
-		"saf1@17":           SAF{Cell: 17, Value: 1},
-		"tfup@5.2":          TF{Cell: 5, Bit: 2, Up: true},
-		"tfdown@9":          TF{Cell: 9, Up: false},
-		"sof@12":            SOF{Cell: 12},
-		"drf0@4.1/100":      DRF{Cell: 4, Bit: 1, Decay: 0, Delay: 100},
-		"drf1@4/7":          DRF{Cell: 4, Decay: 1, Delay: 7},
-		"afnone@8":          AF{Kind: AFNone, Addr: 8},
-		"afalias@2:6":       AF{Kind: AFAlias, Addr: 2, Target: 6},
-		"afmulti@2:6":       AF{Kind: AFMulti, Addr: 2, Target: 6},
-		"cfin@1.0>2.0":      CFin{AggCell: 1, VicCell: 2, Up: true},
-		"cfind@1>2":         CFin{AggCell: 1, VicCell: 2, Up: false},
-		"cfid0@1>2":         CFid{AggCell: 1, VicCell: 2, Up: true, Value: 0},
-		"cfid1@1.3>2.1":     CFid{AggCell: 1, AggBit: 3, VicCell: 2, VicBit: 1, Up: true, Value: 1},
-		"cfst@1.0=1>2.0=0":  CFst{AggCell: 1, VicCell: 2, AggValue: 1, Value: 0},
-		"bridge@1.0~2.0":    BF{CellA: 1, CellB: 2, And: false},
-		"bridgeand@1.2~3.1": BF{CellA: 1, BitA: 2, CellB: 3, BitB: 1, And: true},
-		" SAF1@2 ":          SAF{Cell: 2, Value: 1}, // case/space tolerant
-	}
-	for spec, want := range cases {
+	for spec, want := range specCases {
 		got, err := ParseSpec(spec)
 		if err != nil {
 			t.Errorf("ParseSpec(%q): %v", spec, err)
@@ -40,15 +50,34 @@ func TestParseSpecRoundTrips(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"", "saf0", "bogus@1", "saf0@x", "saf0@1.y", "saf0@-1",
-		"drf0@1", "drf0@1/x", "afalias@1", "afalias@x:2", "afalias@1:y",
-		"cfin@1", "cfst@1>2", "cfst@1.0=2>2.0=0", "bridge@1",
-	} {
+	for _, spec := range badSpecs {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", spec)
 		}
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics and answers every spec with
+// exactly one of a fault and an error, and a fault it accepts that
+// fits an 8-cell 2-bit memory injects into one and survives a March
+// C- run over the word's data backgrounds.
+func FuzzParseSpec(f *testing.F) {
+	for spec := range specCases {
+		f.Add(spec)
+	}
+	for _, spec := range badSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		flt, err := ParseSpec(spec)
+		if (flt == nil) == (err == nil) {
+			t.Fatalf("ParseSpec(%q) = %v, %v: want exactly one of a fault and an error", spec, flt, err)
+		}
+		if err != nil || CheckGeometry(flt, 8, 2) != nil {
+			return
+		}
+		march.RunBackgrounds(march.MarchCMinus(), flt.Inject(ram.NewWOM(8, 2)), march.DataBackgrounds(2))
+	})
 }
 
 func TestMustParseSpecPanics(t *testing.T) {

@@ -203,6 +203,20 @@ func TestValidate(t *testing.T) {
 	if err := (Test{Name: "d", Elems: []Element{{Any, []Op{{false, 2}}}}}).Validate(); err == nil {
 		t.Error("bad data validated")
 	}
+	// Every cell sees the elements' ops in order, so a read that
+	// contradicts the previous write is refused statically, whatever the
+	// addressing order; a read before any write is not.
+	if err := (Test{Name: "r", Elems: []Element{{Any, []Op{W(0)}}, {Down, []Op{R(0), W(1), R(0)}}}}).Validate(); err == nil {
+		t.Error("read contradicting the previous write validated")
+	}
+	if err := (Test{Name: "ok", Elems: []Element{{Up, []Op{R(1), W(0)}}, {Down, []Op{R(0), W(1), R(1)}}}}).Validate(); err != nil {
+		t.Errorf("consistent test refused: %v", err)
+	}
+	for _, lt := range Library() {
+		if err := lt.Validate(); err != nil {
+			t.Errorf("library test refused: %v", err)
+		}
+	}
 }
 
 func TestByName(t *testing.T) {

@@ -285,12 +285,12 @@ func TestShardsCompiledMatchesAcrossWorkerCounts(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 3, 8} {
 		cs := newCollectSink()
-		w, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
+		ws, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
 			StreamConfig{Chunk: 64, Workers: workers}, cs.sinkFor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs.check(t, fmt.Sprintf("workers=%d", workers), ref, w)
+		cs.check(t, fmt.Sprintf("workers=%d", workers), ref, len(ws))
 	}
 }
 
@@ -305,14 +305,14 @@ func TestShardsPropagateBatchErrors(t *testing.T) {
 	faults[BatchSize+3] = alienFault{}       // second batch fails injection
 	ctx := context.Background()
 	cfg := StreamConfig{Chunk: 2 * BatchSize, Workers: 2}
-	if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
+	if _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("ShardsStream must propagate a failing batch")
 	}
 	p, err := Compile(tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
+	if _, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("ShardsCompiledStream must propagate a failing batch")
 	}
 }

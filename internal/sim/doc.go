@@ -112,8 +112,12 @@
 // takes a per-worker sink factory and calls each worker's sink without
 // a driver lock, so workers never queue on the driver; a caller whose
 // sinks share state brings its own lock, and each sink reports the
-// time it spent blocked on it, which telemetry shows as that worker's
-// sink wait.  Because delivered chunks carry their [base, base+n)
+// time it spent blocked on it as that worker's sink wait.  Every
+// driver returns each worker's timed totals for the run (a
+// telemetry.Local per worker: kernel time, source wait, sink time and
+// sink wait beside the fault counts), so the caller gets its own
+// stage's time split whether or not a telemetry registry is attached.
+// Because delivered chunks carry their [base, base+n)
 // index range, a caller can fold them in universe order whatever the
 // scheduling — package coverage's completion-frontier fold does
 // exactly that, so its checkpoints are prefix-closed cuts.

@@ -100,9 +100,11 @@ func (c StreamConfig) workerCount() int {
 // function: workers pull chunks from src, skip faults filtered by
 // cfg.Drop, replay the rest in 64-fault batches through their private
 // replay function (det[0] receives the batch's detection mask), and
-// deliver verdicts to the sink sinkFor built for them.  It returns the
-// worker count and how many faults were simulated (after drop
-// filtering; collapsing on the compiled driver reduces it further).
+// deliver verdicts to the sink sinkFor built for them.  It returns one
+// telemetry.Local per worker, that worker's totals over the run: its
+// length is the worker count, and the sum of its Reps the faults
+// simulated (after drop filtering; collapsing on the compiled driver
+// reduces it further).
 //
 // Cancellation is cooperative at batch granularity: ctx is checked on
 // every chunk claim and between the chunk's batches, an interrupted
@@ -110,7 +112,7 @@ func (c StreamConfig) workerCount() int {
 // sees complete chunks), workers drain, and the error is ctx.Err().
 func StreamShard(ctx context.Context, src fault.Source, cfg StreamConfig,
 	newWorker func() (replay func(batch []fault.Fault, det []uint64) error, done func()),
-	sinkFor func(worker int) ChunkSink) (int, int, error) {
+	sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
 	return streamShard(ctx, src, cfg, nil, BatchSize, newWorker, sinkFor)
 }
 
@@ -118,7 +120,7 @@ func StreamShard(ctx context.Context, src fault.Source, cfg StreamConfig,
 // the per-batch interpreter (ReplayBatch), which rebuilds the machine
 // array for every batch — the bit-parallel reference path beside the
 // compiled driver.
-func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) (int, int, error) {
+func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
 	return streamShard(ctx, src, cfg, nil, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
 		return func(batch []fault.Fault, det []uint64) error {
 			mask, err := ReplayBatch(tr, batch)
@@ -135,7 +137,7 @@ func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamCo
 // fault.Collapser, and the representative verdicts expanded back
 // chunk-locally, so collapsing never needs the whole universe in
 // memory either; a chunk in which nothing merges replays as pulled.
-func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) (int, int, error) {
+func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
 	sum := p.Summary()
 	arenas := cfg.Arenas
 	return streamShard(ctx, src, cfg, &sum, p.BatchFaults(), func() (func([]fault.Fault, []uint64) error, func()) {
@@ -154,7 +156,7 @@ func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg
 //faultsim:hotpath
 func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *fault.TraceSummary, batchFaults int,
 	newWorker func() (func([]fault.Fault, []uint64) error, func()),
-	sinkFor func(worker int) ChunkSink) (int, int, error) {
+	sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
 	chunk := cfg.chunkSize()
 	workers := cfg.workerCount()
 	drop := cfg.Drop
@@ -164,7 +166,6 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 		base      = cfg.Base
 		exhausted bool
 		stop      atomic.Bool
-		reps      atomic.Int64
 	)
 	// pull claims the next chunk (its universe base index and length)
 	// under the source lock; ok is false once the stream is drained.
@@ -182,8 +183,10 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 		}
 		return b, n, true
 	}
-	errs := make([]error, workers) //faultsim:alloc-ok one slot per worker at startup
+	errs := make([]error, workers)             //faultsim:alloc-ok one slot per worker at startup
+	totals := make([]telemetry.Local, workers) //faultsim:alloc-ok one slot per worker at startup
 	reg := telemetry.Active()
+	reg.ObserveWorkers(workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -200,37 +203,27 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 			repDet := make([]bool, chunk)                 //faultsim:alloc-ok per-worker chunk buffer, reused for every chunk
 			mask := make([]uint64, batchFaults/BatchSize) //faultsim:alloc-ok per-worker detection mask, reused for every batch
 			var collapser fault.Collapser                 // per-worker class state, reused for every chunk
-			// Telemetry: worker-local counters, flushed into the padded
-			// per-worker slot once per chunk.  The source-claim wait and
-			// the sink's reported lock wait are timed separately from the
-			// kernel so a scaling run can see exactly where a worker's
-			// wall time goes.
-			var tw *telemetry.Worker
-			var tl telemetry.Local
-			if reg != nil {
-				tw = reg.Worker(w)
-			}
+			// Accounting: c counts the chunk in flight and tot the
+			// worker's totals, which the driver returns.  The source
+			// claim, the replay and the sink are timed separately, and the
+			// sink reports its lock wait, so a stage can see exactly where
+			// each worker's wall time went.
+			var tot, c telemetry.Local
+		chunks:
 			for !stop.Load() {
 				// Cooperative cancellation, checked once per chunk claim: an
 				// in-flight chunk is abandoned before its sink delivery, so
 				// the universe prefix the sink has seen stays consistent.
 				select {
 				case <-ctxDone:
-					reg.Flush(tw, &tl)
-					return
+					break chunks
 				default:
 				}
-				var t0 time.Time
-				if tw != nil {
-					t0 = time.Now()
-				}
+				t0 := time.Now()
 				b, n, ok := pull(buf)
-				if tw != nil {
-					tl.SourceWaitNanos += uint64(time.Since(t0))
-				}
+				c.SourceWait = time.Since(t0)
 				if !ok {
-					reg.Flush(tw, &tl)
-					return
+					break
 				}
 				faults := buf[:n]
 				ids := idx[:0]
@@ -259,74 +252,61 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 						r = col.Reps
 					}
 				}
-				reps.Add(int64(len(r)))
 				rd := repDet[:len(r)]
-				failed := false
-				if tw != nil {
-					t0 = time.Now()
-				}
+				t0 = time.Now()
 				for lo := 0; lo < len(r); lo += batchFaults {
 					select {
 					case <-ctxDone:
 						// Abandon the chunk mid-replay: none of its verdicts
 						// reach the sink, so cancellation costs at most one
 						// batch of latency and never a torn chunk.
-						reg.Flush(tw, &tl)
-						return
+						break chunks
 					default:
 					}
 					hi := lo + batchFaults
 					if hi > len(r) {
 						hi = len(r)
 					}
-					err := replay(r[lo:hi], mask)
-					if err != nil {
+					if err := replay(r[lo:hi], mask); err != nil {
 						errs[w] = err
 						stop.Store(true)
-						failed = true
-						break
+						break chunks
 					}
 					for i := lo; i < hi; i++ {
 						j := i - lo
 						rd[i] = mask[j>>6]>>(uint(j)&63)&1 == 1
 					}
 				}
-				if tw != nil {
-					tl.KernelNanos += uint64(time.Since(t0))
-					tl.Batches += uint64((len(r) + batchFaults - 1) / batchFaults)
-					tl.Reps += uint64(len(r))
-				}
-				if failed {
-					reg.Flush(tw, &tl)
-					return
-				}
+				c.Kernel = time.Since(t0)
+				c.Batches = uint64((len(r) + batchFaults - 1) / batchFaults)
+				c.Reps = uint64(len(r))
 				d := rd
 				if col != nil {
 					d = det[:len(faults)]
 					col.ExpandInto(d, rd)
 				}
-				if tw != nil {
-					t0 = time.Now()
-				}
+				t0 = time.Now()
 				blocked := sink(b, n, ids, faults, d)
-				if tw != nil {
-					tl.SinkWaitNanos += uint64(blocked)
-					tl.SinkNanos += uint64(time.Since(t0) - blocked)
-					tl.Chunks++
-					tl.Faults += uint64(len(faults))
-					reg.Flush(tw, &tl)
-				}
+				c.SinkWait = blocked
+				c.Sink = time.Since(t0) - blocked
+				c.Chunks = 1
+				c.Faults = uint64(len(faults))
+				tot.Add(c)
+				reg.Flush(c)
+				c = telemetry.Local{}
 			}
+			// The chunk the worker stopped in, if any, still spent its
+			// source wait.
+			tot.Add(c)
+			reg.Flush(c)
+			totals[w] = tot
 		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return workers, int(reps.Load()), err
+			return totals, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return workers, int(reps.Load()), err
-	}
-	return workers, int(reps.Load()), nil
+	return totals, ctx.Err()
 }

@@ -94,7 +94,7 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 	wantDet := replayRef(t, tr, faults)
 	for _, chunk := range []int{1, 7, 100, 4096} {
 		cs := newCollectSink()
-		w, reps, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
+		ws, err := ShardsCompiledStream(ctx, p, fault.SliceSource(faults),
 			StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor)
 		if err != nil {
 			t.Fatal(err)
@@ -102,17 +102,21 @@ func TestStreamDriversMatchShardDrivers(t *testing.T) {
 		// Collapsing is chunk-local, so single-fault chunks cannot
 		// shrink; larger chunks must (SA0/SA1 pairs are adjacent in the
 		// universe order).
-		if chunk > 1 && reps >= len(faults) {
+		var reps uint64
+		for _, w := range ws {
+			reps += w.Reps
+		}
+		if chunk > 1 && reps >= uint64(len(faults)) {
 			t.Errorf("chunk=%d: collapsing simulated %d reps for %d faults", chunk, reps, len(faults))
 		}
-		cs.check(t, fmt.Sprintf("chunk=%d", chunk), wantDet, w)
+		cs.check(t, fmt.Sprintf("chunk=%d", chunk), wantDet, len(ws))
 		// The interpreter path, which never collapses, agrees too.
 		cs = newCollectSink()
-		w, _, err = ShardsStream(ctx, tr, fault.SliceSource(faults), StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor)
+		ws, err = ShardsStream(ctx, tr, fault.SliceSource(faults), StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs.check(t, fmt.Sprintf("bitpar chunk=%d", chunk), wantDet, w)
+		cs.check(t, fmt.Sprintf("bitpar chunk=%d", chunk), wantDet, len(ws))
 	}
 }
 
@@ -144,13 +148,13 @@ func TestStreamDropFilter(t *testing.T) {
 		for _, workers := range []int{1, 2, 3} {
 			label := fmt.Sprintf("pooled=%v workers=%d", arenas != nil, workers)
 			cs := newCollectSink()
-			w, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
+			ws, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
 				StreamConfig{Chunk: 5, Workers: workers, Drop: drop, Arenas: arenas}, cs.sinkFor)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cs.seen != want || len(cs.workers) != w {
-				t.Fatalf("%s: presented %d faults to %d sinks, want %d to %d", label, cs.seen, len(cs.workers), want, w)
+			if cs.seen != want || len(cs.workers) != len(ws) {
+				t.Fatalf("%s: presented %d faults to %d sinks, want %d to %d", label, cs.seen, len(cs.workers), want, len(ws))
 			}
 			for _, i := range cs.indices() {
 				if i%3 == 0 {
@@ -182,15 +186,15 @@ func TestStreamErrorStops(t *testing.T) {
 	faults[37] = failInjector{faults[37]} // strips the BatchInjector capability
 	ctx := context.Background()
 	cfg := StreamConfig{Chunk: 8, Workers: 2}
-	if _, _, err = ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
+	if _, err = ShardsCompiledStream(ctx, p, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("driver swallowed a batch-injection error")
 	}
-	if _, _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
+	if _, err := ShardsStream(ctx, tr, fault.SliceSource(faults), cfg, discard); err == nil {
 		t.Fatal("interpreter driver swallowed a batch-injection error")
 	}
 	// A trace with no detection points is rejected like ReplayBatch
 	// rejects it.
-	if _, _, err := ShardsStream(ctx, &Trace{Size: n, Width: 1}, fault.SliceSource(faults[:1]),
+	if _, err := ShardsStream(ctx, &Trace{Size: n, Width: 1}, fault.SliceSource(faults[:1]),
 		StreamConfig{Chunk: 8, Workers: 1}, discard); err == nil {
 		t.Fatal("unreplayable trace accepted")
 	}

@@ -11,11 +11,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestStreamTelemetryCounters: a streaming compiled run with a
-// registry attached accounts every fault exactly once, splits its time
-// between kernel/sink/source, and reports as sink wait exactly the
-// lock wait its sinks return.  The high-water mark is the session
-// layer's completion frontier, so the driver leaves it alone.
+// TestStreamTelemetryCounters: a streaming compiled run returns one
+// Local per worker that accounts for every fault exactly once, reports
+// as sink wait exactly the lock wait its sinks returned, and fits its
+// timed phases inside the run's wall time, registry or no registry.
+// An attached registry receives the same totals.  The high-water mark
+// is the session layer's completion frontier, so the driver leaves it
+// alone.
 func TestStreamTelemetryCounters(t *testing.T) {
 	const n = 33
 	tr := recordMarch(t, march.MarchCMinus(), n)
@@ -24,6 +26,41 @@ func TestStreamTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
+	const blocked = time.Microsecond
+	wantChunks := uint64((len(faults) + 6) / 7)
+	run := func() telemetry.Local {
+		t.Helper()
+		t0 := time.Now()
+		ws, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
+			StreamConfig{Chunk: 7, Workers: 1}, func(int) ChunkSink {
+				return func(int, int, []int, []fault.Fault, []bool) time.Duration { return blocked }
+			})
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ws) != 1 {
+			t.Fatalf("worker rows = %d, want 1", len(ws))
+		}
+		w := ws[0]
+		if w.Faults != uint64(len(faults)) || w.Chunks != wantChunks {
+			t.Errorf("faults/chunks = %d/%d, want %d/%d", w.Faults, w.Chunks, len(faults), wantChunks)
+		}
+		if w.Reps == 0 || w.Reps > w.Faults || w.Batches == 0 {
+			t.Errorf("reps = %d, batches = %d for %d faults", w.Reps, w.Batches, w.Faults)
+		}
+		if w.Kernel <= 0 {
+			t.Errorf("kernel time = %v", w.Kernel)
+		}
+		if want := time.Duration(wantChunks) * blocked; w.SinkWait != want {
+			t.Errorf("sink wait = %v, want %v (the sinks' reported lock wait)", w.SinkWait, want)
+		}
+		if sum := w.Kernel + w.SinkWait + w.Sink + w.SourceWait; sum > wall {
+			t.Errorf("timed phases sum to %v, past the run's %v", sum, wall)
+		}
+		return w
+	}
+	run() // detached
 
 	reg := telemetry.NewRegistry()
 	var mu sync.Mutex
@@ -35,35 +72,18 @@ func TestStreamTelemetryCounters(t *testing.T) {
 	})
 	telemetry.SetActive(reg)
 	defer telemetry.SetActive(nil)
-
 	reg.BeginStage("march", int64(len(faults)))
-	const blocked = time.Microsecond
-	if _, _, err := ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
-		StreamConfig{Chunk: 7, Workers: 1}, func(int) ChunkSink {
-			return func(int, int, []int, []fault.Fault, []bool) time.Duration { return blocked }
-		}); err != nil {
-		t.Fatal(err)
-	}
+	w := run()
 
 	s := reg.Snapshot()
-	if s.Faults != uint64(len(faults)) {
-		t.Errorf("faults presented = %d, want %d", s.Faults, len(faults))
+	if s.Local != w {
+		t.Errorf("registry totals %+v, want the worker's %+v", s.Local, w)
+	}
+	if s.Workers != 1 {
+		t.Errorf("registry workers = %d, want 1", s.Workers)
 	}
 	if s.CollapseIn != s.Faults || s.Reps != s.CollapseOut {
 		t.Errorf("reps = %d, collapse in/out = %d/%d for %d faults", s.Reps, s.CollapseIn, s.CollapseOut, s.Faults)
-	}
-	wantChunks := uint64((len(faults) + 6) / 7)
-	if s.Chunks != wantChunks {
-		t.Errorf("chunks = %d, want %d", s.Chunks, wantChunks)
-	}
-	if s.Kernel <= 0 {
-		t.Errorf("kernel time = %v", s.Kernel)
-	}
-	if want := time.Duration(wantChunks) * blocked; s.SinkWait != want {
-		t.Errorf("sink wait = %v, want %v (the sinks' reported lock wait)", s.SinkWait, want)
-	}
-	if len(s.Workers) != 1 || s.Workers[0].Faults != s.Faults {
-		t.Errorf("worker rows: %+v", s.Workers)
 	}
 
 	// The final progress sample is the completed stage: everything
@@ -91,8 +111,9 @@ func TestStreamTelemetryCounters(t *testing.T) {
 // TestStreamTelemetryRace hammers one registry from two concurrent
 // multi-worker streaming campaigns while a reader polls snapshots —
 // the -race guard for the engine-side instrumentation (the
-// registry-internal guard lives in internal/telemetry).  Aggregate
-// totals stay exact even though per-worker attribution blurs.
+// registry-internal guard lives in internal/telemetry).  Each run's
+// returned totals cover its own faults only, and the registry's
+// process totals cover both.
 func TestStreamTelemetryRace(t *testing.T) {
 	const n = 32
 	tr := recordMarch(t, march.MarchB(), n)
@@ -124,12 +145,13 @@ func TestStreamTelemetryRace(t *testing.T) {
 		}
 	}()
 	errs := make([]error, runs)
+	totals := make([][]telemetry.Local, runs)
 	var runsWG sync.WaitGroup
 	for i := 0; i < runs; i++ {
 		runsWG.Add(1)
 		go func(i int) {
 			defer runsWG.Done()
-			_, _, errs[i] = ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
+			totals[i], errs[i] = ShardsCompiledStream(context.Background(), p, fault.SliceSource(faults),
 				StreamConfig{Chunk: 5, Workers: 3}, discard)
 		}(i)
 	}
@@ -139,6 +161,13 @@ func TestStreamTelemetryRace(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
+		}
+		var sum telemetry.Local
+		for _, w := range totals[i] {
+			sum.Add(w)
+		}
+		if len(totals[i]) != 3 || sum.Faults != uint64(len(faults)) {
+			t.Errorf("run %d: %d worker rows presenting %d faults, want 3 rows and %d", i, len(totals[i]), sum.Faults, len(faults))
 		}
 	}
 	s := reg.Snapshot()

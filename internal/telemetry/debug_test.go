@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -11,7 +13,7 @@ import (
 // carrying the snapshot.
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Flush(r.Worker(0), &Local{Faults: 12, Reps: 11})
+	r.Flush(Local{Faults: 12, Reps: 11})
 	r.CacheLookup(true)
 
 	rec := httptest.NewRecorder()
@@ -26,13 +28,27 @@ func TestMetricsHandler(t *testing.T) {
 	if m["faults_presented"] != 12 || m["faults_simulated"] != 11 || m["program_cache_hits"] != 1 {
 		t.Errorf("metrics: %v", m)
 	}
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	want := []string{
+		"arena_fresh", "arena_reuse", "batches", "checkpoint_seconds", "checkpoint_writes",
+		"chunks", "collapse_in", "collapse_out", "faults_presented", "faults_simulated",
+		"kernel_seconds", "program_cache_hits", "program_cache_misses", "sink_seconds",
+		"sink_wait_seconds", "source_wait_seconds", "workers",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("metric names:\n got %v\nwant %v", names, want)
+	}
 }
 
 // TestServeDebug: the opt-in endpoint binds, serves /metrics, and
 // routes the pprof index.
 func TestServeDebug(t *testing.T) {
 	r := NewRegistry()
-	r.Flush(r.Worker(0), &Local{Faults: 3})
+	r.Flush(Local{Faults: 3})
 	addr, err := ServeDebug("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatalf("ServeDebug: %v", err)

@@ -6,28 +6,28 @@
 // # Design
 //
 // The kernel hot path must stay hot, so the package is built around
-// three tiers:
+// two tiers:
 //
-//   - Worker-local accumulation (Local): each shard worker owns a plain
-//     struct it increments freely — no atomics, no sharing, effectively
-//     register arithmetic.
+//   - Worker-local counts (Local): each streaming worker fills a plain
+//     struct per chunk — no atomics, no sharing — and adds it to its
+//     own totals for the stage.  The driver returns those totals, one
+//     Local per worker, with the stage itself, so a stage's per-worker
+//     time split (kernel, source wait, sink wait) travels with the call
+//     that produced it, registry or no registry, and concurrent
+//     sessions never mix their accounts.
 //
-//   - Per-worker flush slots (Worker): cache-line-padded blocks of
-//     atomic counters, one per worker index.  A worker flushes its
-//     Local into its slot once per chunk — a handful of uncontended
-//     atomic adds amortized over up to 8192 faults.  False sharing is
-//     kept off the table by the padding.
-//
-//   - Aggregation on read (Snapshot): readers sum the slots (plus the
-//     low-frequency global counters: program-cache hits, arena reuse,
-//     collapse in/out) whenever they want a view.  Writers never
-//     aggregate.
+//   - Process counters (Registry): when a registry is attached
+//     (SetActive), each worker also flushes every chunk's Local into
+//     one set of atomic counters — a handful of atomic adds amortized
+//     over up to 8192 faults — beside the low-frequency event counters
+//     (program-cache hits, arena reuse, collapse in/out, checkpoint
+//     writes).  Readers take a Snapshot of the totals whenever they
+//     want one; writers never aggregate.
 //
 // When no Registry is attached (telemetry.Active() == nil) the
-// instrumented drivers skip every timestamp and counter behind a single
-// nil check per batch, so the instrumentation is compiled in but
-// near-free — BenchmarkTelemetryOverhead guards the bound (<2% on the
-// compiled campaign path).
+// instrumented engines skip every flush behind a nil check, so the
+// registry is compiled in but near-free — BenchmarkTelemetryOverhead
+// guards the bound (<2% on the compiled campaign path).
 //
 // # Progress
 //
@@ -38,10 +38,9 @@
 // session's current survivor count.  The coverage executor reports the
 // last two from its completion-frontier fold: every index below the
 // high-water mark is done, so it is exactly the point a resumable run
-// would restart from.  Completed stages are reported through OnStage
-// with per-worker kernel / sink-wait / source-wait time — the
-// sink-wait share is the direct answer to "is the fold's lock the
-// bottleneck at N workers".
+// would restart from.  Completed stages are not reported here: their
+// statistics, per-worker times included, come back in the executed
+// session (coverage.Session.Stages).
 //
 // # Debug endpoint
 //

@@ -45,34 +45,6 @@ func Estimate(done, total int64, elapsed time.Duration) (faultsPerSec float64, e
 	return faultsPerSec, time.Duration(rem * float64(elapsed))
 }
 
-// StageReport is one completed campaign stage's execution summary,
-// delivered through the OnStage callback: what the coverage layer puts
-// in EngineStats, plus the per-worker time split the sink-contention
-// question needs.
-type StageReport struct {
-	// Universe and Stage label the session's universe and the runner.
-	Universe, Stage string
-	// Engine is the strategy that actually ran ("compiled", "bitpar",
-	// "oracle" — fallbacks included).
-	Engine string
-	// Entered / Detected / Survivors are the stage's fault bookkeeping
-	// (survivors are session-cumulative).
-	Entered, Detected, Survivors int
-	// Elapsed and FaultsPerSec are the stage's wall time and
-	// throughput over presented faults.
-	Elapsed      time.Duration
-	FaultsPerSec float64
-	// CollapseRatio is simulated representatives per presented fault.
-	CollapseRatio float64
-	// CacheHit reports the compiled program came from the cache.
-	CacheHit bool
-	// KernelTime, SinkWait and SourceWait split each worker's stage
-	// time: inside the replay kernel, blocked on the lock its sink
-	// shares with the other workers' (the session fold's), and claiming
-	// chunks from the source.  Indexed by worker slot.
-	KernelTime, SinkWait, SourceWait []time.Duration
-}
-
 // stageState is the progress baseline of the active stage.
 type stageState struct {
 	label      string
@@ -95,17 +67,6 @@ func (r *Registry) OnProgress(every time.Duration, fn func(Progress)) {
 	r.hasProgress.Store(fn != nil)
 }
 
-// OnStage installs fn as the completed-stage callback (the session
-// layer invokes StageDone).  Install before attaching the registry.
-func (r *Registry) OnStage(fn func(StageReport)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.stageFn = fn
-	r.mu.Unlock()
-}
-
 // BeginStage marks a new campaign stage as the progress scope: done
 // counts restart from the current flush totals, the high-water mark
 // resets, and total is the fault count the stage will present (<= 0
@@ -118,24 +79,11 @@ func (r *Registry) BeginStage(label string, total int64) {
 		label:      label,
 		total:      total,
 		start:      r.now(),
-		baseFaults: r.Snapshot().Faults,
+		baseFaults: r.ctr[ctrFaults].Load(),
 	}
 	r.highWater.Store(0)
 	r.stage.Store(st)
 	r.lastEmit.Store(st.start.UnixNano())
-}
-
-// StageDone reports a completed stage to the OnStage callback, if any.
-func (r *Registry) StageDone(rep StageReport) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	fn := r.stageFn
-	r.mu.Unlock()
-	if fn != nil {
-		fn(rep)
-	}
 }
 
 // noteFlush is the emission gate, called by Flush: when a progress
@@ -168,7 +116,7 @@ func (r *Registry) emit() {
 	if fn == nil {
 		return
 	}
-	done := int64(r.Snapshot().Faults - st.baseFaults)
+	done := int64(r.ctr[ctrFaults].Load() - st.baseFaults)
 	elapsed := r.now().Sub(st.start)
 	fps, eta := Estimate(done, st.total, elapsed)
 	fn(Progress{

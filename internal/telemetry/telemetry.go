@@ -6,62 +6,67 @@ import (
 	"time"
 )
 
-// Per-worker counter indices.  The set is sized so one Worker slot is
-// exactly one cache line of atomics (8 × 8 bytes) plus a line of
-// padding.
+// Process counter indices: the totals of every flushed chunk, then the
+// low-frequency events the engines report as they happen.
 const (
 	ctrFaults     = iota // verdicts delivered (presented faults)
 	ctrReps              // faults actually simulated (post-collapse)
-	ctrBatches           // 64-machine replay batches
+	ctrBatches           // replay passes
 	ctrChunks            // streaming chunks completed
 	ctrKernel            // nanoseconds inside replay kernels
-	ctrSinkWait          // nanoseconds the sink spent blocked on its shared lock
-	ctrSink              // nanoseconds inside the sink callback
+	ctrSinkWait          // nanoseconds the sinks spent blocked on their shared lock
+	ctrSink              // nanoseconds inside the sink callbacks
 	ctrSourceWait        // nanoseconds claiming chunks from the source
+	ctrCacheHits         // program-cache lookup hits
+	ctrCacheMisses
+	ctrArenaReuse // arena-pool checkouts served from the pool
+	ctrArenaFresh // arena-pool checkouts that built a new arena
+	ctrCollapseIn // faults entering structural collapsing
+	ctrCollapseOut
+	ctrCheckpointWrites // durable checkpoint files written
+	ctrCheckpointNanos  // nanoseconds spent encoding + fsyncing them
 	numCounters
 )
 
-// Global (non-per-worker) counter indices: low-frequency events where
-// one shared atomic is cheaper than a slot lookup.
-const (
-	gCacheHits = iota // program-cache lookup hits
-	gCacheMisses
-	gArenaReuse // arena-pool checkouts served from the pool
-	gArenaFresh // arena-pool checkouts that built a new arena
-	gCollapseIn // faults entering structural collapsing
-	gCollapseOut
-	gCheckpointWrites // durable checkpoint files written
-	gCheckpointNanos  // nanoseconds spent encoding + fsyncing them
-	numGlobals
-)
-
-// Local is one worker's private counter accumulation.  It is plain
-// data: the worker increments it with ordinary arithmetic on the hot
-// path and flushes it into its padded Registry slot once per batch or
-// chunk (Registry.Flush), which zeroes it again.
+// Local is a worker's count of its own work: one chunk's, or the sum
+// over a stage.  It is plain data, added to with ordinary arithmetic.
+// A streaming driver fills one per chunk, adds it to the worker's
+// stage totals (which the driver returns with the stage), and flushes
+// it into the attached registry, if any.
 type Local struct {
-	Faults, Reps, Batches, Chunks                          uint64
-	KernelNanos, SinkWaitNanos, SinkNanos, SourceWaitNanos uint64
+	// Faults counts the verdicts delivered (presented faults), Reps the
+	// faults simulated after collapsing, Batches the replay passes and
+	// Chunks the chunks completed.
+	Faults, Reps, Batches, Chunks uint64
+	// Kernel is the time inside the replay kernel, SinkWait the time
+	// the sink was blocked on a lock it shares with the other workers'
+	// sinks, Sink the rest of the time inside the sink, and SourceWait
+	// the time claiming chunks from the source.
+	Kernel, SinkWait, Sink, SourceWait time.Duration
 }
 
-// Worker is one worker's flush target: a cache-line-padded block of
-// atomic counters.  Only the owning worker adds to it; any goroutine
-// may read it through Registry.Snapshot.
-type Worker struct {
-	vals [numCounters]atomic.Uint64
-	_    [64]byte // keep neighbouring slots off this line
+// Add adds c into l.
+func (l *Local) Add(c Local) {
+	l.Faults += c.Faults
+	l.Reps += c.Reps
+	l.Batches += c.Batches
+	l.Chunks += c.Chunks
+	l.Kernel += c.Kernel
+	l.SinkWait += c.SinkWait
+	l.Sink += c.Sink
+	l.SourceWait += c.SourceWait
 }
 
-// Registry is one instrumentation domain: per-worker flush slots,
-// global event counters, and the progress/stage reporting state.  All
-// methods are safe for concurrent use and safe on a nil receiver (they
-// become no-ops), so call sites can thread Active() through without
-// guarding every call.
+// Registry is one instrumentation domain: the live process counters
+// behind -progress and /metrics, and the progress state of the active
+// stage.  All methods are safe for concurrent use and safe on a nil
+// receiver (they become no-ops), so call sites can thread Active()
+// through without guarding every call.
 type Registry struct {
-	mu      sync.Mutex
-	workers []*Worker
+	mu sync.Mutex
 
-	globals [numGlobals]atomic.Uint64
+	ctr     [numCounters]atomic.Uint64
+	workers atomic.Int64 // the largest worker pool any driver ran
 
 	// now is the clock, injectable for cadence tests; fixed after
 	// construction.
@@ -78,7 +83,6 @@ type Registry struct {
 	everyNanos  int64
 	lastEmit    atomic.Int64
 	progressFn  func(Progress)
-	stageFn     func(StageReport)
 }
 
 // NewRegistry returns an empty registry using the real clock.
@@ -103,45 +107,33 @@ func SetActive(r *Registry) { active.Store(r) }
 // once per shard run and branch on the nil.
 func Active() *Registry { return active.Load() }
 
-// Worker returns the flush slot for worker index i, growing the slot
-// table as needed.  Slots are identified by index so per-stage
-// snapshot deltas line up worker for worker; concurrent campaigns
-// sharing one registry share slots, which keeps aggregate totals exact
-// and blurs only the per-worker attribution.
-func (r *Registry) Worker(i int) *Worker {
+// Flush adds one chunk's counts to the process counters.  The worker
+// that did the chunk calls it; it also drives the rate-limited
+// progress emission.
+//
+//faultsim:hotpath
+func (r *Registry) Flush(c Local) {
 	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.workers) <= i {
-		r.workers = append(r.workers, &Worker{})
-	}
-	return r.workers[i]
-}
-
-// Flush adds l into w's slot and zeroes l.  Called once per batch or
-// chunk by the owning worker; it also drives the rate-limited progress
-// emission.
-func (r *Registry) Flush(w *Worker, l *Local) {
-	if r == nil || w == nil {
 		return
 	}
-	add := func(c int, v uint64) {
-		if v != 0 {
-			w.vals[c].Add(v)
-		}
-	}
-	add(ctrFaults, l.Faults)
-	add(ctrReps, l.Reps)
-	add(ctrBatches, l.Batches)
-	add(ctrChunks, l.Chunks)
-	add(ctrKernel, l.KernelNanos)
-	add(ctrSinkWait, l.SinkWaitNanos)
-	add(ctrSink, l.SinkNanos)
-	add(ctrSourceWait, l.SourceWaitNanos)
-	*l = Local{}
+	r.ctr[ctrFaults].Add(c.Faults)
+	r.ctr[ctrReps].Add(c.Reps)
+	r.ctr[ctrBatches].Add(c.Batches)
+	r.ctr[ctrChunks].Add(c.Chunks)
+	r.ctr[ctrKernel].Add(uint64(c.Kernel))
+	r.ctr[ctrSinkWait].Add(uint64(c.SinkWait))
+	r.ctr[ctrSink].Add(uint64(c.Sink))
+	r.ctr[ctrSourceWait].Add(uint64(c.SourceWait))
 	r.noteFlush()
+}
+
+// ObserveWorkers records that a driver started a pool of n workers;
+// the registry keeps the largest.
+func (r *Registry) ObserveWorkers(n int) {
+	if r == nil {
+		return
+	}
+	raise(&r.workers, int64(n))
 }
 
 // CacheLookup records a program-cache lookup (sim.ProgramCache.Get).
@@ -150,9 +142,9 @@ func (r *Registry) CacheLookup(hit bool) {
 		return
 	}
 	if hit {
-		r.globals[gCacheHits].Add(1)
+		r.ctr[ctrCacheHits].Add(1)
 	} else {
-		r.globals[gCacheMisses].Add(1)
+		r.ctr[ctrCacheMisses].Add(1)
 	}
 }
 
@@ -162,9 +154,9 @@ func (r *Registry) ArenaGet(reused bool) {
 		return
 	}
 	if reused {
-		r.globals[gArenaReuse].Add(1)
+		r.ctr[ctrArenaReuse].Add(1)
 	} else {
-		r.globals[gArenaFresh].Add(1)
+		r.ctr[ctrArenaFresh].Add(1)
 	}
 }
 
@@ -174,8 +166,8 @@ func (r *Registry) CollapseDelta(in, out int) {
 	if r == nil {
 		return
 	}
-	r.globals[gCollapseIn].Add(uint64(in))
-	r.globals[gCollapseOut].Add(uint64(out))
+	r.ctr[ctrCollapseIn].Add(uint64(in))
+	r.ctr[ctrCollapseOut].Add(uint64(out))
 }
 
 // CheckpointWrite records one durable checkpoint write and the time it
@@ -186,8 +178,8 @@ func (r *Registry) CheckpointWrite(d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.globals[gCheckpointWrites].Add(1)
-	r.globals[gCheckpointNanos].Add(uint64(d))
+	r.ctr[ctrCheckpointWrites].Add(1)
+	r.ctr[ctrCheckpointNanos].Add(uint64(d))
 }
 
 // ObserveIndex raises the active stage's universe-index high-water
@@ -198,9 +190,14 @@ func (r *Registry) ObserveIndex(idx int64) {
 	if r == nil {
 		return
 	}
+	raise(&r.highWater, idx)
+}
+
+// raise lifts a to v unless it already holds at least v.
+func raise(a *atomic.Int64, v int64) {
 	for {
-		cur := r.highWater.Load()
-		if idx <= cur || r.highWater.CompareAndSwap(cur, idx) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -215,20 +212,12 @@ func (r *Registry) ReportSurvivors(n int64) {
 	r.survivors.Store(n)
 }
 
-// WorkerSnapshot is one flush slot's totals, nanoseconds resolved to
-// durations.
-type WorkerSnapshot struct {
-	Faults, Reps, Batches, Chunks      uint64
-	Kernel, SinkWait, Sink, SourceWait time.Duration
-}
-
-// Snapshot is one aggregated view of a registry: per-worker rows plus
-// their sums and the global event counters.  Snapshots are values;
-// Sub diffs two of them for per-stage deltas.
+// Snapshot is one read of a registry's process counters.
 type Snapshot struct {
-	Faults, Reps, Batches, Chunks      uint64
-	Kernel, SinkWait, Sink, SourceWait time.Duration
-	Workers                            []WorkerSnapshot
+	// Local sums every flushed chunk.
+	Local
+	// Workers is the largest worker pool any driver ran.
+	Workers int
 
 	CacheHits, CacheMisses  uint64
 	ArenaReuse, ArenaFresh  uint64
@@ -237,102 +226,40 @@ type Snapshot struct {
 	CheckpointTime          time.Duration
 }
 
-// Snapshot aggregates the registry's counters.
+// Snapshot reads the registry's counters.
 func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
 	if r == nil {
-		return s
+		return Snapshot{}
 	}
-	r.mu.Lock()
-	workers := r.workers
-	r.mu.Unlock()
-	s.Workers = make([]WorkerSnapshot, len(workers))
-	for i, w := range workers {
-		ws := WorkerSnapshot{
-			Faults:     w.vals[ctrFaults].Load(),
-			Reps:       w.vals[ctrReps].Load(),
-			Batches:    w.vals[ctrBatches].Load(),
-			Chunks:     w.vals[ctrChunks].Load(),
-			Kernel:     time.Duration(w.vals[ctrKernel].Load()),
-			SinkWait:   time.Duration(w.vals[ctrSinkWait].Load()),
-			Sink:       time.Duration(w.vals[ctrSink].Load()),
-			SourceWait: time.Duration(w.vals[ctrSourceWait].Load()),
-		}
-		s.Workers[i] = ws
-		s.Faults += ws.Faults
-		s.Reps += ws.Reps
-		s.Batches += ws.Batches
-		s.Chunks += ws.Chunks
-		s.Kernel += ws.Kernel
-		s.SinkWait += ws.SinkWait
-		s.Sink += ws.Sink
-		s.SourceWait += ws.SourceWait
+	ns := func(i int) time.Duration { return time.Duration(r.ctr[i].Load()) }
+	return Snapshot{
+		Local: Local{
+			Faults:     r.ctr[ctrFaults].Load(),
+			Reps:       r.ctr[ctrReps].Load(),
+			Batches:    r.ctr[ctrBatches].Load(),
+			Chunks:     r.ctr[ctrChunks].Load(),
+			Kernel:     ns(ctrKernel),
+			SinkWait:   ns(ctrSinkWait),
+			Sink:       ns(ctrSink),
+			SourceWait: ns(ctrSourceWait),
+		},
+		Workers:          int(r.workers.Load()),
+		CacheHits:        r.ctr[ctrCacheHits].Load(),
+		CacheMisses:      r.ctr[ctrCacheMisses].Load(),
+		ArenaReuse:       r.ctr[ctrArenaReuse].Load(),
+		ArenaFresh:       r.ctr[ctrArenaFresh].Load(),
+		CollapseIn:       r.ctr[ctrCollapseIn].Load(),
+		CollapseOut:      r.ctr[ctrCollapseOut].Load(),
+		CheckpointWrites: r.ctr[ctrCheckpointWrites].Load(),
+		CheckpointTime:   ns(ctrCheckpointNanos),
 	}
-	s.CacheHits = r.globals[gCacheHits].Load()
-	s.CacheMisses = r.globals[gCacheMisses].Load()
-	s.ArenaReuse = r.globals[gArenaReuse].Load()
-	s.ArenaFresh = r.globals[gArenaFresh].Load()
-	s.CollapseIn = r.globals[gCollapseIn].Load()
-	s.CollapseOut = r.globals[gCollapseOut].Load()
-	s.CheckpointWrites = r.globals[gCheckpointWrites].Load()
-	s.CheckpointTime = time.Duration(r.globals[gCheckpointNanos].Load())
-	return s
-}
-
-// Sub returns the counter deltas s − prev, worker rows aligned by
-// index (rows prev lacks are taken whole).
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Faults:      s.Faults - prev.Faults,
-		Reps:        s.Reps - prev.Reps,
-		Batches:     s.Batches - prev.Batches,
-		Chunks:      s.Chunks - prev.Chunks,
-		Kernel:      s.Kernel - prev.Kernel,
-		SinkWait:    s.SinkWait - prev.SinkWait,
-		Sink:        s.Sink - prev.Sink,
-		SourceWait:  s.SourceWait - prev.SourceWait,
-		CacheHits:   s.CacheHits - prev.CacheHits,
-		CacheMisses: s.CacheMisses - prev.CacheMisses,
-		ArenaReuse:  s.ArenaReuse - prev.ArenaReuse,
-		ArenaFresh:  s.ArenaFresh - prev.ArenaFresh,
-		CollapseIn:  s.CollapseIn - prev.CollapseIn,
-		CollapseOut: s.CollapseOut - prev.CollapseOut,
-
-		CheckpointWrites: s.CheckpointWrites - prev.CheckpointWrites,
-		CheckpointTime:   s.CheckpointTime - prev.CheckpointTime,
-	}
-	d.Workers = make([]WorkerSnapshot, len(s.Workers))
-	for i, w := range s.Workers {
-		if i < len(prev.Workers) {
-			p := prev.Workers[i]
-			w.Faults -= p.Faults
-			w.Reps -= p.Reps
-			w.Batches -= p.Batches
-			w.Chunks -= p.Chunks
-			w.Kernel -= p.Kernel
-			w.SinkWait -= p.SinkWait
-			w.Sink -= p.Sink
-			w.SourceWait -= p.SourceWait
-		}
-		d.Workers[i] = w
-	}
-	return d
-}
-
-// CollapseRatio returns simulated representatives per presented fault
-// (1 when no collapse passes were recorded).
-func (s Snapshot) CollapseRatio() float64 {
-	if s.CollapseIn == 0 {
-		return 1
-	}
-	return float64(s.CollapseOut) / float64(s.CollapseIn)
 }
 
 // Metrics flattens the snapshot into expvar-style name → value pairs —
 // the /metrics document of the debug endpoint.  Durations are reported
 // in seconds.
 func (s Snapshot) Metrics() map[string]float64 {
-	m := map[string]float64{
+	return map[string]float64{
 		"faults_presented":     float64(s.Faults),
 		"faults_simulated":     float64(s.Reps),
 		"batches":              float64(s.Batches),
@@ -349,7 +276,6 @@ func (s Snapshot) Metrics() map[string]float64 {
 		"collapse_out":         float64(s.CollapseOut),
 		"checkpoint_writes":    float64(s.CheckpointWrites),
 		"checkpoint_seconds":   s.CheckpointTime.Seconds(),
-		"workers":              float64(len(s.Workers)),
+		"workers":              float64(s.Workers),
 	}
-	return m
 }

@@ -6,33 +6,31 @@ import (
 	"time"
 )
 
-// TestSnapshotAggregation: per-worker flushes land in the right rows
-// and the snapshot sums them.
+// TestSnapshotAggregation: flushed chunks sum into the process
+// counters, the workers gauge keeps the largest pool, and the event
+// counters count.
 func TestSnapshotAggregation(t *testing.T) {
 	r := NewRegistry()
-	w0, w1 := r.Worker(0), r.Worker(1)
-	r.Flush(w0, &Local{Faults: 10, Reps: 8, Batches: 1, KernelNanos: 1000})
-	r.Flush(w0, &Local{Faults: 5, Chunks: 1, SinkWaitNanos: 200, SinkNanos: 300})
-	r.Flush(w1, &Local{Faults: 7, Reps: 7, SourceWaitNanos: 400})
+	r.ObserveWorkers(2)
+	r.Flush(Local{Faults: 10, Reps: 8, Batches: 1, Kernel: 1000})
+	r.Flush(Local{Faults: 5, Chunks: 1, SinkWait: 200, Sink: 300})
+	r.ObserveWorkers(1)
+	r.Flush(Local{Faults: 7, Reps: 7, SourceWait: 400})
 	r.CacheLookup(true)
 	r.CacheLookup(false)
 	r.CacheLookup(false)
 	r.ArenaGet(true)
 	r.ArenaGet(false)
 	r.CollapseDelta(100, 60)
+	r.CheckpointWrite(50)
 
 	s := r.Snapshot()
-	if s.Faults != 22 || s.Reps != 15 || s.Batches != 1 || s.Chunks != 1 {
-		t.Errorf("sums: %+v", s)
+	want := Local{Faults: 22, Reps: 15, Batches: 1, Chunks: 1, Kernel: 1000, SinkWait: 200, Sink: 300, SourceWait: 400}
+	if s.Local != want {
+		t.Errorf("totals: %+v, want %+v", s.Local, want)
 	}
-	if s.Kernel != 1000 || s.SinkWait != 200 || s.Sink != 300 || s.SourceWait != 400 {
-		t.Errorf("durations: %+v", s)
-	}
-	if len(s.Workers) != 2 {
-		t.Fatalf("worker rows: %d", len(s.Workers))
-	}
-	if s.Workers[0].Faults != 15 || s.Workers[1].Faults != 7 {
-		t.Errorf("per-worker faults: %d, %d", s.Workers[0].Faults, s.Workers[1].Faults)
+	if s.Workers != 2 {
+		t.Errorf("workers = %d, want the largest pool, 2", s.Workers)
 	}
 	if s.CacheHits != 1 || s.CacheMisses != 2 {
 		t.Errorf("cache: hits=%d misses=%d", s.CacheHits, s.CacheMisses)
@@ -43,47 +41,21 @@ func TestSnapshotAggregation(t *testing.T) {
 	if s.CollapseIn != 100 || s.CollapseOut != 60 {
 		t.Errorf("collapse: %d/%d", s.CollapseIn, s.CollapseOut)
 	}
-	if got := s.CollapseRatio(); got != 0.6 {
-		t.Errorf("collapse ratio = %v", got)
+	if s.CheckpointWrites != 1 || s.CheckpointTime != 50 {
+		t.Errorf("checkpoints: %d in %v", s.CheckpointWrites, s.CheckpointTime)
 	}
 	if m := s.Metrics(); m["faults_presented"] != 22 || m["workers"] != 2 {
 		t.Errorf("metrics: %v", m)
 	}
 }
 
-// TestFlushZeroesLocal: Flush must reset the worker-local accumulator
-// so the next batch starts clean.
-func TestFlushZeroesLocal(t *testing.T) {
-	r := NewRegistry()
-	w := r.Worker(0)
-	l := Local{Faults: 3, KernelNanos: 9}
-	r.Flush(w, &l)
-	if l != (Local{}) {
-		t.Errorf("local not zeroed: %+v", l)
-	}
-}
-
-// TestSnapshotSub: per-stage deltas line up worker for worker, and
-// rows the previous snapshot lacks are taken whole.
-func TestSnapshotSub(t *testing.T) {
-	r := NewRegistry()
-	w0 := r.Worker(0)
-	r.Flush(w0, &Local{Faults: 10, KernelNanos: 100})
-	before := r.Snapshot()
-	r.Flush(w0, &Local{Faults: 4, KernelNanos: 50})
-	w1 := r.Worker(1) // appears only after the baseline snapshot
-	r.Flush(w1, &Local{Faults: 6})
-	r.CacheLookup(false)
-
-	d := r.Snapshot().Sub(before)
-	if d.Faults != 10 || d.Kernel != 50 {
-		t.Errorf("delta sums: faults=%d kernel=%d", d.Faults, d.Kernel)
-	}
-	if len(d.Workers) != 2 || d.Workers[0].Faults != 4 || d.Workers[1].Faults != 6 {
-		t.Errorf("delta rows: %+v", d.Workers)
-	}
-	if d.CacheMisses != 1 {
-		t.Errorf("delta cache misses = %d", d.CacheMisses)
+// TestLocalAdd: Add sums every field, the one accumulation the
+// drivers' per-worker stage totals rest on.
+func TestLocalAdd(t *testing.T) {
+	l := Local{Faults: 1, Reps: 2, Batches: 3, Chunks: 4, Kernel: 5, SinkWait: 6, Sink: 7, SourceWait: 8}
+	l.Add(l)
+	if want := (Local{Faults: 2, Reps: 4, Batches: 6, Chunks: 8, Kernel: 10, SinkWait: 12, Sink: 14, SourceWait: 16}); l != want {
+		t.Errorf("Add: %+v, want %+v", l, want)
 	}
 }
 
@@ -91,20 +63,17 @@ func TestSnapshotSub(t *testing.T) {
 // detached-instrumentation mode call sites rely on.
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
-	if w := r.Worker(3); w != nil {
-		t.Error("nil registry returned a worker slot")
-	}
-	r.Flush(nil, &Local{Faults: 1})
+	r.Flush(Local{Faults: 1})
+	r.ObserveWorkers(4)
 	r.CacheLookup(true)
 	r.ArenaGet(false)
 	r.CollapseDelta(5, 3)
+	r.CheckpointWrite(1)
 	r.ObserveIndex(9)
 	r.ReportSurvivors(1)
 	r.BeginStage("x", 10)
-	r.StageDone(StageReport{})
 	r.OnProgress(time.Second, func(Progress) { t.Error("callback on nil registry") })
-	r.OnStage(func(StageReport) { t.Error("stage callback on nil registry") })
-	if s := r.Snapshot(); s.Faults != 0 || len(s.Workers) != 0 {
+	if s := r.Snapshot(); s != (Snapshot{}) {
 		t.Errorf("nil snapshot: %+v", s)
 	}
 }
@@ -142,20 +111,19 @@ func TestProgressCadence(t *testing.T) {
 	r.OnProgress(time.Second, func(p Progress) { got = append(got, p) })
 	r.ReportSurvivors(42)
 	r.BeginStage("stage-a", 100)
-	w := r.Worker(0)
 
-	r.Flush(w, &Local{Faults: 10}) // same instant as BeginStage: suppressed
+	r.Flush(Local{Faults: 10}) // same instant as BeginStage: suppressed
 	if len(got) != 0 {
 		t.Fatalf("emitted %d samples with no time elapsed", len(got))
 	}
 	now = now.Add(400 * time.Millisecond)
-	r.Flush(w, &Local{Faults: 10}) // 0.4s since baseline: still suppressed
+	r.Flush(Local{Faults: 10}) // 0.4s since baseline: still suppressed
 	if len(got) != 0 {
 		t.Fatalf("emitted before the cadence interval")
 	}
 	now = now.Add(700 * time.Millisecond)
 	r.ObserveIndex(19)
-	r.Flush(w, &Local{Faults: 5}) // 1.1s: one emission
+	r.Flush(Local{Faults: 5}) // 1.1s: one emission
 	if len(got) != 1 {
 		t.Fatalf("emissions after interval = %d, want 1", len(got))
 	}
@@ -170,7 +138,7 @@ func TestProgressCadence(t *testing.T) {
 		t.Errorf("elapsed = %v", p.Elapsed)
 	}
 	now = now.Add(100 * time.Millisecond)
-	r.Flush(w, &Local{Faults: 5}) // 0.1s after the last emission: suppressed
+	r.Flush(Local{Faults: 5}) // 0.1s after the last emission: suppressed
 	if len(got) != 1 {
 		t.Fatalf("re-emitted inside the interval")
 	}
@@ -185,9 +153,8 @@ func TestProgressEveryFlush(t *testing.T) {
 	var n int
 	r.OnProgress(0, func(Progress) { n++ })
 	r.BeginStage("s", 10)
-	w := r.Worker(0)
 	for i := 0; i < 5; i++ {
-		r.Flush(w, &Local{Faults: 1})
+		r.Flush(Local{Faults: 1})
 	}
 	if n != 5 {
 		t.Errorf("emissions = %d, want 5", n)
@@ -202,32 +169,20 @@ func TestBeginStageResetsBaseline(t *testing.T) {
 	r.SetClock(func() time.Time { now = now.Add(time.Millisecond); return now })
 	var last Progress
 	r.OnProgress(0, func(p Progress) { last = p })
-	w := r.Worker(0)
 
 	r.BeginStage("first", 50)
 	r.ObserveIndex(40)
-	r.Flush(w, &Local{Faults: 30})
+	r.Flush(Local{Faults: 30})
 	if last.Done != 30 || last.HighWater != 40 {
 		t.Fatalf("first stage: %+v", last)
 	}
 	r.BeginStage("second", 50)
-	r.Flush(w, &Local{Faults: 10})
+	r.Flush(Local{Faults: 10})
 	if last.Stage != "second" || last.Done != 10 {
 		t.Errorf("second stage baseline: %+v", last)
 	}
 	if last.HighWater != 0 {
 		t.Errorf("high water not reset: %d", last.HighWater)
-	}
-}
-
-// TestStageDone delivers through the OnStage callback.
-func TestStageDone(t *testing.T) {
-	r := NewRegistry()
-	var got StageReport
-	r.OnStage(func(rep StageReport) { got = rep })
-	r.StageDone(StageReport{Stage: "m", Engine: "compiled", Entered: 9})
-	if got.Stage != "m" || got.Engine != "compiled" || got.Entered != 9 {
-		t.Errorf("stage report: %+v", got)
 	}
 }
 
@@ -245,13 +200,9 @@ func TestRegistryRace(t *testing.T) {
 		writersWG.Add(1)
 		go func(id int) {
 			defer writersWG.Done()
-			w := r.Worker(id)
-			var l Local
+			r.ObserveWorkers(id + 1)
 			for j := 0; j < 500; j++ {
-				l.Faults += 64
-				l.Reps += 60
-				l.KernelNanos += 10
-				r.Flush(w, &l)
+				r.Flush(Local{Faults: 64, Reps: 60, Kernel: 10})
 				r.ObserveIndex(int64(id*500 + j))
 				r.CacheLookup(j%2 == 0)
 				r.ArenaGet(j%3 == 0)
@@ -279,7 +230,7 @@ func TestRegistryRace(t *testing.T) {
 	if want := uint64(writers * 500 * 64); s.Faults != want {
 		t.Errorf("faults = %d, want %d", s.Faults, want)
 	}
-	if len(s.Workers) != writers {
-		t.Errorf("worker rows = %d", len(s.Workers))
+	if s.Workers != writers {
+		t.Errorf("workers = %d, want %d", s.Workers, writers)
 	}
 }
