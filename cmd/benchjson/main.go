@@ -47,6 +47,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -65,15 +66,17 @@ type Entry struct {
 //
 //	BenchmarkCampaign/n=1024/oracle-8  1  123456 ns/op  9.5e+04 faults/s  160 B/op  3 allocs/op
 //
-// and reports ok=false for anything else.
-func parseLine(line string) (Entry, bool) {
+// and reports ok=false for anything else.  A result line with a NaN or
+// infinite metric is refused with an error: JSON cannot carry the
+// value, and no regression limit can compare it.
+func parseLine(line string) (e Entry, ok bool, err error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Entry{}, false
+		return Entry{}, false, nil
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Entry{}, false
+		return Entry{}, false, nil
 	}
 	name := strings.TrimPrefix(fields[0], "Benchmark")
 	// Strip the trailing -GOMAXPROCS suffix go test appends to the
@@ -87,15 +90,18 @@ func parseLine(line string) (Entry, bool) {
 			name = name[:i]
 		}
 	}
-	e := Entry{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	e = Entry{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
+		if math.IsNaN(v) || math.IsInf(v, 0) { // also a value past float64's range
+			return Entry{}, false, fmt.Errorf("metric %s of %s is %s, not a finite number", fields[i+1], name, fields[i])
+		}
 		if err != nil {
-			return Entry{}, false
+			return Entry{}, false, nil
 		}
 		e.Metrics[fields[i+1]] = v
 	}
-	return e, len(e.Metrics) > 0
+	return e, len(e.Metrics) > 0, nil
 }
 
 // missingNames returns the baseline names absent from the current
@@ -174,7 +180,7 @@ func parseThreshold(s string) (float64, error) {
 	if raw != s {
 		v /= 100
 	}
-	if v <= 0 || v > 1 {
+	if !(v > 0 && v <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("threshold %q is outside (0%%, 100%%]", s)
 	}
 	return v, nil
@@ -292,8 +298,13 @@ func main() {
 	var entries []Entry
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		if e, ok := parseLine(sc.Text()); ok {
+	for n := 1; sc.Scan(); n++ {
+		e, ok, err := parseLine(sc.Text())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: stdin line %d refused: %v\n  %s\n", n, err, sc.Text())
+			os.Exit(1)
+		}
+		if ok {
 			entries = append(entries, e)
 		}
 	}

@@ -1,15 +1,17 @@
 package main
 
 import (
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestParseLineBenchResult(t *testing.T) {
-	e, ok := parseLine("BenchmarkCampaign/n=1024/oracle-8  1  123456 ns/op  9.5e+04 faults/s  160 B/op  3 allocs/op")
-	if !ok {
-		t.Fatal("benchmark line not parsed")
+	e, ok, err := parseLine("BenchmarkCampaign/n=1024/oracle-8  1  123456 ns/op  9.5e+04 faults/s  160 B/op  3 allocs/op")
+	if !ok || err != nil {
+		t.Fatalf("benchmark line not parsed: %v", err)
 	}
 	if e.Name != "Campaign/n=1024/oracle" {
 		t.Errorf("name = %q, want Campaign/n=1024/oracle", e.Name)
@@ -49,9 +51,9 @@ func TestParseLineSuffixStripping(t *testing.T) {
 		// not mis-parsed.
 	}
 	for _, tc := range cases {
-		e, ok := parseLine(tc.in)
-		if !ok {
-			t.Errorf("%q: not parsed", tc.in)
+		e, ok, err := parseLine(tc.in)
+		if !ok || err != nil {
+			t.Errorf("%q: not parsed: %v", tc.in, err)
 			continue
 		}
 		if e.Name != tc.want {
@@ -121,7 +123,7 @@ func TestParseThreshold(t *testing.T) {
 			t.Errorf("parseThreshold(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"", "0", "0%", "-0.5", "1.5", "150%", "abc", "%"} {
+	for _, in := range []string{"", "0", "0%", "-0.5", "1.5", "150%", "abc", "%", "NaN", "nan%", "Inf", "-Inf"} {
 		if _, err := parseThreshold(in); err == nil {
 			t.Errorf("parseThreshold(%q): expected an error", in)
 		}
@@ -186,6 +188,9 @@ func TestParsePerBench(t *testing.T) {
 		"Bench=abc",     // non-numeric threshold
 		"a(=0.5",        // regex does not compile
 		"Good=0.5,Bad=", // one bad entry poisons the list
+		"Bench=NaN",     // NaN would turn the gate off
+		"Bench=nan%",
+		"Bench=Inf",
 	} {
 		if _, err := parsePerBench(in); err == nil {
 			t.Errorf("parsePerBench(%q): expected an error", in)
@@ -260,8 +265,62 @@ func TestParseLineRejectsNonBenchLines(t *testing.T) {
 		"BenchmarkNoMetrics 10",
 		"BenchmarkOddFields 10 5", // metric value without a unit
 	} {
-		if _, ok := parseLine(in); ok {
-			t.Errorf("%q: unexpectedly parsed", in)
+		if _, ok, err := parseLine(in); ok || err != nil {
+			t.Errorf("%q: unexpectedly parsed (err %v)", in, err)
 		}
 	}
+	// A result line whose metric JSON cannot carry is refused, naming
+	// the metric.
+	for _, in := range []string{
+		"BenchmarkCampaign-8 1 +Inf faults/s",
+		"BenchmarkCampaign-8 1 5 ns/op NaN faults/s",
+		"BenchmarkCampaign-8 1 -inf ns/op",
+		"BenchmarkCampaign-8 1 1e400 faults/s", // past float64's range
+	} {
+		if _, ok, err := parseLine(in); ok || err == nil || !strings.Contains(err.Error(), "Campaign") {
+			t.Errorf("%q: ok=%v err=%v, want a refusal naming the benchmark", in, ok, err)
+		}
+	}
+}
+
+// FuzzParseLine: parseLine never panics, never both accepts and
+// refuses a line, and every line it accepts has finite metrics and
+// encodes as JSON.
+func FuzzParseLine(f *testing.F) {
+	for _, s := range []string{
+		"BenchmarkCampaign/n=1024/oracle-8  1  123456 ns/op  9.5e+04 faults/s  160 B/op  3 allocs/op",
+		"BenchmarkCampaign-8  10  5 ns/op",
+		"BenchmarkObserver/w-2-8  10  5 ns/op",
+		"BenchmarkFoo-4/bar  10  5 ns/op",
+		"BenchmarkFoo/-8  10  5 ns/op",
+		"BenchmarkFoo/bar-x  10  5 ns/op",
+		"",
+		"PASS",
+		"ok  \trepro\t1.234s",
+		"goos: linux",
+		"BenchmarkBroken notanumber 5 ns/op",
+		"BenchmarkNoMetrics 10",
+		"BenchmarkOddFields 10 5",
+		"BenchmarkCampaign-8 1 +Inf faults/s",
+		"BenchmarkCampaign-8 1 NaN faults/s",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		e, ok, err := parseLine(line)
+		if ok && err != nil {
+			t.Fatalf("%q: accepted and refused (%v)", line, err)
+		}
+		if !ok {
+			return
+		}
+		for m, v := range e.Metrics {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q: accepted metric %s = %v", line, m, v)
+			}
+		}
+		if _, err := json.Marshal(e); err != nil {
+			t.Fatalf("%q: accepted entry does not encode: %v", line, err)
+		}
+	})
 }

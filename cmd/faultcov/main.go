@@ -55,10 +55,13 @@
 // ends, one `# stage` line per stage it ran, in execution order
 // (engine, elapsed, throughput, collapse ratio, and each worker's
 // share of wall time spent blocked on the lock of the session's
-// completion-frontier fold).  The stage lines come from the executed
-// session itself, whose statistics every stage carries.  Attaching
-// -progress changes nothing about how a campaign runs: every session
-// folds its chunks the same way, with or without an observer.
+// completion-frontier fold).  Each progress line is a sample the
+// session's fold built from its cut, so "done" counts the faults
+// folded so far and the survivors are those of that cut; the registry
+// only paces the samples to one a second.  The stage lines come from
+// the executed session itself, whose statistics every stage carries.
+// Attaching -progress changes nothing about how a campaign runs: every
+// session folds its chunks the same way, with or without an observer.
 // -debug-addr serves the registry's process counters as JSON on
 // /metrics plus the standard net/http/pprof profiles for the duration
 // of the run; without either flag no registry is attached and the

@@ -26,8 +26,7 @@ import (
 // applies the summaries in universe order under one mutex, parking
 // those that arrive ahead of the frontier until the gap below them
 // closes.  Whatever reads the session mid-stage reads that cut: a
-// checkpoint serializes it, and the progress high-water mark and live
-// survivor count are published from it.
+// checkpoint serializes it, and each progress sample is built from it.
 //
 // First detections are judged against cum, the completed stages'
 // detections, which nothing writes while a stage runs: the stage's own
@@ -101,12 +100,19 @@ type fold struct {
 	spare     []*chunkSummary
 
 	// Readers of the cut, called under mu whenever the frontier
-	// advances: the telemetry registry (nil when detached), which gets
-	// the frontier and, when count >= 0, the survivors out of count
-	// universe faults; and the checkpoint cadence (nil without
-	// checkpointing).
+	// advances: the telemetry registry (nil when detached), offered a
+	// progress sample, and the checkpoint cadence (nil without
+	// checkpointing).  A sample names the running stage (label, which
+	// began at start and will present total faults, <= 0 when
+	// unknown), counts the faults it presented less a resumed stage's
+	// restored prefix, and the survivors out of count universe faults
+	// (-1 while the size is unknown).
 	reg        *telemetry.Registry
 	count      int
+	label      string
+	total      int
+	restored   int
+	start      time.Time
 	checkpoint func(frontier int)
 }
 
@@ -122,15 +128,18 @@ func newFold(capacity, count int, reg *telemetry.Registry) *fold {
 	}
 }
 
-// beginStage starts a stage at universe index base, holding tallies
-// already (a resumed stage's; nil for a fresh one).
-func (f *fold) beginStage(base int, enumerate bool, tallies []ClassStat) {
+// beginStage starts the stage label, which will present total faults
+// (<= 0 when unknown), at universe index base, holding tallies already
+// (a resumed stage's; nil for a fresh one).
+func (f *fold) beginStage(label string, total, base int, enumerate bool, tallies []ClassStat) {
 	f.frontier = base
 	f.enumerate = enumerate
 	clear(f.stage)
 	copy(f.stage, tallies)
 	f.stageDet = fault.NewBitSet(0)
-	f.reg.ObserveIndex(int64(base))
+	f.label, f.total = label, total
+	f.restored, _ = totals(tallies)
+	f.start = time.Now() //faultsim:ordered progress telemetry, never reaches results
 }
 
 // endStage closes the running stage after its workers drained: its
@@ -189,15 +198,29 @@ func (f *fold) deliver(s *chunkSummary) *chunkSummary {
 		f.spare = append(f.spare, p)
 	}
 	if f.reg != nil {
-		f.reg.ObserveIndex(int64(f.frontier))
-		if f.count >= 0 {
-			f.reg.ReportSurvivors(int64(f.count - f.detected))
-		}
+		f.report()
 	}
 	if f.checkpoint != nil {
 		f.checkpoint(f.frontier)
 	}
 	return s
+}
+
+// report offers the registry a progress sample of the cut.  Called
+// with mu held, so one session's samples never go backwards.
+func (f *fold) report() {
+	presented, _ := totals(f.stage)
+	survivors := -1
+	if f.count >= 0 {
+		survivors = f.count - f.detected
+	}
+	f.reg.Report(telemetry.Progress{
+		Stage:     f.label,
+		Done:      int64(presented - f.restored),
+		Total:     int64(f.total),
+		HighWater: int64(f.frontier),
+		Survivors: int64(survivors),
+	}, f.start)
 }
 
 // apply folds one summary at the frontier.

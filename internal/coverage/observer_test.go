@@ -27,9 +27,9 @@ func (p pairFault) String() string { return p.a.String() + "+" + p.b.String() }
 
 func (p pairFault) Inject(m ram.Memory) ram.Memory { return p.b.Inject(p.a.Inject(m)) }
 
-func (p pairFault) BatchInject(reg fault.HookRegistry, lane int) {
-	p.a.BatchInject(reg, lane)
-	p.b.BatchInject(reg, lane)
+func (p pairFault) BatchInject(reg fault.HookRegistry, lane int, pool *fault.Pool) {
+	p.a.BatchInject(reg, lane, pool)
+	p.b.BatchInject(reg, lane, pool)
 }
 
 // misrReadbackRunner writes an all-ones background and detects purely

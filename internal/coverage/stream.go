@@ -150,12 +150,11 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		s.Vectors = make([][]Verdict, len(p.Runners))
 	}
 
-	reg := telemetry.Active()
 	survivorsOf := -1 // live survivors need the universe size
 	if exactCount {
 		survivorsOf = count
 	}
-	f := newFold(hiBound, survivorsOf, reg)
+	f := newFold(hiBound, survivorsOf, telemetry.Active())
 	arenas := &sim.ArenaPool{}
 	universeN := -1 // presented count of the first executed stage = |universe|
 	doneStages := 0
@@ -218,6 +217,9 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 
 	for si := doneStages; si < len(order); si++ {
 		st := order[si]
+		if universeN >= 0 {
+			f.count = universeN // an inexact source's size is known after its first stage
+		}
 		// The survivor filter for this stage is the cumulative detection
 		// bitmap, which stays frozen while the stage runs.  (On resume it
 		// also carries this stage's own pre-interrupt detections —
@@ -252,20 +254,17 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 					stream.Name, base, partLo+skipped))
 			}
 		}
-		if reg != nil {
-			// The stage will present the universe minus what earlier
-			// stages already detected (the drop filter); an inexact Count
-			// (or a mid-stage resume) leaves the progress total unknown.
-			total := int64(0)
-			if exactCount && base == partLo {
-				total = int64(count)
-				if stageDrop != nil {
-					total -= int64(f.detected)
-				}
+		// The stage will present the universe minus what earlier stages
+		// already detected (the drop filter); an inexact Count (or a
+		// mid-stage resume) leaves the progress total unknown.
+		presents := 0
+		if exactCount && base == partLo {
+			presents = count
+			if stageDrop != nil {
+				presents -= f.detected
 			}
-			reg.BeginStage(st.runner.Name(), total)
 		}
-		f.beginStage(base, universeN < 0, resumed)
+		f.beginStage(st.runner.Name(), presents, base, universeN < 0, resumed)
 		cfg := sim.StreamConfig{Drop: stageDrop, Base: base, Arenas: arenas}
 		cfg.Chunk, cfg.Workers = stageShape(count-(base-partLo), exactCount, workers, st.batchWidth(), chunk)
 		t0 := time.Now() //faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
@@ -335,7 +334,6 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 				d.write(buildState(stageRecord(order[si+1], nil), partLo, false))
 			}
 		}
-		reg.ReportSurvivors(int64(universeN - f.detected))
 	}
 	if universeN < 0 {
 		universeN = 0

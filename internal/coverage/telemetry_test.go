@@ -180,20 +180,152 @@ func TestConcurrentSessionsKeepTheirOwnTimes(t *testing.T) {
 	}
 }
 
-// blockingFault holds its Inject until release closes (or a timeout
-// passes, which the test reports) — a chunk that completes last.
+// TestConcurrentSessionsReportTheirOwnProgress: two streaming sessions
+// run at once with one registry attached, 20 times.  Each sample comes
+// from its own session's fold, so no sample of the 8-cell MATS+
+// session (672 faults) counts more faults done than its stage holds or
+// a frontier past its universe.
+func TestConcurrentSessionsReportTheirOwnProgress(t *testing.T) {
+	small := &Plan{
+		Runners: []Runner{MarchRunner(march.MATSPlus(), nil)},
+		Stream:  &fault.Stream{Name: "cf-exhaustive", Source: fault.FullCouplingSource(8)},
+		Memory:  bomFactory(8), Workers: 2, Chunk: 64,
+	}
+	const smallN = 8 * 7 * 12
+	large := &Plan{
+		Runners: []Runner{MarchRunner(march.MarchCMinus(), nil)},
+		Stream:  &fault.Stream{Name: "cf-exhaustive", Source: fault.FullCouplingSource(48)},
+		Memory:  bomFactory(48), Workers: 2, Chunk: 64,
+	}
+	label := small.Runners[0].Name()
+	var (
+		mu      sync.Mutex
+		samples []telemetry.Progress
+	)
+	reg := telemetry.NewRegistry()
+	reg.OnProgress(0, func(p telemetry.Progress) { // every sample
+		if p.Stage == label {
+			mu.Lock()
+			samples = append(samples, p)
+			mu.Unlock()
+		}
+	})
+	telemetry.SetActive(reg)
+	defer telemetry.SetActive(nil)
+
+	for range 20 {
+		var wg sync.WaitGroup
+		for _, p := range []*Plan{small, large} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Run()
+			}()
+		}
+		wg.Wait()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(samples) == 0 {
+		t.Fatalf("no %s samples", label)
+	}
+	bad := 0
+	for _, p := range samples {
+		if p.Total != smallN || p.Done > p.Total || p.HighWater > smallN {
+			if bad++; bad <= 3 {
+				t.Errorf("%s sample %+v: want Done <= Total = %d and HighWater <= %d", label, p, smallN, smallN)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d %s samples describe another session's stage", bad, len(samples), label)
+	}
+}
+
+// TestProgressFollowsEachStage: a two-stage session on partition 2/2
+// samples every frontier advance.  Within a stage Done and HighWater
+// never decrease, Survivors never increases, and the three describe
+// one cut (without dropping, the frontier is the stage base plus
+// Done); the second stage restarts Done at 0 and HighWater at its
+// base; and each stage's last sample shows it finished: Done == Total,
+// ETA 0 and the stage's own survivor count.  With dropping the second
+// stage presents only the survivors of the first, which is its Total.
+func TestProgressFollowsEachStage(t *testing.T) {
+	const n = 16
+	src := fault.FullCouplingSource(n)
+	count, _ := src.Count()
+	lo, hi := fault.PartitionRange(count, 1, 2)
+	for _, drop := range []bool{false, true} {
+		var samples []telemetry.Progress
+		reg := telemetry.NewRegistry()
+		reg.OnProgress(0, func(p telemetry.Progress) { samples = append(samples, p) })
+		telemetry.SetActive(reg)
+		s := (&Plan{
+			Runners: []Runner{MarchRunner(march.MATSPlus(), nil), MarchRunner(march.MarchCMinus(), nil)},
+			Stream:  &fault.Stream{Name: "cf-exhaustive", Source: src},
+			Memory:  bomFactory(n), Workers: 2, Chunk: 64, Drop: drop,
+			PartitionIndex: 2, PartitionCount: 2,
+		}).Run()
+		telemetry.SetActive(nil)
+
+		var stages [][]telemetry.Progress
+		for i, p := range samples {
+			if i == 0 || p.Stage != samples[i-1].Stage {
+				stages = append(stages, nil)
+			}
+			stages[len(stages)-1] = append(stages[len(stages)-1], p)
+		}
+		if len(stages) != len(s.Stages) {
+			t.Fatalf("drop=%v: samples of %d stages, session ran %d", drop, len(stages), len(s.Stages))
+		}
+		for k, ps := range stages {
+			st := s.Stages[k]
+			if ps[0].Stage != st.Runner {
+				t.Errorf("drop=%v stage %d: samples of %q, want %q", drop, k, ps[0].Stage, st.Runner)
+			}
+			for i, p := range ps {
+				if p.HighWater < int64(lo) || p.HighWater > int64(hi) || p.Done < 0 || p.Done > p.HighWater-int64(lo) {
+					t.Errorf("drop=%v %s sample %d: Done %d, HighWater %d outside the stage [%d, %d)", drop, st.Runner, i, p.Done, p.HighWater, lo, hi)
+				}
+				if !drop && p.Done != p.HighWater-int64(lo) {
+					t.Errorf("drop=%v %s sample %d: Done %d, want HighWater %d less the base %d", drop, st.Runner, i, p.Done, p.HighWater, lo)
+				}
+				if i > 0 && (p.Done < ps[i-1].Done || p.HighWater < ps[i-1].HighWater || p.Survivors > ps[i-1].Survivors) {
+					t.Errorf("drop=%v %s sample %d went backwards: %+v after %+v", drop, st.Runner, i, p, ps[i-1])
+				}
+			}
+			last := ps[len(ps)-1]
+			if last.Total != int64(st.Entered) || last.Done != last.Total || last.HighWater != int64(hi) || last.ETA != 0 {
+				t.Errorf("drop=%v %s last sample %+v: want Done == Total == %d, HighWater %d and ETA 0", drop, st.Runner, last, st.Entered, hi)
+			}
+			if last.Survivors != int64(st.Survivors) {
+				t.Errorf("drop=%v %s last sample: %d survivors, the stage ended with %d", drop, st.Runner, last.Survivors, st.Survivors)
+			}
+		}
+	}
+}
+
+// blockingFault holds its Inject until the registry has counted every
+// other fault of the stage through its sink — the driver flushes a
+// chunk's counts after the fold has taken it — or a timeout passes,
+// which the test reports: a chunk that completes last.
 type blockingFault struct {
 	fault.Fault
-	release  <-chan struct{}
-	timedOut *atomic.Bool
+	reg                *telemetry.Registry
+	others             uint64
+	released, timedOut *atomic.Bool
 }
 
 func (b blockingFault) Inject(m ram.Memory) ram.Memory {
-	select {
-	case <-b.release:
-	case <-time.After(10 * time.Second):
-		b.timedOut.Store(true)
+	deadline := time.Now().Add(10 * time.Second)
+	for b.reg.Snapshot().Faults < b.others {
+		if time.Now().After(deadline) {
+			b.timedOut.Store(true)
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
+	b.released.Store(true)
 	return b.Fault.Inject(m)
 }
 
@@ -202,36 +334,23 @@ func (b blockingFault) Inject(m ram.Memory) ram.Memory {
 // largest index some worker delivered.  The first fault of the stage
 // (the first of partition 2/2, so the base is not 0) blocks its
 // oracle chunk until every other chunk has been delivered; until then
-// every sample must report the stage base, and the last one the end of
-// the partition.
+// no sample may report a frontier past the stage base, and the last
+// one reports the end of the partition.
 func TestProgressHighWaterIsFrontier(t *testing.T) {
 	const n = 4
 	faults := fault.SingleCellUniverse(n, 1)
 	lo, hi := fault.PartitionRange(len(faults), 1, 2)
-	release := make(chan struct{})
-	var timedOut atomic.Bool
-	faults[lo] = blockingFault{Fault: faults[lo], release: release, timedOut: &timedOut}
+	reg := telemetry.NewRegistry()
+	var released, timedOut atomic.Bool
+	faults[lo] = blockingFault{Fault: faults[lo], reg: reg, others: uint64(hi - lo - 1), released: &released, timedOut: &timedOut}
 
 	type sample struct {
 		done, highWater int64
 		released        bool
 	}
-	var (
-		mu       sync.Mutex
-		samples  []sample
-		released bool
-	)
-	reg := telemetry.NewRegistry()
-	reg.OnProgress(0, func(p telemetry.Progress) { // every flush
-		mu.Lock()
-		defer mu.Unlock()
-		samples = append(samples, sample{p.Done, p.HighWater, released})
-		// Every chunk but the blocked one (a single fault: the oracle
-		// stage of 2·n faults shrinks its chunks to one) is in.
-		if !released && p.Done == int64(hi-lo-1) {
-			released = true
-			close(release)
-		}
+	var samples []sample
+	reg.OnProgress(0, func(p telemetry.Progress) { // every sample; the fold's lock orders them
+		samples = append(samples, sample{p.Done, p.HighWater, released.Load()})
 	})
 	telemetry.SetActive(reg)
 	defer telemetry.SetActive(nil)
@@ -243,20 +362,21 @@ func TestProgressHighWaterIsFrontier(t *testing.T) {
 		PartitionIndex: 2, PartitionCount: 2,
 	}).Run()
 	if timedOut.Load() {
-		t.Fatal("the blocked chunk was never released: the other chunks did not all complete")
+		t.Fatal("the blocked chunk timed out: the other chunks did not all complete")
 	}
 	if s.Results[0].Total != hi-lo {
 		t.Fatalf("stage presented %d faults, want %d", s.Results[0].Total, hi-lo)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !released {
-		t.Fatal("no sample saw every unblocked chunk delivered")
+	if len(samples) == 0 {
+		t.Fatal("no progress samples")
 	}
 	for i, sm := range samples {
 		if !sm.released && sm.highWater != int64(lo) {
 			t.Errorf("sample %d (done %d) before the first chunk completed: HighWater %d, want the stage base %d",
 				i, sm.done, sm.highWater, lo)
+		}
+		if sm.done != sm.highWater-int64(lo) {
+			t.Errorf("sample %d: done %d is not the folded prefix [%d, %d)", i, sm.done, lo, sm.highWater)
 		}
 	}
 	if last := samples[len(samples)-1]; last.highWater != int64(hi) {

@@ -76,20 +76,12 @@ type HookRegistry interface {
 // BatchInjector is the batch-simulation capability: a fault that can
 // install its behaviour for one machine lane of a bit-parallel array.
 // All concrete fault types of this package implement it; the installed
-// hooks reproduce the corresponding Inject wrapper exactly.
+// hooks reproduce the corresponding Inject wrapper exactly.  Hook
+// objects come from p, the injecting worker's Pool (never nil), so
+// steady-state batches allocate nothing.
 type BatchInjector interface {
 	Fault
-	BatchInject(reg HookRegistry, lane int)
-}
-
-// PooledInjector is the allocation-free variant of BatchInjector used
-// by the compiled replay engine: hook objects are drawn from a
-// per-worker Pool instead of the heap, so steady-state batches allocate
-// nothing.  A nil pool degrades to plain allocation.  All concrete
-// fault types of this package implement it.
-type PooledInjector interface {
-	BatchInjector
-	BatchInjectPooled(reg HookRegistry, lane int, p *Pool)
+	BatchInject(reg HookRegistry, lane int, p *Pool)
 }
 
 // laneWord assembles machine lane's bits of cell into a Word.
@@ -132,20 +124,17 @@ func (h *safHook) PostWrite(m LaneMemory, cell int, _ []uint64) {
 	m.SetStoredLane(cell, h.bit, h.force, h.mask)
 }
 
-// BatchInject implements BatchInjector.
-func (f SAF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.  The stored bit is
+// BatchInject implements BatchInjector.  The stored bit is
 // forced at install time (power-on) and re-forced after every write, so
 // reads — which sense the stored lane — always observe the stuck value.
-func (f SAF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
+func (f SAF) BatchInject(reg HookRegistry, lane int, p *Pool) {
 	mask := uint64(1) << uint(lane)
 	var force uint64
 	if f.Value&1 == 1 {
 		force = mask
 	}
 	reg.SetStoredLane(f.Cell, f.Bit, force, mask)
-	h := p.newSAF()
+	h := p.saf.get()
 	h.bit, h.force, h.mask = f.Bit, force, mask
 	reg.OnWriteTo(f.Cell, h)
 }
@@ -173,11 +162,8 @@ func (h *tfHook) PostWrite(m LaneMemory, cell int, data []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f TF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f TF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
-	h := p.newTF()
+func (f TF) BatchInject(reg HookRegistry, lane int, p *Pool) {
+	h := p.tf.get()
 	h.bit, h.up, h.mask = f.Bit, f.Up, uint64(1)<<uint(lane)
 	reg.OnWriteTo(f.Cell, h)
 }
@@ -216,11 +202,8 @@ func (h *sofHook) OnRead(m LaneMemory, cell int, val []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f SOF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f SOF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
-	h := p.newSOF()
+func (f SOF) BatchInject(reg HookRegistry, lane int, p *Pool) {
+	h := p.sof.get()
 	h.cell, h.lane, h.mask = f.Cell, lane, uint64(1)<<uint(lane)
 	reg.OnWriteTo(f.Cell, h)
 	reg.OnEveryRead(h)
@@ -250,16 +233,13 @@ func (h *drfHook) OnRead(m LaneMemory, cell int, val []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f DRF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f DRF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
+func (f DRF) BatchInject(reg HookRegistry, lane int, p *Pool) {
 	mask := uint64(1) << uint(lane)
 	var decay uint64
 	if f.Decay&1 == 1 {
 		decay = mask
 	}
-	h := p.newDRF()
+	h := p.drf.get()
 	h.bit, h.decay, h.mask, h.delay = f.Bit, decay, mask, f.Delay
 	reg.OnWriteTo(f.Cell, h)
 	reg.OnReadOf(f.Cell, h)
@@ -310,11 +290,8 @@ func (h *afHook) OnRead(m LaneMemory, _ int, val []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f AF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f AF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
-	h := p.newAF()
+func (f AF) BatchInject(reg HookRegistry, lane int, p *Pool) {
+	h := p.af.get()
 	h.f, h.lane, h.mask = f, lane, uint64(1)<<uint(lane)
 	reg.OnWriteTo(f.Addr, h)
 	reg.OnReadOf(f.Addr, h)
@@ -345,11 +322,8 @@ func (h *cfinHook) PostWrite(m LaneMemory, _ int, data []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f CFin) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f CFin) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
-	h := p.newCFin()
+func (f CFin) BatchInject(reg HookRegistry, lane int, p *Pool) {
+	h := p.cfin.get()
 	h.f, h.mask = f, uint64(1)<<uint(lane)
 	reg.OnWriteTo(f.AggCell, h)
 }
@@ -375,16 +349,13 @@ func (h *cfidHook) PostWrite(m LaneMemory, _ int, data []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f CFid) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f CFid) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
+func (f CFid) BatchInject(reg HookRegistry, lane int, p *Pool) {
 	mask := uint64(1) << uint(lane)
 	var force uint64
 	if f.Value&1 == 1 {
 		force = mask
 	}
-	h := p.newCFid()
+	h := p.cfid.get()
 	h.f, h.force, h.mask = f, force, mask
 	reg.OnWriteTo(f.AggCell, h)
 }
@@ -408,19 +379,16 @@ func (h *cfstHook) OnRead(m LaneMemory, _ int, val []uint64) {
 	}
 }
 
-// BatchInject implements BatchInjector.
-func (f CFst) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.  The forcing is level-
+// BatchInject implements BatchInjector.  The forcing is level-
 // sensitive and applied to the sensed value only, as in the Inject
 // wrapper.
-func (f CFst) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
+func (f CFst) BatchInject(reg HookRegistry, lane int, p *Pool) {
 	mask := uint64(1) << uint(lane)
 	var force uint64
 	if f.Value&1 == 1 {
 		force = mask
 	}
-	h := p.newCFst()
+	h := p.cfst.get()
 	h.f, h.force, h.mask = f, force, mask
 	reg.OnReadOf(f.VicCell, h)
 }
@@ -450,11 +418,8 @@ func (h *bfHook) OnRead(m LaneMemory, cell int, val []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f BF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f BF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
-	h := p.newBF()
+func (f BF) BatchInject(reg HookRegistry, lane int, p *Pool) {
+	h := p.bf.get()
 	h.f, h.mask = f, uint64(1)<<uint(lane)
 	reg.OnReadOf(f.CellA, h)
 	if f.CellB != f.CellA {
@@ -485,16 +450,13 @@ func (h *snpsfHook) OnRead(m LaneMemory, _ int, val []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f SNPSF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f SNPSF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
+func (f SNPSF) BatchInject(reg HookRegistry, lane int, p *Pool) {
 	mask := uint64(1) << uint(lane)
 	var force uint64
 	if f.Value&1 == 1 {
 		force = mask
 	}
-	h := p.newSNPSF()
+	h := p.snpsf.get()
 	h.f, h.force, h.mask = f, force, mask
 	reg.OnReadOf(f.Nb.Base, h)
 }
@@ -531,10 +493,7 @@ func (h *anpsfHook) PostWrite(m LaneMemory, _ int, data []uint64) {
 }
 
 // BatchInject implements BatchInjector.
-func (f ANPSF) BatchInject(reg HookRegistry, lane int) { f.BatchInjectPooled(reg, lane, nil) }
-
-// BatchInjectPooled implements PooledInjector.
-func (f ANPSF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
+func (f ANPSF) BatchInject(reg HookRegistry, lane int, p *Pool) {
 	order := [4]int{f.Nb.N, f.Nb.E, f.Nb.S, f.Nb.W}
 	trig := order[f.Trigger]
 	if trig < 0 {
@@ -545,7 +504,7 @@ func (f ANPSF) BatchInjectPooled(reg HookRegistry, lane int, p *Pool) {
 	if f.Value&1 == 1 {
 		force = mask
 	}
-	h := p.newANPSF()
+	h := p.anpsf.get()
 	h.f, h.force, h.mask = f, force, mask
 	reg.OnWriteTo(trig, h)
 }

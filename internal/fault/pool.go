@@ -31,12 +31,10 @@ func (l *freelist[T]) get() *T {
 
 func (l *freelist[T]) reset() { l.used = 0 }
 
-// Pool recycles the hook objects installed by BatchInjectPooled so that
+// Pool recycles the hook objects installed by BatchInject so that
 // steady-state replay batches allocate nothing: the first batches grow
 // the per-type free lists, later batches reuse them.  A Pool belongs to
-// one replay worker and is not safe for concurrent use.  All methods
-// tolerate a nil receiver by falling back to plain allocation, which
-// lets the pooled and unpooled injection paths share one code path.
+// one replay worker and is not safe for concurrent use.
 type Pool struct {
 	saf   freelist[safHook]
 	tf    freelist[tfHook]
@@ -66,81 +64,4 @@ func (p *Pool) Reset() {
 	p.bf.reset()
 	p.snpsf.reset()
 	p.anpsf.reset()
-}
-
-func (p *Pool) newSAF() *safHook {
-	if p == nil {
-		return new(safHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.saf.get()
-}
-
-func (p *Pool) newTF() *tfHook {
-	if p == nil {
-		return new(tfHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.tf.get()
-}
-
-func (p *Pool) newSOF() *sofHook {
-	if p == nil {
-		return new(sofHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.sof.get()
-}
-
-func (p *Pool) newDRF() *drfHook {
-	if p == nil {
-		return new(drfHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.drf.get()
-}
-
-func (p *Pool) newAF() *afHook {
-	if p == nil {
-		return new(afHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.af.get()
-}
-
-func (p *Pool) newCFin() *cfinHook {
-	if p == nil {
-		return new(cfinHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.cfin.get()
-}
-
-func (p *Pool) newCFid() *cfidHook {
-	if p == nil {
-		return new(cfidHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.cfid.get()
-}
-
-func (p *Pool) newCFst() *cfstHook {
-	if p == nil {
-		return new(cfstHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.cfst.get()
-}
-
-func (p *Pool) newBF() *bfHook {
-	if p == nil {
-		return new(bfHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.bf.get()
-}
-
-func (p *Pool) newSNPSF() *snpsfHook {
-	if p == nil {
-		return new(snpsfHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.snpsf.get()
-}
-
-func (p *Pool) newANPSF() *anpsfHook {
-	if p == nil {
-		return new(anpsfHook) //faultsim:alloc-ok nil-pool fallback: unpooled injection allocates by design
-	}
-	return p.anpsf.get()
 }

@@ -370,9 +370,9 @@ func (ap *ArenaPool) Put(a *Arena) {
 	ap.mu.Unlock()
 }
 
-// inject installs each fault on its machine lane, preferring the
-// pooled (allocation-free) capability.  Fault i lands on lane i%64 of
-// lane group i/64, registered through that group's 64-lane view.
+// inject installs each fault on its machine lane, drawing hook objects
+// from the arena's pool.  Fault i lands on lane i%64 of lane group
+// i/64, registered through that group's 64-lane view.
 //
 //faultsim:hotpath
 func (a *Arena) inject(faults []fault.Fault) error {
@@ -387,15 +387,12 @@ func (a *Arena) inject(faults []fault.Fault) error {
 			reg = &a.views[lane/BatchSize]
 			lane %= BatchSize
 		}
-		switch bi := f.(type) {
-		case fault.PooledInjector:
-			bi.BatchInjectPooled(reg, lane, &a.pool)
-		case fault.BatchInjector:
-			bi.BatchInject(reg, lane)
-		default:
+		bi, ok := f.(fault.BatchInjector)
+		if !ok {
 			//faultsim:alloc-ok cold error path, never taken by a well-formed campaign
 			return fmt.Errorf("sim: fault %s (%T) does not support batch injection", f, f)
 		}
+		bi.BatchInject(reg, lane, &a.pool)
 	}
 	return nil
 }

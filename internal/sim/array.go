@@ -23,7 +23,8 @@ type Array struct {
 	readHooks  [][]fault.ReadHook
 	everyRead  []fault.ReadHook
 
-	val []uint64 // scratch: sensed value lanes of the current read
+	val  []uint64   // scratch: sensed value lanes of the current read
+	pool fault.Pool // the installed hook objects
 }
 
 // NewArray builds an array of identical machines initialised from the
@@ -91,7 +92,7 @@ func (a *Array) Inject(faults []fault.Fault) error {
 		if !ok {
 			return fmt.Errorf("sim: fault %s (%T) does not support batch injection", f, f)
 		}
-		bi.BatchInject(a, lane)
+		bi.BatchInject(a, lane, &a.pool)
 	}
 	return nil
 }

@@ -21,9 +21,10 @@
 //  2. Bit-sliced replay (Array, ReplayBatch): each cell-bit of the
 //     memory becomes a uint64 lane word holding that bit's value
 //     across 64 simultaneously simulated machines.  Faults are
-//     installed through the fault.BatchInjector capability as
-//     per-machine masked hooks that reproduce the Inject decorator
-//     wrappers exactly.  A machine is detected as soon as one of its
+//     installed through fault.BatchInjector, the one injection
+//     interface, as per-machine masked hooks, drawn from the array's
+//     fault.Pool, that reproduce the Inject decorator wrappers
+//     exactly.  A machine is detected as soon as one of its
 //     checked reads diverges from the recorded clean value, or an
 //     observer compare point finds its accumulated signature
 //     difference nonzero — the same criteria the oracle's comparators

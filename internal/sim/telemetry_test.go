@@ -15,9 +15,7 @@ import (
 // Local per worker that accounts for every fault exactly once, reports
 // as sink wait exactly the lock wait its sinks returned, and fits its
 // timed phases inside the run's wall time, registry or no registry.
-// An attached registry receives the same totals.  The high-water mark
-// is the session layer's completion frontier, so the driver leaves it
-// alone.
+// An attached registry receives the same totals.
 func TestStreamTelemetryCounters(t *testing.T) {
 	const n = 33
 	tr := recordMarch(t, march.MarchCMinus(), n)
@@ -63,16 +61,8 @@ func TestStreamTelemetryCounters(t *testing.T) {
 	run() // detached
 
 	reg := telemetry.NewRegistry()
-	var mu sync.Mutex
-	var samples []telemetry.Progress
-	reg.OnProgress(0, func(pr telemetry.Progress) { // every flush
-		mu.Lock()
-		samples = append(samples, pr)
-		mu.Unlock()
-	})
 	telemetry.SetActive(reg)
 	defer telemetry.SetActive(nil)
-	reg.BeginStage("march", int64(len(faults)))
 	w := run()
 
 	s := reg.Snapshot()
@@ -84,27 +74,6 @@ func TestStreamTelemetryCounters(t *testing.T) {
 	}
 	if s.CollapseIn != s.Faults || s.Reps != s.CollapseOut {
 		t.Errorf("reps = %d, collapse in/out = %d/%d for %d faults", s.Reps, s.CollapseIn, s.CollapseOut, s.Faults)
-	}
-
-	// The final progress sample is the completed stage: everything
-	// done, ETA zero, and no high-water mark from the driver.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(samples) == 0 {
-		t.Fatal("no progress samples")
-	}
-	last := samples[len(samples)-1]
-	if last.Done != int64(len(faults)) {
-		t.Errorf("final Done = %d, want %d", last.Done, len(faults))
-	}
-	if last.ETA != 0 {
-		t.Errorf("final ETA = %v, want 0", last.ETA)
-	}
-	if last.HighWater != 0 {
-		t.Errorf("final high water = %d, want 0 (the driver publishes none)", last.HighWater)
-	}
-	if last.FaultsPerSec <= 0 {
-		t.Errorf("final faults/s = %v", last.FaultsPerSec)
 	}
 }
 
@@ -124,8 +93,6 @@ func TestStreamTelemetryRace(t *testing.T) {
 	faults := fault.StandardUniverse(n, 1, 8, 3).Faults
 
 	reg := telemetry.NewRegistry()
-	reg.OnProgress(0, func(telemetry.Progress) {}) // emission path under race too
-	reg.BeginStage("race", int64(len(faults)))
 	telemetry.SetActive(reg)
 	defer telemetry.SetActive(nil)
 

@@ -26,19 +26,25 @@
 //
 // When no Registry is attached (telemetry.Active() == nil) the
 // instrumented engines skip every flush behind a nil check, so the
-// registry is compiled in but near-free — BenchmarkTelemetryOverhead
-// guards the bound (<2% on the compiled campaign path).
+// registry is compiled in but near-free.  BenchmarkTelemetryOverhead
+// measures both modes on the compiled campaign path; the ~2% budget
+// between them is checked with -count 10 medians, not a single pass.
 //
 // # Progress
 //
-// A Registry carries one active campaign stage at a time
-// (BeginStage): flushes feed a rate-limited Progress callback
-// (OnProgress) with faults done/total, throughput, an ETA extrapolated
-// from the rate so far, the universe-index high-water mark, and the
-// session's current survivor count.  The coverage executor reports the
-// last two from its completion-frontier fold: every index below the
-// high-water mark is done, so it is exactly the point a resumable run
-// would restart from.  Completed stages are not reported here: their
+// Each session builds its own progress samples: its completion-frontier
+// fold (coverage) offers one from its cut whenever the frontier
+// advances — the running stage, faults folded out of the stage's total,
+// the frontier itself as the high-water mark, and the session's
+// survivor count.  Every index below the high-water mark is done, so
+// it is exactly the point a resumable run would restart from, and Done
+// counts folded faults only, so the three numbers describe one cut.
+// The registry holds no stage state: Report paces the samples offered
+// (at most one per OnProgress interval across the process, none in a
+// stage's first interval), fills in the elapsed time, throughput and
+// an ETA extrapolated from the rate so far, and calls the callback.
+// Sessions running at once in one process therefore report their own
+// stages separately.  Completed stages are not reported here: their
 // statistics, per-worker times included, come back in the executed
 // session (coverage.Session.Stages).
 //

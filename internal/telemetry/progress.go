@@ -2,21 +2,23 @@ package telemetry
 
 import "time"
 
-// Progress is one live campaign-progress sample, delivered through the
-// OnProgress callback while a stage runs.
+// Progress is one live campaign-progress sample of one session's
+// running stage, delivered through the OnProgress callback.  Done,
+// HighWater and Survivors describe one cut of the session: everything
+// below the completion frontier folded, nothing above it.
 type Progress struct {
 	// Stage labels the running stage (the runner name).
 	Stage string
-	// Done is the number of faults with verdicts so far in this stage;
-	// Total the number the stage will present (<= 0 when unknown —
-	// an inexact streaming Count).
+	// Done is the number of presented faults this run has folded in
+	// this stage; Total the number the stage will present (<= 0 when
+	// unknown — an inexact streaming Count, or a stage resumed midway).
 	Done, Total int64
 	// HighWater is the stage's completion frontier: every universe
 	// index below it is done — the resume point of an index-addressable
 	// streaming source.
 	HighWater int64
-	// Survivors is the session's current undetected-fault count, -1
-	// until the session layer has reported one.
+	// Survivors is the session's undetected-fault count at the cut, -1
+	// while the universe size is unknown.
 	Survivors int64
 	// Elapsed is the stage's wall time so far.
 	Elapsed time.Duration
@@ -45,88 +47,51 @@ func Estimate(done, total int64, elapsed time.Duration) (faultsPerSec float64, e
 	return faultsPerSec, time.Duration(rem * float64(elapsed))
 }
 
-// stageState is the progress baseline of the active stage.
-type stageState struct {
-	label      string
-	total      int64
-	start      time.Time
-	baseFaults uint64
+// progressSink is an installed progress callback and its cadence.
+type progressSink struct {
+	every time.Duration // between samples; <= 0 delivers every one
+	fn    func(Progress)
 }
 
-// OnProgress installs fn as the progress callback, invoked from worker
-// flush paths at most once per every (every <= 0 emits on every
-// flush — the tests' mode).  Install before attaching the registry.
+// OnProgress installs fn as the progress callback (nil removes it),
+// delivered at most one sample per every across the process (every <=
+// 0 delivers each sample offered — the tests' mode).  A session offers
+// its samples while it holds its fold's lock, so fn must return
+// quickly and must not call back into the session.  Install before
+// attaching the registry.
 func (r *Registry) OnProgress(every time.Duration, fn func(Progress)) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.progressFn = fn
-	r.everyNanos = int64(every)
-	r.mu.Unlock()
-	r.hasProgress.Store(fn != nil)
+	if fn == nil {
+		r.progress.Store(nil)
+		return
+	}
+	r.progress.Store(&progressSink{every: every, fn: fn})
 }
 
-// BeginStage marks a new campaign stage as the progress scope: done
-// counts restart from the current flush totals, the high-water mark
-// resets, and total is the fault count the stage will present (<= 0
-// when unknown).
-func (r *Registry) BeginStage(label string, total int64) {
+// Report offers one progress sample of a stage that started at start.
+// The session fills Stage, Done, Total, HighWater and Survivors from
+// its own cut; Report paces the samples and fills Elapsed,
+// FaultsPerSec and ETA from start with the registry's clock.  A stage
+// reports nothing in its first interval, and the process gets at most
+// one sample per interval: the first offered once the interval has
+// passed, whichever session offers it.  With no callback installed it
+// costs one atomic load.
+func (r *Registry) Report(p Progress, start time.Time) {
 	if r == nil {
 		return
 	}
-	st := &stageState{
-		label:      label,
-		total:      total,
-		start:      r.now(),
-		baseFaults: r.ctr[ctrFaults].Load(),
-	}
-	r.highWater.Store(0)
-	r.stage.Store(st)
-	r.lastEmit.Store(st.start.UnixNano())
-}
-
-// noteFlush is the emission gate, called by Flush: when a progress
-// callback is installed and the cadence interval has passed, exactly
-// one flusher wins the CAS and emits.
-func (r *Registry) noteFlush() {
-	if !r.hasProgress.Load() {
+	ps := r.progress.Load()
+	if ps == nil {
 		return
 	}
-	now := r.now().UnixNano()
-	last := r.lastEmit.Load()
-	if now-last < r.everyNanos {
+	now := r.now()
+	elapsed, t, last := now.Sub(start), now.UnixNano(), r.lastEmit.Load()
+	if elapsed < ps.every || time.Duration(t-last) < ps.every || !r.lastEmit.CompareAndSwap(last, t) {
 		return
 	}
-	if !r.lastEmit.CompareAndSwap(last, now) {
-		return
-	}
-	r.emit()
-}
-
-// emit builds one Progress sample and delivers it.
-func (r *Registry) emit() {
-	st := r.stage.Load()
-	if st == nil {
-		return
-	}
-	r.mu.Lock()
-	fn := r.progressFn
-	r.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	done := int64(r.ctr[ctrFaults].Load() - st.baseFaults)
-	elapsed := r.now().Sub(st.start)
-	fps, eta := Estimate(done, st.total, elapsed)
-	fn(Progress{
-		Stage:        st.label,
-		Done:         done,
-		Total:        st.total,
-		HighWater:    r.highWater.Load(),
-		Survivors:    r.survivors.Load(),
-		Elapsed:      elapsed,
-		FaultsPerSec: fps,
-		ETA:          eta,
-	})
+	p.Elapsed = elapsed
+	p.FaultsPerSec, p.ETA = Estimate(p.Done, p.Total, elapsed)
+	ps.fn(p)
 }

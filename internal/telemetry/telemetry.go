@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -58,13 +57,11 @@ func (l *Local) Add(c Local) {
 }
 
 // Registry is one instrumentation domain: the live process counters
-// behind -progress and /metrics, and the progress state of the active
-// stage.  All methods are safe for concurrent use and safe on a nil
+// behind /metrics, and the progress callback behind -progress, which
+// it paces.  All methods are safe for concurrent use and safe on a nil
 // receiver (they become no-ops), so call sites can thread Active()
 // through without guarding every call.
 type Registry struct {
-	mu sync.Mutex
-
 	ctr     [numCounters]atomic.Uint64
 	workers atomic.Int64 // the largest worker pool any driver ran
 
@@ -72,25 +69,14 @@ type Registry struct {
 	// construction.
 	now func() time.Time
 
-	// Progress state: the currently active stage, the survivor count
-	// reported by the session layer (-1 until known), the universe-index
-	// high-water mark of the active stage, and the rate-limited
-	// callback.
-	stage       atomic.Pointer[stageState]
-	survivors   atomic.Int64
-	highWater   atomic.Int64
-	hasProgress atomic.Bool
-	everyNanos  int64
-	lastEmit    atomic.Int64
-	progressFn  func(Progress)
+	// progress is the installed callback and its cadence (nil when
+	// none is), lastEmit the time of the last sample delivered.
+	progress atomic.Pointer[progressSink]
+	lastEmit atomic.Int64
 }
 
 // NewRegistry returns an empty registry using the real clock.
-func NewRegistry() *Registry {
-	r := &Registry{now: time.Now}
-	r.survivors.Store(-1)
-	return r
-}
+func NewRegistry() *Registry { return &Registry{now: time.Now} }
 
 // SetClock replaces the registry's clock — cadence tests inject a fake
 // one.  Must be called before the registry is shared.
@@ -108,8 +94,7 @@ func SetActive(r *Registry) { active.Store(r) }
 func Active() *Registry { return active.Load() }
 
 // Flush adds one chunk's counts to the process counters.  The worker
-// that did the chunk calls it; it also drives the rate-limited
-// progress emission.
+// that did the chunk calls it.
 //
 //faultsim:hotpath
 func (r *Registry) Flush(c Local) {
@@ -124,7 +109,6 @@ func (r *Registry) Flush(c Local) {
 	r.ctr[ctrSinkWait].Add(uint64(c.SinkWait))
 	r.ctr[ctrSink].Add(uint64(c.Sink))
 	r.ctr[ctrSourceWait].Add(uint64(c.SourceWait))
-	r.noteFlush()
 }
 
 // ObserveWorkers records that a driver started a pool of n workers;
@@ -182,17 +166,6 @@ func (r *Registry) CheckpointWrite(d time.Duration) {
 	r.ctr[ctrCheckpointNanos].Add(uint64(d))
 }
 
-// ObserveIndex raises the active stage's universe-index high-water
-// mark.  The coverage executor reports its completion frontier here:
-// every index below it is done, so it is the resume point of an
-// index-addressable streaming source.
-func (r *Registry) ObserveIndex(idx int64) {
-	if r == nil {
-		return
-	}
-	raise(&r.highWater, idx)
-}
-
 // raise lifts a to v unless it already holds at least v.
 func raise(a *atomic.Int64, v int64) {
 	for {
@@ -201,15 +174,6 @@ func raise(a *atomic.Int64, v int64) {
 			return
 		}
 	}
-}
-
-// ReportSurvivors publishes the session's current survivor count (the
-// universe faults no stage has detected yet).
-func (r *Registry) ReportSurvivors(n int64) {
-	if r == nil {
-		return
-	}
-	r.survivors.Store(n)
 }
 
 // Snapshot is one read of a registry's process counters.

@@ -69,10 +69,8 @@ func TestNilRegistry(t *testing.T) {
 	r.ArenaGet(false)
 	r.CollapseDelta(5, 3)
 	r.CheckpointWrite(1)
-	r.ObserveIndex(9)
-	r.ReportSurvivors(1)
-	r.BeginStage("x", 10)
 	r.OnProgress(time.Second, func(Progress) { t.Error("callback on nil registry") })
+	r.Report(Progress{Done: 1}, time.Time{})
 	if s := r.Snapshot(); s != (Snapshot{}) {
 		t.Errorf("nil snapshot: %+v", s)
 	}
@@ -101,98 +99,86 @@ func TestEstimate(t *testing.T) {
 	}
 }
 
-// TestProgressCadence: with a fake clock, emissions happen exactly
-// when the cadence interval has elapsed — not on every flush.
+// TestProgressCadence: with a fake clock, a stage reports nothing in
+// its first interval, and the process gets at most one sample per
+// interval, whichever stage offers it.  A delivered sample keeps the
+// session's fields and gains its elapsed time, rate and ETA.
 func TestProgressCadence(t *testing.T) {
 	r := NewRegistry()
 	now := time.Unix(1000, 0)
 	r.SetClock(func() time.Time { return now })
 	var got []Progress
 	r.OnProgress(time.Second, func(p Progress) { got = append(got, p) })
-	r.ReportSurvivors(42)
-	r.BeginStage("stage-a", 100)
+	start := now
+	offer := func(done int64) {
+		r.Report(Progress{Stage: "stage-a", Done: done, Total: 100, HighWater: done + 3, Survivors: 42}, start)
+	}
 
-	r.Flush(Local{Faults: 10}) // same instant as BeginStage: suppressed
-	if len(got) != 0 {
-		t.Fatalf("emitted %d samples with no time elapsed", len(got))
-	}
+	offer(10) // the stage's first instant: suppressed
 	now = now.Add(400 * time.Millisecond)
-	r.Flush(Local{Faults: 10}) // 0.4s since baseline: still suppressed
+	offer(20) // 0.4s into the stage: still suppressed
 	if len(got) != 0 {
-		t.Fatalf("emitted before the cadence interval")
+		t.Fatalf("%d samples inside the stage's first interval", len(got))
 	}
-	now = now.Add(700 * time.Millisecond)
-	r.ObserveIndex(19)
-	r.Flush(Local{Faults: 5}) // 1.1s: one emission
+	now = now.Add(600 * time.Millisecond)
+	offer(25) // 1s: one sample
 	if len(got) != 1 {
-		t.Fatalf("emissions after interval = %d, want 1", len(got))
+		t.Fatalf("samples after one interval = %d, want 1", len(got))
 	}
-	p := got[0]
-	if p.Stage != "stage-a" || p.Done != 25 || p.Total != 100 {
-		t.Errorf("sample: %+v", p)
+	want := Progress{Stage: "stage-a", Done: 25, Total: 100, HighWater: 28, Survivors: 42,
+		Elapsed: time.Second, FaultsPerSec: 25, ETA: 3 * time.Second}
+	if got[0] != want {
+		t.Errorf("sample: %+v, want %+v", got[0], want)
 	}
-	if p.Survivors != 42 || p.HighWater != 19 {
-		t.Errorf("survivors/highwater: %+v", p)
-	}
-	if p.Elapsed != 1100*time.Millisecond {
-		t.Errorf("elapsed = %v", p.Elapsed)
-	}
-	now = now.Add(100 * time.Millisecond)
-	r.Flush(Local{Faults: 5}) // 0.1s after the last emission: suppressed
+
+	// A second stage (or session) that started long ago still waits for
+	// the process interval, and one that just started waits for its own.
+	now = now.Add(500 * time.Millisecond)
+	r.Report(Progress{Stage: "old"}, start.Add(-time.Hour))
+	r.Report(Progress{Stage: "new"}, now.Add(-500*time.Millisecond))
+	now = now.Add(500 * time.Millisecond)
+	r.Report(Progress{Stage: "new"}, now.Add(-900*time.Millisecond))
 	if len(got) != 1 {
-		t.Fatalf("re-emitted inside the interval")
+		t.Fatalf("re-emitted inside the interval: %+v", got[1:])
+	}
+	r.Report(Progress{Stage: "old"}, start.Add(-time.Hour))
+	offer(30) // same instant as the sample just delivered
+	if len(got) != 2 || got[1].Stage != "old" {
+		t.Fatalf("one interval later: %+v, want one sample of stage old", got[1:])
+	}
+
+	r.OnProgress(time.Second, nil)
+	now = now.Add(time.Hour)
+	offer(40)
+	if len(got) != 2 {
+		t.Errorf("sample delivered after the callback was removed")
 	}
 }
 
-// TestProgressEveryFlush: every <= 0 emits on every flush — the mode
-// tests use to observe each sample.
-func TestProgressEveryFlush(t *testing.T) {
+// TestProgressEveryReport: every <= 0 delivers every sample offered —
+// the mode tests use to observe each one.
+func TestProgressEveryReport(t *testing.T) {
 	r := NewRegistry()
 	now := time.Unix(0, 0)
 	r.SetClock(func() time.Time { now = now.Add(time.Millisecond); return now })
 	var n int
 	r.OnProgress(0, func(Progress) { n++ })
-	r.BeginStage("s", 10)
+	start := now
 	for i := 0; i < 5; i++ {
-		r.Flush(Local{Faults: 1})
+		r.Report(Progress{Done: int64(i)}, start)
 	}
 	if n != 5 {
-		t.Errorf("emissions = %d, want 5", n)
-	}
-}
-
-// TestBeginStageResetsBaseline: Done counts restart per stage and the
-// high-water mark resets.
-func TestBeginStageResetsBaseline(t *testing.T) {
-	r := NewRegistry()
-	now := time.Unix(0, 0)
-	r.SetClock(func() time.Time { now = now.Add(time.Millisecond); return now })
-	var last Progress
-	r.OnProgress(0, func(p Progress) { last = p })
-
-	r.BeginStage("first", 50)
-	r.ObserveIndex(40)
-	r.Flush(Local{Faults: 30})
-	if last.Done != 30 || last.HighWater != 40 {
-		t.Fatalf("first stage: %+v", last)
-	}
-	r.BeginStage("second", 50)
-	r.Flush(Local{Faults: 10})
-	if last.Stage != "second" || last.Done != 10 {
-		t.Errorf("second stage baseline: %+v", last)
-	}
-	if last.HighWater != 0 {
-		t.Errorf("high water not reset: %d", last.HighWater)
+		t.Errorf("samples = %d, want 5", n)
 	}
 }
 
 // TestRegistryRace hammers one registry from many writer goroutines
-// while snapshot readers and progress emissions run concurrently —
-// the -race guard for the whole counter design.
+// while snapshot readers and progress samples run concurrently — the
+// -race guard for the whole counter design.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
-	r.OnProgress(0, func(Progress) {}) // emit on every flush
-	r.BeginStage("race", 1<<20)
+	r.OnProgress(0, func(Progress) {}) // deliver every sample
+	start := time.Now()
 	const writers = 8
 	var writersWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -203,11 +189,10 @@ func TestRegistryRace(t *testing.T) {
 			r.ObserveWorkers(id + 1)
 			for j := 0; j < 500; j++ {
 				r.Flush(Local{Faults: 64, Reps: 60, Kernel: 10})
-				r.ObserveIndex(int64(id*500 + j))
+				r.Report(Progress{Stage: "race", Done: int64(j), Total: 500}, start)
 				r.CacheLookup(j%2 == 0)
 				r.ArenaGet(j%3 == 0)
 				r.CollapseDelta(64, 60)
-				r.ReportSurvivors(int64(j))
 			}
 		}(i)
 	}
