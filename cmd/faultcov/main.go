@@ -13,7 +13,7 @@
 //	faultcov -drop           # cross-test fault dropping in sessions
 //	faultcov -session        # report survivors per session stage
 //	faultcov -seed 99        # reseed the sampled coupling-pair draws
-//	faultcov -chunk 65536    # cap on the faults per pull of every campaign
+//	faultcov -chunk 65536    # cap on the faults per chunk of every campaign
 //	faultcov -exp e17 -exhaustive-cf  # multi-million-fault exhaustive CF run
 //	faultcov -progress       # live faults/s, ETA and survivors on stderr
 //	faultcov -debug-addr :6060  # /metrics + /debug/pprof while running
@@ -51,7 +51,7 @@
 //
 // -progress attaches the telemetry registry and streams two kinds of
 // stderr lines: periodic `# progress` lines during a stage (faults
-// done, faults/s, ETA, survivors when known) and, when each session
+// done, faults/s, ETA, survivors) and, when each session
 // ends, one `# stage` line per stage it ran, in execution order
 // (engine, elapsed, throughput, collapse ratio, and each worker's
 // share of wall time spent blocked on the lock of the session's
@@ -92,10 +92,10 @@
 // after each stage.
 //
 // E17 runs over streaming fault universes (fault.Source): the faults
-// are generated in pulls of at most -chunk faults instead of being
+// are generated in chunks of at most -chunk faults instead of being
 // materialized, so resident fault storage is O(chunk × workers)
 // however large the universe.  Every campaign, streamed or not, sizes
-// its pulls from its universe, so -chunk is an upper bound.  -exhaustive-cf switches E17 to its full-scale sizes,
+// its chunks from its universe, so -chunk is an upper bound.  -exhaustive-cf switches E17 to its full-scale sizes,
 // where the exhaustive coupling universe exceeds two million fault
 // instances — feasible only via the streaming path.
 //
@@ -213,7 +213,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	drop := fs.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
 	session := fs.Bool("session", false, "print one summary line per comparison session (two or more runners) with survivors after each stage")
 	seed := fs.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
-	chunk := fs.Int("chunk", 0, "upper bound on the faults per pull of every campaign; each stage sizes its pulls from its universe (0 = the engine default)")
+	chunk := fs.Int("chunk", 0, "upper bound on the faults per chunk of every campaign; each stage sizes its chunks from its universe (0 = the engine default)")
 	lanes := fs.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
 	progress := fs.Bool("progress", false, "stream live campaign progress (faults/s, ETA, survivors) and per-stage engine reports to stderr")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060) for the duration of the run")
@@ -340,9 +340,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				if p.ETA >= 0 {
 					line += fmt.Sprintf(", ETA %s", p.ETA.Round(time.Second))
 				}
-				if p.Survivors >= 0 {
-					line += fmt.Sprintf(", survivors %d", p.Survivors)
-				}
+				line += fmt.Sprintf(", survivors %d", p.Survivors)
 				fmt.Fprintln(stderr, line)
 			})
 		}

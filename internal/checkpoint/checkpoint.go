@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -109,9 +110,8 @@ type State struct {
 	// (CLI flags), carried for error messages only — it is not part of
 	// the match.
 	Label string
-	// UniverseN is the enumerated universe size, or -1 before the first
-	// executed stage has completed (streaming sources may only estimate
-	// their count up front).
+	// UniverseN is the enumerated universe size: the faults the first
+	// executed stage presented, or -1 before that stage has completed.
 	UniverseN int64
 	// StageNames is the session's stage execution order (display
 	// names); resume validates it against the resuming plan.
@@ -368,9 +368,14 @@ func Decode(b []byte) (*State, error) {
 
 // check rejects a state its own fields contradict: a high-water mark
 // below zero, outside the partition range it records or past the
-// universe size it records, or a class tally naming no fault.Class.
-// The checksum cannot catch these (a file written that way checksums
-// fine), and resuming one would seek or index out of range.
+// universe size it records; a class tally naming no fault.Class, or
+// detecting more faults than it holds (or fewer than none); a stage
+// record whose counts are not its class tallies' sums; a detection
+// bitmap whose set bits are not the universe tally's detections; or an
+// in-flight stage that presented more faults than its range below the
+// high-water mark holds.  The checksum cannot
+// catch these (a file written that way checksums fine), and resuming
+// one would index out of range or report impossible results.
 func (s *State) check() error {
 	lo, hi, partitioned := s.PartitionRange()
 	switch {
@@ -388,8 +393,53 @@ func (s *State) check() error {
 	nc := int32(len(fault.Classes()))
 	for _, ts := range tallies {
 		for _, t := range ts {
-			if t.Class < 0 || t.Class >= nc {
+			switch {
+			case t.Class < 0 || t.Class >= nc:
 				return fmt.Errorf("%w: tally for unknown fault class %d", ErrCorrupt, t.Class)
+			case t.Detected < 0 || t.Detected > t.Total:
+				return fmt.Errorf("%w: class %d tally detects %d of %d faults", ErrCorrupt, t.Class, t.Detected, t.Total)
+			}
+		}
+	}
+	// A stage record's counts are the sums of its class tallies, which
+	// resume restores separately.  (Every tally is non-negative by now,
+	// so stopping at the first negative remainder rules out overflow.)
+	for _, r := range append([]StageRecord{s.Cur}, s.Done...) {
+		entered, detected := r.Entered, r.Detected
+		for _, t := range r.ByClass {
+			if entered, detected = entered-t.Total, detected-t.Detected; entered < 0 || detected < 0 {
+				break
+			}
+		}
+		if entered != 0 || detected != 0 {
+			return fmt.Errorf("%w: stage %q records %d presented and %d detected, not its class tallies' sums",
+				ErrCorrupt, r.Runner, r.Entered, r.Detected)
+		}
+	}
+	// A session sets one bit per universe detection, under the lock it
+	// tallies them under, and Merge ORs bitmaps of disjoint ranges as
+	// it sums their tallies.
+	var set int64
+	for _, w := range s.Bits {
+		set += int64(bits.OnesCount64(w))
+	}
+	left := set
+	for _, t := range s.Universe {
+		if left -= t.Detected; left < 0 {
+			break
+		}
+	}
+	if left != 0 {
+		return fmt.Errorf("%w: the detection bitmap's %d set bits disagree with the universe tally's detections", ErrCorrupt, set)
+	}
+	// The in-flight stage presents each index below its high-water
+	// mark at most once.
+	if !s.Complete {
+		room := s.HighWater - lo
+		for _, t := range s.Cur.ByClass {
+			if room -= t.Total; room < 0 {
+				return fmt.Errorf("%w: in-flight stage presented more than the %d faults below its high-water mark %d",
+					ErrCorrupt, s.HighWater-lo, s.HighWater)
 			}
 		}
 	}

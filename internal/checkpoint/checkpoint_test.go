@@ -13,6 +13,13 @@ import (
 )
 
 func sampleState() *State {
+	// Its universe tally detects 3600 + 3700 faults, so the bitmap
+	// holds the first 7300 universe indices: 114 full words and 4 bits.
+	bits := make([]uint64, 115)
+	for i := range 114 {
+		bits[i] = ^uint64(0)
+	}
+	bits[114] = 0xf
 	return &State{
 		SpecHash: Hash("universe", "runner-a", "runner-b", "compiled", "drop"),
 		Seed:     42,
@@ -37,7 +44,7 @@ func sampleState() *State {
 		},
 		HighWater: 4096,
 		Universe:  []ClassTally{{Class: 0, Total: 4000, Detected: 3600}, {Class: 2, Total: 5000, Detected: 3700}},
-		Bits:      []uint64{0xdeadbeef, 0, ^uint64(0), 1},
+		Bits:      bits,
 	}
 }
 
@@ -99,6 +106,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // rewritten; the in-range controls must still decode.
 func TestDecodeRejectsContradictoryStates(t *testing.T) {
 	partitioned := func(s *State) { s.PartitionLo, s.PartitionHi = 1000, 5000 }
+	presented := func(s *State, n int64) { s.Cur.ByClass[0].Total, s.Cur.Entered = n, n }
 	for _, tc := range []struct {
 		name    string
 		edit    func(*State)
@@ -118,6 +126,23 @@ func TestDecodeRejectsContradictoryStates(t *testing.T) {
 		{"in-flight class past the last", func(s *State) { s.Cur.ByClass[0].Class = 99 }, true},
 		{"done class past the last", func(s *State) { s.Done[0].ByClass[1].Class = 1 << 20 }, true},
 		{"last class", func(s *State) { s.Universe[1].Class = int32(len(fault.Classes()) - 1) }, false},
+		{"done class detects more than it holds", func(s *State) { s.Done[0].ByClass[0].Detected, s.Done[0].Detected = 4001, 7501 }, true},
+		{"in-flight class detects more than it holds", func(s *State) { s.Cur.ByClass[0].Detected, s.Cur.Detected = 401, 401 }, true},
+		{"negative detections", func(s *State) { s.Done[0].ByClass[1].Detected, s.Done[0].Detected = -1, 3499 }, true},
+		{"class detects all it holds", func(s *State) { s.Done[0].ByClass[0].Detected, s.Done[0].Detected = 4000, 7500 }, false},
+		{"done record presented past its tallies", func(s *State) { s.Done[0].Entered += 5 }, true},
+		{"in-flight record detected short of its tallies", func(s *State) { s.Cur.Detected-- }, true},
+		{"negative record with no tallies", func(s *State) { s.Cur.ByClass, s.Cur.Entered, s.Cur.Detected = nil, -3, 0 }, true},
+		{"empty in-flight record", func(s *State) { s.Cur.ByClass, s.Cur.Entered, s.Cur.Detected = nil, 0, 0 }, false},
+		{"bitmap word past the tally", func(s *State) { s.Bits = append(s.Bits, 1) }, true},
+		{"bitmap bit short of the tally", func(s *State) { s.Bits[0] &^= 1 }, true},
+		{"tally detection past the bitmap", func(s *State) { s.Universe[1].Detected++ }, true},
+		{"bitmap and tally one past together", func(s *State) { s.Bits[114] |= 0x10; s.Universe[1].Detected++ }, false},
+		{"in-flight total past the high water", func(s *State) { presented(s, 4097) }, true},
+		{"in-flight total of 2^40", func(s *State) { presented(s, 1<<40) }, true},
+		{"in-flight total at the high water", func(s *State) { presented(s, 4096) }, false},
+		{"in-flight total past the partition's high water", func(s *State) { partitioned(s); presented(s, 3097) }, true},
+		{"in-flight total at the partition's high water", func(s *State) { partitioned(s); presented(s, 3096) }, false},
 	} {
 		s := sampleState()
 		tc.edit(s)

@@ -20,12 +20,12 @@
 // executor folds chunk verdicts into durable state only in contiguous
 // universe order (buffering the out-of-order tail), so a snapshot
 // taken at any instant describes a prefix-closed set of simulated
-// faults.  Resume then seeks the fault source past HighWater
-// (fault.Source.Skip — O(1) for the index-addressable generator
-// families) and continues; the resumed session's results are
-// byte-identical to an uninterrupted run's, a property the coverage
-// tests assert across universe families, engines and interrupt
-// points.
+// faults.  Resume is then index arithmetic: fault i of a fault.Source
+// is computed from i alone, so the in-flight stage's workers simply
+// claim universe indices from HighWater on.  The resumed session's
+// results are byte-identical to an uninterrupted run's, a property the
+// coverage tests assert across universe families, engines and
+// interrupt points.
 //
 // # Partitioned campaigns and Merge
 //

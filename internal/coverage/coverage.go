@@ -193,11 +193,13 @@ type EngineStats struct {
 	CacheHits, CacheMisses uint64
 	// KernelTime, SinkWait and SourceWait split each worker's stage
 	// time: inside the replay kernel, blocked acquiring the lock of the
-	// session's completion-frontier fold, and claiming chunks from the
-	// source.  They hold one entry per worker (Workers of them), come
-	// back from the streaming driver with the stage itself, and so are
-	// filled on every stage, with or without a telemetry registry, and
-	// describe this stage alone.  A worker's three times sum to at most
+	// session's completion-frontier fold, and claiming chunks and
+	// generating their surviving faults (no lock: a claim is one atomic
+	// add, so SourceWait is generation).  They hold one entry per
+	// worker (Workers of them), come back from the streaming driver
+	// with the stage itself, and so are filled on every stage, with or
+	// without a telemetry registry, and describe this stage alone.  A
+	// worker's three times sum to at most
 	// Elapsed.  SinkWait is the direct measure of sink contention: if
 	// its share of Elapsed grows with the worker count, the fold's lock
 	// is the scaling bottleneck.

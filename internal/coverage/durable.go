@@ -11,6 +11,7 @@ package coverage
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -30,10 +31,11 @@ import (
 // chunks parked ahead of the frontier, which the resumed run
 // re-simulates.
 //
-// Resume is the mirror image: the source is Reset and Skip()ed past
-// HighWater (O(1) for the index-addressable generator families), the
-// shard driver's Base keeps delivered indices universe-absolute, and
-// the cumulative detection bitmap doubles as the stage's drop filter.
+// Resume is the mirror image, and index arithmetic: the in-flight
+// stage's drivers claim from HighWater on (cfg.Base), so delivered
+// indices stay universe-absolute and nothing below HighWater is
+// generated again, and the cumulative detection bitmap doubles as the
+// stage's drop filter.
 // That filter is taken from the checkpoint — which already includes
 // the current stage's own detections below HighWater — rather than
 // from the stage-start state as in an uninterrupted run; the two are
@@ -69,7 +71,7 @@ type CheckpointConfig struct {
 	Seed int64
 	// Resume, when non-nil, fast-forwards the session from the state:
 	// completed stages are reconstructed from their records, the
-	// in-flight stage seeks past its high-water mark.  The state must
+	// in-flight stage resumes at its high-water mark.  The state must
 	// match the plan's spec hash, geometry, seed and stage order — a
 	// mismatch panics (resuming an unrelated checkpoint would silently
 	// fabricate results).  Callers validate first with ValidateResume.
@@ -122,8 +124,10 @@ func (p *Plan) specHash() uint64 {
 // validateResume checks a loaded state against the resuming session's
 // identity.  A nil return means the state describes this exact
 // campaign (including its partition range [partLo, partHi); -1 for
-// unpartitioned) and can be applied.  end is the source's end index
-// (-1 when its Count is inexact): an in-flight stage cannot resume
+// unpartitioned) and can be applied.  end is the session's last index
+// plus one (partHi, or the universe size): an in-flight stage cannot
+// resume past it, no detection can lie outside [partLo, end), and the
+// bitmap, which the session writes with words up to end, has none
 // past it.
 func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int64, names []string, partLo, partHi, end int) error {
 	if !rs.Matches(spec, size, width, seed) {
@@ -157,8 +161,25 @@ func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int
 	if rs.Complete && len(rs.Done) != len(names) {
 		return fmt.Errorf("coverage: checkpoint %q marked complete with %d of %d stages done", rs.Label, len(rs.Done), len(names))
 	}
-	if !rs.Complete && end >= 0 && rs.HighWater > int64(end) {
+	if !rs.Complete && rs.HighWater > int64(end) {
 		return fmt.Errorf("coverage: checkpoint %q resumes at universe index %d, past the source's end at %d", rs.Label, rs.HighWater, end)
+	}
+	for w, x := range rs.Bits {
+		if x == 0 {
+			continue
+		}
+		u := w<<6 + bits.TrailingZeros64(x)
+		if u >= partLo {
+			u = w<<6 + 63 - bits.LeadingZeros64(x)
+		}
+		if u < partLo || u >= end {
+			return fmt.Errorf("coverage: checkpoint %q records a detection at universe index %d, outside this session's range [%d, %d)",
+				rs.Label, u, partLo, end)
+		}
+	}
+	if words := (end + 63) / 64; len(rs.Bits) > words {
+		return fmt.Errorf("coverage: checkpoint %q holds %d bitmap words, past the %d of this session's range [%d, %d)",
+			rs.Label, len(rs.Bits), words, partLo, end)
 	}
 	return nil
 }
@@ -177,13 +198,11 @@ func (p *Plan) ValidateResume(rs *checkpoint.State, seed int64) error {
 		return ErrUniversePlan
 	}
 	spec, size, width, names := p.PlanIdentity()
-	partLo, partHi, end := 0, -1, -1
-	if n, exact := p.Stream.Source.Count(); exact {
-		end = n
-		if idx, cnt := p.partitionSpec(); cnt > 0 {
-			partLo, partHi = fault.PartitionRange(n, idx-1, cnt)
-			end = partHi
-		}
+	partLo, partHi := 0, -1
+	end, _ := p.Stream.Source.Count()
+	if idx, cnt := p.partitionSpec(); cnt > 0 {
+		partLo, partHi = fault.PartitionRange(end, idx-1, cnt)
+		end = partHi
 	}
 	return validateResume(rs, spec, size, width, seed, names, partLo, partHi, end)
 }

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,46 +28,41 @@ import (
 // are byte-identical too (the format carries no timestamps).
 // Interrupt points cover the qualitatively different cuts: before the
 // first chunk, mid-stage, at a stage boundary, and during every chunk
-// pull of the first stage, where the chunks in flight complete out of
+// claim of the first stage, where the chunks in flight complete out of
 // order and the fold parks those ahead of its frontier.
 
-// cancelSource interposes on a Source to cancel a context at a chosen
-// enumeration point: during the k-th chunk pull, or at the k-th Reset
-// (stage starts).  Skip and Count pass through; resetNexts records the
-// pull count at each Reset.
+// cancelSource interposes on a Source to cancel a context during its
+// k-th Fill.  Workers fill concurrently, so the count is atomic.  The
+// first stage of a session drops nothing, so each of its chunk claims
+// fills once and its k-th Fill is its k-th claim; a later stage fills
+// once per run of survivors, and not at all for a chunk with none.
 type cancelSource struct {
 	fault.Source
-	cancel        context.CancelFunc
-	cancelAtNext  int // 1-based pull index; 0 disables
-	cancelAtReset int // 1-based Reset index; 0 disables
-	nexts, resets int
-	resetNexts    []int
+	cancel       context.CancelFunc
+	cancelAtFill int64 // 1-based Fill index; 0 disables
+	fills        atomic.Int64
 }
 
-func (c *cancelSource) Next(dst []fault.Fault) (int, bool) {
-	c.nexts++
-	if c.nexts == c.cancelAtNext {
+func (c *cancelSource) Fill(dst []fault.Fault, lo int) {
+	if c.fills.Add(1) == c.cancelAtFill {
 		c.cancel()
 	}
-	return c.Source.Next(dst)
+	c.Source.Fill(dst, lo)
 }
 
-func (c *cancelSource) Reset() {
-	c.resetNexts = append(c.resetNexts, c.nexts)
-	c.resets++
-	if c.resets == c.cancelAtReset {
-		c.cancel()
-	}
-	c.Source.Reset()
+// firstStageFills is the number of chunks, and so of Fills, of a
+// session's first stage over count faults (stageShape's sizing).
+func firstStageFills(count, workers, batch, chunk int) int {
+	c, _ := stageShape(count, workers, batch, chunk)
+	return ceilDiv(count, c)
 }
 
-// midStagePull is the source pull a mid-stage cut cancels during: the
-// 4th, or the first stage's last when the stage sizing (stageShape)
-// gives it fewer chunks — a replay stage's chunk holds at least one
-// batch, so a universe smaller than a batch streams as one chunk.
-func midStagePull(count, workers, batch, chunk int) int {
-	c, _ := stageShape(count, true, workers, batch, chunk)
-	return min(4, ceilDiv(count, c))
+// midStageFill is the Fill a mid-stage cut cancels during: the 4th, or
+// the first stage's last when the stage sizing gives it fewer chunks —
+// a replay stage's chunk holds at least one batch, so a universe
+// smaller than a batch streams as one chunk.
+func midStageFill(count, workers, batch, chunk int) int64 {
+	return int64(min(4, firstStageFills(count, workers, batch, chunk)))
 }
 
 // assertWellFormed checks the partial-session contract: an interrupted
@@ -108,12 +104,12 @@ func TestResumeEquivalence(t *testing.T) {
 		families = families[:3]
 	}
 	type mode struct {
-		name          string
-		workers       int
-		preCancel     bool
-		cancelAtNext  int
-		cancelAtReset int
+		name         string
+		workers      int
+		preCancel    bool
+		cancelAtFill int64
 	}
+	boundaryCuts := 0
 	for _, fam := range families {
 		count, _ := fam.src.Count()
 		chunk := count/16 + 1 // up to ~16 chunks per stage, so mid-stage cancels leave work
@@ -135,18 +131,24 @@ func TestResumeEquivalence(t *testing.T) {
 				}
 			}
 			fileA := filepath.Join(dir, "ref.fckp")
-			counter := &cancelSource{Source: fam.src, cancel: func() {}}
-			want := mkPlan(counter, fileA, 3, nil).Run()
-			if want.Interrupted || len(counter.resetNexts) < 2 {
+			want := mkPlan(fam.src, fileA, 3, nil).Run()
+			if want.Interrupted || len(want.Stages) < 2 {
 				t.Fatalf("%s [%s]: reference run interrupted or single-stage", fam.name, engine)
 			}
 			modes := []mode{
 				{name: "pre-first-chunk", workers: 4, preCancel: true},
-				{name: "mid-stage", workers: 4, cancelAtNext: midStagePull(count, 4, batch, chunk)},
-				{name: "stage-boundary", workers: 4, cancelAtReset: 2},
+				{name: "mid-stage", workers: 4, cancelAtFill: midStageFill(count, 4, batch, chunk)},
 			}
-			for k := 1; k <= counter.resetNexts[1]; k++ {
-				modes = append(modes, mode{name: fmt.Sprintf("pull-%d", k), workers: 3, cancelAtNext: k})
+			// The stage-boundary cut cancels during the second stage's
+			// first Fill, so it exists only where that stage presents
+			// faults.
+			if want.Stages[1].Entered > 0 {
+				boundaryCuts++
+				modes = append(modes, mode{name: "stage-boundary", workers: 4,
+					cancelAtFill: int64(firstStageFills(count, 4, batch, chunk) + 1)})
+			}
+			for k := 1; k <= firstStageFills(count, 3, batch, chunk); k++ {
+				modes = append(modes, mode{name: fmt.Sprintf("claim-%d", k), workers: 3, cancelAtFill: int64(k)})
 			}
 			for _, m := range modes {
 				label := fmt.Sprintf("%s [%s %s]", fam.name, engine, m.name)
@@ -156,10 +158,7 @@ func TestResumeEquivalence(t *testing.T) {
 				if m.preCancel {
 					cancel()
 				}
-				cs := &cancelSource{
-					Source: fam.src, cancel: cancel,
-					cancelAtNext: m.cancelAtNext, cancelAtReset: m.cancelAtReset,
-				}
+				cs := &cancelSource{Source: fam.src, cancel: cancel, cancelAtFill: m.cancelAtFill}
 				part := mkPlan(cs, fileB, m.workers, nil).RunContext(ctx)
 				cancel()
 				assertWellFormed(t, label, part)
@@ -185,6 +184,7 @@ func TestResumeEquivalence(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d (family, engine) pairs have a stage-boundary cut", boundaryCuts)
 }
 
 // Resuming a checkpoint marked complete reconstructs the whole session
@@ -210,13 +210,13 @@ func TestResumeCompletedSession(t *testing.T) {
 	if !rs.Complete {
 		t.Fatal("finished session's checkpoint not marked complete")
 	}
-	// Count pulls: a completed resume must touch the source zero times.
+	// Count fills: a completed resume must generate no fault.
 	cs := &cancelSource{Source: fam.src, cancel: func() {}}
 	p := mkPlan(rs)
 	p.Stream.Source = cs
 	got := p.Run()
-	if cs.nexts != 0 {
-		t.Errorf("resuming a complete checkpoint pulled %d chunks, want 0", cs.nexts)
+	if n := cs.fills.Load(); n != 0 {
+		t.Errorf("resuming a complete checkpoint filled %d ranges, want 0", n)
 	}
 	assertSessionsEqual(t, "complete-resume", want, got)
 }
@@ -334,10 +334,11 @@ func TestResumeMismatchRefused(t *testing.T) {
 	mkPlan(EngineBitParallel, fam.runners, rs).Run()
 }
 
-// A checkpoint whose high-water mark lies outside the session's range
-// is refused, never a panic mid-seek: checkpoint.Decode rejects what
-// the state alone contradicts, and ValidateResume — or the session, for
-// an explicit Resume — what only the source's exact Count reveals.
+// A checkpoint whose high-water mark or bitmap lies outside the
+// session's range is refused, never a panic mid-run: checkpoint.Decode
+// rejects what the state alone contradicts, and ValidateResume — or
+// the session, for an explicit Resume — what only the source's Count
+// reveals.
 func TestResumeRefusesOutOfRangeStates(t *testing.T) {
 	t.Parallel()
 	fam := streamFamilies()[0]
@@ -388,6 +389,87 @@ func TestResumeRefusesOutOfRangeStates(t *testing.T) {
 	expectPanic(t, "explicit resume past the end", want, func() { mkPlan(past).Run() })
 	if err := mkPlan(nil).ValidateResume(inFlight(int64(count), -1), 7); err != nil {
 		t.Errorf("high water at the source's end refused: %v", err)
+	}
+	// A zero bitmap word past the range changes no count, but the
+	// resumed session would write it into every later checkpoint.
+	long := inFlight(int64(count), n)
+	long.Bits = append(append([]uint64(nil), done.Bits...), 0)
+	const wantWords = "bitmap words"
+	if err := mkPlan(nil).ValidateResume(long, 7); err == nil || !strings.Contains(err.Error(), wantWords) {
+		t.Errorf("ValidateResume with a bitmap word past the end: %v, want it to mention %q", err, wantWords)
+	}
+}
+
+// A checkpoint recording a detection outside the session's range —
+// below its partition, or at or past the end of its partition or
+// universe — is refused by ValidateResume, and an explicit Resume of
+// one panics: resuming it would count a fault the session never
+// presents.  Each case moves one detection of a finished run's
+// checkpoint, rewritten as in flight, to the tested index, so the
+// bitmap still agrees with the tallies and Decode accepts the state.
+func TestResumeRefusesDetectionsOutsideRange(t *testing.T) {
+	t.Parallel()
+	fam := streamFamilies()[0]
+	count, _ := fam.src.Count()
+	for _, tc := range []struct {
+		name string
+		part int // 1-based partition of 3; 0 runs the whole universe
+		at   func(lo, end int) int
+	}{
+		{"at the universe end", 0, func(lo, end int) int { return end }},
+		{"below the partition", 2, func(lo, end int) int { return lo - 1 }},
+		{"at the partition end", 2, func(lo, end int) int { return end }},
+	} {
+		path := filepath.Join(t.TempDir(), "c.fckp")
+		mkPlan := func(rs *checkpoint.State) *Plan {
+			p := &Plan{
+				Runners: fam.runners,
+				Stream:  &fault.Stream{Name: fam.name, Source: fam.src},
+				Chunk:   16, Memory: fam.mk, Workers: 2,
+				Engine: EngineCompiled, Drop: true,
+				Checkpoint: &CheckpointConfig{Path: path, Label: "bits", Seed: 7, Resume: rs},
+			}
+			if tc.part > 0 {
+				p.PartitionIndex, p.PartitionCount = tc.part, 3
+			}
+			return p
+		}
+		mkPlan(nil).Run()
+		done, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, end := 0, count
+		if tc.part > 0 {
+			lo, end = fault.PartitionRange(count, tc.part-1, 3)
+		}
+		st := *done
+		last := done.Done[len(done.Done)-1]
+		st.Done = done.Done[:len(done.Done)-1]
+		st.Cur = checkpoint.StageRecord{Runner: last.Runner, RunnerIndex: last.RunnerIndex}
+		st.Complete, st.HighWater = false, int64(lo)
+		words := append([]uint64(nil), done.Bits...)
+		u := tc.at(lo, end)
+		for len(words) <= u>>6 {
+			words = append(words, 0)
+		}
+		for w, x := range words {
+			if x != 0 {
+				words[w] &^= x & -x // the lowest detection moves to u
+				break
+			}
+		}
+		words[u>>6] |= 1 << (uint(u) & 63)
+		st.Bits = words
+		rs, err := checkpoint.Decode(st.Encode())
+		if err != nil {
+			t.Fatalf("%s: Decode refused the edited state: %v", tc.name, err)
+		}
+		const want = "outside this session's range"
+		if err := mkPlan(nil).ValidateResume(rs, 7); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ValidateResume = %v, want it to mention %q", tc.name, err, want)
+		}
+		expectPanic(t, tc.name+": explicit resume", want, func() { mkPlan(rs).Run() })
 	}
 }
 

@@ -103,10 +103,10 @@ type fold struct {
 	// advances: the telemetry registry (nil when detached), offered a
 	// progress sample, and the checkpoint cadence (nil without
 	// checkpointing).  A sample names the running stage (label, which
-	// began at start and will present total faults, <= 0 when
-	// unknown), counts the faults it presented less a resumed stage's
-	// restored prefix, and the survivors out of count universe faults
-	// (-1 while the size is unknown).
+	// began at start and will present total faults, <= 0 when resumed
+	// midway), counts the faults it presented less a resumed stage's
+	// restored prefix, and the survivors out of the session's count
+	// universe faults.
 	reg        *telemetry.Registry
 	count      int
 	label      string
@@ -129,8 +129,8 @@ func newFold(capacity, count int, reg *telemetry.Registry) *fold {
 }
 
 // beginStage starts the stage label, which will present total faults
-// (<= 0 when unknown), at universe index base, holding tallies already
-// (a resumed stage's; nil for a fresh one).
+// (<= 0 when resumed midway), at universe index base, holding tallies
+// already (a resumed stage's; nil for a fresh one).
 func (f *fold) beginStage(label string, total, base int, enumerate bool, tallies []ClassStat) {
 	f.frontier = base
 	f.enumerate = enumerate
@@ -210,16 +210,12 @@ func (f *fold) deliver(s *chunkSummary) *chunkSummary {
 // with mu held, so one session's samples never go backwards.
 func (f *fold) report() {
 	presented, _ := totals(f.stage)
-	survivors := -1
-	if f.count >= 0 {
-		survivors = f.count - f.detected
-	}
 	f.reg.Report(telemetry.Progress{
 		Stage:     f.label,
 		Done:      int64(presented - f.restored),
 		Total:     int64(f.total),
 		HighWater: int64(f.frontier),
-		Survivors: int64(survivors),
+		Survivors: int64(f.count - f.detected),
 	}, f.start)
 }
 

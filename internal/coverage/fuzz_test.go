@@ -1,7 +1,10 @@
 package coverage
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -23,7 +26,10 @@ import (
 // universe at one worker and the default chunk: Results, Cumulative,
 // Stages and (with KeepVectors) Vectors, Stats aside.  A checkpointed
 // session's completion checkpoint must also record exactly that
-// session.  The seed corpus lives in
+// session; split into the decoded number of partitions, their merged
+// checkpoints must equal it byte for byte; and cancelled at the
+// decoded Fill, then resumed, the session and its final checkpoint
+// file must equal the uninterrupted run's.  The seed corpus lives in
 // testdata/fuzz/FuzzSessionMatchesOracle; run the search with
 //
 //	go test -run '^$' -fuzz '^FuzzSessionMatchesOracle$' -fuzztime 30s ./internal/coverage
@@ -58,9 +64,75 @@ func FuzzSessionMatchesOracle(f *testing.F) {
 			assertSessionsEqual(t, label, want, got)
 			if path != "" {
 				assertCompletionCheckpoint(t, label, path, got)
+				if c.parts > 0 {
+					assertPartitionsMerge(t, label, p, c.parts, path)
+				}
+				if c.cancelAt > 0 {
+					assertResumeEquals(t, label, p, c.cancelAt, path, got)
+				}
 			}
 		}
 	})
+}
+
+// assertPartitionsMerge runs checkpointed plan p as k partitions and
+// requires checkpoint.Merge of their completion checkpoints to encode
+// byte-identical to p's own, at path.
+func assertPartitionsMerge(t *testing.T, label string, p *Plan, k int, path string) {
+	t.Helper()
+	states := make([]*checkpoint.State, k)
+	for i := range states {
+		q := *p
+		q.PartitionIndex, q.PartitionCount = i+1, k
+		q.Checkpoint = &CheckpointConfig{Path: fmt.Sprintf("%s.part%d", path, i+1), Every: p.Checkpoint.Every}
+		q.Run()
+		st, err := checkpoint.Load(q.Checkpoint.Path)
+		if err != nil {
+			t.Fatalf("%s: loading partition %d/%d's checkpoint: %v", label, i+1, k, err)
+		}
+		states[i] = st
+	}
+	merged, err := checkpoint.Merge(states)
+	if err != nil {
+		t.Fatalf("%s: merging %d partitions: %v", label, k, err)
+	}
+	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(merged.Encode(), want) {
+		t.Errorf("%s: %d merged partitions differ from the unpartitioned completion checkpoint (%v)", label, k, err)
+	}
+}
+
+// assertResumeEquals cancels checkpointed plan p during its k-th Fill,
+// resumes it from the checkpoint that wrote, and requires the resumed
+// session to equal the uninterrupted one (want) and its final
+// checkpoint file to equal the uninterrupted run's, at path.  A k past
+// the session's last Fill interrupts nothing, and the resume then
+// starts from the completion checkpoint.
+func assertResumeEquals(t *testing.T, label string, p *Plan, k int, path string, want *Session) {
+	t.Helper()
+	cut := path + ".cut"
+	ctx, cancel := context.WithCancel(context.Background())
+	q := *p
+	q.Stream = &fault.Stream{Name: p.Stream.Name, Source: &cancelSource{Source: p.Stream.Source, cancel: cancel, cancelAtFill: int64(k)}}
+	q.Checkpoint = &CheckpointConfig{Path: cut, Every: p.Checkpoint.Every}
+	q.RunContext(ctx)
+	cancel()
+	rs, err := checkpoint.Load(cut)
+	if err != nil {
+		t.Fatalf("%s: loading the checkpoint cut at Fill %d: %v", label, k, err)
+	}
+	q = *p
+	q.Checkpoint = &CheckpointConfig{Path: cut, Every: p.Checkpoint.Every, Resume: rs}
+	got := q.Run()
+	label = fmt.Sprintf("%s resumed from Fill %d", label, k)
+	if got.Interrupted {
+		t.Fatalf("%s: reports interrupted", label)
+	}
+	assertSessionsEqual(t, label, want, got)
+	a, errA := os.ReadFile(path)
+	b, errB := os.ReadFile(cut)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Errorf("%s: final checkpoint differs from the uninterrupted run's (%v, %v)", label, errA, errB)
+	}
 }
 
 // assertCompletionCheckpoint checks that the completion checkpoint at
@@ -119,6 +191,11 @@ type fuzzCampaign struct {
 	// Stream run.
 	vectors    bool
 	checkpoint bool
+	// Checkpoint mode only: the partitions to split the session into
+	// (0 for none) and the Fill to cancel it at before resuming (0 for
+	// none).
+	parts    int
+	cancelAt int
 }
 
 func (c fuzzCampaign) String() string { return c.desc }
@@ -229,7 +306,17 @@ func decodeCampaign(data []byte) fuzzCampaign {
 	case 2:
 		c.checkpoint, c.stream = true, true
 	}
+	// Checkpoint mode's split and cancel point: 0 (also an exhausted
+	// input) is none, so inputs written before these choices keep their
+	// meaning.
+	if k := next() % 4; k > 0 {
+		c.parts = k + 1
+	}
+	c.cancelAt = next()
 	c.desc = fmt.Sprintf("n=%d m=%d bom=%v %v %s seed=%d chunk=%d workers=%d lanes=%d drop=%v order=%d stream=%v vectors=%v checkpoint=%v",
 		n, m, bom, names, c.name, seed, c.chunk, c.workers, c.lanes, c.drop, c.order, c.stream, c.vectors, c.checkpoint)
+	if c.checkpoint {
+		c.desc += fmt.Sprintf(" parts=%d cancel-at-fill=%d", c.parts, c.cancelAt)
+	}
 	return c
 }

@@ -100,7 +100,7 @@ func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
 		file := filepath.Join(dir, fmt.Sprintf("wide%d.fckp", lanes))
 		ctx, cancel := context.WithCancel(context.Background())
 		cs := &cancelSource{Source: fam.src, cancel: cancel,
-			cancelAtNext: midStagePull(count, 4, lanes*sim.BatchSize, chunk)}
+			cancelAtFill: midStageFill(count, 4, lanes*sim.BatchSize, chunk)}
 		part := mkPlan(cs, lanes, file, nil).RunContext(ctx)
 		cancel()
 		assertWellFormed(t, label, part)

@@ -27,8 +27,8 @@ import (
 //   - cross-test fault dropping (Plan.Drop): once a fault is detected
 //     by one test of the session it is dropped from the remaining
 //     tests, which skip every universe index set in the cumulative
-//     detection bitmap (fault.BitSet, one bit per universe fault) as
-//     they pull their chunks.  Dropping is
+//     detection bitmap (fault.BitSet, one bit per universe fault) and
+//     generate only the rest of their chunks.  Dropping is
 //     verdict-preserving: a fault that IS simulated by a stage gets
 //     exactly the verdict an independent campaign would give it
 //     (verdicts are unconditional properties of the (runner, fault)
@@ -101,15 +101,15 @@ type Plan struct {
 	// Universe is the shared fault universe, run as a
 	// fault.SliceSource by the same executor as Stream.
 	Universe fault.Universe
-	// Stream, when non-nil, replaces Universe with a pull-based fault
-	// source enumerated in bounded chunks (stream.go): the session then
+	// Stream, when non-nil, replaces Universe with a fault source
+	// generated in bounded chunks (stream.go): the session then
 	// holds O(Chunk × Workers) fault instances plus one bit per
 	// universe fault, whatever the universe size.  Universe is ignored
 	// while Stream is set.
 	Stream *fault.Stream
-	// Chunk caps the faults-per-pull (<= 0 means sim.DefaultChunk).  It
-	// is an upper bound: each stage of a source with an exact Count
-	// shrinks its chunks to about a quarter of its share per worker,
+	// Chunk caps the faults per chunk claim (<= 0 means
+	// sim.DefaultChunk).  It is an upper bound: each stage shrinks its
+	// chunks to about a quarter of its share per worker,
 	// rounded up to whole replay batches (a cap below one batch reads
 	// as one batch).
 	Chunk int

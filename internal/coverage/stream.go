@@ -19,7 +19,7 @@ import (
 )
 
 // This file is the session executor: every Plan runs its stages over
-// a fault.Source pulled in bounded chunks (sim.ShardsStream /
+// a fault.Source generated in bounded chunks (sim.ShardsStream /
 // sim.ShardsCompiledStream / a chunked oracle) — a Stream plan's
 // source, or a Universe plan's faults as a fault.SliceSource — so
 // session memory is O(Chunk × Workers) fault instances plus one bit
@@ -30,7 +30,7 @@ import (
 // the per-fault oracle for every universe family, engine, chunk size
 // and plan shape.
 //
-// Each stage sizes its chunks and worker pool from the exact number of
+// Each stage sizes its chunks and worker pool from the number of
 // universe indices it will claim (stageShape), so a small campaign
 // keeps every worker busy and never allocates chunk buffers larger
 // than its universe.  The replay engines require every streamed fault
@@ -43,8 +43,8 @@ import (
 // always a prefix-closed cut.  Durability (durable.go) composes onto
 // it: when a checkpoint is configured the fold persists that cut on a
 // cadence, and a resumed session reconstructs its completed stages
-// from the checkpoint and Skip()s the source past the in-flight
-// stage's high-water mark.
+// from the checkpoint and starts the in-flight stage's claims at its
+// high-water mark.
 
 // CampaignStream runs a single-runner campaign over a streaming
 // universe on the compiled engine, sharing the process-wide program
@@ -76,32 +76,29 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		chunk = sim.DefaultChunk
 	}
 	src := stream.Source
-	count, exactCount := src.Count() // capacity hint; bitmaps grow if it is low
+	end, _ := src.Count()
 
 	// Partitioning: restrict the session to universe indices
-	// [partLo, partHi).  Delivered indices stay universe-absolute (the
-	// SubSource view plus cfg.Base), so detection bitmaps and
-	// checkpoints from different partitions OR/merge exactly.
+	// [partLo, partHi).  The drivers claim [cfg.Base, end) of a view
+	// ending at partHi, so delivered indices stay universe-absolute and
+	// detection bitmaps and checkpoints from different partitions
+	// OR/merge exactly.
 	partIdx, partCnt := 0, 0
 	if streamed {
 		partIdx, partCnt = p.partitionSpec()
 	}
 	partLo, partHi := 0, -1
-	hiBound := count // bitmap capacity: the highest index this session can touch
 	if partCnt > 0 {
-		if !exactCount {
-			panic(fmt.Sprintf("coverage: partitioning %s requires a source with an exact Count", stream.Name))
-		}
 		if p.KeepVectors {
 			panic("coverage: KeepVectors is incompatible with a partitioned session (vectors span the full universe)")
 		}
-		partLo, partHi = fault.PartitionRange(count, partIdx-1, partCnt)
-		src = fault.SubSource(src, partLo, partHi)
-		count = partHi - partLo
-		// Full word capacity up to partHi, so the last partition's
-		// bitmap words match the unpartitioned run's length and the
-		// merged checkpoint is byte-identical to the single-process one.
-		hiBound = partHi
+		partLo, partHi = fault.PartitionRange(end, partIdx-1, partCnt)
+		src = fault.SubSource(src, 0, partHi)
+		// The bitmaps get full word capacity up to the session's end, so
+		// the last partition's bitmap words match the unpartitioned
+		// run's length and the merged checkpoint is byte-identical to
+		// the single-process one.
+		end = partHi
 	}
 
 	// Plan: one clean run (or cache hit) per runner, so the executor
@@ -133,10 +130,6 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 			names[i] = st.runner.Name()
 		}
 		d = newDurable(*cp, spec, mem.Size(), mem.Width())
-		end := -1 // the source's end index, when its Count is exact
-		if exactCount {
-			end = hiBound
-		}
 		if cp.Resume != nil {
 			if err := validateResume(cp.Resume, spec, mem.Size(), mem.Width(), cp.Seed, names, partLo, partHi, end); err != nil {
 				panic(err.Error())
@@ -150,11 +143,7 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		s.Vectors = make([][]Verdict, len(p.Runners))
 	}
 
-	survivorsOf := -1 // live survivors need the universe size
-	if exactCount {
-		survivorsOf = count
-	}
-	f := newFold(hiBound, survivorsOf, telemetry.Active())
+	f := newFold(end, end-partLo, telemetry.Active())
 	arenas := &sim.ArenaPool{}
 	universeN := -1 // presented count of the first executed stage = |universe|
 	doneStages := 0
@@ -217,14 +206,11 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 
 	for si := doneStages; si < len(order); si++ {
 		st := order[si]
-		if universeN >= 0 {
-			f.count = universeN // an inexact source's size is known after its first stage
-		}
 		// The survivor filter for this stage is the cumulative detection
 		// bitmap, which stays frozen while the stage runs.  (On resume it
 		// also carries this stage's own pre-interrupt detections —
-		// equivalent, since those indices are below the seek point and
-		// never presented again.)
+		// equivalent, since those indices are below the resume point and
+		// never claimed again.)
 		var stageDrop *fault.BitSet
 		if p.Drop && f.detected > 0 {
 			stageDrop = f.cum
@@ -233,7 +219,7 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 		var resumed []ClassStat
 		if rs != nil && si == doneStages && !rs.Complete {
 			// Resuming into this stage: restore its partial tallies and
-			// seek past the contiguous completed prefix.
+			// claim from the end of the contiguous completed prefix.
 			base = int(rs.HighWater)
 			resumed = classStats(rs.Cur.ByClass)
 		}
@@ -245,28 +231,19 @@ func (p *Plan) runStream(ctx context.Context, stream *fault.Stream, streamed boo
 				}
 			}
 		}
-		src.Reset()
-		if rel := base - partLo; rel > 0 {
-			// Skip is view-relative on a partitioned source; delivered
-			// indices stay absolute via cfg.Base below.
-			if skipped := src.Skip(rel); skipped != rel {
-				panic(fmt.Sprintf("coverage: resume seek of %s to %d stopped at %d — source shorter than the checkpoint's universe",
-					stream.Name, base, partLo+skipped))
-			}
-		}
-		// The stage will present the universe minus what earlier stages
-		// already detected (the drop filter); an inexact Count (or a
-		// mid-stage resume) leaves the progress total unknown.
+		// The stage will present the session's range minus what earlier
+		// stages already detected (the drop filter); a mid-stage resume
+		// leaves the progress total unknown.
 		presents := 0
-		if exactCount && base == partLo {
-			presents = count
+		if base == partLo {
+			presents = end - partLo
 			if stageDrop != nil {
 				presents -= f.detected
 			}
 		}
 		f.beginStage(st.runner.Name(), presents, base, universeN < 0, resumed)
 		cfg := sim.StreamConfig{Drop: stageDrop, Base: base, Arenas: arenas}
-		cfg.Chunk, cfg.Workers = stageShape(count-(base-partLo), exactCount, workers, st.batchWidth(), chunk)
+		cfg.Chunk, cfg.Workers = stageShape(end-base, workers, st.batchWidth(), chunk)
 		t0 := time.Now() //faultsim:ordered stage wall-clock is telemetry, reported beside the deterministic counts
 		stats, err := p.detectStream(ctx, st, src, cfg, f.sinkFor)
 		stats.PartitionIndex = partIdx
@@ -374,18 +351,13 @@ func (p *Plan) partitionSpec() (index, count int) {
 
 // stageShape sizes one stage's chunks and worker pool.  left is the
 // number of universe indices the stage will claim, after the
-// partition and the resume seek (exact reports that it is a count, not
-// an estimate); workers is the resolved worker count, batch the faults
-// one replay pass simulates and maxChunk the configured chunk, which
-// is an upper bound.  The stage aims at four chunks per worker, so
-// idle workers can take a slow worker's chunks, rounds chunks up to
-// whole batches (a cap below one batch reads as one batch), and starts
-// no worker that would find no chunk left.  An inexact count keeps the
-// configured values.
-func stageShape(left int, exact bool, workers, batch, maxChunk int) (chunk, nworkers int) {
-	if !exact {
-		return maxChunk, workers
-	}
+// partition and the resumed prefix; workers is the resolved worker
+// count, batch the faults one replay pass simulates and maxChunk the
+// configured chunk, which is an upper bound.  The stage aims at four
+// chunks per worker, so idle workers can take a slow worker's chunks,
+// rounds chunks up to whole batches (a cap below one batch reads as
+// one batch), and starts no worker that would find no chunk left.
+func stageShape(left, workers, batch, maxChunk int) (chunk, nworkers int) {
 	chunk = max(batch, min(maxChunk, ceilDiv(ceilDiv(left, 4*workers), batch)*batch))
 	return chunk, max(1, min(workers, ceilDiv(left, chunk)))
 }
@@ -428,8 +400,9 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 		stats = &EngineStats{Engine: EngineBitParallel}
 		workers, err = sim.ShardsStream(ctx, st.tr, src, cfg, sinkFor)
 	default:
-		// Chunked oracle: the generic driver pulls and filters chunks,
-		// the replay closure runs the full algorithm once per fault.
+		// Chunked oracle: the generic driver claims chunks and generates
+		// their survivors, the replay closure runs the full algorithm
+		// once per fault.
 		stats = &EngineStats{Engine: EngineOracle}
 		workers, err = sim.StreamShard(ctx, src, cfg, func() (func([]fault.Fault, []uint64) error, func()) {
 			return func(batch []fault.Fault, det []uint64) error {

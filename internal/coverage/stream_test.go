@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -211,20 +212,23 @@ func TestStreamingCheapestFirstAndCache(t *testing.T) {
 }
 
 // guardSource interposes on a Source to sample the live heap every few
-// chunk pulls.
+// Fills.  Workers fill concurrently, so the count and the callback are
+// behind a lock.
 type guardSource struct {
 	fault.Source
-	pulls int
+	mu    sync.Mutex
+	fills int
 	every int
 	cb    func()
 }
 
-func (g *guardSource) Next(dst []fault.Fault) (int, bool) {
-	g.pulls++
-	if g.pulls%g.every == 0 {
+func (g *guardSource) Fill(dst []fault.Fault, lo int) {
+	g.mu.Lock()
+	if g.fills++; g.fills%g.every == 0 {
 		g.cb()
 	}
-	return g.Source.Next(dst)
+	g.mu.Unlock()
+	g.Source.Fill(dst, lo)
 }
 
 // TestStreamingMemoryBoundedByChunk is the memory guard, in two
@@ -297,8 +301,8 @@ func TestStreamingMemoryBoundedByChunk(t *testing.T) {
 	if res.Total != count {
 		t.Fatalf("streamed %d faults, want %d", res.Total, count)
 	}
-	if g.pulls < count/chunkSize {
-		t.Fatalf("only %d chunk pulls for %d faults at chunk %d", g.pulls, count, chunkSize)
+	if g.fills < count/chunkSize {
+		t.Fatalf("only %d Fills for %d faults at chunk %d", g.fills, count, chunkSize)
 	}
 	const budget = 16 << 20 // chunk buffers + arenas + bitmaps + GC slack
 	if peak > m0.HeapAlloc+budget {
@@ -321,7 +325,6 @@ func TestStageShape(t *testing.T) {
 		universe    int
 		part, parts int // 1-based partition; parts 0 = unpartitioned
 		resumed     int // indices of the stage's range already done
-		inexact     bool
 		maxChunk    int
 		want        [3]shape // per batch width above
 	}{
@@ -330,8 +333,6 @@ func TestStageShape(t *testing.T) {
 		{name: "small", universe: 64, maxChunk: 8192,
 			want: [3]shape{{4, 4}, {64, 1}, {512, 1}}},
 		{name: "large", universe: 1_000_000, maxChunk: 8192,
-			want: [3]shape{{8192, 4}, {8192, 4}, {8192, 4}}},
-		{name: "inexact", universe: 100, inexact: true, maxChunk: 8192,
 			want: [3]shape{{8192, 4}, {8192, 4}, {8192, 4}}},
 		{name: "resumed", universe: 10_000, resumed: 9000, maxChunk: 8192,
 			want: [3]shape{{63, 4}, {64, 4}, {512, 2}}},
@@ -348,10 +349,42 @@ func TestStageShape(t *testing.T) {
 		}
 		left := hi - lo - tc.resumed
 		for i, b := range batches {
-			c, w := stageShape(left, !tc.inexact, workers, b, tc.maxChunk)
+			c, w := stageShape(left, workers, b, tc.maxChunk)
 			if got := (shape{c, w}); got != tc.want[i] {
 				t.Errorf("%s (left %d) batch %d: chunk %d workers %d, want %+v", tc.name, left, b, c, w, tc.want[i])
 			}
+		}
+	}
+}
+
+// TestConcurrentSessionsShareOneUniverse: the drivers only read a
+// Source's size and fill index ranges, so sessions may share one.  Two
+// sessions run MATS+ at once over one 32-cell exhaustive coupling
+// universe, 20 times, and each must equal the sequential run.
+func TestConcurrentSessionsShareOneUniverse(t *testing.T) {
+	t.Parallel()
+	const n = 32
+	stream := &fault.Stream{Name: "cf-shared", Source: fault.FullCouplingSource(n)}
+	plan := func() *Plan {
+		return &Plan{
+			Runners: []Runner{MarchRunner(march.MATSPlus(), nil)},
+			Stream:  stream, Memory: bomFactory(n), Workers: 2, Chunk: 64,
+		}
+	}
+	want := plan().Run()
+	for round := range 20 {
+		got := make([]*Session, 2)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = plan().Run()
+			}()
+		}
+		wg.Wait()
+		for i, s := range got {
+			assertSessionsEqual(t, fmt.Sprintf("round %d session %d", round, i), want, s)
 		}
 	}
 }

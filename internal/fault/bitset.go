@@ -7,9 +7,8 @@ import "math/bits"
 // multi-test dropped session over N faults keeps N bits here instead
 // of materialized index slices, so cross-test dropping costs N/8
 // bytes however many stages narrow the universe.  Set grows the
-// bitmap on demand (a streaming source's Count may be an estimate);
-// Get outside the current capacity reads false.  A BitSet is not
-// synchronized.
+// bitmap on demand; Get outside the current capacity reads false.  A
+// BitSet is not synchronized.
 type BitSet struct {
 	words []uint64
 }
@@ -35,6 +34,39 @@ func (b *BitSet) Set(i int) {
 		b.words = append(b.words, 0)
 	}
 	b.words[w] |= 1 << (uint(i) & 63)
+}
+
+// ClearRun returns the first run [lo, hi) of clear bits in [i, end):
+// lo is the first clear bit at or after i and hi the first set bit
+// after lo, both capped at end, so lo == end when none is clear.  A
+// nil bitmap is all clear.  The streaming drivers generate a claimed
+// range's survivors one run at a time.
+func (b *BitSet) ClearRun(i, end int) (lo, hi int) {
+	if b == nil {
+		return min(i, end), end
+	}
+	lo = b.scan(i, end, ^uint64(0))
+	return lo, b.scan(lo, end, 0)
+}
+
+// scan returns the first index in [i, end) whose bit is set, or with
+// flip = ^0 the first whose bit is clear; end when there is none.
+// Bits beyond the capacity read clear.
+func (b *BitSet) scan(i, end int, flip uint64) int {
+	for i < end {
+		w := i >> 6
+		if w >= len(b.words) {
+			if flip == 0 {
+				return end
+			}
+			return i
+		}
+		if x := (b.words[w] ^ flip) >> (uint(i) & 63); x != 0 {
+			return min(end, i+bits.TrailingZeros64(x))
+		}
+		i = (w + 1) << 6
+	}
+	return end
 }
 
 // Count returns the number of set bits.

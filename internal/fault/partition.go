@@ -1,110 +1,30 @@
-// Index-range partitioning of streaming universes.  A SubSource is a
-// pure index arithmetic view, so partitioned enumeration is as
-// deterministic as the generators it wraps.
+// Index-range partitioning of fault universes.  A SubSource is pure
+// index arithmetic over the universe it views, so partitioned
+// enumeration is as deterministic as the generators it wraps.
 //
 //faultsim:deterministic
 
 package fault
 
 // This file splits one fault universe into index ranges — the unit of
-// distribution for multi-worker and multi-process campaigns.  A
-// SubSource restricts any Source to [lo, hi); Partition cuts a source
-// into k near-equal contiguous ranges that tile the universe exactly.
-// Because every built-in source is index-addressable with O(1) Skip,
-// a sub-source seek costs a Reset plus one Skip — partitioning a
-// multi-billion-fault universe is free, and a partition's faults are
-// byte-identical to the same index range of the unpartitioned stream.
-
-// subSource is an index-range view [lo, hi) over an underlying
-// source.  It re-seeks the underlying source (Reset + Skip) on every
-// Next call, so several sub-sources may share one underlying source
-// as long as calls are serialized — exactly the discipline the
-// streaming drivers already impose (Next behind a source mutex).
-type subSource struct {
-	src    Source
-	lo, hi int
-	pos    int
-}
+// distribution for multi-process campaigns.  PartitionRange cuts
+// [0, n) into k near-equal contiguous ranges that tile it exactly, and
+// SubSource restricts any Source to one range [lo, hi) by offsetting
+// its indices, so a partition's faults are byte-identical to the same
+// index range of the unpartitioned universe, and any number of views
+// may share one Source.
 
 // SubSource returns a view of src restricted to the index range
-// [lo, hi): fault i of the view is fault lo+i of a freshly Reset src.
-// When src reports an exact Count the range is clamped to it, so the
-// view's own Count is exact; for estimated sources the view ends
-// wherever the underlying stream does.  The view re-seeks src on each
-// Next (O(1) for the index-addressable generator families), so
-// multiple views over one shared source stay consistent under
-// sequential use.  Panics if lo < 0 or hi < lo.
+// [lo, hi): fault i of the view is fault lo+i of src.  The range is
+// clamped to src's Count.  Panics if lo < 0 or hi < lo.
 func SubSource(src Source, lo, hi int) Source {
 	if lo < 0 || hi < lo {
 		panic("fault: SubSource range must satisfy 0 <= lo <= hi")
 	}
-	if n, exact := src.Count(); exact {
-		if hi > n {
-			hi = n
-		}
-		if lo > n {
-			lo = n
-		}
-	}
-	return &subSource{src: src, lo: lo, hi: hi, pos: lo}
-}
-
-func (s *subSource) Next(dst []Fault) (int, bool) {
-	rem := s.hi - s.pos
-	if rem <= 0 {
-		return 0, false
-	}
-	if len(dst) > rem {
-		dst = dst[:rem]
-	}
-	s.src.Reset()
-	if got := s.src.Skip(s.pos); got < s.pos {
-		// Underlying stream ended before our position (estimated
-		// Count); clamp the view.
-		s.hi = s.pos
-		return 0, false
-	}
-	total := 0
-	for total < len(dst) {
-		n, more := s.src.Next(dst[total:])
-		total += n
-		if !more {
-			s.pos += total
-			if s.pos < s.hi {
-				s.hi = s.pos // underlying ended inside the range
-			}
-			return total, false
-		}
-	}
-	s.pos += total
-	return total, s.pos < s.hi
-}
-
-func (s *subSource) Count() (int, bool) {
-	lo, hi := s.lo, s.hi
-	n, exact := s.src.Count()
-	if exact {
-		if hi > n {
-			hi = n
-		}
-		if lo > n {
-			lo = n
-		}
-	}
-	return hi - lo, exact
-}
-
-func (s *subSource) Reset() { s.pos = s.lo }
-
-func (s *subSource) Skip(n int) int {
-	if rem := s.hi - s.pos; n > rem {
-		n = rem
-	}
-	if n < 0 {
-		n = 0
-	}
-	s.pos += n
-	return n
+	n, _ := src.Count()
+	hi = min(hi, n)
+	lo = min(lo, hi)
+	return &source{n: hi - lo, fill: func(dst []Fault, i int) { src.Fill(dst, lo+i) }}
 }
 
 // PartitionRange returns the index range [lo, hi) of partition i of k
@@ -115,26 +35,4 @@ func PartitionRange(n, i, k int) (lo, hi int) {
 		panic("fault: PartitionRange needs n >= 0 and 0 <= i < k")
 	}
 	return i * n / k, (i + 1) * n / k
-}
-
-// Partition splits src into k contiguous index-range views with
-// near-equal sizes (PartitionRange).  The views share src — safe under
-// sequential use because each re-seeks on Next — and their
-// concatenation enumerates exactly the unpartitioned stream.  Panics
-// if k < 1 or src does not report an exact Count (an estimated
-// universe has no well-defined ranges to tile).
-func Partition(src Source, k int) []Source {
-	if k < 1 {
-		panic("fault: Partition needs k >= 1")
-	}
-	n, exact := src.Count()
-	if !exact {
-		panic("fault: Partition requires a source with an exact Count")
-	}
-	parts := make([]Source, k)
-	for i := range parts {
-		lo, hi := PartitionRange(n, i, k)
-		parts[i] = SubSource(src, lo, hi)
-	}
-	return parts
 }

@@ -2,12 +2,13 @@ package fault
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
 // A SubSource must be indistinguishable from slicing the collected
-// stream, and Partition's ranges must tile the universe exactly —
-// including when the k views share one underlying source.
+// universe, and PartitionRange's ranges must tile the universe exactly
+// — including when the k views share one underlying source.
 
 func faultsEqual(a, b []Fault) bool {
 	if len(a) != len(b) {
@@ -45,9 +46,11 @@ func TestSubSourceMatchesSlicing(t *testing.T) {
 				wantHi = total
 			}
 			want := tc.want[lo:wantHi]
-			if n, exact := sub.Count(); !exact || n != len(want) {
-				t.Errorf("%s[%d:%d): Count = (%d, %v), want (%d, true)",
-					tc.name, lo, hi, n, exact, len(want))
+			if n, _ := sub.Count(); n != len(want) {
+				t.Errorf("%s[%d:%d): Count = %d, want %d", tc.name, lo, hi, n, len(want))
+			}
+			if got := Collect(sub); !faultsEqual(got, want) {
+				t.Errorf("%s[%d:%d): Fill of the view diverges from the slice", tc.name, lo, hi)
 			}
 			for _, chunk := range []int{1, 7, 4096} {
 				sub.Reset()
@@ -56,29 +59,6 @@ func TestSubSourceMatchesSlicing(t *testing.T) {
 					t.Errorf("%s[%d:%d) chunk=%d: drained %d faults, want %d (or order differs)",
 						tc.name, lo, hi, chunk, len(got), len(want))
 				}
-			}
-		}
-	}
-}
-
-func TestSubSourceSkipMatchesNext(t *testing.T) {
-	for _, tc := range sourceCases() {
-		total := len(tc.want)
-		lo, hi := total/4, total-total/4
-		for _, skip := range []int{0, 1, (hi - lo) / 2, hi - lo, hi - lo + 5} {
-			sub := SubSource(tc.src, lo, hi)
-			got := sub.Skip(skip)
-			wantSkip := skip
-			if wantSkip > hi-lo {
-				wantSkip = hi - lo
-			}
-			if got != wantSkip {
-				t.Errorf("%s: Skip(%d) = %d, want %d", tc.name, skip, got, wantSkip)
-			}
-			rest := drain(t, sub, 13)
-			if !faultsEqual(rest, tc.want[lo+wantSkip:hi]) {
-				t.Errorf("%s: stream after Skip(%d) diverges from slice [%d:%d)",
-					tc.name, skip, lo+wantSkip, hi)
 			}
 		}
 	}
@@ -127,54 +107,52 @@ func TestPartitionRange(t *testing.T) {
 	}
 }
 
+// The SubSource views of PartitionRange's ranges tile the universe:
+// concatenated, they are exactly the unpartitioned universe.
 func TestPartitionTilesUniverse(t *testing.T) {
 	for _, tc := range sourceCases() {
+		n := len(tc.want)
 		for _, k := range []int{1, 2, 3, 7} {
-			parts := Partition(tc.src, k)
 			var got []Fault
-			for _, p := range parts {
-				got = append(got, Collect(p)...)
+			for i := range k {
+				lo, hi := PartitionRange(n, i, k)
+				got = append(got, Collect(SubSource(tc.src, lo, hi))...)
 			}
 			if !faultsEqual(got, tc.want) {
-				t.Errorf("%s k=%d: concatenated partitions diverge from the full stream", tc.name, k)
+				t.Errorf("%s k=%d: concatenated partitions diverge from the full universe", tc.name, k)
 			}
 		}
 	}
 }
 
-// Partitions share one underlying source; interleaving pulls across
-// them must still enumerate each range correctly, because SubSource
-// re-seeks on every Next.
+// Partition views share one underlying source, which holds no state
+// Fill touches: filling every view from its own goroutine at once, in
+// small interleaved ranges, must still enumerate each range exactly.
 func TestPartitionSharedSourceInterleaved(t *testing.T) {
 	src := NPSFSource(40, 8, 3)
 	want := Collect(src)
-	parts := Partition(src, 3)
-	outs := make([][]Fault, len(parts))
-	done := 0
-	buf := make([]Fault, 5)
-	live := make([]bool, len(parts))
-	for i := range live {
-		live[i] = true
-	}
-	for done < len(parts) {
-		for i, p := range parts {
-			if !live[i] {
-				continue
+	const k = 3
+	outs := make([][]Fault, k)
+	var wg sync.WaitGroup
+	for i := range outs {
+		lo, hi := PartitionRange(len(want), i, k)
+		view := SubSource(src, lo, hi)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = make([]Fault, hi-lo)
+			for j := 0; j < hi-lo; j += 5 {
+				view.Fill(outs[i][j:min(j+5, hi-lo)], j)
 			}
-			n, ok := p.Next(buf)
-			outs[i] = append(outs[i], buf[:n]...)
-			if !ok {
-				live[i] = false
-				done++
-			}
-		}
+		}()
 	}
+	wg.Wait()
 	var got []Fault
 	for _, o := range outs {
 		got = append(got, o...)
 	}
 	if !faultsEqual(got, want) {
-		t.Fatal("interleaved pulls over shared-source partitions corrupted the enumeration")
+		t.Fatal("concurrent fills of shared-source partitions corrupted the enumeration")
 	}
 }
 
@@ -199,5 +177,38 @@ func TestBitSetOr(t *testing.T) {
 	a.Or(nil)
 	if a.Count() != 3 {
 		t.Error("Or(nil) mutated the receiver")
+	}
+}
+
+// ClearRun walks the clear runs of a bitmap: across word boundaries,
+// past its capacity (which reads clear), capped at end, and over a nil
+// bitmap (all clear).
+func TestBitSetClearRun(t *testing.T) {
+	b := NewBitSet(200)
+	for _, i := range []int{0, 1, 5, 63, 64, 65, 130} {
+		b.Set(i)
+	}
+	var got [][2]int
+	for i := 0; ; {
+		lo, hi := b.ClearRun(i, 300)
+		if lo == 300 {
+			break
+		}
+		got = append(got, [2]int{lo, hi})
+		i = hi
+	}
+	want := [][2]int{{2, 5}, {6, 63}, {66, 130}, {131, 300}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("clear runs %v, want %v", got, want)
+	}
+	if lo, hi := b.ClearRun(63, 66); lo != 66 || hi != 66 {
+		t.Errorf("ClearRun over set bits = [%d, %d), want [66, 66)", lo, hi)
+	}
+	if lo, hi := b.ClearRun(10, 20); lo != 10 || hi != 20 {
+		t.Errorf("ClearRun capped at end = [%d, %d), want [10, 20)", lo, hi)
+	}
+	var none *BitSet
+	if lo, hi := none.ClearRun(7, 9); lo != 7 || hi != 9 {
+		t.Errorf("nil ClearRun = [%d, %d), want [7, 9)", lo, hi)
 	}
 }

@@ -1,47 +1,49 @@
-// Streaming universe generators.  Every Source in this package is an
-// index-addressable pure function of (family parameters, index):
-// Next/Skip/Reset must enumerate the same faults in the same order on
-// every run, or checkpoint resume and the streaming≡materialized
-// equivalence break.
+// Fault universes as index functions.  Every Source in this package
+// computes fault i from (family parameters, i) alone, so Fill must
+// write the same faults for the same indices on every run, or
+// checkpoint resume and the streaming≡materialized equivalence break.
 //
 //faultsim:deterministic
 
 package fault
 
-import "repro/internal/ram"
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/ram"
+)
 
 // This file is the streaming side of the universe builders: a Source
-// is a pull-based fault generator that yields a universe in bounded
-// chunks instead of materializing it as one slice, so campaign memory
-// is capped by the chunk size — not the universe size.  Every universe
-// family is defined here as a resumable generator; the slice-returning
+// is a fault universe of known size whose index ranges are generated
+// on demand, so a campaign fills bounded chunks instead of
+// materializing the universe as one slice, and campaign memory is
+// capped by the chunk size — not the universe size.  Every universe
+// family is defined here as an index function; the slice-returning
 // constructors in universe.go and npsf.go are thin Collect wrappers
 // over them, so the two shapes cannot drift apart.
 //
-// All built-in sources are index-addressable (fault i of the stream is
-// computed from i by arithmetic), which makes them trivially resumable
-// and gives exact Counts; Next never allocates beyond the boxed fault
-// headers it writes into the caller's buffer.
+// Because fault i is computed from i by arithmetic, resume and
+// partitioning are index arithmetic too, and any number of workers
+// (or sessions) may fill disjoint or overlapping ranges of one Source
+// at once.  Fill never allocates beyond the boxed fault headers it
+// writes into the caller's buffer.
 
-// Source is a pull-based fault stream.  Next fills dst with the next
-// faults of the stream and returns how many were written; ok reports
-// whether the stream may have more (ok == false means the source is
-// exhausted — the n faults written, if any, are the last).  Count
-// returns the total number of faults a freshly Reset source yields;
-// exact distinguishes a guaranteed count from an estimate.  Reset
-// rewinds the stream to the beginning, so one source can drive every
-// stage of a multi-test campaign session.  Skip advances past the
-// next n faults and returns how many were actually skipped (fewer
-// only when the stream ends first) — semantically identical to
-// discarding n faults via Next, but O(1) for the index-addressable
-// built-in generators, which is what makes checkpoint/resume seeks
-// over multi-billion-fault universes free.  A Source is single-
-// threaded; concurrent drivers serialize Next behind a mutex.
+// Source is a fault universe: Count faults, fault i at universe index
+// i.  Fill writes faults [lo, lo+len(dst)) into dst; it holds no
+// state, is safe for concurrent use, and panics on a range outside
+// [0, Count()).  The second result of Count is always true.
+//
+// Next and Reset are a cursor over Fill for sequential readers: Next
+// fills dst with the faults after the previous call's and reports
+// whether any remain, and Reset rewinds to fault 0.  The cursor is
+// the one piece of state a Source carries, so it is not safe for
+// concurrent use; the campaign drivers never call it.
 type Source interface {
-	Next(dst []Fault) (n int, ok bool)
 	Count() (n int, exact bool)
+	Fill(dst []Fault, lo int)
+	Next(dst []Fault) (n int, ok bool)
 	Reset()
-	Skip(n int) int
 }
 
 // Stream is a named Source — the streaming analogue of Universe.
@@ -50,126 +52,80 @@ type Stream struct {
 	Source Source
 }
 
-// Collect drains the source (from a fresh Reset) into one slice and
-// leaves it Reset again — the bridge from the streaming builders to
-// the materialized universe constructors.
+// Collect materializes the source as one slice — the bridge from the
+// streaming builders to the materialized universe constructors.
 func Collect(s Source) []Fault {
-	s.Reset()
-	var out []Fault
-	if n, exact := s.Count(); exact {
-		out = make([]Fault, 0, n)
-	}
-	buf := make([]Fault, 4096)
-	for {
-		n, ok := s.Next(buf)
-		out = append(out, buf[:n]...)
-		if !ok {
-			break
-		}
-	}
-	s.Reset()
+	n, _ := s.Count()
+	out := make([]Fault, n)
+	s.Fill(out, 0)
 	return out
 }
 
-// genSource adapts an index-addressable family — count faults, the
-// i-th computed by at — into a resumable Source.
-type genSource struct {
-	n   int
-	at  func(i int) Fault
-	pos int
+// source is the one Source implementation: n faults, whose range
+// [lo, lo+len(dst)) fill writes into dst, plus Next's cursor.
+type source struct {
+	n    int
+	fill func(dst []Fault, lo int)
+	pos  int
 }
 
-func (g *genSource) Next(dst []Fault) (int, bool) {
-	n := len(dst)
-	if rem := g.n - g.pos; n > rem {
-		n = rem
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = g.at(g.pos + i)
-	}
-	g.pos += n
-	return n, g.pos < g.n
+// newSource is the universe of n faults whose fault i is at(i).
+func newSource(n int, at func(i int) Fault) Source {
+	return &source{n: n, fill: func(dst []Fault, lo int) {
+		for i := range dst {
+			dst[i] = at(lo + i)
+		}
+	}}
 }
 
-func (g *genSource) Count() (int, bool) { return g.n, true }
+func (s *source) Count() (int, bool) { return s.n, true }
 
-func (g *genSource) Reset() { g.pos = 0 }
-
-func (g *genSource) Skip(n int) int {
-	if rem := g.n - g.pos; n > rem {
-		n = rem
+func (s *source) Fill(dst []Fault, lo int) {
+	if lo < 0 || lo > s.n-len(dst) {
+		panic(fmt.Sprintf("fault: Fill of [%d, %d) outside the %d-fault universe", lo, lo+len(dst), s.n))
 	}
-	if n < 0 {
-		n = 0
-	}
-	g.pos += n
-	return n
+	s.fill(dst, lo)
 }
+
+func (s *source) Next(dst []Fault) (int, bool) {
+	n := min(len(dst), s.n-s.pos)
+	s.Fill(dst[:n], s.pos)
+	s.pos += n
+	return n, s.pos < s.n
+}
+
+func (s *source) Reset() { s.pos = 0 }
 
 // SliceSource adapts an already-materialized fault slice to the
 // Source interface.
 func SliceSource(faults []Fault) Source {
-	return &genSource{n: len(faults), at: func(i int) Fault { return faults[i] }}
+	return &source{n: len(faults), fill: func(dst []Fault, lo int) { copy(dst, faults[lo:]) }}
 }
 
-// concatSource chains several sources back to back.
-type concatSource struct {
-	srcs []Source
-	cur  int
-}
-
-// ConcatSource yields the sources' faults in order, one source after
-// the other; Count is the sum (exact only when every part is exact).
+// ConcatSource chains the sources back to back: srcs[k]'s faults start
+// at the sum of the earlier sources' Counts.
 func ConcatSource(srcs ...Source) Source {
-	return &concatSource{srcs: srcs}
-}
-
-func (c *concatSource) Next(dst []Fault) (int, bool) {
-	total := 0
-	for total < len(dst) && c.cur < len(c.srcs) {
-		n, ok := c.srcs[c.cur].Next(dst[total:])
-		total += n
-		if !ok {
-			c.cur++
+	offs := make([]int, len(srcs)+1)
+	for k, s := range srcs {
+		n, _ := s.Count()
+		offs[k+1] = offs[k] + n
+	}
+	return &source{n: offs[len(srcs)], fill: func(dst []Fault, lo int) {
+		// The last part starting at or before lo holds fault lo (an
+		// empty part starts where the next one does).
+		k := sort.SearchInts(offs, lo+1) - 1
+		for len(dst) > 0 {
+			m := min(len(dst), offs[k+1]-lo)
+			srcs[k].Fill(dst[:m], lo-offs[k])
+			dst, lo, k = dst[m:], lo+m, k+1
 		}
-	}
-	return total, c.cur < len(c.srcs)
-}
-
-func (c *concatSource) Count() (int, bool) {
-	total, exact := 0, true
-	for _, s := range c.srcs {
-		n, e := s.Count()
-		total += n
-		exact = exact && e
-	}
-	return total, exact
-}
-
-func (c *concatSource) Reset() {
-	for _, s := range c.srcs {
-		s.Reset()
-	}
-	c.cur = 0
-}
-
-func (c *concatSource) Skip(n int) int {
-	total := 0
-	for total < n && c.cur < len(c.srcs) {
-		k := c.srcs[c.cur].Skip(n - total)
-		total += k
-		if total < n {
-			// The current part ended before satisfying the seek.
-			c.cur++
-		}
-	}
-	return total
+	}}
 }
 
 // SingleCellSource streams every SAF and TF instance of an n-cell,
 // m-bit memory: 4 faults per bit (SA0, SA1, TF↑, TF↓).
 func SingleCellSource(n, m int) Source {
-	return &genSource{n: 4 * n * m, at: func(i int) Fault {
+	return newSource(4*n*m, func(i int) Fault {
 		b := i / 4
 		c, bit := b/m, b%m
 		switch i % 4 {
@@ -182,21 +138,21 @@ func SingleCellSource(n, m int) Source {
 		default:
 			return TF{Cell: c, Bit: bit, Up: false}
 		}
-	}}
+	})
 }
 
 // StuckOpenSource streams one SOF per cell.
 func StuckOpenSource(n int) Source {
-	return &genSource{n: n, at: func(i int) Fault { return SOF{Cell: i} }}
+	return newSource(n, func(i int) Fault { return SOF{Cell: i} })
 }
 
 // RetentionSource streams DRF faults (decay to 0 and to 1) for every
 // bit, with the given decay delay in operations.
 func RetentionSource(n, m int, delay uint64) Source {
-	return &genSource{n: 2 * n * m, at: func(i int) Fault {
+	return newSource(2*n*m, func(i int) Fault {
 		b := i / 2
 		return DRF{Cell: b / m, Bit: b % m, Decay: ram.Word(i % 2), Delay: delay}
-	}}
+	})
 }
 
 // DecoderSource streams the address-decoder faults of DecoderUniverse:
@@ -206,7 +162,7 @@ func DecoderSource(n int) Source {
 	if n < 2 {
 		panic("fault: decoder universe needs at least 2 cells")
 	}
-	return &genSource{n: 3 * n, at: func(i int) Fault {
+	return newSource(3*n, func(i int) Fault {
 		a := i / 3
 		partner := (a + 1) % n
 		switch i % 3 {
@@ -217,7 +173,7 @@ func DecoderSource(n int) Source {
 		default:
 			return AF{Kind: AFMulti, Addr: a, Target: partner}
 		}
-	}}
+	})
 }
 
 // couplingAt expands pair p into its sub-th coupling fault, in the
@@ -258,9 +214,9 @@ const couplingSubTypes = 12
 // CouplingSource streams the 12-fault sub-type expansion of each pair,
 // in pair order.
 func CouplingSource(pairs []CouplingPair) Source {
-	return &genSource{n: couplingSubTypes * len(pairs), at: func(i int) Fault {
+	return newSource(couplingSubTypes*len(pairs), func(i int) Fault {
 		return couplingAt(pairs[i/couplingSubTypes], i%couplingSubTypes)
-	}}
+	})
 }
 
 // FullCouplingSource streams the exhaustive inter-cell coupling
@@ -279,7 +235,7 @@ func FullCouplingSource(n int) Source {
 	if n < 2 {
 		panic("fault: coupling pairs need at least 2 cells")
 	}
-	return &genSource{n: n * (n - 1) * couplingSubTypes, at: func(i int) Fault {
+	return newSource(n*(n-1)*couplingSubTypes, func(i int) Fault {
 		pi, sub := i/couplingSubTypes, i%couplingSubTypes
 		a := pi / (n - 1)
 		v := pi % (n - 1)
@@ -287,7 +243,7 @@ func FullCouplingSource(n int) Source {
 			v++
 		}
 		return couplingAt(CouplingPair{AggCell: a, VicCell: v}, sub)
-	}}
+	})
 }
 
 // IntraWordSource streams intra-word coupling faults for every ordered
@@ -298,7 +254,7 @@ func IntraWordSource(n, m int) Source {
 		panic("fault: intra-word universe needs word width >= 2")
 	}
 	perCell := 6 * m * (m - 1)
-	return &genSource{n: n * perCell, at: func(i int) Fault {
+	return newSource(n*perCell, func(i int) Fault {
 		c, r := i/perCell, i%perCell
 		pair, sub := r/6, r%6
 		ba := pair / (m - 1)
@@ -317,7 +273,7 @@ func IntraWordSource(n, m int) Source {
 		default:
 			return CFid{c, ba, c, bv, up, 1}
 		}
-	}}
+	})
 }
 
 // completeBases lists the interior cells of an n-cell grid of the
@@ -349,11 +305,11 @@ func NPSFSource(n, width, stride int) Source {
 	bases := completeBases(n, width)
 	pc, stride := npsfPatterns(stride)
 	perBase := 2 * pc
-	return &genSource{n: len(bases) * perBase, at: func(i int) Fault {
+	return newSource(len(bases)*perBase, func(i int) Fault {
 		nb := GridNeighbourhood(int(bases[i/perBase]), n, width)
 		r := i % perBase
 		return SNPSF{Nb: nb, Pattern: ram.Word((r / 2) * stride), Value: ram.Word(r % 2)}
-	}}
+	})
 }
 
 // ANPSFSource streams active NPSF faults: per interior cell, each of
@@ -363,7 +319,7 @@ func ANPSFSource(n, width, stride int) Source {
 	bases := completeBases(n, width)
 	pc, stride := npsfPatterns(stride)
 	perBase := 4 * 2 * pc
-	return &genSource{n: len(bases) * perBase, at: func(i int) Fault {
+	return newSource(len(bases)*perBase, func(i int) Fault {
 		nb := GridNeighbourhood(int(bases[i/perBase]), n, width)
 		r := i % perBase
 		trig := r / (2 * pc)
@@ -373,5 +329,5 @@ func ANPSFSource(n, width, stride int) Source {
 			return ANPSF{Nb: nb, Trigger: trig, Up: true, Pattern: p, Value: 0}
 		}
 		return ANPSF{Nb: nb, Trigger: trig, Up: false, Pattern: p, Value: 1}
-	}}
+	})
 }

@@ -5,8 +5,8 @@ import (
 )
 
 // Every streaming builder must reproduce its materialized constructor
-// exactly: same count, same faults, same order — whatever the pull
-// granularity — and must be resumable (Reset rewinds).
+// exactly: same count, same faults, same order — whatever the range or
+// the cursor's pull granularity — and Reset must rewind the cursor.
 
 func sourceCases() []struct {
 	name string
@@ -52,9 +52,8 @@ func drain(t *testing.T, s Source, chunk int) []Fault {
 
 func TestSourcesMatchMaterializedConstructors(t *testing.T) {
 	for _, tc := range sourceCases() {
-		n, exact := tc.src.Count()
-		if !exact || n != len(tc.want) {
-			t.Errorf("%s: Count = (%d, %v), want (%d, true)", tc.name, n, exact, len(tc.want))
+		if n, _ := tc.src.Count(); n != len(tc.want) {
+			t.Errorf("%s: Count = %d, want %d", tc.name, n, len(tc.want))
 		}
 		for _, chunk := range []int{1, 7, 4096} {
 			tc.src.Reset()
@@ -79,48 +78,30 @@ func TestSourcesMatchMaterializedConstructors(t *testing.T) {
 	}
 }
 
-// Skip must be equivalent to discarding n faults via Next — the
-// resume-seek contract — for every source shape, seek point and
-// straddling pattern, including clamping past the end.
-func TestSkipMatchesNextDiscard(t *testing.T) {
+// Fill must write the materialized universe's faults at exactly the
+// requested indices — the contract resume and partitioning rest on —
+// for every source shape and range, including ranges that straddle
+// concatenated parts, and must refuse a range outside [0, Count()).
+func TestFillMatchesMaterialized(t *testing.T) {
 	for _, tc := range sourceCases() {
 		n := len(tc.want)
-		for _, skip := range []int{0, 1, 3, n / 2, n - 1, n, n + 7} {
-			tc.src.Reset()
-			got := tc.src.Skip(skip)
-			want := skip
-			if want > n {
-				want = n
-			}
-			if got != want {
-				t.Errorf("%s: Skip(%d) = %d, want %d", tc.name, skip, got, want)
-				continue
-			}
-			rest := drain(t, tc.src, 5)
-			if len(rest) != n-want {
-				t.Fatalf("%s: %d faults after Skip(%d), want %d", tc.name, len(rest), skip, n-want)
-			}
-			for i, f := range rest {
-				if f != tc.want[want+i] {
-					t.Fatalf("%s: fault %d after Skip(%d) = %v, want %v", tc.name, i, skip, f, tc.want[want+i])
-				}
+		for _, r := range [][2]int{{0, n}, {0, 0}, {n, n}, {1, 4}, {n / 3, 2 * n / 3}, {n - 1, n}} {
+			lo, hi := r[0], r[1]
+			dst := make([]Fault, hi-lo)
+			tc.src.Fill(dst, lo)
+			if !faultsEqual(dst, tc.want[lo:hi]) {
+				t.Errorf("%s: Fill of [%d, %d) diverges from the materialized universe", tc.name, lo, hi)
 			}
 		}
-		// Skip composes: two partial seeks equal one.
-		if len(tc.want) >= 4 {
-			tc.src.Reset()
-			tc.src.Skip(1)
-			tc.src.Skip(2)
-			buf := make([]Fault, 1)
-			if k, _ := tc.src.Next(buf); k != 1 || buf[0] != tc.want[3] {
-				t.Errorf("%s: Skip(1)+Skip(2) landed on %v, want %v", tc.name, buf[0], tc.want[3])
-			}
-		}
-		// A Skip that straddles concatenated parts must cross them (the
-		// concat case lands mid-second-part above); negative n is a no-op.
-		tc.src.Reset()
-		if k := tc.src.Skip(-5); k != 0 {
-			t.Errorf("%s: Skip(-5) = %d, want 0", tc.name, k)
+		for _, r := range [][2]int{{-1, 0}, {n - 1, n + 1}, {n + 1, n + 1}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Fill of [%d, %d) outside [0, %d) did not panic", tc.name, r[0], r[1], n)
+					}
+				}()
+				tc.src.Fill(make([]Fault, r[1]-r[0]), r[0])
+			}()
 		}
 	}
 }
@@ -128,9 +109,8 @@ func TestSkipMatchesNextDiscard(t *testing.T) {
 func TestFullCouplingSourceExhaustive(t *testing.T) {
 	const n = 5
 	src := FullCouplingSource(n)
-	count, exact := src.Count()
-	if want := n * (n - 1) * 12; !exact || count != want {
-		t.Fatalf("Count = (%d, %v), want (%d, true)", count, exact, want)
+	if count, _ := src.Count(); count != n*(n-1)*12 {
+		t.Fatalf("Count = %d, want %d", count, n*(n-1)*12)
 	}
 	faults := Collect(src)
 	// Every ordered (aggressor, victim) pair appears exactly 12 times,

@@ -36,8 +36,8 @@
 //     cancel in the register stay undetected, as in hardware.  A batch
 //     finishes early once all of its machines have detected.
 //
-//  3. Streamed campaigns (ShardsStream): workers pull the fault
-//     universe from a fault.Source in chunks, replay each chunk as
+//  3. Streamed campaigns (ShardsStream): workers claim the fault
+//     universe of a fault.Source in chunks, replay each chunk as
 //     64-machine batches and hand its verdicts, keyed by universe
 //     index, to a sink, so results are deterministic regardless of
 //     worker count (stream.go, below).
@@ -74,7 +74,7 @@
 // simulates one representative per class; it expands the results back
 // so every experiment table is unchanged.  Only faults a collapse rule
 // can merge are keyed, and a chunk in which nothing merges replays as
-// pulled, so collapsing costs little where it saves nothing.
+// generated, so collapsing costs little where it saves nothing.
 //
 // Three capabilities serve the campaign *session* layer (package
 // coverage's planner/executor, which runs several tests over one
@@ -96,7 +96,7 @@
 //     arenas between a session's stages.
 //
 // The drivers live in stream.go: ShardsStream / ShardsCompiledStream
-// pull the fault universe from a fault.Source in chunks of at most
+// generate the fault universe of a fault.Source in chunks of at most
 // StreamConfig.Chunk faults, so a campaign's resident fault storage is
 // O(chunk × workers) — the universe size stops being a memory bound
 // (the regime of exhaustive multi-million-fault coupling universes,
@@ -104,9 +104,11 @@
 // fault.SliceSource.  Package coverage sizes each stage's chunks and
 // worker count from the universe, so small campaigns stay parallel.
 // Each worker owns one reusable chunk buffer, its collapser and its
-// arena; chunks are claimed under a source mutex, optionally filtered
-// against a dropped-fault bitmap (fault.BitSet — the session layer's
-// cross-test dropping), structurally collapsed chunk-locally on the
+// arena.  It claims a chunk's index range with one atomic add (there
+// is no source mutex) and generates only the faults a dropped-fault
+// bitmap leaves (fault.BitSet — the session layer's cross-test
+// dropping), outside any lock, one Fill per run of survivors.  The
+// chunk is then structurally collapsed chunk-locally on the
 // compiled path (representatives and their expansion never outlive the
 // chunk), replayed as 64-machine batches, and the verdicts delivered,
 // keyed by universe index, to the worker's own sink.  Every driver
@@ -133,9 +135,9 @@
 // interrupted chunk before its sink delivery (sinks only ever see
 // complete chunks), and the driver returns ctx.Err() alongside the
 // partial results — callers separate interruption from replay failure
-// with errors.Is.  StreamConfig.Base offsets delivered universe
-// indices for checkpoint resume: the source is Skip()ed past the
-// completed prefix and Base set to the skip count.
+// with errors.Is.  StreamConfig.Base is the first universe index
+// claimed, so a checkpoint resume or a partition starts there by index
+// arithmetic alone.
 //
 // The engine is exact, not approximate: package coverage cross-checks
 // all of it against the per-fault oracle path, and the equivalence

@@ -11,16 +11,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the campaign driver: the fault universe is pulled from
-// a fault.Source in fixed-size chunks instead of being taken as one
-// slice, so a campaign's resident fault storage is O(chunk × workers)
-// — the universe size stops being a memory bound and becomes pure
-// simulation time.  Each worker owns one reusable
-// chunk buffer (plus, on the compiled path, its arena); chunks are
-// claimed from the source under a mutex, replayed as program-width
-// batches (64 machines per lane word), and the per-chunk verdicts
-// handed to the worker's own sink, built once per worker by the
-// caller's factory and called without a driver lock.
+// This file is the campaign driver: the fault universe is generated
+// from a fault.Source in fixed-size chunks instead of being taken as
+// one slice, so a campaign's resident fault storage is O(chunk ×
+// workers) — the universe size stops being a memory bound and becomes
+// pure simulation time.  Each worker owns one reusable chunk buffer
+// (plus, on the compiled path, its arena); it claims a chunk's index
+// range with one atomic add, generates only the faults the drop filter
+// leaves, outside any lock, replays them as program-width batches (64
+// machines per lane word), and hands the per-chunk verdicts to its own
+// sink, built once per worker by the caller's factory and called
+// without a driver lock.
 // Chunk completion order is scheduling-dependent, but every chunk is
 // keyed by its universe index range, so a caller that folds chunks
 // (package coverage's completion frontier) can order them on the
@@ -44,14 +45,14 @@ func Batchable(faults []fault.Fault) bool {
 	return true
 }
 
-// DefaultChunk is the fault count pulled per chunk when the caller
+// DefaultChunk is the fault count claimed per chunk when the caller
 // passes chunk <= 0: large enough to amortize the per-chunk costs
-// (source lock, sink call) over thousands of batches, small enough
-// that a worker's resident faults stay ~100s of KB.
+// (claim, sink call) over thousands of batches, small enough that a
+// worker's resident faults stay ~100s of KB.
 const DefaultChunk = 8192
 
 // ChunkSink receives one completed chunk: the chunk claimed universe
-// indices [base, base+n) from the source, and faults[i] (universe
+// indices [base, base+n) of the source, and faults[i] (universe
 // fault idx[i]) got verdict detected[i].  Chunks whose faults were all
 // drop-filtered are still delivered (with empty slices), so the sinks
 // together observe every claimed index range exactly once — the
@@ -65,17 +66,17 @@ type ChunkSink func(base, n int, idx []int, faults []fault.Fault, detected []boo
 
 // StreamConfig parameterizes one streaming shard run.
 type StreamConfig struct {
-	// Chunk is the faults-per-pull (<= 0 selects DefaultChunk).
+	// Chunk is the faults per claim (<= 0 selects DefaultChunk).
 	Chunk int
 	// Workers caps the worker goroutines (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Drop skips faults whose universe index is set (nil keeps
 	// everything) — the survivor filter of cross-test fault dropping.
+	// Dropped faults are never generated.
 	Drop *fault.BitSet
-	// Base is the universe index of the source's current position.  A
-	// fresh source streams from 0; a checkpoint resume Skips the source
-	// past the completed prefix and sets Base to the skip count so
-	// delivered indices stay universe-absolute.
+	// Base is the first universe index claimed: the run covers
+	// [Base, src.Count()).  A partition starts at its range's low end,
+	// and a checkpoint resume at the completed prefix's end.
 	Base int
 	// Arenas optionally pools the per-worker arenas
 	// (ShardsCompiledStream only; nil builds fresh ones).
@@ -97,8 +98,8 @@ func (c StreamConfig) workerCount() int {
 }
 
 // StreamShard drives a streaming campaign over a generic replay
-// function: workers pull chunks from src, skip faults filtered by
-// cfg.Drop, replay the rest in 64-fault batches through their private
+// function: workers claim chunks of src, generate the faults cfg.Drop
+// leaves, replay them in 64-fault batches through their private
 // replay function (det[0] receives the batch's detection mask), and
 // deliver verdicts to the sink sinkFor built for them.  It returns one
 // telemetry.Local per worker, that worker's totals over the run: its
@@ -136,7 +137,7 @@ func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamCo
 // collapsed against the program's trace summary by the worker's own
 // fault.Collapser, and the representative verdicts expanded back
 // chunk-locally, so collapsing never needs the whole universe in
-// memory either; a chunk in which nothing merges replays as pulled.
+// memory either; a chunk in which nothing merges replays as generated.
 func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
 	sum := p.Summary()
 	arenas := cfg.Arenas
@@ -161,28 +162,12 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 	workers := cfg.workerCount()
 	drop := cfg.Drop
 	ctxDone := ctx.Done()
+	end, _ := src.Count()
 	var (
-		srcMu     sync.Mutex
-		base      = cfg.Base
-		exhausted bool
-		stop      atomic.Bool
+		next atomic.Int64 // the lowest unclaimed universe index
+		stop atomic.Bool
 	)
-	// pull claims the next chunk (its universe base index and length)
-	// under the source lock; ok is false once the stream is drained.
-	pull := func(buf []fault.Fault) (b, n int, ok bool) { //faultsim:alloc-ok one closure per streamShard call
-		srcMu.Lock()
-		defer srcMu.Unlock() //faultsim:alloc-ok open-coded defer, once per chunk claim, not per fault
-		if exhausted {
-			return 0, 0, false
-		}
-		n, more := src.Next(buf)
-		b = base
-		base += n
-		if !more {
-			exhausted = true
-		}
-		return b, n, true
-	}
+	next.Store(int64(cfg.Base))
 	errs := make([]error, workers)             //faultsim:alloc-ok one slot per worker at startup
 	totals := make([]telemetry.Local, workers) //faultsim:alloc-ok one slot per worker at startup
 	reg := telemetry.Active()
@@ -204,10 +189,10 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 			mask := make([]uint64, batchFaults/BatchSize) //faultsim:alloc-ok per-worker detection mask, reused for every batch
 			var collapser fault.Collapser                 // per-worker class state, reused for every chunk
 			// Accounting: c counts the chunk in flight and tot the
-			// worker's totals, which the driver returns.  The source
-			// claim, the replay and the sink are timed separately, and the
-			// sink reports its lock wait, so a stage can see exactly where
-			// each worker's wall time went.
+			// worker's totals, which the driver returns.  The claim with
+			// its generation, the replay and the sink are timed
+			// separately, and the sink reports its lock wait, so a stage
+			// can see exactly where each worker's wall time went.
 			var tot, c telemetry.Local
 		chunks:
 			for !stop.Load() {
@@ -220,31 +205,33 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 				default:
 				}
 				t0 := time.Now()
-				b, n, ok := pull(buf)
-				c.SourceWait = time.Since(t0)
-				if !ok {
+				b := int(next.Add(int64(chunk))) - chunk
+				if b >= end {
+					c.SourceWait = time.Since(t0)
 					break
 				}
-				faults := buf[:n]
-				ids := idx[:0]
-				if drop != nil {
-					kept := faults[:0]
-					for i, f := range faults {
-						if !drop.Get(b + i) {
-							kept = append(kept, f)
-							ids = append(ids, b+i)
-						}
+				n := min(chunk, end-b)
+				// Generate the claim's survivors, one run of indices the
+				// drop filter leaves clear at a time.
+				faults, ids := buf[:0], idx[:0]
+				for i := b; ; {
+					lo, hi := drop.ClearRun(i, b+n)
+					if lo == hi {
+						break
 					}
-					faults = kept
-				} else {
-					for i := range faults {
-						ids = append(ids, b+i)
+					k := len(faults)
+					faults = faults[:k+hi-lo]
+					src.Fill(faults[k:], lo)
+					for u := lo; u < hi; u++ {
+						ids = append(ids, u)
 					}
+					i = hi
 				}
+				c.SourceWait = time.Since(t0)
 				// Per-chunk collapsing: equivalence classes are computed
 				// among the chunk's survivors only and expanded back before
 				// the chunk leaves the worker.  col is nil when nothing
-				// merged, and the chunk replays as pulled.
+				// merged, and the chunk replays as generated.
 				r := faults
 				var col *fault.Collapsed
 				if sum != nil {
@@ -295,7 +282,7 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 				reg.Flush(c)
 				c = telemetry.Local{}
 			}
-			// The chunk the worker stopped in, if any, still spent its
+			// The claim the worker stopped at, if any, still spent its
 			// source wait.
 			tot.Add(c)
 			reg.Flush(c)

@@ -10,15 +10,13 @@ type Progress struct {
 	// Stage labels the running stage (the runner name).
 	Stage string
 	// Done is the number of presented faults this run has folded in
-	// this stage; Total the number the stage will present (<= 0 when
-	// unknown — an inexact streaming Count, or a stage resumed midway).
+	// this stage; Total the number the stage will present (<= 0 only
+	// on a stage resumed midway, where it is unknown).
 	Done, Total int64
 	// HighWater is the stage's completion frontier: every universe
-	// index below it is done — the resume point of an index-addressable
-	// streaming source.
+	// index below it is done — the stage's resume point.
 	HighWater int64
-	// Survivors is the session's undetected-fault count at the cut, -1
-	// while the universe size is unknown.
+	// Survivors is the session's undetected-fault count at the cut.
 	Survivors int64
 	// Elapsed is the stage's wall time so far.
 	Elapsed time.Duration
@@ -31,7 +29,7 @@ type Progress struct {
 
 // Estimate computes throughput and remaining time from a done/total
 // fault count and the elapsed wall time.  ETA is -1 when it cannot be
-// known: nothing done yet, or no (exact) total.  Exposed for the
+// known: nothing done yet, or no total.  Exposed for the
 // resumable-source ETA tests and any custom progress renderer.
 func Estimate(done, total int64, elapsed time.Duration) (faultsPerSec float64, eta time.Duration) {
 	if elapsed > 0 && done > 0 {

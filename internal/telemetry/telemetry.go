@@ -15,7 +15,7 @@ const (
 	ctrKernel            // nanoseconds inside replay kernels
 	ctrSinkWait          // nanoseconds the sinks spent blocked on their shared lock
 	ctrSink              // nanoseconds inside the sink callbacks
-	ctrSourceWait        // nanoseconds claiming chunks from the source
+	ctrSourceWait        // nanoseconds claiming chunks and generating their faults
 	ctrCacheHits         // program-cache lookup hits
 	ctrCacheMisses
 	ctrArenaReuse // arena-pool checkouts served from the pool
@@ -40,7 +40,8 @@ type Local struct {
 	// Kernel is the time inside the replay kernel, SinkWait the time
 	// the sink was blocked on a lock it shares with the other workers'
 	// sinks, Sink the rest of the time inside the sink, and SourceWait
-	// the time claiming chunks from the source.
+	// the time claiming chunks and generating their surviving faults
+	// (a claim is one atomic add, so this is generation alone).
 	Kernel, SinkWait, Sink, SourceWait time.Duration
 }
 
