@@ -6,7 +6,7 @@
 //
 //	faultcov                 # all experiments (compiled engine)
 //	faultcov -exp e6         # one experiment; -exp '?' lists the ids
-//	faultcov -format csv     # CSV output (-csv is the legacy alias)
+//	faultcov -format csv     # CSV output
 //	faultcov -format json    # JSON Lines: one object per table row
 //	faultcov -engine oracle  # per-fault reference engine
 //	faultcov -workers 4      # fixed campaign worker count
@@ -207,7 +207,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	exp := fs.String("exp", "all", fmt.Sprintf("experiment id: %s or all", ids))
 	format := fs.String("format", "text", "output format: text (aligned), csv, or json (JSON Lines, one object per row)")
-	csv := fs.Bool("csv", false, "emit CSV (legacy alias for -format csv)")
 	engine := fs.String("engine", "compiled", "campaign engine: compiled (arena replay), bitpar (per-batch interpreter) or oracle (one run per fault)")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
 	drop := fs.Bool("drop", false, "cross-test fault dropping: later runners of a comparison session simulate only the faults earlier runners missed (their rows then cover survivors only)")
@@ -276,9 +275,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	eng, err := coverage.ParseEngine(*engine)
 	if err != nil {
 		return fail("%v", err)
-	}
-	if *csv {
-		*format = "csv"
 	}
 	switch *format {
 	case "text", "csv", "json":

@@ -55,6 +55,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"merge with resume", []string{"-merge", "-resume", "-checkpoint", "OUT", "CK"}, 2, "-resume is meaningless"},
 		{"unknown experiment", []string{"-exp", "e99"}, 2, "unknown experiment"},
 		{"unknown format", []string{"-exp", "fig1a", "-format", "xml"}, 2, "unknown format"},
+		{"removed csv alias", []string{"-exp", "fig1a", "-csv"}, 2, "flag provided but not defined: -csv"},
 		{"unknown engine", []string{"-exp", "fig1a", "-engine", "fast"}, 2, "unknown engine"},
 		{"wrong-seed resume", []string{"-exp", "e17", "-format", "csv", "-checkpoint", "CK", "-resume", "-seed", "99"}, 2, "seed"},
 		{"corrupt checkpoint", []string{"-exp", "e17", "-format", "csv", "-checkpoint", "BAD", "-resume"}, 2, "corrupt"},

@@ -5,6 +5,9 @@
 // Usage:
 //
 //	gfsynth [-m 4] [-p "1+z+z^4"] [-c 2] [-verilog] [-survey]
+//
+// -p sets the field modulus; its degree is the field's, so an explicit
+// -m must agree with it.
 package main
 
 import (
@@ -57,6 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p, err := gf2.Parse(*pstr)
 		if err != nil {
 			return fail("%v", err)
+		}
+		mSet := false
+		fs.Visit(func(f *flag.Flag) { mSet = mSet || f.Name == "m" })
+		if mSet && p.Deg() != *m {
+			return fail("-m %d contradicts -p %q, whose degree is %d", *m, *pstr, p.Deg())
 		}
 		field, err = gf.NewFieldPoly(p)
 		if err != nil {

@@ -28,6 +28,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"constant outside the field", []string{"-c", "16"}, 2, "gf"},
 		{"unparsable modulus", []string{"-p", "1+z^"}, 2, "bad exponent"},
 		{"reducible modulus", []string{"-p", "1+z^2"}, 2, "not irreducible"},
+		{"agreeing degree", []string{"-m", "4", "-p", "1+z+z^4"}, 0, "naive: "},
+		{"contradictory degree", []string{"-m", "8", "-p", "1+z+z^4"}, 2, "-m 8 contradicts -p"},
+		{"mixed indeterminates", []string{"-p", "1+x+y^4"}, 2, "different indeterminates"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -272,10 +272,14 @@ func (d *dec) str() string {
 	return string(d.take(int(n)))
 }
 func (d *dec) bool() bool {
-	if v := d.take(1); v != nil {
-		return v[0] != 0
+	v := d.take(1)
+	if v == nil || v[0] > 1 {
+		// Encode writes only 0 or 1; any other byte would decode to a
+		// state that re-encodes to different bytes.
+		d.bad = true
+		return false
 	}
-	return false
+	return v[0] == 1
 }
 func (d *dec) count() int {
 	n := d.u32()

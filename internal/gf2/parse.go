@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -34,12 +35,16 @@ func (p Poly) Format(ind string) string {
 	return strings.Join(terms, " + ")
 }
 
+// ErrIndeterminates is the error Parse wraps when the terms of one
+// expression name different indeterminates, as in "1 + x + y^4".
+var ErrIndeterminates = errors.New("gf2: terms name different indeterminates")
+
 // Parse parses a polynomial over GF(2) from either a term expression
-// such as "1 + z + z^4" (any single-letter indeterminate, '+'-separated,
-// whitespace ignored, '*' allowed as in "z*z" is NOT supported — use
-// powers) or a hexadecimal/binary/decimal literal accepted by
-// strconv.ParseUint with base auto-detection ("0x13", "0b10011", "19").
-// Duplicate terms cancel, matching GF(2) addition.
+// such as "1 + z + z^4" (one single-letter indeterminate shared by every
+// term, '+'-separated, whitespace ignored; products such as "z*z" are
+// not supported — use powers) or a hexadecimal/binary/decimal literal
+// accepted by strconv.ParseUint with base auto-detection ("0x13",
+// "0b10011", "19").  Duplicate terms cancel, matching GF(2) addition.
 func Parse(s string) (Poly, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -50,6 +55,7 @@ func Parse(s string) (Poly, error) {
 		return Poly(v), nil
 	}
 	var p Poly
+	var ind byte // the indeterminate of the first non-constant term
 	for _, raw := range strings.Split(t, "+") {
 		term := strings.TrimSpace(raw)
 		if term == "" {
@@ -58,6 +64,13 @@ func Parse(s string) (Poly, error) {
 		deg, err := parseTerm(term)
 		if err != nil {
 			return 0, fmt.Errorf("gf2: %v in %q", err, s)
+		}
+		if term != "1" {
+			if ind == 0 {
+				ind = term[0]
+			} else if term[0] != ind {
+				return 0, fmt.Errorf("%w: %c and %c in %q", ErrIndeterminates, ind, term[0], s)
+			}
 		}
 		p = p.Add(1 << uint(deg)) // duplicates cancel
 	}

@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,13 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", s)
 		}
 	}
+	// Terms naming different indeterminates are refused with their own
+	// error, not read as one polynomial in whichever letter came first.
+	for _, s := range []string{"1 + x + y^4", "x + y", "z^4 + Z"} {
+		if _, err := Parse(s); !errors.Is(err, ErrIndeterminates) {
+			t.Errorf("Parse(%q) error = %v, want ErrIndeterminates", s, err)
+		}
+	}
 }
 
 func TestMustParsePanics(t *testing.T) {
@@ -80,4 +88,27 @@ func TestQuickStringRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzGF2Parse: Parse never panics, and whatever Format prints for an
+// accepted polynomial, in any indeterminate, parses back to it.  Edge
+// cases (mixed indeterminates, spaced and signed exponents, the top
+// degree) are in testdata/fuzz/FuzzGF2Parse.
+func FuzzGF2Parse(f *testing.F) {
+	for _, s := range []string{"1 + z + z^4", "z^4 + z + 1", "0x13", "0b10011", "19", "z + z"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		for _, ind := range []string{"z", "x"} {
+			text := p.Format(ind)
+			q, err := Parse(text)
+			if err != nil || q != p {
+				t.Fatalf("Parse(%q) = %#x; its Format(%q) %q parses to %#x, %v", s, uint64(p), ind, text, uint64(q), err)
+			}
+		}
+	})
 }

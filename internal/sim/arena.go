@@ -26,9 +26,9 @@ type Arena struct {
 	lanes []uint64
 	clock uint64
 
-	// views[g] adapts group g of this arena to fault.HookRegistry;
-	// hooks installed and invoked through views[g] see only that
-	// group's lane words.
+	// views[g] adapts group g of this arena to fault.HookRegistry:
+	// every hook is installed and invoked through the view of its
+	// group and sees only that group's lane words.
 	views []laneGroup
 
 	// Dirty-cell tracking: dirtyAt[c] == epoch marks c already recorded
@@ -43,7 +43,9 @@ type Arena struct {
 	// the next batch).  flags mirrors the tables' non-emptiness as one
 	// byte per cell (any group): the kernels' hot loops test it instead
 	// of loading 24-byte slice headers, keeping the lookup table
-	// cache-resident even at production memory sizes.
+	// cache-resident even at production memory sizes.  Only this file
+	// reads or writes the tables: the kernels reach hooks through
+	// senseHooked and storeHooked.
 	writeHooks [][]fault.WriteHook
 	readHooks  [][]fault.ReadHook
 	everyRead  [][]fault.ReadHook // per lane group
@@ -137,39 +139,13 @@ func (a *Arena) Retarget(p *Program) {
 	a.pool.Reset()
 }
 
-// Arena implements fault.LaneMemory and fault.HookRegistry as lane
-// group 0 — the only group of a classic 64-machine program, where the
-// index formulas collapse to the historical cell*width+bit layout.
-// Wider programs address groups g > 0 through a.views[g].
-
-// Size implements fault.LaneMemory.
-func (a *Arena) Size() int { return a.p.size }
-
-// Width implements fault.LaneMemory.
-func (a *Arena) Width() int { return a.p.width }
-
-// Clock implements fault.LaneMemory.
-func (a *Arena) Clock() uint64 { return a.clock }
-
-// StoredLane implements fault.LaneMemory.
-func (a *Arena) StoredLane(cell, bit int) uint64 {
-	return a.lanes[cell*a.p.laneWords*a.p.width+bit]
-}
-
-// SetStoredLane implements fault.LaneMemory.
-//
-//faultsim:hotpath
-func (a *Arena) SetStoredLane(cell, bit int, value, mask uint64) {
-	a.markDirty(cell)
-	idx := cell*a.p.laneWords*a.p.width + bit
-	a.lanes[idx] = a.lanes[idx]&^mask | value&mask
-}
-
 // laneGroup is the 64-lane view of one lane group of an arena: the
-// LaneMemory/HookRegistry the fault-model hooks of group g are
-// installed against and invoked with.  All lane indexing is offset to
-// the group's word of each cell-bit block, so the single-word hook
-// implementations in the fault package run unmodified on wide arenas.
+// LaneMemory/HookRegistry every fault-model hook of group g is
+// installed against and invoked with, whatever the lane width.  All
+// lane indexing is offset to the group's word of each cell-bit block,
+// so the single-word hook implementations in the fault package run
+// unmodified on wide arenas (for one group the index collapses to the
+// classic cell*width+bit layout).
 type laneGroup struct {
 	a *Arena
 	g int
@@ -202,20 +178,46 @@ func (v *laneGroup) SetStoredLane(cell, bit int, value, mask uint64) {
 	a.lanes[idx] = a.lanes[idx]&^mask | value&mask
 }
 
+// Kernel-visible hook flags, one byte per cell.
+const (
+	flagRead  uint8 = 1 << iota // some group of the cell has read hooks
+	flagWrite                   // some group of the cell has write hooks
+)
+
 // OnWriteTo implements fault.HookRegistry.
 //
 //faultsim:hotpath
-func (v *laneGroup) OnWriteTo(cell int, h fault.WriteHook) { v.a.onWriteTo(cell, v.g, h) }
+func (v *laneGroup) OnWriteTo(cell int, h fault.WriteHook) {
+	a := v.a
+	e := cell*a.p.laneWords + v.g
+	if len(a.writeHooks[e]) == 0 {
+		a.hookedW = append(a.hookedW, int32(e)) //faultsim:alloc-ok capacity is retained across resets
+		a.flags[cell] |= flagWrite
+	}
+	a.writeHooks[e] = append(a.writeHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
+}
 
 // OnReadOf implements fault.HookRegistry.
 //
 //faultsim:hotpath
-func (v *laneGroup) OnReadOf(cell int, h fault.ReadHook) { v.a.onReadOf(cell, v.g, h) }
+func (v *laneGroup) OnReadOf(cell int, h fault.ReadHook) {
+	a := v.a
+	e := cell*a.p.laneWords + v.g
+	if len(a.readHooks[e]) == 0 {
+		a.hookedR = append(a.hookedR, int32(e)) //faultsim:alloc-ok capacity is retained across resets
+		a.flags[cell] |= flagRead
+	}
+	a.readHooks[e] = append(a.readHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
+}
 
 // OnEveryRead implements fault.HookRegistry.
 //
 //faultsim:hotpath
-func (v *laneGroup) OnEveryRead(h fault.ReadHook) { v.a.onEveryRead(v.g, h) }
+func (v *laneGroup) OnEveryRead(h fault.ReadHook) {
+	a := v.a
+	a.everyRead[v.g] = append(a.everyRead[v.g], h) //faultsim:alloc-ok capacity is retained across resets
+	a.everyN++
+}
 
 // markDirty records cell for restoration at the next reset.
 //
@@ -227,51 +229,54 @@ func (a *Arena) markDirty(cell int) {
 	}
 }
 
-// Kernel-visible hook flags, one byte per cell.
-const (
-	flagRead  uint8 = 1 << iota // readHooks[cell] is non-empty
-	flagWrite                   // writeHooks[cell] is non-empty
-)
-
-// OnWriteTo implements fault.HookRegistry (lane group 0).
+// senseHooked runs the read hooks of every lane group over a sensed
+// value of cell (val laid out [group][bit], group g's block val[g*w:
+// (g+1)*w]) at operation clock: each group's hooks see only their own
+// 64-lane block, through the group view.  The kernels call it when the
+// cell's flagRead is set or every-read hooks are installed.
 //
 //faultsim:hotpath
-func (a *Arena) OnWriteTo(cell int, h fault.WriteHook) { a.onWriteTo(cell, 0, h) }
-
-// OnReadOf implements fault.HookRegistry (lane group 0).
-//
-//faultsim:hotpath
-func (a *Arena) OnReadOf(cell int, h fault.ReadHook) { a.onReadOf(cell, 0, h) }
-
-// OnEveryRead implements fault.HookRegistry (lane group 0).
-//
-//faultsim:hotpath
-func (a *Arena) OnEveryRead(h fault.ReadHook) { a.onEveryRead(0, h) }
-
-//faultsim:hotpath
-func (a *Arena) onWriteTo(cell, g int, h fault.WriteHook) {
-	e := cell*a.p.laneWords + g
-	if len(a.writeHooks[e]) == 0 {
-		a.hookedW = append(a.hookedW, int32(e)) //faultsim:alloc-ok capacity is retained across resets
-		a.flags[cell] |= flagWrite
+func (a *Arena) senseHooked(cell int, val []uint64, clock uint64) {
+	W, w := a.p.laneWords, a.p.width
+	a.clock = clock
+	ht := cell * W
+	for g := 0; g < W; g++ {
+		vg := val[g*w : (g+1)*w]
+		for _, h := range a.readHooks[ht+g] {
+			h.OnRead(&a.views[g], cell, vg)
+		}
+		for _, h := range a.everyRead[g] {
+			h.OnRead(&a.views[g], cell, vg)
+		}
 	}
-	a.writeHooks[e] = append(a.writeHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
 }
 
+// storeHooked stores a write value (data laid out [group][bit]) into a
+// write-hooked cell at operation clock, running each group's
+// Pre/PostWrite hooks around that group's 64-lane store.  Groups are
+// independent — a hook only touches its own group's lane words — so
+// the per-group sequence is equivalent to the classic single-group
+// pre/store/post order.  The kernels call it when the cell's flagWrite
+// is set.
+//
 //faultsim:hotpath
-func (a *Arena) onReadOf(cell, g int, h fault.ReadHook) {
-	e := cell*a.p.laneWords + g
-	if len(a.readHooks[e]) == 0 {
-		a.hookedR = append(a.hookedR, int32(e)) //faultsim:alloc-ok capacity is retained across resets
-		a.flags[cell] |= flagRead
+func (a *Arena) storeHooked(cell int, data []uint64, clock uint64) {
+	W, w := a.p.laneWords, a.p.width
+	a.clock = clock
+	a.markDirty(cell)
+	ht := cell * W
+	base := ht * w
+	for g := 0; g < W; g++ {
+		hooks := a.writeHooks[ht+g]
+		dg := data[g*w : (g+1)*w]
+		for _, h := range hooks {
+			h.PreWrite(&a.views[g], cell, dg)
+		}
+		copy(a.lanes[base+g*w:base+(g+1)*w], dg)
+		for _, h := range hooks {
+			h.PostWrite(&a.views[g], cell, dg)
+		}
 	}
-	a.readHooks[e] = append(a.readHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
-}
-
-//faultsim:hotpath
-func (a *Arena) onEveryRead(g int, h fault.ReadHook) {
-	a.everyRead[g] = append(a.everyRead[g], h) //faultsim:alloc-ok capacity is retained across resets
-	a.everyN++
 }
 
 // reset restores the arena to the program's initial state, touching
@@ -381,18 +386,12 @@ func (a *Arena) inject(faults []fault.Fault) error {
 		return fmt.Errorf("sim: batch of %d faults exceeds the %d machine lanes", len(faults), a.p.BatchFaults())
 	}
 	for i, f := range faults {
-		var reg fault.HookRegistry = a
-		lane := i
-		if lane >= BatchSize {
-			reg = &a.views[lane/BatchSize]
-			lane %= BatchSize
-		}
 		bi, ok := f.(fault.BatchInjector)
 		if !ok {
 			//faultsim:alloc-ok cold error path, never taken by a well-formed campaign
 			return fmt.Errorf("sim: fault %s (%T) does not support batch injection", f, f)
 		}
-		bi.BatchInject(reg, lane, &a.pool)
+		bi.BatchInject(&a.views[i/BatchSize], i%BatchSize, &a.pool)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func TestArenaRetargetAcrossProgramShapes(t *testing.T) {
 	}
 	want := make([]uint64, len(progs))
 	for i, p := range progs {
-		m, err := p.Replay(NewArena(p), batchFor(p))
+		m, err := replay64(p, NewArena(p), batchFor(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func TestArenaRetargetAcrossProgramShapes(t *testing.T) {
 				continue
 			}
 			shared := NewArena(progs[i])
-			if _, err := progs[i].Replay(shared, batchFor(progs[i])); err != nil {
+			if _, err := replay64(progs[i], shared, batchFor(progs[i])); err != nil {
 				t.Fatal(err)
 			}
 			shared.Retarget(progs[j])
-			got, err := progs[j].Replay(shared, batchFor(progs[j]))
+			got, err := replay64(progs[j], shared, batchFor(progs[j]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestArenaRetargetAcrossProgramShapes(t *testing.T) {
 			}
 			// And back again: shrink/regrow must be just as clean.
 			shared.Retarget(progs[i])
-			back, err := progs[i].Replay(shared, batchFor(progs[i]))
+			back, err := replay64(progs[i], shared, batchFor(progs[i]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestArenaRetargetAcrossProgramShapes(t *testing.T) {
 func TestReplayRejectsForeignArena(t *testing.T) {
 	progs := shapePrograms(t)
 	a := NewArena(progs[0])
-	if _, err := progs[1].Replay(a, []fault.Fault{fault.SAF{Cell: 0, Value: 1}}); err == nil {
+	if _, err := replay64(progs[1], a, []fault.Fault{fault.SAF{Cell: 0, Value: 1}}); err == nil {
 		t.Fatal("replay through a foreign arena must error")
 	}
 }
@@ -106,13 +106,13 @@ func TestArenaPoolRetargets(t *testing.T) {
 	if b != a {
 		t.Fatal("pool did not recycle the arena")
 	}
-	if _, err := progs[2].Replay(b, []fault.Fault{fault.SAF{Cell: 0, Value: 1}}); err != nil {
+	if _, err := replay64(progs[2], b, []fault.Fault{fault.SAF{Cell: 0, Value: 1}}); err != nil {
 		t.Fatalf("pooled arena not retargeted: %v", err)
 	}
 	// A nil pool stays functional and simply builds fresh arenas.
 	var np *ArenaPool
 	c := np.Get(progs[1])
-	if _, err := progs[1].Replay(c, []fault.Fault{fault.SAF{Cell: 0, Value: 1}}); err != nil {
+	if _, err := replay64(progs[1], c, []fault.Fault{fault.SAF{Cell: 0, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	np.Put(c)

@@ -89,8 +89,16 @@ func recordObserver(t *testing.T, n, m int) *Trace {
 	return tr
 }
 
+// replay64 replays one batch of at most 64 faults against a 64-machine
+// program and returns its detection mask.
+func replay64(p *Program, a *Arena, faults []fault.Fault) (uint64, error) {
+	var det [1]uint64
+	err := p.ReplayInto(a, faults, det[:])
+	return det[0], err
+}
+
 // assertCompiledMatchesReplayBatch is the kernel-equivalence property:
-// for every 64-fault batch of the universe, Program.Replay through a
+// for every 64-fault batch of the universe, Program.ReplayInto through a
 // reused arena must return the exact detection mask of the existing
 // per-batch interpreter.
 func assertCompiledMatchesReplayBatch(t *testing.T, tr *Trace, faults []fault.Fault) {
@@ -109,7 +117,7 @@ func assertCompiledMatchesReplayBatch(t *testing.T, tr *Trace, faults []fault.Fa
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Replay(a, faults[lo:hi])
+		got, err := replay64(p, a, faults[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,11 +234,11 @@ func TestReplaySteadyStateAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			a := NewArena(p)
-			if _, err := p.Replay(a, tc.faults); err != nil { // warm-up
+			if _, err := replay64(p, a, tc.faults); err != nil { // warm-up
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := p.Replay(a, tc.faults); err != nil {
+				if _, err := replay64(p, a, tc.faults); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -254,14 +262,14 @@ func TestArenaResetRestoresExactState(t *testing.T) {
 	a := NewArena(p)
 	u := fault.StandardUniverse(n, 1, 8, 13).Faults
 	batchA, batchB := u[:BatchSize], u[BatchSize:2*BatchSize]
-	first, err := p.Replay(a, batchA)
+	first, err := replay64(p, a, batchA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Replay(a, batchB); err != nil {
+	if _, err := replay64(p, a, batchB); err != nil {
 		t.Fatal(err)
 	}
-	again, err := p.Replay(a, batchA)
+	again, err := replay64(p, a, batchA)
 	if err != nil {
 		t.Fatal(err)
 	}

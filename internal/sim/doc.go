@@ -56,14 +56,21 @@
 //   - Arena is a worker's reusable machine-array state: lane buffer,
 //     hook tables (with a one-byte per-cell flag map the kernels test
 //     instead of slice headers), history ring, observer accumulators,
-//     scratch, and a fault.Pool recycling hook objects.  Between
-//     batches it restores only the cells the previous batch dirtied
-//     (or wholesale for dense traces), so steady-state batches
-//     allocate nothing.
+//     scratch, and a fault.Pool recycling hook objects.  Every hook is
+//     installed and invoked through the 64-lane view of its lane
+//     group, and the kernels reach hooks only through two arena
+//     methods (senseHooked and storeHooked), so arena.go alone decides
+//     how hooks are stored.  Between batches the arena restores only
+//     the cells the previous batch dirtied (or wholesale for dense
+//     traces), so steady-state batches allocate nothing.
 //
-//   - Replay dispatches to a width-1 kernel (no per-bit inner loops;
-//     the regime of the paper's Fig. 1a bit-oriented memories and the
-//     largest campaigns) or the generic word-oriented kernel.
+//   - ReplayInto dispatches to a width-1 kernel (no per-bit inner
+//     loops; the regime of the paper's Fig. 1a bit-oriented memories
+//     and the largest campaigns) or the generic word-oriented kernel,
+//     each in a 64-machine and a wide form.  Every kernel has one read
+//     path and one write path: a fused read-check-write compares on
+//     the read path, then stores on the write path that literal and
+//     affine writes take.
 //
 //   - ShardsCompiledStream drives the batches with one arena per
 //     worker and a shared stop flag so a failing batch short-circuits

@@ -13,31 +13,14 @@ import (
 	"repro/internal/fault"
 )
 
-// Replay simulates up to 64 faults against a classic single-word
-// (laneWords == 1) compiled program using the arena's reusable buffers
-// and returns the detection mask (bit l set when machine l detected),
-// exactly as ReplayBatch does for the uncompiled trace.  Steady-state
-// calls allocate nothing: the arena restores only the cells the
-// previous batch dirtied and recycles its hook objects through the
-// fault pool.  Wide programs use ReplayInto.
-func (p *Program) Replay(a *Arena, faults []fault.Fault) (uint64, error) {
-	if p.laneWords != 1 {
-		//faultsim:alloc-ok cold error path, never taken by a well-formed campaign
-		return 0, fmt.Errorf("sim: Replay is the 64-machine entry point; a %d-word program needs ReplayInto", p.laneWords)
-	}
-	var det [1]uint64
-	if err := p.ReplayInto(a, faults, det[:]); err != nil {
-		return 0, err
-	}
-	return det[0], nil
-}
-
 // ReplayInto simulates up to laneWords*64 faults against the compiled
 // program and fills det (one word per lane group, len == LaneWords())
 // with the detection masks: bit l of det[g] is set when machine g*64+l
 // detected.  Fault i rides lane i%64 of group i/64, so verdicts are
-// positional exactly as in Replay.  Steady-state calls allocate
-// nothing, as for Replay.
+// positional, as ReplayBatch's are for the uncompiled trace.
+// Steady-state calls allocate nothing: the arena restores only the
+// cells the previous batch dirtied and recycles its hook objects
+// through the fault pool.
 func (p *Program) ReplayInto(a *Arena, faults []fault.Fault, det []uint64) error {
 	W := p.laneWords
 	if len(det) != W {
@@ -96,185 +79,131 @@ func allDetected(det, full []uint64) bool {
 	return true
 }
 
-// Kernel structure, shared by both widths: the operation clock lives in
-// a register and is flushed to the arena only around hook invocations
-// (the only readers, via fault.LaneMemory.Clock); cells without hooks
-// take branch-free sense/store paths guarded by the one-byte flag
-// table; the read-history ring is addressed by a wrapping cursor
-// instead of a modulo.  The pass returns as soon as every machine of
-// the batch has detected.
+// Kernel structure, shared by all four kernels.  Each has one read path
+// (sense, read hooks, history push) taken by plain, checked, folded and
+// fused reads, and one write path (hooked or plain store) taken by
+// literal, affine and fused writes: a fused opCheckWrite senses and
+// compares, then falls through to the write path with its literal data,
+// still in one dispatch.  Hooks run only through the arena's
+// senseHooked and storeHooked, behind the one-byte flag test.  The
+// operation clock lives in a register and is handed to the arena only
+// for those calls (hooks are its only readers, via
+// fault.LaneMemory.Clock); the read-history ring is addressed by a
+// wrapping cursor instead of a modulo.  The pass returns as soon as
+// every machine of the batch has detected.
 
 // run1 is the width-1 kernel for bit-oriented memories: one lane word
 // per cell, no per-bit inner loops anywhere on the hot path, and the
 // whole instruction — opcode, data bit, cell — in a single uint32, so
-// even 1M-cell traces stream 4 bytes per op.
+// even 1M-cell traces stream 4 bytes per op.  It reads the arena's
+// buffers and the program's settings through a and p instead of
+// caching them in locals: with the read and write paths shared, cached
+// slice headers outnumber the registers and spill at every merge,
+// which cost March C− replay about a fifth of its speed.
 func (p *Program) run1(a *Arena, full uint64) uint64 {
 	var detected uint64
-	slots, hpos, affPos, foldPos, obsPos, fusPos := p.maxBack, 0, 0, 0, 0, 0
-	lanes, hist, flags := a.lanes, a.hist, a.flags
-	hasEvery := a.everyN != 0
-	track := !p.dense // dense traces restore wholesale, skip marking
+	hpos, affPos, foldPos, obsPos, fusPos := 0, 0, 0, 0, 0
 	clock := a.clock
 	for _, oa := range p.code1 {
 		op := oa >> opShift
-		if op == opCheckWrite {
-			// Fused super-op: one dispatch for a March element's
-			// read-check-write of one cell — sense (+hooks/history),
-			// compare, then store, with the clock ticking once per fused
-			// memory operation.
-			cell := int(oa & w1AddrMask)
+		cell := int(oa & w1AddrMask)
+		// d is the broadcast data bit: the expected value of a read, the
+		// literal (or affine offset) of a write.
+		d := uint64(0) - uint64(oa>>w1DataShift&1)
+		if op == opCheckWrite || op <= opFold {
 			clock++
-			v := lanes[cell]
-			if flags[cell]&flagRead != 0 || hasEvery {
-				a.clock = clock
+			v := a.lanes[cell]
+			if a.flags[cell]&flagRead != 0 || a.everyN != 0 {
 				a.val[0] = v
-				for _, h := range a.readHooks[cell] {
-					h.OnRead(a, cell, a.val)
-				}
-				for _, h := range a.everyRead[0] {
-					h.OnRead(a, cell, a.val)
-				}
+				a.senseHooked(cell, a.val[:1], clock)
 				v = a.val[0]
 			}
-			if slots > 0 {
-				hist[hpos] = v
-				if hpos++; hpos == slots {
+			if p.maxBack > 0 {
+				a.hist[hpos] = v
+				if hpos++; hpos == p.maxBack {
 					hpos = 0
 				}
 			}
-			clean := uint64(0) - uint64(oa>>w1DataShift&1)
-			detected |= (v ^ clean) & full
+			d ^= v // the read's difference from the clean value
+			if op != opCheckWrite {
+				if op == opRead {
+					continue
+				}
+				if op == opFold {
+					// acc ← step·acc ⊕ tap·diff, per lane.
+					fr := &p.folds[foldPos]
+					foldPos++
+					if fr.checked {
+						detected |= d & full
+						if detected == full {
+							break
+						}
+					}
+					step := p.rowPool[fr.step : fr.step+fr.bits]
+					tap := p.rowPool[fr.tap : fr.tap+fr.bits]
+					av := a.acc[fr.acc : fr.acc+fr.bits]
+					scr := a.obsScr
+					for r := range av {
+						var nv uint64
+						for m := step[r]; m != 0; m &= m - 1 {
+							nv ^= av[bits.TrailingZeros32(m)]
+						}
+						if tap[r]&1 != 0 {
+							nv ^= d
+						}
+						scr[r] = nv
+					}
+					copy(av, scr[:len(av)])
+					continue
+				}
+			}
+			detected |= d & full
 			if detected == full {
 				break // every machine has detected
 			}
-			d := uint64(0) - uint64(p.fus1[fusPos])
-			fusPos++
-			clock++
-			if flags[cell]&flagWrite != 0 {
-				a.clock = clock
-				a.data[0] = d
-				hooks := a.writeHooks[cell]
-				for _, h := range hooks {
-					h.PreWrite(a, cell, a.data)
-				}
-				a.markDirty(cell)
-				lanes[cell] = a.data[0]
-				for _, h := range hooks {
-					h.PostWrite(a, cell, a.data)
-				}
-			} else {
-				if track {
-					a.markDirty(cell)
-				}
-				lanes[cell] = d
+			if op != opCheckWrite {
+				continue
 			}
-			continue
-		}
-		if op == opObserve {
+			// Fused write half: its literal bit rides in fus1.
+			d = uint64(0) - uint64(p.fus1[fusPos])
+			fusPos++
+		} else if op == opObserve {
 			// Compare point: no memory access, no clock tick — the
 			// machine diverges iff its accumulated signature diff is
 			// nonzero.
 			ob := &p.observes[obsPos]
 			obsPos++
-			var d uint64
+			var acc uint64
 			for _, w := range a.acc[ob.acc : ob.acc+ob.bits] {
-				d |= w
+				acc |= w
 			}
-			detected |= d & full
+			detected |= acc & full
 			if detected == full {
 				break
 			}
 			continue
-		}
-		cell := int(oa & w1AddrMask)
-		clock++
-		if op <= opFold {
-			v := lanes[cell]
-			if flags[cell]&flagRead != 0 || hasEvery {
-				a.clock = clock
-				a.val[0] = v
-				for _, h := range a.readHooks[cell] {
-					h.OnRead(a, cell, a.val)
-				}
-				for _, h := range a.everyRead[0] {
-					h.OnRead(a, cell, a.val)
-				}
-				v = a.val[0]
-			}
-			if slots > 0 {
-				hist[hpos] = v
-				if hpos++; hpos == slots {
-					hpos = 0
-				}
-			}
-			if op != opRead {
-				clean := uint64(0) - uint64(oa>>w1DataShift&1) // broadcast the expected bit
-				d := v ^ clean
-				if op == opCheck {
-					detected |= d & full
-					if detected == full {
-						break // every machine has detected
-					}
-					continue
-				}
-				// opFold: acc ← step·acc ⊕ tap·diff, per lane.
-				fr := &p.folds[foldPos]
-				foldPos++
-				if fr.checked {
-					detected |= d & full
-					if detected == full {
-						break
-					}
-				}
-				step := p.rowPool[fr.step : fr.step+fr.bits]
-				tap := p.rowPool[fr.tap : fr.tap+fr.bits]
-				av := a.acc[fr.acc : fr.acc+fr.bits]
-				scr := a.obsScr
-				for r := range av {
-					var nv uint64
-					for m := step[r]; m != 0; m &= m - 1 {
-						nv ^= av[bits.TrailingZeros32(m)]
-					}
-					if tap[r]&1 != 0 {
-						nv ^= d
-					}
-					scr[r] = nv
-				}
-				copy(av, scr[:len(av)])
-			}
-			continue
-		}
-		d := uint64(0) - uint64(oa>>w1DataShift&1)
-		if op == opAffine {
+		} else if op == opAffine {
 			e := &p.aff1[affPos]
 			affPos++
 			for _, t := range p.terms[e.t0 : e.t0+e.tn] {
 				if t.mask&1 != 0 {
 					s := hpos - int(t.back)
 					if s < 0 {
-						s += slots
+						s += p.maxBack
 					}
-					d ^= hist[s]
+					d ^= a.hist[s]
 				}
 			}
 		}
-		if flags[cell]&flagWrite != 0 {
-			a.clock = clock
+		clock++ // a fused op's write is a second memory operation
+		if a.flags[cell]&flagWrite != 0 {
 			a.data[0] = d
-			hooks := a.writeHooks[cell]
-			for _, h := range hooks {
-				h.PreWrite(a, cell, a.data)
-			}
-			a.markDirty(cell)
-			lanes[cell] = a.data[0]
-			for _, h := range hooks {
-				h.PostWrite(a, cell, a.data)
-			}
+			a.storeHooked(cell, a.data[:1], clock)
 		} else {
-			if track {
+			if !p.dense {
 				a.markDirty(cell)
 			}
-			lanes[cell] = d
+			a.lanes[cell] = d
 		}
 	}
 	a.clock = clock
@@ -286,7 +215,8 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 	w := p.width
 	var detected uint64
 	slots, hpos, foldPos, obsPos := p.maxBack, 0, 0, 0
-	flags := a.flags
+	lanes, hist, flags := a.lanes, a.hist, a.flags
+	val, data := a.val, a.data // one lane group: w words each
 	hasEvery := a.everyN != 0
 	track := !p.dense // dense traces restore wholesale, skip marking
 	clock := a.clock
@@ -294,58 +224,6 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 		in := &p.code[i]
 		cell := int(in.opAddr & addrMask)
 		op := in.opAddr >> opShift
-		if op == opCheckWrite {
-			// Fused super-op: sense (+hooks/history), compare, store.
-			base := cell * w
-			clock++
-			val := a.val
-			copy(val, a.lanes[base:base+w])
-			if flags[cell]&flagRead != 0 || hasEvery {
-				a.clock = clock
-				for _, h := range a.readHooks[cell] {
-					h.OnRead(a, cell, val)
-				}
-				for _, h := range a.everyRead[0] {
-					h.OnRead(a, cell, val)
-				}
-			}
-			if slots > 0 {
-				copy(a.hist[hpos*w:hpos*w+w], val)
-				if hpos++; hpos == slots {
-					hpos = 0
-				}
-			}
-			clean := p.lanePool[in.lane : int(in.lane)+w]
-			var diff uint64
-			for b := 0; b < w; b++ {
-				diff |= val[b] ^ clean[b]
-			}
-			detected |= diff & full
-			if detected == full {
-				break // every machine has detected
-			}
-			clock++
-			data := a.data
-			copy(data, p.lanePool[in.t0:int(in.t0)+w])
-			if flags[cell]&flagWrite != 0 {
-				a.clock = clock
-				hooks := a.writeHooks[cell]
-				for _, h := range hooks {
-					h.PreWrite(a, cell, data)
-				}
-				a.markDirty(cell)
-				copy(a.lanes[base:base+w], data)
-				for _, h := range hooks {
-					h.PostWrite(a, cell, data)
-				}
-			} else {
-				if track {
-					a.markDirty(cell)
-				}
-				copy(a.lanes[base:base+w], data)
-			}
-			continue
-		}
 		if op == opObserve {
 			// Compare point: no memory access, no clock tick.
 			ob := &p.observes[obsPos]
@@ -362,39 +240,26 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 		}
 		base := cell * w
 		clock++
-		if op <= opFold {
-			val := a.val
-			copy(val, a.lanes[base:base+w])
+		src := in.lane // lanePool offset of a write's literal data
+		if op == opCheckWrite || op <= opFold {
+			copy(val, lanes[base:base+w])
 			if flags[cell]&flagRead != 0 || hasEvery {
-				a.clock = clock
-				for _, h := range a.readHooks[cell] {
-					h.OnRead(a, cell, val)
-				}
-				for _, h := range a.everyRead[0] {
-					h.OnRead(a, cell, val)
-				}
+				a.senseHooked(cell, val, clock)
 			}
 			if slots > 0 {
-				copy(a.hist[hpos*w:hpos*w+w], val)
+				copy(hist[hpos*w:hpos*w+w], val)
 				if hpos++; hpos == slots {
 					hpos = 0
 				}
 			}
-			if op == opCheck {
-				clean := p.lanePool[in.lane : int(in.lane)+w]
-				var diff uint64
-				for b := 0; b < w; b++ {
-					diff |= val[b] ^ clean[b]
-				}
-				detected |= diff & full
-				if detected == full {
-					break // every machine has detected
-				}
-			} else if op == opFold {
+			if op == opRead {
+				continue
+			}
+			clean := p.lanePool[in.lane : int(in.lane)+w]
+			if op == opFold {
 				// acc ← step·acc ⊕ tap·diff, per lane.
 				fr := &p.folds[foldPos]
 				foldPos++
-				clean := p.lanePool[in.lane : int(in.lane)+w]
 				diff := a.diff
 				var any uint64
 				for b := 0; b < w; b++ {
@@ -421,89 +286,47 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 					a.obsScr[r] = nv
 				}
 				copy(av, a.obsScr[:len(av)])
+				continue
 			}
-			continue
+			var diff uint64
+			for b := 0; b < w; b++ {
+				diff |= val[b] ^ clean[b]
+			}
+			detected |= diff & full
+			if detected == full {
+				break // every machine has detected
+			}
+			if op == opCheck {
+				continue
+			}
+			// Fused write half: t0 holds the literal data's offset.
+			src = in.t0
+			clock++
 		}
-		data := a.data
-		copy(data, p.lanePool[in.lane:int(in.lane)+w])
+		copy(data, p.lanePool[src:int(src)+w])
 		if op == opAffine {
 			for _, t := range p.terms[in.t0 : in.t0+in.tn] {
 				s := hpos - int(t.back)
 				if s < 0 {
 					s += slots
 				}
-				src := a.hist[s*w:]
+				hb := hist[s*w:]
 				for rm := t.mask; rm != 0; rm &= rm - 1 {
-					data[t.dst] ^= src[bits.TrailingZeros32(rm)]
+					data[t.dst] ^= hb[bits.TrailingZeros32(rm)]
 				}
 			}
 		}
 		if flags[cell]&flagWrite != 0 {
-			a.clock = clock
-			hooks := a.writeHooks[cell]
-			for _, h := range hooks {
-				h.PreWrite(a, cell, data)
-			}
-			a.markDirty(cell)
-			copy(a.lanes[base:base+w], data)
-			for _, h := range hooks {
-				h.PostWrite(a, cell, data)
-			}
+			a.storeHooked(cell, data, clock)
 		} else {
 			if track {
 				a.markDirty(cell)
 			}
-			copy(a.lanes[base:base+w], data)
+			copy(lanes[base:base+w], data)
 		}
 	}
 	a.clock = clock
 	return detected
-}
-
-// senseHooked runs the read hooks of every lane group over a sensed
-// wide value (val laid out [group][bit], group g's block val[g*w:
-// (g+1)*w]) — each group's hooks see only their own 64-lane block
-// through the group view, so the single-word fault-model hook
-// implementations run unmodified.
-func (a *Arena) senseHooked(cell int, val []uint64, clock uint64) {
-	p := a.p
-	W, w := p.laneWords, p.width
-	a.clock = clock
-	ht := cell * W
-	for g := 0; g < W; g++ {
-		vg := val[g*w : (g+1)*w]
-		for _, h := range a.readHooks[ht+g] {
-			h.OnRead(&a.views[g], cell, vg)
-		}
-		for _, h := range a.everyRead[g] {
-			h.OnRead(&a.views[g], cell, vg)
-		}
-	}
-}
-
-// storeHooked stores a wide write value (data laid out [group][bit])
-// into a write-hooked cell, running each group's Pre/PostWrite hooks
-// around that group's 64-lane store.  Groups are independent — a hook
-// only touches its own group's lane words — so the per-group sequence
-// is equivalent to the classic single-group pre/store/post order.
-func (a *Arena) storeHooked(cell int, data []uint64, clock uint64) {
-	p := a.p
-	W, w := p.laneWords, p.width
-	a.clock = clock
-	a.markDirty(cell)
-	ht := cell * W
-	base := ht * w
-	for g := 0; g < W; g++ {
-		hooks := a.writeHooks[ht+g]
-		dg := data[g*w : (g+1)*w]
-		for _, h := range hooks {
-			h.PreWrite(&a.views[g], cell, dg)
-		}
-		copy(a.lanes[base+g*w:base+(g+1)*w], dg)
-		for _, h := range hooks {
-			h.PostWrite(&a.views[g], cell, dg)
-		}
-	}
 }
 
 // run1W is the wide width-1 kernel (laneWords > 1): run1 with a W-word
@@ -514,6 +337,7 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 	W := p.laneWords
 	slots, hpos, affPos, foldPos, obsPos, fusPos := p.maxBack, 0, 0, 0, 0, 0
 	lanes, hist, flags := a.lanes, a.hist, a.flags
+	data := a.data[:W]
 	hasEvery := a.everyN != 0
 	track := !p.dense // dense traces restore wholesale, skip marking
 	clock := a.clock
@@ -540,16 +364,15 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 		cell := int(oa & w1AddrMask)
 		base := cell * W
 		clock++
-		if op <= opFold || op == opCheckWrite {
-			var v []uint64
+		d := uint64(0) - uint64(oa>>w1DataShift&1) // broadcast data bit
+		if op == opCheckWrite || op <= opFold {
+			// No hooks can perturb an unhooked sense: read the lane block
+			// in place, no scratch copy.
+			v := lanes[base : base+W]
 			if flags[cell]&flagRead != 0 || hasEvery {
 				v = a.val[:W]
 				copy(v, lanes[base:base+W])
 				a.senseHooked(cell, v, clock)
-			} else {
-				// No hooks can perturb the sense: read the lane block in
-				// place, no scratch copy.
-				v = lanes[base : base+W]
 			}
 			if slots > 0 {
 				copy(hist[hpos*W:hpos*W+W], v)
@@ -560,114 +383,81 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 			if op == opRead {
 				continue
 			}
-			clean := uint64(0) - uint64(oa>>w1DataShift&1) // broadcast the expected bit
-			if op == opCheck || op == opCheckWrite {
+			if op == opFold {
+				// acc ← step·acc ⊕ tap·diff, per lane group.
+				fr := &p.folds[foldPos]
+				foldPos++
+				diff := a.diff[:W]
 				for g := 0; g < W; g++ {
-					det[g] |= (v[g] ^ clean) & full[g]
-				}
-				if allDetected(det, full) {
-					break // every machine has detected
-				}
-				if op == opCheck {
-					continue
-				}
-				// Fused write half.
-				d := uint64(0) - uint64(p.fus1[fusPos])
-				fusPos++
-				clock++
-				if flags[cell]&flagWrite == 0 {
-					if track {
-						a.markDirty(cell)
+					diff[g] = v[g] ^ d
+					if fr.checked {
+						det[g] |= diff[g] & full[g]
 					}
+				}
+				if fr.checked && allDetected(det, full) {
+					break
+				}
+				step := p.rowPool[fr.step : fr.step+fr.bits]
+				tap := p.rowPool[fr.tap : fr.tap+fr.bits]
+				nb := int(fr.bits)
+				av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
+				scr := a.obsScr[:nb*W]
+				for r := 0; r < nb; r++ {
 					for g := 0; g < W; g++ {
-						lanes[base+g] = d
+						var nv uint64
+						for m := step[r]; m != 0; m &= m - 1 {
+							nv ^= av[bits.TrailingZeros32(m)*W+g]
+						}
+						if tap[r]&1 != 0 {
+							nv ^= diff[g]
+						}
+						scr[r*W+g] = nv
 					}
-				} else {
-					data := a.data[:W]
-					for g := range data {
-						data[g] = d
-					}
-					a.storeHooked(cell, data, clock)
 				}
+				copy(av, scr)
 				continue
 			}
-			// opFold: acc ← step·acc ⊕ tap·diff, per lane group.
-			fr := &p.folds[foldPos]
-			foldPos++
-			diff := a.diff[:W]
 			for g := 0; g < W; g++ {
-				diff[g] = v[g] ^ clean
-				if fr.checked {
-					det[g] |= diff[g] & full[g]
-				}
+				det[g] |= (v[g] ^ d) & full[g]
 			}
-			if fr.checked && allDetected(det, full) {
-				break
+			if allDetected(det, full) {
+				break // every machine has detected
 			}
-			step := p.rowPool[fr.step : fr.step+fr.bits]
-			tap := p.rowPool[fr.tap : fr.tap+fr.bits]
-			nb := int(fr.bits)
-			av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
-			scr := a.obsScr[:nb*W]
-			for r := 0; r < nb; r++ {
-				for g := 0; g < W; g++ {
-					var nv uint64
-					for m := step[r]; m != 0; m &= m - 1 {
-						nv ^= av[bits.TrailingZeros32(m)*W+g]
-					}
-					if tap[r]&1 != 0 {
-						nv ^= diff[g]
-					}
-					scr[r*W+g] = nv
-				}
+			if op == opCheck {
+				continue
 			}
-			copy(av, scr)
-			continue
+			// Fused write half.
+			d = uint64(0) - uint64(p.fus1[fusPos])
+			fusPos++
+			clock++
 		}
-		d := uint64(0) - uint64(oa>>w1DataShift&1)
-		if op == opWrite {
-			if flags[cell]&flagWrite == 0 {
-				if track {
-					a.markDirty(cell)
-				}
-				for g := 0; g < W; g++ {
-					lanes[base+g] = d
-				}
-			} else {
-				data := a.data[:W]
-				for g := range data {
-					data[g] = d
-				}
-				a.storeHooked(cell, data, clock)
-			}
-			continue
-		}
-		// opAffine: per-group data diverges through the history terms.
-		e := &p.aff1[affPos]
-		affPos++
-		data := a.data[:W]
 		for g := range data {
 			data[g] = d
 		}
-		for _, t := range p.terms[e.t0 : e.t0+e.tn] {
-			if t.mask&1 != 0 {
-				s := hpos - int(t.back)
-				if s < 0 {
-					s += slots
-				}
-				hb := hist[s*W : s*W+W]
-				for g := 0; g < W; g++ {
-					data[g] ^= hb[g]
+		if op == opAffine {
+			// Per-group data diverges through the history terms.
+			e := &p.aff1[affPos]
+			affPos++
+			for _, t := range p.terms[e.t0 : e.t0+e.tn] {
+				if t.mask&1 != 0 {
+					s := hpos - int(t.back)
+					if s < 0 {
+						s += slots
+					}
+					hb := hist[s*W : s*W+W]
+					for g := 0; g < W; g++ {
+						data[g] ^= hb[g]
+					}
 				}
 			}
 		}
-		if flags[cell]&flagWrite == 0 {
+		if flags[cell]&flagWrite != 0 {
+			a.storeHooked(cell, data, clock)
+		} else {
 			if track {
 				a.markDirty(cell)
 			}
 			copy(lanes[base:base+W], data)
-		} else {
-			a.storeHooked(cell, data, clock)
 		}
 	}
 	a.clock = clock
@@ -680,7 +470,8 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 	W, w := p.laneWords, p.width
 	ww := W * w // words per cell block
 	slots, hpos, foldPos, obsPos := p.maxBack, 0, 0, 0
-	flags := a.flags
+	lanes, hist, flags := a.lanes, a.hist, a.flags
+	val, data := a.val[:ww], a.data[:ww]
 	hasEvery := a.everyN != 0
 	track := !p.dense // dense traces restore wholesale, skip marking
 	clock := a.clock
@@ -708,14 +499,14 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 		}
 		base := cell * ww
 		clock++
-		if op <= opFold || op == opCheckWrite {
-			val := a.val[:ww]
-			copy(val, a.lanes[base:base+ww])
+		src := in.lane // lanePool offset of a write's literal data
+		if op == opCheckWrite || op <= opFold {
+			copy(val, lanes[base:base+ww])
 			if flags[cell]&flagRead != 0 || hasEvery {
 				a.senseHooked(cell, val, clock)
 			}
 			if slots > 0 {
-				copy(a.hist[hpos*ww:hpos*ww+ww], val)
+				copy(hist[hpos*ww:hpos*ww+ww], val)
 				if hpos++; hpos == slots {
 					hpos = 0
 				}
@@ -724,80 +515,66 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 				continue
 			}
 			clean := p.lanePool[in.lane : int(in.lane)+w]
-			if op == opCheck || op == opCheckWrite {
+			if op == opFold {
+				// acc ← step·acc ⊕ tap·diff, per lane group.
+				fr := &p.folds[foldPos]
+				foldPos++
+				diff := a.diff[:ww]
 				for g := 0; g < W; g++ {
 					gb := g * w
-					var diff uint64
+					var any uint64
 					for b := 0; b < w; b++ {
-						diff |= val[gb+b] ^ clean[b]
+						diff[gb+b] = val[gb+b] ^ clean[b]
+						any |= diff[gb+b]
 					}
-					det[g] |= diff & full[g]
-				}
-				if allDetected(det, full) {
-					break // every machine has detected
-				}
-				if op == opCheck {
-					continue
-				}
-				// Fused write half.
-				clock++
-				data := a.data[:ww]
-				src := p.lanePool[in.t0 : int(in.t0)+w]
-				for g := 0; g < W; g++ {
-					copy(data[g*w:(g+1)*w], src)
-				}
-				if flags[cell]&flagWrite == 0 {
-					if track {
-						a.markDirty(cell)
+					if fr.checked {
+						det[g] |= any & full[g]
 					}
-					copy(a.lanes[base:base+ww], data)
-				} else {
-					a.storeHooked(cell, data, clock)
 				}
+				if fr.checked && allDetected(det, full) {
+					break
+				}
+				step := p.rowPool[fr.step : fr.step+fr.bits]
+				tap := p.rowPool[fr.tap : fr.tap+fr.bits]
+				nb := int(fr.bits)
+				av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
+				scr := a.obsScr[:nb*W]
+				for r := 0; r < nb; r++ {
+					for g := 0; g < W; g++ {
+						var nv uint64
+						for m := step[r]; m != 0; m &= m - 1 {
+							nv ^= av[bits.TrailingZeros32(m)*W+g]
+						}
+						for m := tap[r]; m != 0; m &= m - 1 {
+							nv ^= diff[g*w+bits.TrailingZeros32(m)]
+						}
+						scr[r*W+g] = nv
+					}
+				}
+				copy(av, scr)
 				continue
 			}
-			// opFold: acc ← step·acc ⊕ tap·diff, per lane group.
-			fr := &p.folds[foldPos]
-			foldPos++
-			diff := a.diff[:ww]
 			for g := 0; g < W; g++ {
 				gb := g * w
-				var any uint64
+				var diff uint64
 				for b := 0; b < w; b++ {
-					diff[gb+b] = val[gb+b] ^ clean[b]
-					any |= diff[gb+b]
+					diff |= val[gb+b] ^ clean[b]
 				}
-				if fr.checked {
-					det[g] |= any & full[g]
-				}
+				det[g] |= diff & full[g]
 			}
-			if fr.checked && allDetected(det, full) {
-				break
+			if allDetected(det, full) {
+				break // every machine has detected
 			}
-			step := p.rowPool[fr.step : fr.step+fr.bits]
-			tap := p.rowPool[fr.tap : fr.tap+fr.bits]
-			nb := int(fr.bits)
-			av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
-			scr := a.obsScr[:nb*W]
-			for r := 0; r < nb; r++ {
-				for g := 0; g < W; g++ {
-					var nv uint64
-					for m := step[r]; m != 0; m &= m - 1 {
-						nv ^= av[bits.TrailingZeros32(m)*W+g]
-					}
-					for m := tap[r]; m != 0; m &= m - 1 {
-						nv ^= diff[g*w+bits.TrailingZeros32(m)]
-					}
-					scr[r*W+g] = nv
-				}
+			if op == opCheck {
+				continue
 			}
-			copy(av, scr)
-			continue
+			// Fused write half: t0 holds the literal data's offset.
+			src = in.t0
+			clock++
 		}
-		data := a.data[:ww]
-		src := p.lanePool[in.lane : int(in.lane)+w]
+		lit := p.lanePool[src : int(src)+w]
 		for g := 0; g < W; g++ {
-			copy(data[g*w:(g+1)*w], src)
+			copy(data[g*w:(g+1)*w], lit)
 		}
 		if op == opAffine {
 			for _, t := range p.terms[in.t0 : in.t0+in.tn] {
@@ -805,7 +582,7 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 				if s < 0 {
 					s += slots
 				}
-				hb := a.hist[s*ww:]
+				hb := hist[s*ww:]
 				for g := 0; g < W; g++ {
 					gb := g * w
 					for rm := t.mask; rm != 0; rm &= rm - 1 {
@@ -814,13 +591,13 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 				}
 			}
 		}
-		if flags[cell]&flagWrite == 0 {
+		if flags[cell]&flagWrite != 0 {
+			a.storeHooked(cell, data, clock)
+		} else {
 			if track {
 				a.markDirty(cell)
 			}
-			copy(a.lanes[base:base+ww], data)
-		} else {
-			a.storeHooked(cell, data, clock)
+			copy(lanes[base:base+ww], data)
 		}
 	}
 	a.clock = clock

@@ -17,7 +17,7 @@ import (
 //
 // This is the per-batch interpreter: it decodes Trace.Ops as recorded
 // and rebuilds the machine array per call.  The compiled pipeline
-// (Compile + Arena + Program.Replay) is the allocation-free fast path;
+// (Compile + Arena + Program.ReplayInto) is the allocation-free fast path;
 // the kernels are property-tested batch-for-batch against this
 // function, which stays as the readable reference.
 func ReplayBatch(tr *Trace, faults []fault.Fault) (uint64, error) {

@@ -82,7 +82,7 @@ func TestWideKernelMatchesWidth1(t *testing.T) {
 						if shi > hi {
 							shi = hi
 						}
-						want, err := p1.Replay(a1, tc.faults[slo:shi])
+						want, err := replay64(p1, a1, tc.faults[slo:shi])
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -219,9 +219,9 @@ func TestCompileRejectsUnsupportedLaneWidths(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsWideProgram: the single-mask compat entry point only
-// fits one lane word; a wide program must refuse it rather than return
-// a truncated mask.
+// TestReplayRejectsWideProgram: a single-mask replay only fits one lane
+// word; a wide program must refuse it, or any detection buffer of the
+// wrong word count, rather than return a truncated mask.
 func TestReplayRejectsWideProgram(t *testing.T) {
 	tr := recordMarch(t, march.MATSPlus(), 8)
 	p, err := Compile(tr, 4)
@@ -230,8 +230,8 @@ func TestReplayRejectsWideProgram(t *testing.T) {
 	}
 	a := NewArena(p)
 	faults := fault.SingleCellUniverse(8, 1)
-	if _, err := p.Replay(a, faults); err == nil {
-		t.Fatal("Replay accepted a 4-word program")
+	if _, err := replay64(p, a, faults); err == nil {
+		t.Fatal("a single-mask replay accepted a 4-word program")
 	}
 	det := make([]uint64, 3)
 	if err := p.ReplayInto(a, faults, det); err == nil {
