@@ -281,7 +281,8 @@ func BenchmarkSignatureVsVerify(b *testing.B) {
 // The oracle re-runs the full algorithm per fault; bitpar replays the
 // recorded trace per 64-fault batch, rebuilding the machine array each
 // time; compiled lowers the trace once and replays it allocation-free
-// over per-worker arenas with width-1 kernels and fault collapsing.
+// over per-worker arenas with width-1 kernels and fault collapsing,
+// 512 machines per pass at both sizes (the engine's width rule).
 // The 1K size keeps the oracle comparable; the 64K size is the
 // production regime (the oracle would take hours there) with coupling
 // pairs sampled to bound the universe.  The custom metric is faults
@@ -309,25 +310,6 @@ func BenchmarkCampaign(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res := coverage.CampaignEngine(r, u, mk, 0, engine)
 					sink = uint64(res.Detected)
-				}
-				b.ReportMetric(float64(u.Len())*float64(b.N)/b.Elapsed().Seconds(), "faults/s")
-			})
-		}
-		// Wide-lane variants of the compiled engine: the same campaign
-		// replayed 256 and 512 machines per batch.  The fault set, the
-		// program and the verdicts are identical (property-tested) — only
-		// the arena geometry changes, so the faults/s delta against
-		// n=.../compiled is pure batch-width amortization.
-		for _, machines := range []int{256, 512} {
-			lanes := machines / 64
-			b.Run(fmt.Sprintf("n=%d/compiled/lanes=%d", n, machines), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := coverage.Plan{
-						Runners: []coverage.Runner{r}, Universe: u, Memory: mk,
-						Engine: coverage.EngineCompiled, LaneWords: lanes,
-					}
-					sink = uint64(p.Run().Results[0].Detected)
 				}
 				b.ReportMetric(float64(u.Len())*float64(b.N)/b.Elapsed().Seconds(), "faults/s")
 			})
@@ -442,15 +424,15 @@ func BenchmarkStreamingCampaign(b *testing.B) {
 
 // BenchmarkCampaignParallel gates parallel scaling on the streaming
 // compiled path: the exhaustive coupling universe of
-// BenchmarkStreamingCampaign swept across worker counts at the wide
-// 256-machine batch width.  Two metrics per sub-bench: faults/s (the
-// scaling curve — workers=4 should hold ≥0.6× linear over workers=1 on
-// a ≥4-core machine) and sinkwait/worker, the mean fraction of a
-// worker's wall time spent blocked acquiring the lock of the session's
-// completion-frontier fold.  The 16- and 32-worker rows oversubscribe
-// any small machine on purpose: they show how far the one lock is from
-// becoming the bottleneck, and the CI per-benchmark regression gate
-// holds their faults/s.
+// BenchmarkStreamingCampaign swept across worker counts (a 256-cell
+// memory, so 64 machines per pass).  Two metrics per sub-bench:
+// faults/s (the scaling curve — workers=4 should hold ≥0.6× linear
+// over workers=1 on a ≥4-core machine) and sinkwait/worker, the mean
+// fraction of a worker's wall time spent blocked acquiring the lock of
+// the session's completion-frontier fold.  The 16- and 32-worker rows
+// oversubscribe any small machine on purpose: they show how far the
+// one lock is from becoming the bottleneck, and the CI per-benchmark
+// regression gate holds their faults/s.
 func BenchmarkCampaignParallel(b *testing.B) {
 	const n = 256
 	src := fault.FullCouplingSource(n)
@@ -463,7 +445,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 		workerSet = append(workerSet, g)
 	}
 	for _, workers := range workerSet {
-		b.Run(fmt.Sprintf("n=%d/lanes=256/workers=%d", n, workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
 			// Every stage returns its per-worker sink-wait split, so no
 			// registry is needed to report it.
 			b.ReportAllocs()
@@ -473,8 +455,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 				p := coverage.Plan{
 					Runners: []coverage.Runner{r}, Stream: st,
 					Memory: mk, Workers: workers,
-					Engine: coverage.EngineCompiled, LaneWords: 4,
-					Cache: coverage.SharedProgramCache(),
+					Engine: coverage.EngineCompiled, Cache: coverage.SharedProgramCache(),
 				}
 				res := p.Run().Results[0]
 				sink = uint64(res.Detected)

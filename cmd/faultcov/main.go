@@ -106,8 +106,9 @@
 //
 // Every other campaign setting reaches the experiments as one value,
 // repro.Config: a template coverage.Plan (engine, dropping, chunk,
-// lanes, partition, checkpoint) plus the -session report, installed
-// with repro.Configure together with the signal-cancelled context.
+// partition, checkpoint) plus the -session report, installed with
+// repro.Configure together with the signal-cancelled context.  The
+// lane width is no setting: -progress names the one each stage picked.
 //
 // Exit status: 0 on success; 1 when a setting reached no campaign
 // session (-resume matched none, or -partition/-checkpoint with no
@@ -213,7 +214,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	session := fs.Bool("session", false, "print one summary line per comparison session (two or more runners) with survivors after each stage")
 	seed := fs.Int64("seed", 0, "seed for the sampled coupling-pair draws (0 = per-experiment defaults), printed in the run header")
 	chunk := fs.Int("chunk", 0, "upper bound on the faults per chunk of every campaign; each stage sizes its chunks from its universe (0 = the engine default)")
-	lanes := fs.Int("lanes", 64, "machines simulated per compiled replay batch: 64, 256 or 512 (wide lanes trade arena size for per-pass throughput)")
 	progress := fs.Bool("progress", false, "stream live campaign progress (faults/s, ETA, survivors) and per-stage engine reports to stderr")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :6060) for the duration of the run")
 	checkpointPath := fs.String("checkpoint", "", "write streaming-campaign checkpoints atomically to this file (enables durable campaigns)")
@@ -268,10 +268,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *merge && *resume {
 		return fail("-resume is meaningless with -merge (with -merge, -checkpoint names the output file)")
 	}
-	laneWords, err := sim.LaneWordsForMachines(*lanes)
-	if err != nil {
-		return fail("-lanes: %v", err)
-	}
 	eng, err := coverage.ParseEngine(*engine)
 	if err != nil {
 		return fail("%v", err)
@@ -294,7 +290,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Every faultcov setting but the worker count and the seed reaches
 	// the experiments' sessions through this one value.
 	cfg := repro.Config{Plan: coverage.Plan{
-		Engine: eng, Drop: *drop, Chunk: *chunk, LaneWords: laneWords,
+		Engine: eng, Drop: *drop, Chunk: *chunk,
 		PartitionIndex: partIdx, PartitionCount: partCnt,
 	}}
 	if *checkpointPath != "" {
@@ -393,8 +389,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if partCnt > 0 {
 			partLabel = fmt.Sprintf(" partition=%d/%d", partIdx, partCnt)
 		}
-		fmt.Fprintf(stdout, "# engine=%s workers=%d lanes=%d drop=%v seed=%s chunk=%d%s\n\n",
-			eng, effWorkers, *lanes, *drop, seedLabel, effChunk, partLabel)
+		fmt.Fprintf(stdout, "# engine=%s workers=%d drop=%v seed=%s chunk=%d%s\n\n",
+			eng, effWorkers, *drop, seedLabel, effChunk, partLabel)
 	}
 
 	selected := order
@@ -429,13 +425,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // stageLine renders one executed stage as -progress reports it: the
-// engine that ran, elapsed time, throughput, collapse ratio, and each
+// engine that ran (with the lane width a compiled stage picked from its
+// memory size), elapsed time, throughput, collapse ratio, and each
 // worker's share of the stage's wall time spent blocked on the lock of
 // the session's completion-frontier fold.
 func stageLine(universe string, st coverage.StageStat) string {
 	es := st.Stats
+	engine := es.Engine.String()
+	if es.LaneWords > 0 {
+		engine += fmt.Sprintf(", %d lanes", es.LaneWords*sim.BatchSize)
+	}
 	line := fmt.Sprintf("# stage %s/%s [%s]: %d faults in %s, %s faults/s",
-		universe, st.Runner, es.Engine, st.Entered,
+		universe, st.Runner, engine, st.Entered,
 		coverage.FormatDuration(es.Elapsed), coverage.FormatRate(es.FaultsPerSec))
 	if es.CollapseRatio > 0 && es.CollapseRatio < 1 {
 		line += fmt.Sprintf(", collapse %.2f", es.CollapseRatio)

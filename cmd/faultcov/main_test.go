@@ -42,8 +42,11 @@ func TestRunExitCodes(t *testing.T) {
 		{"negative workers", []string{"-workers", "-1", "-exp", "fig1a"}, 2, "-workers"},
 		{"checkpoint-every without checkpoint", []string{"-checkpoint-every", "10", "-exp", "fig1a"}, 2, "-checkpoint-every requires -checkpoint"},
 		{"resume without checkpoint", []string{"-resume", "-exp", "fig1a"}, 2, "-resume requires -checkpoint"},
-		{"lanes 128", []string{"-lanes", "128", "-exp", "fig1a"}, 2, "-lanes"},
-		{"lanes 0", []string{"-lanes", "0", "-exp", "fig1a"}, 2, "-lanes"},
+		// -lanes is gone: each compiled stage picks its lane width from
+		// the memory size, so every value is refused, 512 included.
+		{"lanes 128", []string{"-lanes", "128", "-exp", "fig1a"}, 2, "flag provided but not defined: -lanes"},
+		{"lanes 0", []string{"-lanes", "0", "-exp", "fig1a"}, 2, "flag provided but not defined: -lanes"},
+		{"lanes 512", []string{"-lanes", "512", "-exp", "fig1a"}, 2, "flag provided but not defined: -lanes"},
 		{"partition 0/3", []string{"-exp", "e17", "-partition", "0/3", "-checkpoint", "OUT"}, 2, "-partition wants i/N"},
 		{"partition 4/3", []string{"-exp", "e17", "-partition", "4/3", "-checkpoint", "OUT"}, 2, "-partition wants i/N"},
 		{"partition 1/1", []string{"-exp", "e17", "-partition", "1/1", "-checkpoint", "OUT"}, 2, "-partition wants i/N"},
@@ -124,7 +127,7 @@ func TestRunTextHeader(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exited %d; stderr:\n%s", code, stderr)
 	}
-	const header = "# engine=compiled workers=2 lanes=64 drop=false seed=default chunk=8192\n\n## Fig.1a"
+	const header = "# engine=compiled workers=2 drop=false seed=default chunk=8192\n\n## Fig.1a"
 	if !strings.HasPrefix(stdout, header) {
 		t.Errorf("output does not open with %q:\n%s", header, stdout)
 	}
@@ -143,10 +146,10 @@ func reportLines(out, prefix string) []string {
 
 // TestRunReportLines: -progress prints one `# stage` line per stage a
 // session ran, on stderr and in execution order, naming the universe,
-// the runner and the engine; a stage cut short by an interrupt prints
-// none.  -session prints one `# session` line per session of two or
-// more runners: E6 is one ten-runner session, and every E14 session
-// has one runner.
+// the runner, the engine and its lane width; a stage cut short by an
+// interrupt prints none.  -session prints one `# session` line per
+// session of two or more runners: E6 is one ten-runner session, and
+// every E14 session has one runner.
 func TestRunReportLines(t *testing.T) {
 	ctx := context.Background()
 	code, stdout, stderr := runFaultcov(ctx, "-exp", "e14", "-progress", "-workers", "2")
@@ -157,12 +160,12 @@ func TestRunReportLines(t *testing.T) {
 		t.Errorf("stage lines on stdout: %q", got)
 	}
 	want := []string{
-		"# stage single/PRT-1/plain [compiled]: 1024 faults in ",
-		"# stage single/PRT-1/ring [compiled]: 1024 faults in ",
-		"# stage single/PRT-1/plain [compiled]: 4080 faults in ",
-		"# stage single/PRT-1/ring [compiled]: 4080 faults in ",
-		"# stage single/PRT-1/plain [compiled]: 4112 faults in ",
-		"# stage single/PRT-1/ring [compiled]: 4112 faults in ",
+		"# stage single/PRT-1/plain [compiled, 64 lanes]: 1024 faults in ",
+		"# stage single/PRT-1/ring [compiled, 64 lanes]: 1024 faults in ",
+		"# stage single/PRT-1/plain [compiled, 64 lanes]: 4080 faults in ",
+		"# stage single/PRT-1/ring [compiled, 64 lanes]: 4080 faults in ",
+		"# stage single/PRT-1/plain [compiled, 64 lanes]: 4112 faults in ",
+		"# stage single/PRT-1/ring [compiled, 64 lanes]: 4112 faults in ",
 	}
 	got := reportLines(stderr, "# stage")
 	if len(got) != len(want) {

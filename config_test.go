@@ -83,13 +83,15 @@ func TestConfigZeroValueReproducesDefaults(t *testing.T) {
 	}
 }
 
-// TestConfigTemplateReachesSessions: the template's engine and lane
-// width reach every session, and its Drop the comparison sessions
-// only; single-runner sessions and E16's session keep dropping off.
+// TestConfigTemplateReachesSessions: the template's engine reaches
+// every session, and its Drop the comparison sessions only;
+// single-runner sessions and E16's session keep dropping off.  The
+// lane width is no setting: every session here, on an 8-cell memory,
+// runs at the small-memory width.
 func TestConfigTemplateReachesSessions(t *testing.T) {
 	var drops []bool
 	configure(t, Config{
-		Plan:      coverage.Plan{LaneWords: 8, Drop: true},
+		Plan:      coverage.Plan{Drop: true},
 		OnSession: func(p *coverage.Plan, _ *coverage.Session) { drops = append(drops, p.Drop) },
 	})
 	u := StandardFaultUniverse(8, 1, 2, 1)
@@ -101,8 +103,8 @@ func TestConfigTemplateReachesSessions(t *testing.T) {
 	}
 	s, smk := cfStream()
 	for _, res := range append(rows, campaign(r, u, mk), campaignStream(r, s, smk)) {
-		if res.Stats.LaneWords != 8 {
-			t.Errorf("%s ran at %d lane words, want the template's 8", res.Runner, res.Stats.LaneWords)
+		if res.Stats.LaneWords != coverage.DefaultLaneWords() {
+			t.Errorf("%s ran at %d lane words, want %d", res.Runner, res.Stats.LaneWords, coverage.DefaultLaneWords())
 		}
 	}
 	ExperimentMISRAliasing([]int{16}, []int{1})

@@ -48,11 +48,11 @@ func SampleSeed(def int64) int64 {
 // Config is the campaign configuration of the experiment harness:
 // faultcov's flags as one value, installed with Configure.  The zero
 // Config is what the experiments run under unconfigured: the compiled
-// engine, no dropping, sim.DefaultChunk, 64 lanes, and no partition,
-// checkpoint or session report.
+// engine, no dropping, sim.DefaultChunk, and no partition, checkpoint
+// or session report.
 type Config struct {
-	// Plan is the template of every experiment session.  Engine, Chunk
-	// and LaneWords reach every session, Drop the comparison sessions
+	// Plan is the template of every experiment session.  Engine and
+	// Chunk reach every session, Drop the comparison sessions
 	// (E16 pins it off), and PartitionIndex, PartitionCount and
 	// Checkpoint the streaming sessions only.  Checkpoint.Resume is an
 	// offer: the first streaming session it validates against resumes
@@ -105,13 +105,13 @@ func ResumePending() bool { return current().offer.Load() != nil }
 // Configure: the only sessions a partition or checkpoint reaches.
 func StreamedSessions() int { return int(current().streamed.Load()) }
 
-// run executes p under the configuration: the template's Engine, Chunk
-// and LaneWords and, on a streaming session, its partition and
+// run executes p under the configuration: the template's Engine and
+// Chunk and, on a streaming session, its partition and
 // checkpoint, with the resume offer attached if it validates against
 // p.  Every session is reported to OnSession.
 func (c *configuration) run(p coverage.Plan) *coverage.Session {
 	tpl := &c.Plan
-	p.Engine, p.Chunk, p.LaneWords = tpl.Engine, tpl.Chunk, tpl.LaneWords
+	p.Engine, p.Chunk = tpl.Engine, tpl.Chunk
 	if p.Stream != nil {
 		c.streamed.Add(1)
 		p.PartitionIndex, p.PartitionCount = tpl.PartitionIndex, tpl.PartitionCount

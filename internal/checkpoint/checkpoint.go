@@ -375,11 +375,15 @@ func Decode(b []byte) (*State, error) {
 // universe size it records; a class tally naming no fault.Class, or
 // detecting more faults than it holds (or fewer than none); a stage
 // record whose counts are not its class tallies' sums; a detection
-// bitmap whose set bits are not the universe tally's detections; or an
-// in-flight stage that presented more faults than its range below the
-// high-water mark holds.  The checksum cannot
-// catch these (a file written that way checksums fine), and resuming
-// one would index out of range or report impossible results.
+// bitmap whose set bits are not the universe tally's detections, or,
+// in a partition state, that sets a bit outside its partition range;
+// or an in-flight stage that presented more faults than its range
+// below the high-water mark holds.  The checksum cannot catch these (a
+// file written that way checksums fine), and resuming one would index
+// out of range or report impossible results.  Merge relies on the
+// partition-range check: it ORs bitmaps as it sums their tallies, so
+// two partitions setting one bit would merge into a state whose
+// bitmap disagrees with its tally.
 func (s *State) check() error {
 	lo, hi, partitioned := s.PartitionRange()
 	switch {
@@ -421,11 +425,14 @@ func (s *State) check() error {
 		}
 	}
 	// A session sets one bit per universe detection, under the lock it
-	// tallies them under, and Merge ORs bitmaps of disjoint ranges as
-	// it sums their tallies.
+	// tallies them under, and a partition's only inside its range.
 	var set int64
-	for _, w := range s.Bits {
+	for i, w := range s.Bits {
 		set += int64(bits.OnesCount64(w))
+		base := int64(i) << 6
+		if partitioned && w != 0 && (base+int64(bits.TrailingZeros64(w)) < lo || base+63-int64(bits.LeadingZeros64(w)) >= hi) {
+			return fmt.Errorf("%w: the detection bitmap sets a bit outside partition [%d, %d)", ErrCorrupt, lo, hi)
+		}
 	}
 	left := set
 	for _, t := range s.Universe {

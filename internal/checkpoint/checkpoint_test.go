@@ -105,7 +105,23 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // with it.  Each case is a well-formed sample with one field
 // rewritten; the in-range controls must still decode.
 func TestDecodeRejectsContradictoryStates(t *testing.T) {
-	partitioned := func(s *State) { s.PartitionLo, s.PartitionHi = 1000, 5000 }
+	// partitioned makes the sample partition [1000, 5000) of its
+	// universe, every index of it detected.
+	partitioned := func(s *State) {
+		s.PartitionLo, s.PartitionHi = 1000, 5000
+		s.Bits = make([]uint64, 79)
+		for i := 1000; i < 5000; i++ {
+			s.Bits[i/64] |= 1 << (i % 64)
+		}
+		s.Universe[1].Detected = 400
+	}
+	// outside sets universe bit i of a partitioned sample and tallies it.
+	outside := func(s *State, i int) {
+		partitioned(s)
+		s.Bits = append(s.Bits, 0)
+		s.Bits[i/64] |= 1 << (i % 64)
+		s.Universe[1].Detected++
+	}
 	presented := func(s *State, n int64) { s.Cur.ByClass[0].Total, s.Cur.Entered = n, n }
 	for _, tc := range []struct {
 		name    string
@@ -138,6 +154,10 @@ func TestDecodeRejectsContradictoryStates(t *testing.T) {
 		{"bitmap bit short of the tally", func(s *State) { s.Bits[0] &^= 1 }, true},
 		{"tally detection past the bitmap", func(s *State) { s.Universe[1].Detected++ }, true},
 		{"bitmap and tally one past together", func(s *State) { s.Bits[114] |= 0x10; s.Universe[1].Detected++ }, false},
+		{"partition bit below its range", func(s *State) { outside(s, 999) }, true},
+		{"partition bit at its end", func(s *State) { outside(s, 5000) }, true},
+		{"partition bit far past its range", func(s *State) { outside(s, 5100) }, true},
+		{"partition bits filling its range", partitioned, false},
 		{"in-flight total past the high water", func(s *State) { presented(s, 4097) }, true},
 		{"in-flight total of 2^40", func(s *State) { presented(s, 1<<40) }, true},
 		{"in-flight total at the high water", func(s *State) { presented(s, 4096) }, false},
@@ -155,6 +175,44 @@ func TestDecodeRejectsContradictoryStates(t *testing.T) {
 		case !tc.corrupt && !reflect.DeepEqual(got, s):
 			t.Errorf("%s: round trip mutated the state", tc.name)
 		}
+	}
+}
+
+// TestMergedPartitionsDecode: partitions [0, 64) and [64, 128) each
+// record one detection, both at universe index 70.  Merge would OR the
+// two bits into one while summing the tallies to two, a state Decode
+// refuses, so Decode must already refuse [0, 64), whose bit lies
+// outside its range; with that detection moved inside, the two merge
+// into a state that decodes.
+func TestMergedPartitionsDecode(t *testing.T) {
+	part := func(lo int64, bit int) *State {
+		one := []ClassTally{{Class: 0, Total: 64, Detected: 1}}
+		s := &State{
+			SpecHash: Hash("universe", "MATS+"), PartitionLo: lo, PartitionHi: lo + 64,
+			UniverseN: 64, StageNames: []string{"MATS+"},
+			Done:     []StageRecord{{Runner: "MATS+", Entered: 64, Detected: 1, Survivors: 63, ByClass: one}},
+			Complete: true, Universe: one, Bits: make([]uint64, 2),
+		}
+		s.Bits[bit/64] |= 1 << (bit % 64)
+		return s
+	}
+	if _, err := Decode(part(0, 70).Encode()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("partition [0, 64) with a detection at 70: got %v, want ErrCorrupt", err)
+	}
+	var states []*State
+	for _, s := range []*State{part(0, 6), part(64, 70)} {
+		d, err := Decode(s.Encode())
+		if err != nil {
+			t.Fatalf("partition [%d, %d) refused: %v", s.PartitionLo, s.PartitionHi, err)
+		}
+		states = append(states, d)
+	}
+	m, err := Merge(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(m.Encode()); err != nil {
+		t.Fatalf("the merged state does not decode: %v", err)
 	}
 }
 

@@ -100,8 +100,12 @@ func (f *fuzzFields) state(spec uint64, names []string, lo int64, complete bool)
 	} else {
 		lo = 0
 	}
-	// The detection bitmap sets det bits, from a fuzzed offset.
+	// The detection bitmap sets det bits, from a fuzzed offset (inside
+	// a partition state's range).
 	off := int64(f.upto(64))
+	if s.PartitionHi >= 0 {
+		off = lo + min(off, s.UniverseN-det)
+	}
 	s.Bits = make([]uint64, (off+det+63)/64)
 	for i := off; i < off+det; i++ {
 		s.Bits[i/64] |= 1 << (i % 64)
@@ -127,6 +131,8 @@ func (f *fuzzFields) state(spec uint64, names []string, lo int64, complete bool)
 		s.PartitionLo = int64(f.u64())
 	case 5:
 		s.Universe = append(s.Universe, ClassTally{Class: int32(f.u64()), Total: int64(f.u64()), Detected: int64(f.u64())})
+	case 6: // every detection moved up by whole words
+		s.Bits = append(make([]uint64, 1+f.upto(4)), s.Bits...)
 	}
 	return s
 }
@@ -185,9 +191,10 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzMerge: Merge over one to four decoded states never panics and
-// refuses only with one of its sentinel errors.  The states share a
-// campaign and tile a universe unless fuzzed choices make them differ.
+// FuzzMerge: Merge over one to four decoded states never panics,
+// refuses only with one of its sentinel errors, and returns a state
+// Decode accepts.  The states share a campaign and tile a universe
+// unless fuzzed choices make them differ.
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{1}, 96))
@@ -238,6 +245,8 @@ func FuzzMerge(f *testing.F) {
 		if !m.Complete || m.PartitionHi != -1 || len(m.Done) != len(states[0].Done) {
 			t.Fatalf("merged state is not one complete full-universe session: %+v", m)
 		}
-		m.Encode()
+		if _, err := Decode(m.Encode()); err != nil {
+			t.Fatalf("Decode refuses the merged state: %v", err)
+		}
 	})
 }

@@ -105,9 +105,9 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultLaneWords returns the lane width, in 64-machine words, a plan
-// that leaves LaneWords unset compiles at: 1, the classic 64-machine
-// configuration.
+// DefaultLaneWords returns the lane width, in 64-machine words, of
+// compiled stages on memories under 512 cells: 1, the classic
+// 64-machine configuration (larger ones run at sim.MaxLaneWords).
 func DefaultLaneWords() int { return 1 }
 
 // MemoryFactory builds a fresh fault-free memory for each trial.
@@ -173,9 +173,9 @@ type EngineStats struct {
 	// engine only).
 	ProgramOps int
 	TrimmedOps int
-	// LaneWords is the lane width the stage's program was compiled at
-	// (64-machine words per lane; compiled engine only) and FusedOps
-	// how many of its instructions are read-check-write super-ops.
+	// LaneWords is the lane width the stage picked from its memory size
+	// (64-machine words; compiled engine only) and FusedOps how many of
+	// its program's instructions are read-check-write super-ops.
 	LaneWords int
 	FusedOps  int
 	// Elapsed is the wall time of the detection phase (the clean-run

@@ -126,9 +126,10 @@ func (p *Plan) specHash() uint64 {
 // campaign (including its partition range [partLo, partHi); -1 for
 // unpartitioned) and can be applied.  end is the session's last index
 // plus one (partHi, or the universe size): an in-flight stage cannot
-// resume past it, no detection can lie outside [partLo, end), and the
-// bitmap, which the session writes with words up to end, has none
-// past it.
+// resume past it, no detection can lie at or past it, and the bitmap,
+// which the session writes with words up to end, has none past it.
+// (Decode already refuses a partition state with a detection outside
+// its range; only a full-universe state's end is unknown to it.)
 func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int64, names []string, partLo, partHi, end int) error {
 	if !rs.Matches(spec, size, width, seed) {
 		return fmt.Errorf("coverage: checkpoint %q was written by a different campaign "+
@@ -164,17 +165,14 @@ func validateResume(rs *checkpoint.State, spec uint64, size, width int, seed int
 	if !rs.Complete && rs.HighWater > int64(end) {
 		return fmt.Errorf("coverage: checkpoint %q resumes at universe index %d, past the source's end at %d", rs.Label, rs.HighWater, end)
 	}
-	for w, x := range rs.Bits {
-		if x == 0 {
-			continue
-		}
-		u := w<<6 + bits.TrailingZeros64(x)
-		if u >= partLo {
-			u = w<<6 + 63 - bits.LeadingZeros64(x)
-		}
-		if u < partLo || u >= end {
-			return fmt.Errorf("coverage: checkpoint %q records a detection at universe index %d, outside this session's range [%d, %d)",
-				rs.Label, u, partLo, end)
+	// The highest detection is the last non-zero word's top bit.
+	for w := len(rs.Bits) - 1; w >= 0; w-- {
+		if x := rs.Bits[w]; x != 0 {
+			if u := w<<6 + 63 - bits.LeadingZeros64(x); u >= end {
+				return fmt.Errorf("coverage: checkpoint %q records a detection at universe index %d, outside this session's range [%d, %d)",
+					rs.Label, u, partLo, end)
+			}
+			break
 		}
 	}
 	if words := (end + 63) / 64; len(rs.Bits) > words {

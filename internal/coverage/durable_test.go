@@ -402,11 +402,13 @@ func TestResumeRefusesOutOfRangeStates(t *testing.T) {
 
 // A checkpoint recording a detection outside the session's range —
 // below its partition, or at or past the end of its partition or
-// universe — is refused by ValidateResume, and an explicit Resume of
-// one panics: resuming it would count a fault the session never
-// presents.  Each case moves one detection of a finished run's
+// universe — is refused: resuming it would count a fault the session
+// never presents.  Each case moves one detection of a finished run's
 // checkpoint, rewritten as in flight, to the tested index, so the
-// bitmap still agrees with the tallies and Decode accepts the state.
+// bitmap still agrees with the tallies.  A partition state's own range
+// bounds its detections, so Decode refuses those; a full-universe
+// state's end is the session's to know, so Decode accepts it,
+// ValidateResume refuses it and an explicit Resume of it panics.
 func TestResumeRefusesDetectionsOutsideRange(t *testing.T) {
 	t.Parallel()
 	fam := streamFamilies()[0]
@@ -462,6 +464,12 @@ func TestResumeRefusesDetectionsOutsideRange(t *testing.T) {
 		words[u>>6] |= 1 << (uint(u) & 63)
 		st.Bits = words
 		rs, err := checkpoint.Decode(st.Encode())
+		if tc.part > 0 {
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Errorf("%s: Decode = %v, want ErrCorrupt", tc.name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: Decode refused the edited state: %v", tc.name, err)
 		}

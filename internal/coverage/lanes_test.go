@@ -11,15 +11,15 @@ import (
 	"repro/internal/fault"
 	"repro/internal/march"
 	"repro/internal/prt"
+	"repro/internal/ram"
 	"repro/internal/sim"
 )
 
-// The lane-width property (this PR's acceptance criterion): the lane
-// width is pure throughput plumbing — a session at 4 or 8 lane words
-// produces Results, verdict vectors and cumulative tallies
-// byte-identical to the single-word session, for every universe
-// family, on all three engines (the non-compiled engines must simply
-// ignore the knob), with dropping on and off.
+// The lane-width property: the lane width is pure throughput plumbing
+// — a session forced to 8 lane words produces Results, verdict vectors
+// and cumulative tallies byte-identical to the single-word session,
+// for every universe family, on all three engines (the non-compiled
+// engines must simply ignore it), with dropping on and off.
 
 func TestLaneWidthEquivalence(t *testing.T) {
 	t.Parallel()
@@ -32,7 +32,7 @@ func TestLaneWidthEquivalence(t *testing.T) {
 	engines := []Engine{EngineOracle, EngineBitParallel, EngineCompiled}
 	universes := womUniverses(16, 4)
 	if testing.Short() {
-		engines = engines[2:] // only the compiled engine reads the knob
+		engines = engines[2:] // only the compiled engine has a lane width
 		universes = universes[:2]
 	}
 	for _, engine := range engines {
@@ -42,23 +42,21 @@ func TestLaneWidthEquivalence(t *testing.T) {
 					p := Plan{
 						Runners: runners, Universe: u, Memory: womFactory(16, 4),
 						Workers: 4, Engine: engine, Drop: drop, KeepVectors: true,
-						LaneWords: lanes,
+						lanes: lanes,
 					}
 					return p.Run()
 				}
 				want := run(1)
-				for _, lanes := range []int{4, 8} {
-					label := fmt.Sprintf("%s [%s drop=%v lanes=%d]", u.Name, engine, drop, lanes)
-					got := run(lanes)
-					assertSessionsEqual(t, label, want, got)
-					if engine == EngineCompiled {
-						st := got.Stages[0].Stats
-						if st.LaneWords != lanes {
-							t.Errorf("%s: Stats.LaneWords = %d, want %d", label, st.LaneWords, lanes)
-						}
-						if st.FusedOps == 0 {
-							t.Errorf("%s: march stage compiled with no fused super-ops", label)
-						}
+				label := fmt.Sprintf("%s [%s drop=%v]", u.Name, engine, drop)
+				got := run(sim.MaxLaneWords)
+				assertSessionsEqual(t, label, want, got)
+				if engine == EngineCompiled {
+					st := got.Stages[0].Stats
+					if st.LaneWords != sim.MaxLaneWords {
+						t.Errorf("%s: Stats.LaneWords = %d, want %d", label, st.LaneWords, sim.MaxLaneWords)
+					}
+					if st.FusedOps == 0 {
+						t.Errorf("%s: march stage compiled with no fused super-ops", label)
 					}
 				}
 			}
@@ -73,7 +71,7 @@ func TestLaneWidthEquivalence(t *testing.T) {
 func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
 	t.Parallel()
 	// intra-word: fully replayable, and large enough (1152 faults) that
-	// a stage spans several 256- or 512-fault chunks.
+	// a stage spans several 512-fault chunks.
 	fam := streamFamilies()[6]
 	count, _ := fam.src.Count()
 	chunk := count/16 + 1
@@ -83,7 +81,7 @@ func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
 			Runners: fam.runners,
 			Stream:  &fault.Stream{Name: fam.name, Source: src},
 			Chunk:   chunk, Memory: fam.mk, Workers: 4,
-			Engine: EngineCompiled, Drop: true, LaneWords: lanes,
+			Engine: EngineCompiled, Drop: true, lanes: lanes,
 			Checkpoint: &CheckpointConfig{
 				Path: path, Every: chunk, Label: "lanes", Seed: 7, Resume: rs,
 			},
@@ -95,55 +93,49 @@ func TestLaneWidthStreamingResumeEquivalence(t *testing.T) {
 		t.Fatal("reference run reports interrupted")
 	}
 
-	for _, lanes := range []int{4, 8} {
-		label := fmt.Sprintf("lanes=%d", lanes)
-		file := filepath.Join(dir, fmt.Sprintf("wide%d.fckp", lanes))
-		ctx, cancel := context.WithCancel(context.Background())
-		cs := &cancelSource{Source: fam.src, cancel: cancel,
-			cancelAtFill: midStageFill(count, 4, lanes*sim.BatchSize, chunk)}
-		part := mkPlan(cs, lanes, file, nil).RunContext(ctx)
-		cancel()
-		assertWellFormed(t, label, part)
+	const lanes = sim.MaxLaneWords
+	file := filepath.Join(dir, "wide.fckp")
+	ctx, cancel := context.WithCancel(context.Background())
+	cs := &cancelSource{Source: fam.src, cancel: cancel,
+		cancelAtFill: midStageFill(count, 4, lanes*sim.BatchSize, chunk)}
+	part := mkPlan(cs, lanes, file, nil).RunContext(ctx)
+	cancel()
+	assertWellFormed(t, "wide", part)
 
-		rs, err := checkpoint.Load(file)
-		if err != nil {
-			t.Fatalf("%s: loading the interrupt checkpoint: %v", label, err)
-		}
-		got := mkPlan(fam.src, lanes, file, rs).Run()
-		if got.Interrupted {
-			t.Fatalf("%s: resumed run reports interrupted", label)
-		}
-		assertSessionsEqual(t, label, want, got)
+	rs, err := checkpoint.Load(file)
+	if err != nil {
+		t.Fatalf("loading the interrupt checkpoint: %v", err)
 	}
+	got := mkPlan(fam.src, lanes, file, rs).Run()
+	if got.Interrupted {
+		t.Fatal("resumed run reports interrupted")
+	}
+	assertSessionsEqual(t, "wide", want, got)
 }
 
-// TestDefaultLaneWordsKnob: Plan.LaneWords wins when set, and an unset
-// plan compiles at DefaultLaneWords, the fixed single-word width.
-func TestDefaultLaneWordsKnob(t *testing.T) {
+// TestLaneWidthFollowsCellCount: with no width forced, every compiled
+// stage on a memory of 512 cells or more replays 512 machines per pass,
+// and every stage on a smaller memory DefaultLaneWords' 64, whatever
+// the universe size.
+func TestLaneWidthFollowsCellCount(t *testing.T) {
 	t.Parallel()
 	if DefaultLaneWords() != 1 {
 		t.Fatalf("DefaultLaneWords() = %d, want 1", DefaultLaneWords())
 	}
-	p := &Plan{}
-	if p.laneWords() != 1 {
-		t.Fatalf("unset plan resolves %d, want the default 1", p.laneWords())
-	}
-	p.LaneWords = 8
-	if p.laneWords() != 8 {
-		t.Fatalf("explicit plan resolves %d, want 8", p.laneWords())
-	}
-
-	// The resolved width is what cache keys and compilation actually
-	// consume: a session reports it in its stats.
-	u := womUniverses(16, 4)[0]
-	s := (&Plan{
-		Runners:  []Runner{MarchRunner(march.MATSPlus(), march.DataBackgrounds(4))},
-		Universe: u, Memory: womFactory(16, 4), Engine: EngineCompiled,
-	}).Run()
-	if got := s.Stages[0].Stats.LaneWords; got != DefaultLaneWords() {
-		t.Fatalf("unset plan's session compiled at %d words", got)
-	}
-	if !reflect.DeepEqual(s.Cumulative.ByClass, s.Results[0].ByClass) {
-		t.Fatal("single-runner session cumulative disagrees with its only result")
+	runners := []Runner{MarchRunner(march.MATSPlus(), nil), MarchRunner(march.MarchCMinus(), nil)}
+	for cells, want := range map[int]int{wideCells - 1: 1, wideCells: sim.MaxLaneWords} {
+		u := fault.Universe{Name: "saf", Faults: fault.SingleCellUniverse(cells, 1)[:100]}
+		mk := func() ram.Memory { return ram.NewBOM(cells) }
+		s := (&Plan{Runners: runners, Universe: u, Memory: mk}).Run()
+		for _, st := range s.Stages {
+			if st.Stats.Engine != EngineCompiled || st.Stats.LaneWords != want {
+				t.Errorf("%d cells: stage %s ran on %s at %d lane words, want compiled at %d",
+					cells, st.Runner, st.Stats.Engine, st.Stats.LaneWords, want)
+			}
+		}
+		one := (&Plan{Runners: runners[:1], Universe: u, Memory: mk}).Run()
+		if !reflect.DeepEqual(one.Cumulative.ByClass, one.Results[0].ByClass) {
+			t.Errorf("%d cells: single-runner session cumulative disagrees with its only result", cells)
+		}
 	}
 }

@@ -118,11 +118,6 @@ type Plan struct {
 	// Workers caps the campaign goroutines (<= 0 means
 	// DefaultWorkers()).
 	Workers int
-	// LaneWords is the lane width compiled programs use, in 64-machine
-	// words (1, 4 or 8 — i.e. 64, 256 or 512 machines per batch; <= 0
-	// means DefaultLaneWords()).  Only the compiled engine is
-	// affected; the interpreter and oracle always run 64-wide.
-	LaneWords int
 	// Engine selects the execution strategy for every stage (with the
 	// usual per-stage oracle fallback for non-replayable runners).
 	Engine Engine
@@ -155,6 +150,8 @@ type Plan struct {
 	// exact-Count source and is incompatible with KeepVectors;
 	// Universe plans ignore both fields.
 	PartitionIndex, PartitionCount int
+	// lanes, when positive, forces the compiled lane width (tests only).
+	lanes int
 }
 
 // StageStat reports one executed stage, in execution order.
@@ -323,8 +320,8 @@ func (p *Plan) prepareStage(r Runner, index int, batchable bool) *stage {
 		st.falsePositive, st.cleanOps = runClean(r, p.Memory)
 		return st
 	}
-	lanes := p.laneWords()
 	mem := p.Memory()
+	lanes := p.laneWords(mem.Size())
 	var key sim.ProgramKey
 	cached := false
 	if tk, ok := r.(TraceKeyer); ok && p.Cache != nil && p.Engine == EngineCompiled {
@@ -371,11 +368,20 @@ func (p *Plan) prepareStage(r Runner, index int, batchable bool) *stage {
 	return st
 }
 
-// laneWords resolves the plan's effective compiled lane width in
-// 64-machine words.
-func (p *Plan) laneWords() int {
-	if p.LaneWords > 0 {
-		return p.LaneWords
+// wideCells is the memory size from which compiled stages replay 512
+// machines per pass: below it passes are short, and eight lane words
+// per op cost more than the dispatch and resets they amortize.
+const wideCells = 512
+
+// laneWords picks a stage's lane width in 64-machine words from its
+// cell count alone, so a session primed on a prefix of its universe
+// caches the width the whole universe runs at.
+func (p *Plan) laneWords(cells int) int {
+	switch {
+	case p.lanes > 0:
+		return p.lanes
+	case cells >= wideCells:
+		return sim.MaxLaneWords
 	}
 	return DefaultLaneWords()
 }

@@ -37,22 +37,19 @@ type Arena struct {
 	dirtyAt []uint32
 	epoch   uint32
 
-	// Hook tables, per (cell, lane group) — index cell*laneWords+g;
-	// hookedW/hookedR remember which entries the current batch hooked
-	// so reset truncates only those (keeping the slices' capacity for
-	// the next batch).  flags mirrors the tables' non-emptiness as one
-	// byte per cell (any group): the kernels' hot loops test it instead
-	// of loading 24-byte slice headers, keeping the lookup table
-	// cache-resident even at production memory sizes.  Only this file
-	// reads or writes the tables: the kernels reach hooks through
-	// senseHooked and storeHooked.
-	writeHooks [][]fault.WriteHook
-	readHooks  [][]fault.ReadHook
-	everyRead  [][]fault.ReadHook // per lane group
-	everyN     int                // total every-read hooks across groups
-	hookedW    []int32
-	hookedR    []int32
-	flags      []uint8
+	// Hook storage, sized by one batch: each hook is a node of
+	// wnodes/rnodes chained from whead/rhead[cell*laneWords+g] (-1 ends
+	// a chain), and reset unhooks only the batch's nodes.  flags mirrors
+	// the heads as one byte per cell (any group), the kernels' fast
+	// test.  Only this file touches hook storage: the kernels reach
+	// hooks through senseHooked and storeHooked.
+	whead     []int32
+	rhead     []int32
+	wnodes    []hookNode[fault.WriteHook]
+	rnodes    []hookNode[fault.ReadHook]
+	everyRead [][]fault.ReadHook // per lane group
+	everyN    int                // total every-read hooks across groups
+	flags     []uint8
 
 	hist []uint64 // read-history ring, maxBack*width*laneWords words
 	val  []uint64 // scratch: sensed lanes of the current read, [group][bit]
@@ -92,7 +89,7 @@ func grow[T any](s []T, n int) []T {
 
 // Retarget rebinds the arena to a (possibly different) compiled
 // program: every buffer is resized for the new geometry and all state —
-// lanes, hook tables, dirty tracking, observer accumulators, the hook
+// lanes, hook storage, dirty tracking, observer accumulators, the hook
 // pool — is restored to the program's initial conditions.  A
 // retargeted arena is indistinguishable from a fresh NewArena (the
 // cross-program reuse regression test replays program pairs in both
@@ -114,18 +111,14 @@ func (a *Arena) Retarget(p *Program) {
 	a.dirtyAt = grow(a.dirtyAt, p.size)
 	clear(a.dirtyAt)
 	a.epoch = 1
-	// Hook state from the previous program is dropped outright (clear
-	// nils the inner slices): the hooked lists may describe cells that
-	// no longer exist at the new size.
-	a.writeHooks = grow(a.writeHooks, p.size*W)
-	clear(a.writeHooks)
-	a.readHooks = grow(a.readHooks, p.size*W)
-	clear(a.readHooks)
+	a.whead, a.rhead = grow(a.whead, p.size*W), grow(a.rhead, p.size*W)
+	for e := range a.whead {
+		a.whead[e], a.rhead[e] = -1, -1
+	}
+	a.wnodes, a.rnodes = a.wnodes[:0], a.rnodes[:0]
 	a.everyRead = grow(a.everyRead, W)
 	clear(a.everyRead)
 	a.everyN = 0
-	a.hookedW = a.hookedW[:0]
-	a.hookedR = a.hookedR[:0]
 	a.flags = grow(a.flags, p.size)
 	clear(a.flags)
 	a.val = grow(a.val, p.width*W)
@@ -137,6 +130,26 @@ func (a *Arena) Retarget(p *Program) {
 	a.obsScr = grow(a.obsScr, p.obsBits*W)
 	a.diff = grow(a.diff, p.width*W)
 	a.pool.Reset()
+}
+
+// hookNode is one hook of a batch on entry at; next is the node after
+// it on that entry's chain.  Hooks of one entry belong to distinct
+// lanes and touch only their own lane bits, so chain order is moot.
+type hookNode[H any] struct {
+	h        H
+	at, next int32
+}
+
+// unhook empties the nodes' chains and clears flag f of their cells (W
+// entries per cell: clearing the union byte per node is idempotent).
+//
+//faultsim:hotpath
+func unhook[H any](nodes []hookNode[H], head []int32, flags []uint8, W int, f uint8) []hookNode[H] {
+	for _, n := range nodes {
+		head[n.at] = -1
+		flags[int(n.at)/W] &^= f
+	}
+	return nodes[:0]
 }
 
 // laneGroup is the 64-lane view of one lane group of an arena: the
@@ -190,11 +203,9 @@ const (
 func (v *laneGroup) OnWriteTo(cell int, h fault.WriteHook) {
 	a := v.a
 	e := cell*a.p.laneWords + v.g
-	if len(a.writeHooks[e]) == 0 {
-		a.hookedW = append(a.hookedW, int32(e)) //faultsim:alloc-ok capacity is retained across resets
-		a.flags[cell] |= flagWrite
-	}
-	a.writeHooks[e] = append(a.writeHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
+	a.wnodes = append(a.wnodes, hookNode[fault.WriteHook]{h, int32(e), a.whead[e]}) //faultsim:alloc-ok capacity is retained across resets
+	a.whead[e] = int32(len(a.wnodes) - 1)
+	a.flags[cell] |= flagWrite
 }
 
 // OnReadOf implements fault.HookRegistry.
@@ -203,11 +214,9 @@ func (v *laneGroup) OnWriteTo(cell int, h fault.WriteHook) {
 func (v *laneGroup) OnReadOf(cell int, h fault.ReadHook) {
 	a := v.a
 	e := cell*a.p.laneWords + v.g
-	if len(a.readHooks[e]) == 0 {
-		a.hookedR = append(a.hookedR, int32(e)) //faultsim:alloc-ok capacity is retained across resets
-		a.flags[cell] |= flagRead
-	}
-	a.readHooks[e] = append(a.readHooks[e], h) //faultsim:alloc-ok hook lists keep capacity across resets
+	a.rnodes = append(a.rnodes, hookNode[fault.ReadHook]{h, int32(e), a.rhead[e]}) //faultsim:alloc-ok capacity is retained across resets
+	a.rhead[e] = int32(len(a.rnodes) - 1)
+	a.flags[cell] |= flagRead
 }
 
 // OnEveryRead implements fault.HookRegistry.
@@ -239,11 +248,11 @@ func (a *Arena) markDirty(cell int) {
 func (a *Arena) senseHooked(cell int, val []uint64, clock uint64) {
 	W, w := a.p.laneWords, a.p.width
 	a.clock = clock
-	ht := cell * W
+	e := cell * W
 	for g := 0; g < W; g++ {
 		vg := val[g*w : (g+1)*w]
-		for _, h := range a.readHooks[ht+g] {
-			h.OnRead(&a.views[g], cell, vg)
+		for i := a.rhead[e+g]; i >= 0; i = a.rnodes[i].next {
+			a.rnodes[i].h.OnRead(&a.views[g], cell, vg)
 		}
 		for _, h := range a.everyRead[g] {
 			h.OnRead(&a.views[g], cell, vg)
@@ -264,17 +273,17 @@ func (a *Arena) storeHooked(cell int, data []uint64, clock uint64) {
 	W, w := a.p.laneWords, a.p.width
 	a.clock = clock
 	a.markDirty(cell)
-	ht := cell * W
-	base := ht * w
+	e := cell * W
+	base := e * w
 	for g := 0; g < W; g++ {
-		hooks := a.writeHooks[ht+g]
+		head := a.whead[e+g]
 		dg := data[g*w : (g+1)*w]
-		for _, h := range hooks {
-			h.PreWrite(&a.views[g], cell, dg)
+		for i := head; i >= 0; i = a.wnodes[i].next {
+			a.wnodes[i].h.PreWrite(&a.views[g], cell, dg)
 		}
 		copy(a.lanes[base+g*w:base+(g+1)*w], dg)
-		for _, h := range hooks {
-			h.PostWrite(&a.views[g], cell, dg)
+		for i := head; i >= 0; i = a.wnodes[i].next {
+			a.wnodes[i].h.PostWrite(&a.views[g], cell, dg)
 		}
 	}
 }
@@ -309,19 +318,8 @@ func (a *Arena) reset() {
 		clear(a.dirtyAt)
 		a.epoch = 1
 	}
-	// Hooked entries are (cell, group) pairs; the per-cell flag byte is
-	// the union over groups, so clearing it per entry is idempotent.
-	W := a.p.laneWords
-	for _, e := range a.hookedW {
-		a.writeHooks[e] = a.writeHooks[e][:0]
-		a.flags[int(e)/W] &^= flagWrite
-	}
-	for _, e := range a.hookedR {
-		a.readHooks[e] = a.readHooks[e][:0]
-		a.flags[int(e)/W] &^= flagRead
-	}
-	a.hookedW = a.hookedW[:0]
-	a.hookedR = a.hookedR[:0]
+	a.wnodes = unhook(a.wnodes, a.whead, a.flags, a.p.laneWords, flagWrite)
+	a.rnodes = unhook(a.rnodes, a.rhead, a.flags, a.p.laneWords, flagRead)
 	if a.everyN != 0 {
 		for g := range a.everyRead {
 			a.everyRead[g] = a.everyRead[g][:0]

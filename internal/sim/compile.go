@@ -52,23 +52,14 @@ const (
 )
 
 // Lane-width configuration: a program simulates laneWords*64 machines
-// per batch.  1 word is the classic 64-machine batch; 4 and 8 words
-// (256/512 machines) amortize per-op dispatch, hook-flag checks and
-// per-batch arena resets over wider lane blocks.
+// per batch.  1 word is the classic 64-machine batch; 8 words (512
+// machines) amortize per-op dispatch, hook-flag checks and per-batch
+// arena resets over wider lane blocks, which pays on large memories.
 const MaxLaneWords = 8
 
 // ValidLaneWords reports whether w is a supported lane width (in
 // 64-machine words).
-func ValidLaneWords(w int) bool { return w == 1 || w == 4 || w == 8 }
-
-// LaneWordsForMachines maps a machines-per-batch count (64, 256, 512 —
-// the unit user-facing knobs speak) to lane words.
-func LaneWordsForMachines(machines int) (int, error) {
-	if machines%BatchSize != 0 || !ValidLaneWords(machines/BatchSize) {
-		return 0, fmt.Errorf("sim: unsupported lane width %d machines (want 64, 256 or 512)", machines)
-	}
-	return machines / BatchSize, nil
-}
+func ValidLaneWords(w int) bool { return w == 1 || w == MaxLaneWords }
 
 // instr is one compiled operation, packed to 16 bytes so large traces
 // stream through cache.  opAddr carries the opcode in its top three
@@ -227,7 +218,7 @@ func (p *Program) appendLanes(w ram.Word) int32 {
 }
 
 // Compile lowers a recorded trace into a Program simulating
-// laneWords*64 machines per batch (laneWords of 1, 4 or 8).  It fails
+// laneWords*64 machines per batch (laneWords of 1 or 8).  It fails
 // on traces replay would also reject: no detection points (checked
 // reads or observer compares), an affine write referencing a read that
 // never happened, or a fold/observe of an unregistered observer.
@@ -239,7 +230,7 @@ func (p *Program) appendLanes(w ram.Word) int32 {
 // the unfused stream pays two of each.
 func Compile(tr *Trace, laneWords int) (*Program, error) {
 	if !ValidLaneWords(laneWords) {
-		return nil, fmt.Errorf("sim: unsupported lane width %d words (want 1, 4 or 8)", laneWords)
+		return nil, fmt.Errorf("sim: unsupported lane width %d words (want 1 or 8)", laneWords)
 	}
 	if !tr.Replayable() {
 		return nil, fmt.Errorf("sim: trace has no checked reads or observer compares — the runner does not annotate for replay")

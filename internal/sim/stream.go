@@ -30,7 +30,7 @@ import (
 // BatchSize is the number of machines simulated per lane word — one
 // per bit.  A replay pass simulates BatchSize machines per lane word
 // of its program (Program.BatchFaults), i.e. 64 for the classic
-// single-word configuration and 256/512 for wide-lane programs.
+// single-word configuration and 512 for wide-lane programs.
 const BatchSize = 64
 
 // Batchable reports whether every fault of the slice supports batch

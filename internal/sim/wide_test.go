@@ -39,11 +39,12 @@ func wideTraceCases(t *testing.T) []struct {
 	}
 }
 
-// TestWideKernelMatchesWidth1 is the tentpole equivalence property: a
-// program compiled at 4 or 8 lane words must assign every fault the
-// exact verdict of the classic single-word program — batch by batch,
+// TestWideKernelMatchesWidth1 is the wide-lane equivalence property: a
+// program compiled at 8 lane words must assign every fault the exact
+// verdict of the classic single-word program — batch by batch,
 // including the trailing partial batch — for every kernel family.
 func TestWideKernelMatchesWidth1(t *testing.T) {
+	const w = MaxLaneWords
 	for _, tc := range wideTraceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			p1, err := Compile(tc.tr, 1)
@@ -51,45 +52,37 @@ func TestWideKernelMatchesWidth1(t *testing.T) {
 				t.Fatal(err)
 			}
 			a1 := NewArena(p1)
-			for _, w := range []int{4, 8} {
-				pw, err := Compile(tc.tr, w)
-				if err != nil {
+			pw, err := Compile(tc.tr, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pw.LaneWords() != w || pw.BatchFaults() != w*BatchSize {
+				t.Fatalf("lane geometry: LaneWords=%d BatchFaults=%d, want %d/%d",
+					pw.LaneWords(), pw.BatchFaults(), w, w*BatchSize)
+			}
+			if pw.FusedOps() != p1.FusedOps() {
+				t.Fatalf("fusion differs across widths: %d at w=%d, %d at w=1",
+					pw.FusedOps(), w, p1.FusedOps())
+			}
+			aw := NewArena(pw)
+			det := make([]uint64, w)
+			for lo := 0; lo < len(tc.faults); lo += pw.BatchFaults() {
+				hi := min(lo+pw.BatchFaults(), len(tc.faults))
+				if err := pw.ReplayInto(aw, tc.faults[lo:hi], det); err != nil {
 					t.Fatal(err)
 				}
-				if pw.LaneWords() != w || pw.BatchFaults() != w*BatchSize {
-					t.Fatalf("lane geometry: LaneWords=%d BatchFaults=%d, want %d/%d",
-						pw.LaneWords(), pw.BatchFaults(), w, w*BatchSize)
-				}
-				if pw.FusedOps() != p1.FusedOps() {
-					t.Fatalf("fusion differs across widths: %d at w=%d, %d at w=1",
-						pw.FusedOps(), w, p1.FusedOps())
-				}
-				aw := NewArena(pw)
-				det := make([]uint64, w)
-				for lo := 0; lo < len(tc.faults); lo += pw.BatchFaults() {
-					hi := lo + pw.BatchFaults()
-					if hi > len(tc.faults) {
-						hi = len(tc.faults)
-					}
-					if err := pw.ReplayInto(aw, tc.faults[lo:hi], det); err != nil {
+				// The wide batch's group g must equal the W=1 mask of the
+				// corresponding 64-fault sub-batch.
+				for g := 0; g*BatchSize < hi-lo; g++ {
+					slo := lo + g*BatchSize
+					shi := min(slo+BatchSize, hi)
+					want, err := replay64(p1, a1, tc.faults[slo:shi])
+					if err != nil {
 						t.Fatal(err)
 					}
-					// The wide batch's group g must equal the W=1 mask of the
-					// corresponding 64-fault sub-batch.
-					for g := 0; g*BatchSize < hi-lo; g++ {
-						slo := lo + g*BatchSize
-						shi := slo + BatchSize
-						if shi > hi {
-							shi = hi
-						}
-						want, err := replay64(p1, a1, tc.faults[slo:shi])
-						if err != nil {
-							t.Fatal(err)
-						}
-						if det[g] != want {
-							t.Fatalf("w=%d batch [%d:%d) group %d:\n  wide %064b\n  w=1  %064b",
-								w, lo, hi, g, det[g], want)
-						}
+					if det[g] != want {
+						t.Fatalf("batch [%d:%d) group %d:\n  wide %064b\n  w=1  %064b",
+							lo, hi, g, det[g], want)
 					}
 				}
 			}
@@ -98,30 +91,28 @@ func TestWideKernelMatchesWidth1(t *testing.T) {
 }
 
 // TestWideShardsCompiledMatchesWidth1 runs the compiled streaming
-// driver over wide programs: verdicts must be identical to the 64-wide
-// interpreter reference at every worker count (batch boundaries move
-// with the width, worker interleaving with the count — neither may
-// show).
+// driver over a wide program: verdicts must be identical to the
+// 64-wide interpreter reference at every worker count (batch
+// boundaries move with the width, worker interleaving with the count —
+// neither may show).
 func TestWideShardsCompiledMatchesWidth1(t *testing.T) {
 	const n = 32
 	tr := recordMarch(t, march.MarchB(), n)
 	faults := fault.StandardUniverse(n, 1, 8, 11).Faults
 	ctx := context.Background()
 	ref := replayRef(t, tr, faults)
-	for _, w := range []int{4, 8} {
-		pw, err := Compile(tr, w)
+	pw, err := Compile(tr, MaxLaneWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		cs := newCollectSink()
+		got, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
+			StreamConfig{Chunk: pw.BatchFaults(), Workers: workers}, cs.sinkFor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3, 8} {
-			cs := newCollectSink()
-			got, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
-				StreamConfig{Chunk: pw.BatchFaults(), Workers: workers}, cs.sinkFor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs.check(t, fmt.Sprintf("w=%d workers=%d", w, workers), ref, len(got))
-		}
+		cs.check(t, fmt.Sprintf("workers=%d", workers), ref, len(got))
 	}
 }
 
@@ -134,25 +125,22 @@ func TestWideStreamMatchesWidth1(t *testing.T) {
 	faults := fault.StandardUniverse(n, 1, 6, 9).Faults
 	ctx := context.Background()
 	ref := replayRef(t, tr, faults)
-	for _, w := range []int{4, 8} {
-		pw, err := Compile(tr, w)
-		if err != nil {
+	pw, err := Compile(tr, MaxLaneWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{7, 100, 4096} {
+		cs := newCollectSink()
+		if _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
+			StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor); err != nil {
 			t.Fatal(err)
 		}
-		for _, chunk := range []int{7, 100, 4096} {
-			cs := newCollectSink()
-			if _, err := ShardsCompiledStream(ctx, pw, fault.SliceSource(faults),
-				StreamConfig{Chunk: chunk, Workers: 3}, cs.sinkFor); err != nil {
-				t.Fatal(err)
-			}
-			if cs.seen != len(faults) {
-				t.Fatalf("w=%d chunk=%d: %d verdicts, want %d", w, chunk, cs.seen, len(faults))
-			}
-			for i := range faults {
-				if cs.det[i] != ref[i] {
-					t.Fatalf("w=%d chunk=%d fault %d: stream %v, width-1 %v",
-						w, chunk, i, cs.det[i], ref[i])
-				}
+		if cs.seen != len(faults) {
+			t.Fatalf("chunk=%d: %d verdicts, want %d", chunk, cs.seen, len(faults))
+		}
+		for i := range faults {
+			if cs.det[i] != ref[i] {
+				t.Fatalf("chunk=%d fault %d: stream %v, width-1 %v", chunk, i, cs.det[i], ref[i])
 			}
 		}
 	}
@@ -162,38 +150,32 @@ func TestWideStreamMatchesWidth1(t *testing.T) {
 // hot-path guarantee to the wide kernels, for every kernel family.
 func TestWideReplaySteadyStateAllocatesNothing(t *testing.T) {
 	for _, tc := range wideTraceCases(t) {
-		for _, w := range []int{4, 8} {
-			p, err := Compile(tc.tr, w)
-			if err != nil {
+		p, err := Compile(tc.tr, MaxLaneWords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewArena(p)
+		batch := tc.faults[:min(len(tc.faults), p.BatchFaults())]
+		det := make([]uint64, MaxLaneWords)
+		if err := p.ReplayInto(a, batch, det); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := p.ReplayInto(a, batch, det); err != nil {
 				t.Fatal(err)
 			}
-			a := NewArena(p)
-			batch := tc.faults
-			if len(batch) > p.BatchFaults() {
-				batch = batch[:p.BatchFaults()]
-			}
-			det := make([]uint64, w)
-			if err := p.ReplayInto(a, batch, det); err != nil { // warm-up
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if err := p.ReplayInto(a, batch, det); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%s w=%d: steady-state replay allocates %.1f objects per batch, want 0",
-					tc.name, w, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state wide replay allocates %.1f objects per batch, want 0", tc.name, allocs)
 		}
 	}
 }
 
 // TestCompileRejectsUnsupportedLaneWidths: width validation must refuse
-// up front, on both the word-count and the CLI machine-count units.
+// every width but one and eight words up front.
 func TestCompileRejectsUnsupportedLaneWidths(t *testing.T) {
 	tr := recordMarch(t, march.MATSPlus(), 8)
-	for _, w := range []int{-1, 0, 2, 3, 5, 7, 9, 16} {
+	for _, w := range []int{-1, 0, 2, 3, 4, 5, 7, 9, 16} {
 		if _, err := Compile(tr, w); err == nil {
 			t.Errorf("Compile accepted laneWords=%d", w)
 		}
@@ -201,20 +183,9 @@ func TestCompileRejectsUnsupportedLaneWidths(t *testing.T) {
 			t.Errorf("ValidLaneWords(%d) = true", w)
 		}
 	}
-	for _, w := range []int{1, 4, 8} {
+	for _, w := range []int{1, 8} {
 		if !ValidLaneWords(w) {
 			t.Errorf("ValidLaneWords(%d) = false", w)
-		}
-	}
-	for machines, want := range map[int]int{64: 1, 256: 4, 512: 8} {
-		got, err := LaneWordsForMachines(machines)
-		if err != nil || got != want {
-			t.Errorf("LaneWordsForMachines(%d) = %d, %v; want %d", machines, got, err, want)
-		}
-	}
-	for _, machines := range []int{-64, 0, 1, 63, 100, 128, 384, 1024} {
-		if _, err := LaneWordsForMachines(machines); err == nil {
-			t.Errorf("LaneWordsForMachines accepted %d", machines)
 		}
 	}
 }
@@ -224,14 +195,14 @@ func TestCompileRejectsUnsupportedLaneWidths(t *testing.T) {
 // wrong word count, rather than return a truncated mask.
 func TestReplayRejectsWideProgram(t *testing.T) {
 	tr := recordMarch(t, march.MATSPlus(), 8)
-	p, err := Compile(tr, 4)
+	p, err := Compile(tr, MaxLaneWords)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := NewArena(p)
 	faults := fault.SingleCellUniverse(8, 1)
 	if _, err := replay64(p, a, faults); err == nil {
-		t.Fatal("a single-mask replay accepted a 4-word program")
+		t.Fatal("a single-mask replay accepted an 8-word program")
 	}
 	det := make([]uint64, 3)
 	if err := p.ReplayInto(a, faults, det); err == nil {
