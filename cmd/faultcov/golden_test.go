@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -76,8 +78,11 @@ func TestEvaluationGolden(t *testing.T) {
 
 // TestExhaustiveCFCheckpoint pins the completion checkpoint of the
 // exhaustive E17 campaign (about 3 s; skipped under -short), and its
-// -progress stage lines show the width each stage picked: four stages
-// per memory size, the 512-cell memory's last and at 512 lanes.
+// -progress stage lines show the width each stage picked — four stages
+// per memory size, the 512-cell memory's last and at 512 lanes — and
+// the share of scheduled instructions each executed: all of them for
+// PRT-3, whose recurrence never skips, and under a fifth for March C−,
+// whose batches skip the cells their faults do not reach.
 func TestExhaustiveCFCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the exhaustive coupling campaign takes seconds")
@@ -87,6 +92,7 @@ func TestExhaustiveCFCheckpoint(t *testing.T) {
 	if len(lines) != 16 {
 		t.Fatalf("printed %d stage lines, want 16:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
+	share := regexp.MustCompile(`, ops (\d+\.\d)%, `)
 	for i, l := range lines {
 		width := "[compiled, 64 lanes]"
 		if i >= 12 {
@@ -94,6 +100,15 @@ func TestExhaustiveCFCheckpoint(t *testing.T) {
 		}
 		if !strings.Contains(l, width) {
 			t.Errorf("stage line %d = %q, want %s", i, l, width)
+		}
+		m := share.FindStringSubmatch(l)
+		if m == nil {
+			t.Errorf("stage line %d = %q names no executed-op share", i, l)
+			continue
+		}
+		pct, _ := strconv.ParseFloat(m[1], 64)
+		if march := strings.Contains(l, "/March C- "); march && pct >= 20 || !march && pct != 100 {
+			t.Errorf("stage line %d = %q: executed %.1f%% of its ops, want under 20%% for March C-, all for PRT-3", i, l, pct)
 		}
 	}
 }

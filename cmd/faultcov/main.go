@@ -426,7 +426,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 // stageLine renders one executed stage as -progress reports it: the
 // engine that ran (with the lane width a compiled stage picked from its
-// memory size), elapsed time, throughput, collapse ratio, and each
+// memory size), elapsed time, throughput, the share of its scheduled
+// instructions the compiled kernels executed, collapse ratio, and each
 // worker's share of the stage's wall time spent blocked on the lock of
 // the session's completion-frontier fold.
 func stageLine(universe string, st coverage.StageStat) string {
@@ -438,6 +439,9 @@ func stageLine(universe string, st coverage.StageStat) string {
 	line := fmt.Sprintf("# stage %s/%s [%s]: %d faults in %s, %s faults/s",
 		universe, st.Runner, engine, st.Entered,
 		coverage.FormatDuration(es.Elapsed), coverage.FormatRate(es.FaultsPerSec))
+	if es.ScheduledOps > 0 {
+		line += fmt.Sprintf(", ops %.1f%%", 100*float64(es.ExecutedOps)/float64(es.ScheduledOps))
+	}
 	if es.CollapseRatio > 0 && es.CollapseRatio < 1 {
 		line += fmt.Sprintf(", collapse %.2f", es.CollapseRatio)
 	}

@@ -146,8 +146,11 @@ func reportLines(out, prefix string) []string {
 
 // TestRunReportLines: -progress prints one `# stage` line per stage a
 // session ran, on stderr and in execution order, naming the universe,
-// the runner, the engine and its lane width; a stage cut short by an
-// interrupt prints none.  -session prints one `# session` line per
+// the runner, the engine and its lane width, and the share of its
+// scheduled instructions the kernels executed (all of them for the
+// PRT-1 stages E14 runs: an affine recurrence never skips, and none of
+// their passes ends early); a stage cut short by an interrupt prints
+// none.  -session prints one `# session` line per
 // session of two or more runners: E6 is one ten-runner session, and
 // every E14 session has one runner.
 func TestRunReportLines(t *testing.T) {
@@ -172,8 +175,8 @@ func TestRunReportLines(t *testing.T) {
 		t.Fatalf("e14 -progress printed %d stage lines, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
 	}
 	for i, line := range got {
-		if !strings.HasPrefix(line, want[i]) || !strings.Contains(line, "sink-wait/worker [") {
-			t.Errorf("stage line %d = %q, want prefix %q and the sink-wait shares", i, line, want[i])
+		if !strings.HasPrefix(line, want[i]) || !strings.Contains(line, ", ops 100.0%, ") || !strings.Contains(line, "sink-wait/worker [") {
+			t.Errorf("stage line %d = %q, want prefix %q, ops 100.0%% and the sink-wait shares", i, line, want[i])
 		}
 	}
 

@@ -178,6 +178,12 @@ type EngineStats struct {
 	// its program's instructions are read-check-write super-ops.
 	LaneWords int
 	FusedOps  int
+	// ExecutedOps counts the instructions the stage's replay passes
+	// executed and ScheduledOps the instructions its passes hold
+	// (batches × ProgramOps; compiled engine only).  A pass executes
+	// fewer when every machine detects before its end, and a sparse
+	// batch skips the ops on cells none of its faults reach.
+	ExecutedOps, ScheduledOps uint64
 	// Elapsed is the wall time of the detection phase (the clean-run
 	// recording and compilation are not included) and FaultsPerSec the
 	// resulting throughput over presented faults.  Both are populated

@@ -313,6 +313,16 @@ func decodeCampaign(data []byte) fuzzCampaign {
 		c.parts = k + 1
 	}
 	c.cancelAt = next()
+	// Retention faults appended to the family, decaying after the
+	// decoded delay: 0 (also an exhausted input) appends none.  Beside
+	// the standard family's decoder, coupling and stuck-open faults they
+	// put hooks that restore unhooked cells, decays inside the ops a
+	// sparse March batch skips and every-read hooks that force its dense
+	// fallback into the same campaign.
+	if d := next(); d > 0 {
+		c.src = fault.ConcatSource(c.src, fault.RetentionSource(n, m, uint64(d)))
+		c.name += fmt.Sprintf("+retention(%d)", d)
+	}
 	c.desc = fmt.Sprintf("n=%d m=%d bom=%v %v %s seed=%d chunk=%d workers=%d lanes=%d drop=%v order=%d stream=%v vectors=%v checkpoint=%v",
 		n, m, bom, names, c.name, seed, c.chunk, c.workers, c.lanes, c.drop, c.order, c.stream, c.vectors, c.checkpoint)
 	if c.checkpoint {

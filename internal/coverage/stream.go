@@ -425,6 +425,8 @@ func (p *Plan) detectStream(ctx context.Context, st *stage, src fault.Source, cf
 	stats.SourceWait = make([]time.Duration, len(workers))
 	for i, w := range workers {
 		stats.Reps += int(w.Reps)
+		stats.ExecutedOps += w.Ops
+		stats.ScheduledOps += w.Batches * uint64(stats.ProgramOps)
 		stats.KernelTime[i], stats.SinkWait[i], stats.SourceWait[i] = w.Kernel, w.SinkWait, w.SourceWait
 	}
 	return stats, err

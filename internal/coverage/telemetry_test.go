@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/march"
+	"repro/internal/prt"
 	"repro/internal/ram"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -381,5 +383,49 @@ func TestProgressHighWaterIsFrontier(t *testing.T) {
 	}
 	if last := samples[len(samples)-1]; last.highWater != int64(hi) {
 		t.Errorf("final HighWater %d, want the partition end %d", last.highWater, hi)
+	}
+}
+
+// TestExecutedOpShares pins the instruction counts sparse replay
+// rests its gain on.  A March C− stage over a 256×4 WOM's standard
+// universe, on one worker at a fixed chunk, executes under a tenth of
+// its scheduled instructions, since a 64-fault batch reaches few of
+// the 256 cells; it fails if the sparse path silently stops engaging.
+// PRT-3's recurrence and the BIST controller's signature spread errors
+// through every cell, so their stages skip nothing: over retention
+// faults that never decay, where no pass ends early, they execute
+// every scheduled instruction, while March C− still skips.
+func TestExecutedOpShares(t *testing.T) {
+	t.Parallel()
+	bgs := march.DataBackgrounds(4)
+	gen := prt.PaperWOMConfig().Gen
+	share := func(u fault.Universe, runners ...Runner) []*EngineStats {
+		t.Helper()
+		p := Plan{Runners: runners, Universe: u, Memory: womFactory(256, 4), Workers: 1, Chunk: 1024}
+		s := p.Run()
+		out := make([]*EngineStats, len(runners))
+		for i, r := range s.Results {
+			if r.Stats.Engine != EngineCompiled || r.Stats.ScheduledOps == 0 {
+				t.Fatalf("%s: %+v, want a compiled stage", runners[i].Name(), r.Stats)
+			}
+			out[i] = r.Stats
+		}
+		return out
+	}
+	marchCMinus := MarchRunner(march.MarchCMinus(), bgs)
+	st := share(fault.StandardUniverse(256, 4, 16, 1), marchCMinus)[0]
+	if 10*st.ExecutedOps >= st.ScheduledOps {
+		t.Errorf("March C- executed %d of %d scheduled ops, want under 10%%", st.ExecutedOps, st.ScheduledOps)
+	}
+	idle := fault.Universe{Name: "retention", Faults: fault.RetentionUniverse(256, 4, math.MaxUint64)}
+	dense := []Runner{PRTRunner(prt.StandardScheme3(gen)), BISTRunner(prt.StandardScheme3(gen), 0)}
+	stats := share(idle, append([]Runner{marchCMinus}, dense...)...)
+	if st := stats[0]; st.ExecutedOps >= st.ScheduledOps {
+		t.Errorf("March C- executed all %d scheduled ops over idle faults", st.ScheduledOps)
+	}
+	for i, r := range dense {
+		if st := stats[i+1]; st.ExecutedOps != st.ScheduledOps {
+			t.Errorf("%s executed %d of %d scheduled ops, want every one", r.Name(), st.ExecutedOps, st.ScheduledOps)
+		}
 	}
 }

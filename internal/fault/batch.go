@@ -22,9 +22,26 @@ import (
 // The interfaces live here (not in sim) so the fault models can
 // describe their own batched semantics without an import cycle: sim
 // imports fault, and fault only needs ram.
+//
+// The hook contract.  The compiled engine skips every operation on a
+// cell no installed hook can have disturbed (sparse replay of literal
+// programs), and that is exact only because every hook, of every
+// fault model here and of any added later:
+//
+//   - touches any cell other than the one it was installed on only
+//     through LaneMemory.StoredLane and SetStoredLane, never through
+//     storage of its own;
+//   - learns time only from LaneMemory.Clock;
+//   - keeps no lane word across operations except its own cell's (a
+//     write hook's pre-write capture) or one an every-read hook sensed;
+//   - watches reads of other cells only through
+//     HookRegistry.OnEveryRead, which makes the engine replay the
+//     batch in full.
 
 // LaneMemory is the bit-sliced storage of up to 64 simultaneously
-// simulated machines.
+// simulated machines.  A hook reads and writes cells other than its
+// own only through StoredLane and SetStoredLane: the engine brings a
+// cell it has skipped up to date there (see the hook contract above).
 type LaneMemory interface {
 	// Size returns the number of cells.
 	Size() int
@@ -38,7 +55,8 @@ type LaneMemory interface {
 	SetStoredLane(cell, bit int, value, mask uint64)
 	// Clock returns the number of memory operations performed so far,
 	// including the one currently executing — the op counter the DRF
-	// decay model ticks on.
+	// decay model ticks on, and a hook's only source of time.
+	// Operations the engine skips still count.
 	Clock() uint64
 }
 
@@ -61,7 +79,11 @@ type ReadHook interface {
 }
 
 // HookRegistry is the machine array as seen by BatchInject: lane
-// storage plus hook registration.
+// storage plus hook registration.  The cells a batch's hooks are
+// installed on, with those the hooks reach through StoredLane and
+// SetStoredLane, are the only cells whose operations the engine must
+// replay; a hook that must see other cells' reads registers through
+// OnEveryRead.
 type HookRegistry interface {
 	LaneMemory
 	// OnWriteTo runs h around every write to cell.
@@ -69,7 +91,8 @@ type HookRegistry interface {
 	// OnReadOf runs h on every read of cell.
 	OnReadOf(cell int, h ReadHook)
 	// OnEveryRead runs h on every read of any cell (the stuck-open
-	// sense-amplifier model needs to observe the full read stream).
+	// sense-amplifier model needs to observe the full read stream); a
+	// batch holding such a hook replays every operation.
 	OnEveryRead(h ReadHook)
 }
 

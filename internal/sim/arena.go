@@ -26,6 +26,17 @@ type Arena struct {
 	lanes []uint64
 	clock uint64
 
+	// sparse marks a batch of a sparse program that installed no
+	// every-read hook: the kernels skip every op on a cell whose flag
+	// byte is 0, and a hook's first touch of such a cell restores it
+	// (restore).  groups is the number of lane groups the batch fills.
+	// executed counts the instructions the last pass executed: those
+	// before the point where every machine had detected, less the ops
+	// it skipped.
+	sparse   bool
+	groups   int
+	executed uint64
+
 	// views[g] adapts group g of this arena to fault.HookRegistry:
 	// every hook is installed and invoked through the view of its
 	// group and sees only that group's lane words.
@@ -41,8 +52,9 @@ type Arena struct {
 	// wnodes/rnodes chained from whead/rhead[cell*laneWords+g] (-1 ends
 	// a chain), and reset unhooks only the batch's nodes.  flags mirrors
 	// the heads as one byte per cell (any group), the kernels' fast
-	// test.  Only this file touches hook storage: the kernels reach
-	// hooks through senseHooked and storeHooked.
+	// test, plus the live bit of cells a sparse batch restored.  Only
+	// this file touches hook storage: the kernels reach hooks through
+	// senseHooked and storeHooked.
 	whead     []int32
 	rhead     []int32
 	wnodes    []hookNode[fault.WriteHook]
@@ -98,6 +110,7 @@ func grow[T any](s []T, n int) []T {
 func (a *Arena) Retarget(p *Program) {
 	a.p = p
 	a.clock = 0
+	a.sparse, a.executed = false, 0
 	W := p.laneWords
 	a.lanes = grow(a.lanes, len(p.initLanes))
 	copy(a.lanes, p.initLanes)
@@ -177,8 +190,12 @@ func (v *laneGroup) Clock() uint64 { return v.a.clock }
 //
 //faultsim:hotpath
 func (v *laneGroup) StoredLane(cell, bit int) uint64 {
-	p := v.a.p
-	return v.a.lanes[(cell*p.laneWords+v.g)*p.width+bit]
+	a := v.a
+	if a.sparse && a.flags[cell] == 0 {
+		a.restore(cell)
+	}
+	p := a.p
+	return a.lanes[(cell*p.laneWords+v.g)*p.width+bit]
 }
 
 // SetStoredLane implements fault.LaneMemory.
@@ -186,15 +203,20 @@ func (v *laneGroup) StoredLane(cell, bit int) uint64 {
 //faultsim:hotpath
 func (v *laneGroup) SetStoredLane(cell, bit int, value, mask uint64) {
 	a := v.a
+	if a.sparse && a.flags[cell] == 0 {
+		a.restore(cell)
+	}
 	a.markDirty(cell)
 	idx := (cell*a.p.laneWords+v.g)*a.p.width + bit
 	a.lanes[idx] = a.lanes[idx]&^mask | value&mask
 }
 
-// Kernel-visible hook flags, one byte per cell.
+// Kernel-visible flags, one byte per cell.  A sparse batch executes
+// the ops of a cell only while its byte is nonzero.
 const (
 	flagRead  uint8 = 1 << iota // some group of the cell has read hooks
 	flagWrite                   // some group of the cell has write hooks
+	flagLive                    // a sparse batch restored the cell
 )
 
 // OnWriteTo implements fault.HookRegistry.
@@ -238,18 +260,51 @@ func (a *Arena) markDirty(cell int) {
 	}
 }
 
-// senseHooked runs the read hooks of every lane group over a sensed
-// value of cell (val laid out [group][bit], group g's block val[g*w:
-// (g+1)*w]) at operation clock: each group's hooks see only their own
-// 64-lane block, through the group view.  The kernels call it when the
-// cell's flagRead is set or every-read hooks are installed.
+// restore brings an unflagged cell of a sparse batch up to date when a
+// hook first reaches it.  The kernels skipped the cell's ops, so its
+// lanes still hold the initial image, while every machine holds the
+// clean value: the cell's last write strictly before the current
+// clock, or the initial image if there is none (always so during
+// injection, at clock 0).  The cell turns live, so the kernels execute
+// its ops from here on, and dirty, so reset restores it.
+//
+//faultsim:hotpath
+func (a *Arena) restore(cell int) {
+	p := a.p
+	a.flags[cell] |= flagLive
+	a.markDirty(cell)
+	first, lo, hi := int(p.wstart[cell]), int(p.wstart[cell]), int(p.wstart[cell+1])
+	for lo < hi { // the first write at or after the clock
+		if m := int(uint(lo+hi) >> 1); uint64(p.wclock[m]) < a.clock {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == first {
+		return
+	}
+	w := p.width
+	src := p.lanePool[p.wlane[lo-1] : int(p.wlane[lo-1])+w]
+	base := cell * p.laneWords * w
+	for g := 0; g < p.laneWords; g++ {
+		copy(a.lanes[base+g*w:base+(g+1)*w], src)
+	}
+}
+
+// senseHooked runs the read hooks of every lane group the batch fills
+// over a sensed value of cell (val laid out [group][bit], group g's
+// block val[g*w:(g+1)*w]) at operation clock: each group's hooks see
+// only their own 64-lane block, through the group view.  The kernels
+// call it when the cell's flagRead is set or every-read hooks are
+// installed.
 //
 //faultsim:hotpath
 func (a *Arena) senseHooked(cell int, val []uint64, clock uint64) {
 	W, w := a.p.laneWords, a.p.width
 	a.clock = clock
 	e := cell * W
-	for g := 0; g < W; g++ {
+	for g := 0; g < a.groups; g++ {
 		vg := val[g*w : (g+1)*w]
 		for i := a.rhead[e+g]; i >= 0; i = a.rnodes[i].next {
 			a.rnodes[i].h.OnRead(&a.views[g], cell, vg)
@@ -260,13 +315,13 @@ func (a *Arena) senseHooked(cell int, val []uint64, clock uint64) {
 	}
 }
 
-// storeHooked stores a write value (data laid out [group][bit]) into a
-// write-hooked cell at operation clock, running each group's
-// Pre/PostWrite hooks around that group's 64-lane store.  Groups are
-// independent — a hook only touches its own group's lane words — so
-// the per-group sequence is equivalent to the classic single-group
-// pre/store/post order.  The kernels call it when the cell's flagWrite
-// is set.
+// storeHooked stores a write value (data laid out [group][bit], one
+// block per group the batch fills) into a write-hooked cell at
+// operation clock, running each group's Pre/PostWrite hooks around
+// that group's 64-lane store.  Groups are independent — a hook only
+// touches its own group's lane words — so the per-group sequence is
+// equivalent to the classic single-group pre/store/post order.  The
+// kernels call it when the cell's flagWrite is set.
 //
 //faultsim:hotpath
 func (a *Arena) storeHooked(cell int, data []uint64, clock uint64) {
@@ -275,7 +330,7 @@ func (a *Arena) storeHooked(cell int, data []uint64, clock uint64) {
 	a.markDirty(cell)
 	e := cell * W
 	base := e * w
-	for g := 0; g < W; g++ {
+	for g := 0; g < a.groups; g++ {
 		head := a.whead[e+g]
 		dg := data[g*w : (g+1)*w]
 		for i := head; i >= 0; i = a.wnodes[i].next {
@@ -296,11 +351,11 @@ func (a *Arena) reset() {
 	// blk is the per-cell lane block: laneWords words per bit.
 	blk := a.p.width * a.p.laneWords
 	switch {
-	case a.p.dense || 2*len(a.dirty) >= a.p.size:
+	case a.p.dense && !a.sparse || 2*len(a.dirty) >= a.p.size:
 		// Most cells dirtied (typical for full-array test algorithms,
 		// detected at compile time as dense): one contiguous copy beats
 		// per-cell restores — and the kernels skip dirty marking for
-		// dense programs entirely.
+		// dense programs entirely, except in sparse batches.
 		copy(a.lanes, a.p.initLanes)
 	case blk == 1:
 		for _, c := range a.dirty {
@@ -310,6 +365,12 @@ func (a *Arena) reset() {
 		for _, c := range a.dirty {
 			base := int(c) * blk
 			copy(a.lanes[base:base+blk], a.p.initLanes[base:base+blk])
+		}
+	}
+	if a.p.sparse {
+		// Every live cell was restored, so it is on the dirty list.
+		for _, c := range a.dirty {
+			a.flags[c] &^= flagLive
 		}
 	}
 	a.dirty = a.dirty[:0]

@@ -9,17 +9,19 @@ import (
 )
 
 // compilePrograms builds the regression set of compiled programs with
-// deliberately different shapes: width-1 vs width-4, with and without
-// read-history rings (affine recurrence writes), with and without
-// fold-accumulator state, and different sizes.
+// deliberately different shapes: width-1 vs width-4, sparse (literal)
+// or not, with and without read-history rings (affine recurrence
+// writes), with and without fold-accumulator state, and different
+// sizes.
 func shapePrograms(t *testing.T) []*Program {
 	t.Helper()
 	traces := []*Trace{
-		recordMarch(t, march.MarchCMinus(), 24), // width 1, no history, no observers
-		recordWOM(t, march.MarchB(), 16, 4),     // width 4
+		recordMarch(t, march.MarchCMinus(), 24), // width 1, sparse, no history, no observers
+		recordWOM(t, march.MarchB(), 16, 4),     // width 4, sparse
 		recordPRT(t, 17, 4),                     // width 4, history ring (affine writes)
 		recordObserver(t, 24, 1),                // width 1, 1-bit fold accumulator
 		recordObserver(t, 12, 4),                // width 4, 4-bit fold accumulator
+		recordMarch(t, march.MATSPlus(), 40),    // width 1, sparse, larger
 	}
 	progs := make([]*Program, len(traces))
 	for i, tr := range traces {
@@ -35,17 +37,22 @@ func shapePrograms(t *testing.T) []*Program {
 // TestArenaRetargetAcrossProgramShapes is the cross-program reuse
 // regression: one arena retargeted across compiled programs of
 // different shapes (widths, fold-accumulator counts, history lengths,
-// sizes) must reproduce the detection mask of a fresh arena for every
-// program — in both directions of every program pair, so neither
-// growing nor shrinking any buffer leaks state.
+// sizes, sparse or not) must reproduce the detection mask of a fresh
+// arena for every program — in both directions of every program pair,
+// so neither growing nor shrinking any buffer leaks state.  Each batch
+// holds faults whose hooks reach unhooked cells, so the sparse
+// programs' batches restore cells, and after every batch the arena's
+// reset must leave no live bit, dirty cell or stale lane behind.
 func TestArenaRetargetAcrossProgramShapes(t *testing.T) {
 	progs := shapePrograms(t)
 	batchFor := func(p *Program) []fault.Fault {
-		u := fault.StandardUniverse(p.Size(), p.Width(), 4, 21).Faults
-		if len(u) > BatchSize {
-			u = u[:BatchSize]
-		}
-		return u
+		u := fault.StandardUniverse(p.Size(), p.Width(), 4, 21).Faults[:BatchSize/2]
+		return append(u, reachingFaults(p.Size(), p.Width(), BatchSize/2, 21)...)
+	}
+	replay64 := func(p *Program, a *Arena, faults []fault.Fault) (uint64, error) {
+		m, err := replay64(p, a, faults)
+		assertPristineAfterReset(t, a)
+		return m, err
 	}
 	want := make([]uint64, len(progs))
 	for i, p := range progs {
@@ -173,5 +180,25 @@ func TestProgramCacheBounded(t *testing.T) {
 	}
 	if _, _, entries := c.Stats(); entries > cacheCap {
 		t.Fatalf("cache grew to %d entries (cap %d)", entries, cacheCap)
+	}
+}
+
+// assertPristineAfterReset resets a and requires the program's initial
+// state: initial lanes, no flag byte set (hook or live), no dirty cell.
+func assertPristineAfterReset(t *testing.T, a *Arena) {
+	t.Helper()
+	a.reset()
+	for c, f := range a.flags {
+		if f != 0 {
+			t.Fatalf("cell %d keeps flags %03b after reset", c, f)
+		}
+	}
+	if len(a.dirty) != 0 {
+		t.Fatalf("%d dirty cells survive reset", len(a.dirty))
+	}
+	for i := range a.lanes {
+		if a.lanes[i] != a.p.initLanes[i] {
+			t.Fatalf("lane word %d = %#x after reset, initial %#x", i, a.lanes[i], a.p.initLanes[i])
+		}
 	}
 }

@@ -11,6 +11,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/ram"
@@ -160,6 +161,18 @@ type Program struct {
 	// initLanes is the pre-run memory expanded to broadcast lane words;
 	// arenas restore dirtied cells from it between batches.
 	initLanes []uint64
+
+	// sparse marks literal programs (no affine write, fold or observe):
+	// a batch of one may skip every op on a cell no injected fault can
+	// have disturbed, since every machine holds the clean value there.
+	// Their write timeline lists each cell's writes in clock order, cell
+	// c's at wclock/wlane[wstart[c]:wstart[c+1]]: the operation clock
+	// the kernels assign the write and the lanePool offset of its data,
+	// from which an arena restores a cell when a hook first reaches it.
+	sparse bool
+	wstart []int32
+	wclock []uint32
+	wlane  []int32
 
 	trimmed int // trace ops dropped after the last detection point
 	affine  bool
@@ -402,7 +415,48 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 	if tr.Width == 1 {
 		p.pack1()
 	}
+	if !p.affine && len(p.folds) == 0 && len(p.observes) == 0 && uint64(len(p.code)) <= math.MaxUint32/2 {
+		p.indexWrites()
+	}
 	return p, nil
+}
+
+// indexWrites marks a literal program sparse and builds its write
+// timeline in two linear passes over the code: count each cell's
+// writes, then place them, ticking the clock as the kernels do (one
+// tick per op, two for a fused opCheckWrite, whose write is the
+// second).  2*len(code) bounds the clock, so it fits the uint32 stamps.
+func (p *Program) indexWrites() {
+	p.sparse = true
+	p.wstart = make([]int32, p.size+1)
+	for i := range p.code {
+		if op := p.code[i].opAddr >> opShift; op == opWrite || op == opCheckWrite {
+			p.wstart[p.code[i].opAddr&addrMask+1]++
+		}
+	}
+	for c := 0; c < p.size; c++ {
+		p.wstart[c+1] += p.wstart[c]
+	}
+	n := p.wstart[p.size]
+	p.wclock, p.wlane = make([]uint32, n), make([]int32, n)
+	next := append([]int32(nil), p.wstart[:p.size]...)
+	var clock uint32
+	for i := range p.code {
+		in := &p.code[i]
+		clock++
+		lane := in.lane
+		switch in.opAddr >> opShift {
+		case opCheckWrite:
+			clock++
+			lane = in.t0
+		case opWrite:
+		default:
+			continue
+		}
+		c := in.opAddr & addrMask
+		p.wclock[next[c]], p.wlane[next[c]] = clock, lane
+		next[c]++
+	}
 }
 
 // rowKey serialises a row-mask matrix for deduplication in the shared

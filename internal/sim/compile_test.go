@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -208,14 +209,17 @@ func TestCompileRejectsUnannotatedTrace(t *testing.T) {
 // TestReplaySteadyStateAllocatesNothing is the zero-allocation
 // regression gate: once an arena has warmed (hook-table capacity grown,
 // pool populated), replaying a batch must not allocate a single heap
-// object, for both the width-1 and the generic kernel and across every
-// hook-installing fault model.
+// object, for both the width-1 and the generic kernel, across every
+// hook-installing fault model, and for sparse batches that restore the
+// cells their hooks reach.
 func TestReplaySteadyStateAllocatesNothing(t *testing.T) {
 	cases := []struct {
 		name   string
 		tr     *Trace
 		faults []fault.Fault
 	}{
+		{"sparse1", recordMarch(t, march.MarchCMinus(), 64), reachingFaults(64, 1, BatchSize, 11)},
+		{"sparseN", recordWOM(t, march.MarchCMinus(), 32, 4), reachingFaults(32, 4, BatchSize, 11)},
 		{"width1", recordMarch(t, march.MarchCMinus(), 32),
 			fault.StandardUniverse(32, 1, 8, 11).Faults[:BatchSize]},
 		{"generic", recordWOM(t, march.MarchCMinus(), 32, 4),
@@ -242,6 +246,9 @@ func TestReplaySteadyStateAllocatesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			if strings.HasPrefix(tc.name, "sparse") && (!a.sparse || a.executed >= uint64(p.Ops())) {
+				t.Fatalf("%s: the batch did not run sparse (executed %d of %d ops)", tc.name, a.executed, p.Ops())
+			}
 			if allocs != 0 {
 				t.Fatalf("steady-state replay allocates %.1f objects per batch, want 0", allocs)
 			}

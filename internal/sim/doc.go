@@ -51,7 +51,10 @@
 //     tables with deduplicated GF(2) matrices, and the suffix after
 //     the last detection point trimmed (nothing past the final
 //     comparison can affect detection).  Width-1 traces additionally
-//     pack each op into a single uint32.
+//     pack each op into a single uint32.  A literal program — every
+//     write a literal, no fold or observer, which is every March test
+//     — is marked sparse, and its write timeline lists each cell's
+//     writes by the operation clock the kernels assign.
 //
 //   - Arena is a worker's reusable machine-array state: lane buffer,
 //     hook storage sized by one batch (a node list chained from int32
@@ -60,18 +63,30 @@
 //     recycling hook objects.  Every hook is installed and invoked
 //     through the 64-lane view of its lane group, and the kernels
 //     reach hooks only through senseHooked and storeHooked, so
-//     arena.go alone decides how hooks are stored.  Between batches
-//     the arena restores only the cells the previous batch dirtied (or
-//     wholesale for dense traces), so steady-state batches allocate
+//     arena.go alone decides how hooks are stored.  A batch of a
+//     sparse program that installed no every-read hook runs sparse:
+//     the first time a hook reads or writes a cell with no flag set
+//     (through StoredLane or SetStoredLane), the view restores the
+//     cell's clean value at the current clock from the write timeline
+//     and sets its live flag.  Between batches the arena restores only
+//     the cells the previous batch dirtied (or wholesale for dense
+//     traces replayed in full), so steady-state batches allocate
 //     nothing.
 //
 //   - ReplayInto dispatches to a width-1 kernel (no per-bit inner
 //     loops; the regime of the paper's Fig. 1a bit-oriented memories
 //     and the largest campaigns) or the generic word-oriented kernel,
-//     each in a 64-machine and a 512-machine form.  Every kernel has one read
-//     path and one write path: a fused read-check-write compares on
-//     the read path, then stores on the write path that literal and
-//     affine writes take.
+//     each in a 64-machine and a 512-machine form; the 512-machine
+//     forms run only the lane groups a batch fills.  Every kernel has
+//     one read path and one write path: a fused read-check-write
+//     compares on the read path, then stores on the write path that
+//     literal and affine writes take.  In a sparse batch each kernel
+//     skips every op on a cell whose flag byte is 0, ticking the clock
+//     as if it had run: no fault has reached that cell, so every
+//     machine holds the clean value there (concurrent fault
+//     simulation's divergence rule, with the fault.BatchInjector hook
+//     contract standing in for a per-fault footprint), and a March
+//     batch executes only the ops on the cells its faults touch.
 //
 //   - ShardsCompiledStream drives the batches with one arena per
 //     worker and a shared stop flag so a failing batch short-circuits
@@ -126,7 +141,8 @@
 // time it spent blocked on it as that worker's sink wait.  Every
 // driver returns each worker's timed totals for the run (a
 // telemetry.Local per worker: kernel time, source wait, sink time and
-// sink wait beside the fault counts), so the caller gets its own
+// sink wait beside the fault counts and, from the compiled driver, the
+// instructions its kernels executed), so the caller gets its own
 // stage's time split whether or not a telemetry registry is attached.
 // Because delivered chunks carry their [base, base+n)
 // index range, a caller can fold them in universe order whatever the

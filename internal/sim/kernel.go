@@ -38,21 +38,27 @@ func (p *Program) ReplayInto(a *Arena, faults []fault.Fault, det []uint64) error
 		return fmt.Errorf("sim: arena belongs to a different program")
 	}
 	a.reset()
+	// A sparse program's batch starts sparse, so a hook touching a cell
+	// during injection flags it live; an every-read hook sees the reads
+	// of every cell, so a batch holding one runs dense.
+	a.sparse = p.sparse
 	if err := a.inject(faults); err != nil {
 		return err
 	}
-	// full[g] masks the populated lanes of group g: detection updates
-	// are ANDed with it, and the kernels early-exit when every group's
-	// detected word reaches it (idle groups are vacuously done at 0).
-	var fullArr [MaxLaneWords]uint64
-	full := fullArr[:W]
+	a.sparse = p.sparse && a.everyN == 0
+	// The pass runs over the G lane groups the batch fills.  full[g]
+	// masks the populated lanes of group g: detection updates are ANDed
+	// with it, and the kernels early-exit when every group's detected
+	// word reaches it.
 	n := len(faults)
+	G := (n + BatchSize - 1) / BatchSize
+	a.groups = G
+	var fullArr [MaxLaneWords]uint64
+	full := fullArr[:G]
 	for g := range full {
-		switch {
-		case n >= (g+1)*BatchSize:
-			full[g] = ^uint64(0)
-		case n > g*BatchSize:
-			full[g] = uint64(1)<<uint(n-g*BatchSize) - 1
+		full[g] = ^uint64(0)
+		if r := n - g*BatchSize; r < BatchSize {
+			full[g] = uint64(1)<<uint(r) - 1
 		}
 	}
 	switch {
@@ -61,9 +67,9 @@ func (p *Program) ReplayInto(a *Arena, faults []fault.Fault, det []uint64) error
 	case W == 1:
 		det[0] = p.runN(a, full[0])
 	case p.width == 1:
-		p.run1W(a, det, full)
+		p.run1W(a, det[:G], full)
 	default:
-		p.runNW(a, det, full)
+		p.runNW(a, det[:G], full)
 	}
 	return nil
 }
@@ -91,6 +97,16 @@ func allDetected(det, full []uint64) bool {
 // fault.LaneMemory.Clock); the read-history ring is addressed by a
 // wrapping cursor instead of a modulo.  The pass returns as soon as
 // every machine of the batch has detected.
+//
+// In a sparse batch (a literal program, no every-read hook) an op on a
+// cell whose flag byte is 0 is skipped: no fault has reached the cell,
+// so every machine holds the clean value there and its checked reads
+// cannot detect; the arena restores that value when a hook first
+// reaches the cell.  A skipped op still ticks the clock (twice for a
+// fused op) and advances width-1's fused cursor.  Each kernel leaves
+// the ops it executed in a.executed: the index it stopped at, less the
+// ops it skipped.  The wide kernels run only the lane groups the batch
+// fills (len(det)); their strides stay W.
 
 // run1 is the width-1 kernel for bit-oriented memories: one lane word
 // per cell, no per-bit inner loops anywhere on the hot path, and the
@@ -104,9 +120,20 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 	var detected uint64
 	hpos, affPos, foldPos, obsPos, fusPos := 0, 0, 0, 0, 0
 	clock := a.clock
-	for _, oa := range p.code1 {
+	i, skipped := 0, 0
+	var oa uint32
+	for i, oa = range p.code1 {
 		op := oa >> opShift
 		cell := int(oa & w1AddrMask)
+		if a.sparse && a.flags[cell] == 0 {
+			clock++
+			if op == opCheckWrite {
+				clock++
+				fusPos++
+			}
+			skipped++
+			continue
+		}
 		// d is the broadcast data bit: the expected value of a read, the
 		// literal (or affine offset) of a write.
 		d := uint64(0) - uint64(oa>>w1DataShift&1)
@@ -200,13 +227,14 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 			a.data[0] = d
 			a.storeHooked(cell, a.data[:1], clock)
 		} else {
-			if !p.dense {
+			if !p.dense || a.sparse {
 				a.markDirty(cell)
 			}
 			a.lanes[cell] = d
 		}
 	}
 	a.clock = clock
+	a.executed = uint64(i + 1 - skipped)
 	return detected
 }
 
@@ -217,13 +245,22 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 	slots, hpos, foldPos, obsPos := p.maxBack, 0, 0, 0
 	lanes, hist, flags := a.lanes, a.hist, a.flags
 	val, data := a.val, a.data // one lane group: w words each
-	hasEvery := a.everyN != 0
-	track := !p.dense // dense traces restore wholesale, skip marking
+	hasEvery, sparse := a.everyN != 0, a.sparse
+	track := !p.dense || sparse // dense traces restore wholesale, skip marking
 	clock := a.clock
-	for i := range p.code {
+	i, skipped := 0, 0
+	for i = range p.code {
 		in := &p.code[i]
 		cell := int(in.opAddr & addrMask)
 		op := in.opAddr >> opShift
+		if sparse && flags[cell] == 0 {
+			clock++
+			if op == opCheckWrite {
+				clock++
+			}
+			skipped++
+			continue
+		}
 		if op == opObserve {
 			// Compare point: no memory access, no clock tick.
 			ob := &p.observes[obsPos]
@@ -326,30 +363,43 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 		}
 	}
 	a.clock = clock
+	a.executed = uint64(i + 1 - skipped)
 	return detected
 }
 
 // run1W is the wide width-1 kernel (laneWords > 1): run1 with a W-word
 // lane block per cell — sense, compare, fold and store inner loops all
-// run over W words, amortizing dispatch, flag checks and history
-// bookkeeping over W*64 machines.
+// run over the G <= W words the batch fills, amortizing dispatch, flag
+// checks and history bookkeeping over G*64 machines.
 func (p *Program) run1W(a *Arena, det, full []uint64) {
-	W := p.laneWords
+	W, G := p.laneWords, len(det)
 	slots, hpos, affPos, foldPos, obsPos, fusPos := p.maxBack, 0, 0, 0, 0, 0
 	lanes, hist, flags := a.lanes, a.hist, a.flags
-	data := a.data[:W]
-	hasEvery := a.everyN != 0
-	track := !p.dense // dense traces restore wholesale, skip marking
+	data := a.data[:G]
+	hasEvery, sparse := a.everyN != 0, a.sparse
+	track := !p.dense || sparse // dense traces restore wholesale, skip marking
 	clock := a.clock
-	for _, oa := range p.code1 {
+	i, skipped := 0, 0
+	var oa uint32
+	for i, oa = range p.code1 {
 		op := oa >> opShift
+		cell := int(oa & w1AddrMask)
+		if sparse && flags[cell] == 0 {
+			clock++
+			if op == opCheckWrite {
+				clock++
+				fusPos++
+			}
+			skipped++
+			continue
+		}
 		if op == opObserve {
 			// Compare point: no memory access, no clock tick.
 			ob := &p.observes[obsPos]
 			obsPos++
 			accBase := int(ob.acc) * W
 			nb := int(ob.bits)
-			for g := 0; g < W; g++ {
+			for g := 0; g < G; g++ {
 				var d uint64
 				for r := 0; r < nb; r++ {
 					d |= a.acc[accBase+r*W+g]
@@ -361,21 +411,20 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 			}
 			continue
 		}
-		cell := int(oa & w1AddrMask)
 		base := cell * W
 		clock++
 		d := uint64(0) - uint64(oa>>w1DataShift&1) // broadcast data bit
 		if op == opCheckWrite || op <= opFold {
 			// No hooks can perturb an unhooked sense: read the lane block
 			// in place, no scratch copy.
-			v := lanes[base : base+W]
+			v := lanes[base : base+G]
 			if flags[cell]&flagRead != 0 || hasEvery {
-				v = a.val[:W]
-				copy(v, lanes[base:base+W])
+				v = a.val[:G]
+				copy(v, lanes[base:base+G])
 				a.senseHooked(cell, v, clock)
 			}
 			if slots > 0 {
-				copy(hist[hpos*W:hpos*W+W], v)
+				copy(hist[hpos*W:hpos*W+G], v)
 				if hpos++; hpos == slots {
 					hpos = 0
 				}
@@ -387,8 +436,8 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 				// acc ← step·acc ⊕ tap·diff, per lane group.
 				fr := &p.folds[foldPos]
 				foldPos++
-				diff := a.diff[:W]
-				for g := 0; g < W; g++ {
+				diff := a.diff[:G]
+				for g := 0; g < G; g++ {
 					diff[g] = v[g] ^ d
 					if fr.checked {
 						det[g] |= diff[g] & full[g]
@@ -403,7 +452,7 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 				av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
 				scr := a.obsScr[:nb*W]
 				for r := 0; r < nb; r++ {
-					for g := 0; g < W; g++ {
+					for g := 0; g < G; g++ {
 						var nv uint64
 						for m := step[r]; m != 0; m &= m - 1 {
 							nv ^= av[bits.TrailingZeros32(m)*W+g]
@@ -414,10 +463,10 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 						scr[r*W+g] = nv
 					}
 				}
-				copy(av, scr)
+				copy(av, scr) // idle groups' rows carry stale scratch nothing reads
 				continue
 			}
-			for g := 0; g < W; g++ {
+			for g := 0; g < G; g++ {
 				det[g] |= (v[g] ^ d) & full[g]
 			}
 			if allDetected(det, full) {
@@ -444,8 +493,8 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 					if s < 0 {
 						s += slots
 					}
-					hb := hist[s*W : s*W+W]
-					for g := 0; g < W; g++ {
+					hb := hist[s*W : s*W+G]
+					for g := 0; g < G; g++ {
 						data[g] ^= hb[g]
 					}
 				}
@@ -457,35 +506,46 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 			if track {
 				a.markDirty(cell)
 			}
-			copy(lanes[base:base+W], data)
+			copy(lanes[base:base+G], data)
 		}
 	}
 	a.clock = clock
+	a.executed = uint64(i + 1 - skipped)
 }
 
 // runNW is the wide generic kernel (width >= 2, laneWords > 1): cell
 // blocks are laneWords*width words laid out [group][bit], and every
-// per-bit inner loop of runN gains a lane-group dimension.
+// per-bit inner loop of runN gains a lane-group dimension over the G
+// groups the batch fills.
 func (p *Program) runNW(a *Arena, det, full []uint64) {
-	W, w := p.laneWords, p.width
-	ww := W * w // words per cell block
+	W, G, w := p.laneWords, len(det), p.width
+	ww, gw := W*w, G*w // words per cell block, words the batch uses
 	slots, hpos, foldPos, obsPos := p.maxBack, 0, 0, 0
 	lanes, hist, flags := a.lanes, a.hist, a.flags
-	val, data := a.val[:ww], a.data[:ww]
-	hasEvery := a.everyN != 0
-	track := !p.dense // dense traces restore wholesale, skip marking
+	val, data := a.val[:gw], a.data[:gw]
+	hasEvery, sparse := a.everyN != 0, a.sparse
+	track := !p.dense || sparse // dense traces restore wholesale, skip marking
 	clock := a.clock
-	for i := range p.code {
+	i, skipped := 0, 0
+	for i = range p.code {
 		in := &p.code[i]
 		cell := int(in.opAddr & addrMask)
 		op := in.opAddr >> opShift
+		if sparse && flags[cell] == 0 {
+			clock++
+			if op == opCheckWrite {
+				clock++
+			}
+			skipped++
+			continue
+		}
 		if op == opObserve {
 			// Compare point: no memory access, no clock tick.
 			ob := &p.observes[obsPos]
 			obsPos++
 			accBase := int(ob.acc) * W
 			nb := int(ob.bits)
-			for g := 0; g < W; g++ {
+			for g := 0; g < G; g++ {
 				var d uint64
 				for r := 0; r < nb; r++ {
 					d |= a.acc[accBase+r*W+g]
@@ -501,12 +561,12 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 		clock++
 		src := in.lane // lanePool offset of a write's literal data
 		if op == opCheckWrite || op <= opFold {
-			copy(val, lanes[base:base+ww])
+			copy(val, lanes[base:base+gw])
 			if flags[cell]&flagRead != 0 || hasEvery {
 				a.senseHooked(cell, val, clock)
 			}
 			if slots > 0 {
-				copy(hist[hpos*ww:hpos*ww+ww], val)
+				copy(hist[hpos*ww:hpos*ww+gw], val)
 				if hpos++; hpos == slots {
 					hpos = 0
 				}
@@ -519,8 +579,8 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 				// acc ← step·acc ⊕ tap·diff, per lane group.
 				fr := &p.folds[foldPos]
 				foldPos++
-				diff := a.diff[:ww]
-				for g := 0; g < W; g++ {
+				diff := a.diff[:gw]
+				for g := 0; g < G; g++ {
 					gb := g * w
 					var any uint64
 					for b := 0; b < w; b++ {
@@ -540,7 +600,7 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 				av := a.acc[int(fr.acc)*W : int(fr.acc)*W+nb*W]
 				scr := a.obsScr[:nb*W]
 				for r := 0; r < nb; r++ {
-					for g := 0; g < W; g++ {
+					for g := 0; g < G; g++ {
 						var nv uint64
 						for m := step[r]; m != 0; m &= m - 1 {
 							nv ^= av[bits.TrailingZeros32(m)*W+g]
@@ -551,10 +611,10 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 						scr[r*W+g] = nv
 					}
 				}
-				copy(av, scr)
+				copy(av, scr) // idle groups' rows carry stale scratch nothing reads
 				continue
 			}
-			for g := 0; g < W; g++ {
+			for g := 0; g < G; g++ {
 				gb := g * w
 				var diff uint64
 				for b := 0; b < w; b++ {
@@ -573,7 +633,7 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 			clock++
 		}
 		lit := p.lanePool[src : int(src)+w]
-		for g := 0; g < W; g++ {
+		for g := 0; g < G; g++ {
 			copy(data[g*w:(g+1)*w], lit)
 		}
 		if op == opAffine {
@@ -583,7 +643,7 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 					s += slots
 				}
 				hb := hist[s*ww:]
-				for g := 0; g < W; g++ {
+				for g := 0; g < G; g++ {
 					gb := g * w
 					for rm := t.mask; rm != 0; rm &= rm - 1 {
 						data[gb+int(t.dst)] ^= hb[gb+bits.TrailingZeros32(rm)]
@@ -597,8 +657,9 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 			if track {
 				a.markDirty(cell)
 			}
-			copy(lanes[base:base+ww], data)
+			copy(lanes[base:base+gw], data)
 		}
 	}
 	a.clock = clock
+	a.executed = uint64(i + 1 - skipped)
 }

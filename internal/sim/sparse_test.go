@@ -1,0 +1,176 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/march"
+	"repro/internal/ram"
+)
+
+// reachingFaults draws count faults on an n-cell, m-bit memory whose
+// hooks reach cells with no hook of their own — coupling victims and
+// state aggressors, alias and multi-access targets, bridge partners,
+// and on a bit-oriented memory NPSF neighbourhoods — mixed with
+// retention faults whose delays end anywhere in the trace, so inside
+// runs of ops a sparse batch skips.
+func reachingFaults(n, m, count int, seed int64) []fault.Fault {
+	rng := rand.New(rand.NewSource(seed))
+	pair := func() (int, int) {
+		a := rng.Intn(n)
+		return a, (a + 1 + rng.Intn(n-1)) % n
+	}
+	kinds := 7
+	if m == 1 {
+		kinds = 9
+	}
+	out := make([]fault.Fault, 0, count)
+	for len(out) < count {
+		a, v := pair()
+		ab, vb := rng.Intn(m), rng.Intn(m)
+		bit := ram.Word(rng.Intn(2))
+		switch rng.Intn(kinds) {
+		case 0:
+			out = append(out, fault.CFin{AggCell: a, AggBit: ab, VicCell: v, VicBit: vb, Up: bit == 1})
+		case 1:
+			out = append(out, fault.CFid{AggCell: a, AggBit: ab, VicCell: v, VicBit: vb, Up: rng.Intn(2) == 1, Value: bit})
+		case 2:
+			out = append(out, fault.CFst{AggCell: a, AggBit: ab, VicCell: v, VicBit: vb, AggValue: ram.Word(rng.Intn(2)), Value: bit})
+		case 3:
+			out = append(out, fault.AF{Kind: fault.AFAlias + fault.AFKind(rng.Intn(2)), Addr: a, Target: v})
+		case 4:
+			out = append(out, fault.BF{CellA: a, BitA: ab, CellB: v, BitB: vb, And: bit == 1})
+		case 5, 6:
+			// Delays from one op to past the whole trace.
+			out = append(out, fault.DRF{Cell: a, Bit: ab, Decay: bit, Delay: uint64(1 + rng.Intn(40*n*m))})
+		case 7:
+			out = append(out, fault.SNPSF{Nb: fault.GridNeighbourhood(a, n, 8), Pattern: ram.Word(rng.Intn(16)), Value: bit})
+		default:
+			out = append(out, fault.ANPSF{Nb: fault.GridNeighbourhood(a, n, 8), Trigger: rng.Intn(4), Up: rng.Intn(2) == 1,
+				Pattern: ram.Word(rng.Intn(16)), Value: bit})
+		}
+	}
+	return out
+}
+
+// sparseBatches cuts batches of up to width faults from
+// reachingFaults.  Small batches leave most cells unhooked, so hooks
+// reach cells with no hook of their own even on a small memory, and at
+// 512 lanes they fill one to three lane groups; batches 1 and 4 carry a
+// stuck-open fault, whose every-read hook forces the dense fallback.
+func sparseBatches(n, m, width int, seed int64) (batches [][]fault.Fault, sof []bool) {
+	sizes := []int{min(width, 20), min(width, 70), min(width, 130), width, width/2 + 5}
+	pool := reachingFaults(n, m, 3*width, seed)
+	for k, size := range sizes {
+		b := append([]fault.Fault(nil), pool[k*size%width:][:size]...)
+		withSOF := k%3 == 1
+		if withSOF {
+			b[len(b)/2] = fault.SOF{Cell: (7 * k) % n}
+		}
+		batches = append(batches, b)
+		sof = append(sof, withSOF)
+	}
+	return batches, sof
+}
+
+// TestSparseReplayMatchesReplayBatch: a sparse batch skips every op on
+// a cell no fault has reached, so it is exact only if (a) a hook's
+// first touch of such a cell restores its clean value, (b) skipped ops
+// tick the clock the retention faults decay on, and (c) a batch holding
+// an every-read hook runs dense.  Every batch — March C− and March B,
+// a 64-cell BOM and a 32×4 WOM, 64 and 512 lanes — must reproduce the
+// interpreter's masks, and the sparse batches must really have skipped
+// ops, so the test cannot pass vacuously.
+func TestSparseReplayMatchesReplayBatch(t *testing.T) {
+	traces := []struct {
+		name string
+		n, m int
+		tr   *Trace
+	}{
+		{"bom/March C-", 64, 1, recordMarch(t, march.MarchCMinus(), 64)},
+		{"bom/March B", 64, 1, recordMarch(t, march.MarchB(), 64)},
+		{"wom/March C-", 32, 4, recordWOM(t, march.MarchCMinus(), 32, 4)},
+		{"wom/March B", 32, 4, recordWOM(t, march.MarchB(), 32, 4)},
+	}
+	for _, tc := range traces {
+		for _, W := range []int{1, MaxLaneWords} {
+			t.Run(fmt.Sprintf("%s/lanes=%d", tc.name, W*BatchSize), func(t *testing.T) {
+				p, err := Compile(tc.tr, W)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !p.sparse {
+					t.Fatal("a March program must compile sparse")
+				}
+				a := NewArena(p)
+				det := make([]uint64, W)
+				var executed, scheduled, restored uint64
+				batches, sof := sparseBatches(tc.n, tc.m, p.BatchFaults(), int64(tc.n*tc.m+W))
+				for k, b := range batches {
+					if err := p.ReplayInto(a, b, det); err != nil {
+						t.Fatal(err)
+					}
+					if a.sparse == sof[k] {
+						t.Fatalf("batch %d (stuck-open %v) ran sparse=%v", k, sof[k], a.sparse)
+					}
+					if !sof[k] {
+						executed += a.executed
+						scheduled += uint64(p.Ops())
+						for _, f := range a.flags {
+							if f&flagLive != 0 {
+								restored++
+							}
+						}
+					}
+					for g := 0; g*BatchSize < len(b); g++ {
+						sub := b[g*BatchSize : min((g+1)*BatchSize, len(b))]
+						want, err := ReplayBatch(tc.tr, sub)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if det[g] != want {
+							t.Fatalf("batch %d group %d (stuck-open %v):\n  compiled    %064b\n  interpreter %064b", k, g, sof[k], det[g], want)
+						}
+					}
+				}
+				if executed >= scheduled || restored == 0 {
+					t.Fatalf("sparse batches executed %d of %d ops and restored %d cells: the sparse path did not engage", executed, scheduled, restored)
+				}
+			})
+		}
+	}
+}
+
+// TestNonLiteralProgramsNeverSkip: an affine recurrence (PRT) or a
+// signature fold (MISR) spreads errors through cells no hook touches,
+// so their batches run dense — a pass that no early detection cuts
+// short executes every op.
+func TestNonLiteralProgramsNeverSkip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+	}{
+		{"affine", recordPRT(t, 17, 4)},
+		{"observer", recordObserver(t, 24, 4)},
+	} {
+		p, err := Compile(tc.tr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.sparse {
+			t.Fatalf("%s: compiled sparse", tc.name)
+		}
+		// A retention fault that never decays keeps the pass running to
+		// its end.
+		batch := []fault.Fault{fault.DRF{Cell: 3, Bit: 1, Delay: 1 << 62}}
+		a := NewArena(p)
+		if _, err := replay64(p, a, batch); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.executed; got != uint64(p.Ops()) {
+			t.Errorf("%s: executed %d of %d ops", tc.name, got, p.Ops())
+		}
+	}
+}

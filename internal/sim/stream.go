@@ -114,19 +114,26 @@ func (c StreamConfig) workerCount() int {
 func StreamShard(ctx context.Context, src fault.Source, cfg StreamConfig,
 	newWorker func() (replay func(batch []fault.Fault, det []uint64) error, done func()),
 	sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
-	return streamShard(ctx, src, cfg, nil, BatchSize, newWorker, sinkFor)
+	return streamShard(ctx, src, cfg, nil, BatchSize, func() (replayFunc, func()) {
+		replay, done := newWorker()
+		return func(batch []fault.Fault, det []uint64) (uint64, error) { return 0, replay(batch, det) }, done
+	}, sinkFor)
 }
+
+// replayFunc replays one batch into det and returns the instructions
+// it executed (compiled driver only; zero otherwise).
+type replayFunc func(batch []fault.Fault, det []uint64) (ops uint64, err error)
 
 // ShardsStream replays a recorded trace over a streaming universe with
 // the per-batch interpreter (ReplayBatch), which rebuilds the machine
 // array for every batch — the bit-parallel reference path beside the
 // compiled driver.
 func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
-	return streamShard(ctx, src, cfg, nil, BatchSize, func() (func([]fault.Fault, []uint64) error, func()) {
-		return func(batch []fault.Fault, det []uint64) error {
+	return streamShard(ctx, src, cfg, nil, BatchSize, func() (replayFunc, func()) {
+		return func(batch []fault.Fault, det []uint64) (uint64, error) {
 			mask, err := ReplayBatch(tr, batch)
 			det[0] = mask
-			return err
+			return 0, err
 		}, nil
 	}, sinkFor)
 }
@@ -138,13 +145,15 @@ func ShardsStream(ctx context.Context, tr *Trace, src fault.Source, cfg StreamCo
 // fault.Collapser, and the representative verdicts expanded back
 // chunk-locally, so collapsing never needs the whole universe in
 // memory either; a chunk in which nothing merges replays as generated.
+// Each worker's Ops total is the instructions its passes executed.
 func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg StreamConfig, sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
 	sum := p.Summary()
 	arenas := cfg.Arenas
-	return streamShard(ctx, src, cfg, &sum, p.BatchFaults(), func() (func([]fault.Fault, []uint64) error, func()) {
+	return streamShard(ctx, src, cfg, &sum, p.BatchFaults(), func() (replayFunc, func()) {
 		a := arenas.Get(p)
-		return func(batch []fault.Fault, det []uint64) error {
-			return p.ReplayInto(a, batch, det)
+		return func(batch []fault.Fault, det []uint64) (uint64, error) {
+			err := p.ReplayInto(a, batch, det)
+			return a.executed, err
 		}, func() { arenas.Put(a) }
 	}, sinkFor)
 }
@@ -156,7 +165,7 @@ func ShardsCompiledStream(ctx context.Context, p *Program, src fault.Source, cfg
 //
 //faultsim:hotpath
 func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *fault.TraceSummary, batchFaults int,
-	newWorker func() (func([]fault.Fault, []uint64) error, func()),
+	newWorker func() (replayFunc, func()),
 	sinkFor func(worker int) ChunkSink) ([]telemetry.Local, error) {
 	chunk := cfg.chunkSize()
 	workers := cfg.workerCount()
@@ -240,6 +249,7 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 					}
 				}
 				rd := repDet[:len(r)]
+				var ops uint64
 				t0 = time.Now()
 				for lo := 0; lo < len(r); lo += batchFaults {
 					select {
@@ -254,11 +264,13 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 					if hi > len(r) {
 						hi = len(r)
 					}
-					if err := replay(r[lo:hi], mask); err != nil {
+					executed, err := replay(r[lo:hi], mask)
+					if err != nil {
 						errs[w] = err
 						stop.Store(true)
 						break chunks
 					}
+					ops += executed
 					for i := lo; i < hi; i++ {
 						j := i - lo
 						rd[i] = mask[j>>6]>>(uint(j)&63)&1 == 1
@@ -266,6 +278,7 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 				}
 				c.Kernel = time.Since(t0)
 				c.Batches = uint64((len(r) + batchFaults - 1) / batchFaults)
+				c.Ops = ops
 				c.Reps = uint64(len(r))
 				d := rd
 				if col != nil {

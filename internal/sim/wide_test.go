@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -147,9 +148,18 @@ func TestWideStreamMatchesWidth1(t *testing.T) {
 }
 
 // TestWideReplaySteadyStateAllocatesNothing extends the zero-alloc
-// hot-path guarantee to the wide kernels, for every kernel family.
+// hot-path guarantee to the wide kernels, for every kernel family and
+// for sparse batches filling three lane groups.
 func TestWideReplaySteadyStateAllocatesNothing(t *testing.T) {
-	for _, tc := range wideTraceCases(t) {
+	cases := append(wideTraceCases(t), []struct {
+		name   string
+		tr     *Trace
+		faults []fault.Fault
+	}{
+		{"sparse1", recordMarch(t, march.MarchCMinus(), 64), reachingFaults(64, 1, 130, 11)},
+		{"sparseN", recordWOM(t, march.MarchCMinus(), 32, 4), reachingFaults(32, 4, 130, 11)},
+	}...)
+	for _, tc := range cases {
 		p, err := Compile(tc.tr, MaxLaneWords)
 		if err != nil {
 			t.Fatal(err)
@@ -165,6 +175,9 @@ func TestWideReplaySteadyStateAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		if strings.HasPrefix(tc.name, "sparse") && (!a.sparse || a.executed >= uint64(p.Ops())) {
+			t.Fatalf("%s: the batch did not run sparse (executed %d of %d ops)", tc.name, a.executed, p.Ops())
+		}
 		if allocs != 0 {
 			t.Fatalf("%s: steady-state wide replay allocates %.1f objects per batch, want 0", tc.name, allocs)
 		}

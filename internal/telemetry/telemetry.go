@@ -12,6 +12,7 @@ const (
 	ctrReps              // faults actually simulated (post-collapse)
 	ctrBatches           // replay passes
 	ctrChunks            // streaming chunks completed
+	ctrOps               // instructions the compiled kernels executed
 	ctrKernel            // nanoseconds inside replay kernels
 	ctrSinkWait          // nanoseconds the sinks spent blocked on their shared lock
 	ctrSink              // nanoseconds inside the sink callbacks
@@ -37,6 +38,10 @@ type Local struct {
 	// faults simulated after collapsing, Batches the replay passes and
 	// Chunks the chunks completed.
 	Faults, Reps, Batches, Chunks uint64
+	// Ops counts the instructions the compiled kernels executed (zero on
+	// the other engines).  Stages report it (coverage.EngineStats); the
+	// registry sums it into Snapshot but not into the /metrics document.
+	Ops uint64
 	// Kernel is the time inside the replay kernel, SinkWait the time
 	// the sink was blocked on a lock it shares with the other workers'
 	// sinks, Sink the rest of the time inside the sink, and SourceWait
@@ -51,6 +56,7 @@ func (l *Local) Add(c Local) {
 	l.Reps += c.Reps
 	l.Batches += c.Batches
 	l.Chunks += c.Chunks
+	l.Ops += c.Ops
 	l.Kernel += c.Kernel
 	l.SinkWait += c.SinkWait
 	l.Sink += c.Sink
@@ -106,6 +112,7 @@ func (r *Registry) Flush(c Local) {
 	r.ctr[ctrReps].Add(c.Reps)
 	r.ctr[ctrBatches].Add(c.Batches)
 	r.ctr[ctrChunks].Add(c.Chunks)
+	r.ctr[ctrOps].Add(c.Ops)
 	r.ctr[ctrKernel].Add(uint64(c.Kernel))
 	r.ctr[ctrSinkWait].Add(uint64(c.SinkWait))
 	r.ctr[ctrSink].Add(uint64(c.Sink))
@@ -203,6 +210,7 @@ func (r *Registry) Snapshot() Snapshot {
 			Reps:       r.ctr[ctrReps].Load(),
 			Batches:    r.ctr[ctrBatches].Load(),
 			Chunks:     r.ctr[ctrChunks].Load(),
+			Ops:        r.ctr[ctrOps].Load(),
 			Kernel:     ns(ctrKernel),
 			SinkWait:   ns(ctrSinkWait),
 			Sink:       ns(ctrSink),

@@ -52,9 +52,9 @@ func TestSnapshotAggregation(t *testing.T) {
 // TestLocalAdd: Add sums every field, the one accumulation the
 // drivers' per-worker stage totals rest on.
 func TestLocalAdd(t *testing.T) {
-	l := Local{Faults: 1, Reps: 2, Batches: 3, Chunks: 4, Kernel: 5, SinkWait: 6, Sink: 7, SourceWait: 8}
+	l := Local{Faults: 1, Reps: 2, Batches: 3, Chunks: 4, Ops: 9, Kernel: 5, SinkWait: 6, Sink: 7, SourceWait: 8}
 	l.Add(l)
-	if want := (Local{Faults: 2, Reps: 4, Batches: 6, Chunks: 8, Kernel: 10, SinkWait: 12, Sink: 14, SourceWait: 16}); l != want {
+	if want := (Local{Faults: 2, Reps: 4, Batches: 6, Chunks: 8, Ops: 18, Kernel: 10, SinkWait: 12, Sink: 14, SourceWait: 16}); l != want {
 		t.Errorf("Add: %+v, want %+v", l, want)
 	}
 }
