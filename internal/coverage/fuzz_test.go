@@ -323,10 +323,44 @@ func decodeCampaign(data []byte) fuzzCampaign {
 		c.src = fault.ConcatSource(c.src, fault.RetentionSource(n, m, uint64(d)))
 		c.name += fmt.Sprintf("+retention(%d)", d)
 	}
+	// A March test outside the library, appended as one more runner:
+	// 0 (also an exhausted input) appends none.  Its reads and writes
+	// pair up as the decoder draws them, so fusion meets checked reads
+	// with and without a following write of the same cell, also across
+	// an element boundary.
+	if next() != 0 {
+		r := MarchRunner(decodeMarch(next), bgs)
+		c.runners = append(c.runners, r)
+		names = append(names, r.Name())
+	}
 	c.desc = fmt.Sprintf("n=%d m=%d bom=%v %v %s seed=%d chunk=%d workers=%d lanes=%d drop=%v order=%d stream=%v vectors=%v checkpoint=%v",
 		n, m, bom, names, c.name, seed, c.chunk, c.workers, c.lanes, c.drop, c.order, c.stream, c.vectors, c.checkpoint)
 	if c.checkpoint {
 		c.desc += fmt.Sprintf(" parts=%d cancel-at-fill=%d", c.parts, c.cancelAt)
 	}
 	return c
+}
+
+// decodeMarch reads a March test of 1–6 elements, each an address order
+// and 1–6 ops, one byte per choice: an odd op byte reads, an even one
+// writes bit 1 of the byte.  The first op always writes and every read
+// expects the last value written, so Test.Validate accepts the test and
+// its clean run passes.  The test is named by its notation.
+func decodeMarch(next func() int) march.Test {
+	var t march.Test
+	last := -1 // the data of the last write
+	for e := 1 + next()%6; e > 0; e-- {
+		el := march.Element{Order: march.Order(next() % 3)}
+		for k := 1 + next()%6; k > 0; k-- {
+			if b := next(); b%2 == 1 && last >= 0 {
+				el.Ops = append(el.Ops, march.R(last))
+			} else {
+				last = b >> 1 & 1
+				el.Ops = append(el.Ops, march.W(last))
+			}
+		}
+		t.Elems = append(t.Elems, el)
+	}
+	t.Name = t.String()
+	return t
 }

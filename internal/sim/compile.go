@@ -23,7 +23,7 @@ import (
 // per-op decoding beyond a six-way opcode dispatch.  Compilation
 // pre-resolves everything the generic replay loop recomputes per batch:
 //
-//   - lane offsets (cell*width) per instruction;
+//   - cell indices and lanePool offsets per instruction;
 //   - clean data and expected checked-read values, expanded from Words
 //     into broadcast lane words in one shared pool;
 //   - affine recurrence writes, flattened into (back, dst, mask) terms;
@@ -34,7 +34,7 @@ import (
 //     observer compare), which is trimmed: ops past the final
 //     comparison cannot affect detection.
 
-// Instruction opcodes, stored in the top three bits of instr.opAddr.
+// Instruction opcodes, stored in the top three bits of each code word.
 // The read-like opcodes (<= opFold) and write-like opcodes share their
 // kernel prologue, so the ordering is load-bearing.  opCheckWrite is
 // the fused super-op (read + check + literal write on one cell) and is
@@ -62,35 +62,19 @@ const MaxLaneWords = 8
 // 64-machine words).
 func ValidLaneWords(w int) bool { return w == 1 || w == MaxLaneWords }
 
-// instr is one compiled operation, packed to 16 bytes so large traces
-// stream through cache.  opAddr carries the opcode in its top three
-// bits and the cell index below.  lane indexes the program's lanePool
-// (width words): the expected value for opCheck, the literal data for
-// opWrite, the affine offset for opAffine.  terms[t0:t0+tn] are the
-// affine terms of an opAffine.  A fused opCheckWrite keeps the
-// expected value in lane and reuses t0 (free: fused ops are never
-// affine) as the lanePool offset of the literal write data.
-type instr struct {
-	opAddr uint32
-	lane   int32 // offset into lanePool
-	t0, tn int32
-}
-
-// Width-1 instruction packing: the whole operation fits one uint32 —
-// opcode in the top three bits, the single data/expected bit below it,
-// the cell in the low 28 bits — quartering the instruction stream the
-// width-1 kernel pulls through cache.  Affine ops keep their terms in
-// a side table (aff1) consumed in program order; folds and observes
-// consume the shared folds/observes tables, also in program order, and
-// fused opCheckWrite ops pull their write bit from the fus1 side table
-// (the packed word only has room for the expected bit).
-const (
-	w1DataShift = 28
-	w1AddrMask  = 1<<w1DataShift - 1
-)
-
-// affEntry is the side-table record of one width-1 affine write.
-type affEntry struct {
+// A compiled operation is one code word and one operand record, split
+// by how often the kernels read them.  The code word, all a skipped op
+// reads, carries the opcode in its top three bits and the cell index
+// below, so a sparse batch's skip scan pulls 4 bytes per op through
+// cache.  The operand record, read only for an op the kernel executes,
+// indexes the program's lanePool (width words per entry): lane is the
+// expected value of an opCheck or opFold, the literal data of an
+// opWrite, the affine offset of an opAffine.  terms[t0:t0+tn] are the
+// affine terms of an opAffine.  A fused opCheckWrite keeps the expected
+// value in lane and reuses t0 (free: fused ops are never affine) as the
+// lanePool offset of the literal write data.
+type operand struct {
+	lane   int32
 	t0, tn int32
 }
 
@@ -133,20 +117,13 @@ type Program struct {
 	// 64-lane shape the fault-model hooks were written against.
 	laneWords int
 
-	code     []instr
+	// code holds one word per op and args its operands, index for
+	// index.
+	code     []uint32
+	args     []operand
 	terms    []affTerm
 	lanePool []uint64
-
-	// Width-1 specialization: one packed uint32 per op plus the affine
-	// side table; empty for wider memories.
-	code1 []uint32
-	aff1  []affEntry
-
-	// fus1 holds the write bits of width-1 fused opCheckWrite ops,
-	// consumed in program order (the packed word carries only the
-	// expected bit).
-	fus1  []uint8
-	fused int // fused super-op count
+	fused    int // fused super-op count
 
 	// Observer state layout: folds/observes are consumed in program
 	// order by the kernels, rowPool holds the deduplicated step/tap
@@ -261,7 +238,8 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 		width:     tr.Width,
 		maxBack:   tr.MaxBack,
 		laneWords: laneWords,
-		code:      make([]instr, 0, len(ops)),
+		code:      make([]uint32, 0, len(ops)),
+		args:      make([]operand, 0, len(ops)),
 		trimmed:   len(tr.Ops) - len(ops),
 		expect:    make([]uint8, tr.Size*tr.Width),
 	}
@@ -301,12 +279,8 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 		}
 	}
 
-	limit := addrMask
-	if tr.Width == 1 {
-		limit = w1AddrMask
-	}
-	if tr.Size > limit {
-		return nil, fmt.Errorf("sim: %d cells exceed the compiler's %d-cell address space", tr.Size, limit)
+	if tr.Size > addrMask {
+		return nil, fmt.Errorf("sim: %d cells exceed the compiler's %d-cell address space", tr.Size, addrMask)
 	}
 	written := make([]bool, tr.Size)
 	distinct := 0
@@ -320,9 +294,7 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 		// the write still counts toward dense-trace detection.
 		if op.Kind == ram.OpRead && op.Checked && op.Fold == nil && i+1 < len(ops) {
 			if nxt := &ops[i+1]; nxt.Kind == ram.OpWrite && nxt.Lin == nil && nxt.Addr == op.Addr {
-				in := instr{opAddr: uint32(op.Addr) | opCheckWrite<<opShift}
-				in.lane = p.appendLanes(op.Data)
-				in.t0 = p.appendLanes(nxt.Data)
+				arg := operand{lane: p.appendLanes(op.Data), t0: p.appendLanes(nxt.Data)}
 				for b := 0; b < tr.Width; b++ {
 					p.expect[op.Addr*tr.Width+b] |= 1 << uint(op.Data>>uint(b)&1)
 				}
@@ -331,19 +303,20 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 					written[nxt.Addr] = true
 					distinct++
 				}
-				p.code = append(p.code, in)
+				p.code = append(p.code, uint32(op.Addr)|opCheckWrite<<opShift)
+				p.args = append(p.args, arg)
 				p.fused++
 				i++
 				continue
 			}
 		}
-		in := instr{opAddr: uint32(op.Addr)}
+		oa, arg := uint32(op.Addr), operand{}
 		switch {
 		case op.Kind == OpObserve:
 			if op.Addr < 0 || op.Addr >= len(tr.Observers) || tr.Observers[op.Addr] == 0 {
 				return nil, fmt.Errorf("sim: observe of unregistered observer %d", op.Addr)
 			}
-			in.opAddr = uint32(op.Addr) | opObserve<<opShift
+			oa |= opObserve << opShift
 			p.observes = append(p.observes, obsRec{
 				acc: obsOff[op.Addr], bits: int32(tr.Observers[op.Addr]),
 			})
@@ -352,8 +325,8 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 			if f.Obs < 0 || f.Obs >= len(tr.Observers) || tr.Observers[f.Obs] != len(f.Step) {
 				return nil, fmt.Errorf("sim: fold into unregistered observer %d", f.Obs)
 			}
-			in.opAddr |= opFold << opShift
-			in.lane = p.appendLanes(op.Data)
+			oa |= opFold << opShift
+			arg.lane = p.appendLanes(op.Data)
 			p.folds = append(p.folds, foldRec{
 				acc:     obsOff[f.Obs],
 				bits:    int32(len(f.Step)),
@@ -378,21 +351,21 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 			reads++
 		case op.Kind == ram.OpRead:
 			if op.Checked {
-				in.opAddr |= opCheck << opShift
-				in.lane = p.appendLanes(op.Data)
+				oa |= opCheck << opShift
+				arg.lane = p.appendLanes(op.Data)
 				for b := 0; b < tr.Width; b++ {
 					p.expect[op.Addr*tr.Width+b] |= 1 << uint(op.Data>>uint(b)&1)
 				}
 			}
 			reads++
 		case op.Lin == nil:
-			in.opAddr |= opWrite << opShift
-			in.lane = p.appendLanes(op.Data)
+			oa |= opWrite << opShift
+			arg.lane = p.appendLanes(op.Data)
 		default:
-			in.opAddr |= opAffine << opShift
+			oa |= opAffine << opShift
 			p.affine = true
-			in.lane = p.appendLanes(op.Lin.Offset)
-			in.t0 = int32(len(p.terms))
+			arg.lane = p.appendLanes(op.Lin.Offset)
+			arg.t0 = int32(len(p.terms))
 			for j, back := range op.Lin.Back {
 				if back > reads {
 					return nil, fmt.Errorf("sim: linear write references read %d back but only %d reads recorded", back, reads)
@@ -403,18 +376,16 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 					}
 				}
 			}
-			in.tn = int32(len(p.terms)) - in.t0
+			arg.tn = int32(len(p.terms)) - arg.t0
 		}
 		if op.Kind == ram.OpWrite && !written[op.Addr] {
 			written[op.Addr] = true
 			distinct++
 		}
-		p.code = append(p.code, in)
+		p.code = append(p.code, oa)
+		p.args = append(p.args, arg)
 	}
 	p.dense = 2*distinct >= tr.Size
-	if tr.Width == 1 {
-		p.pack1()
-	}
 	if !p.affine && len(p.folds) == 0 && len(p.observes) == 0 && uint64(len(p.code)) <= math.MaxUint32/2 {
 		p.indexWrites()
 	}
@@ -429,9 +400,9 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 func (p *Program) indexWrites() {
 	p.sparse = true
 	p.wstart = make([]int32, p.size+1)
-	for i := range p.code {
-		if op := p.code[i].opAddr >> opShift; op == opWrite || op == opCheckWrite {
-			p.wstart[p.code[i].opAddr&addrMask+1]++
+	for _, oa := range p.code {
+		if op := oa >> opShift; op == opWrite || op == opCheckWrite {
+			p.wstart[oa&addrMask+1]++
 		}
 	}
 	for c := 0; c < p.size; c++ {
@@ -441,19 +412,18 @@ func (p *Program) indexWrites() {
 	p.wclock, p.wlane = make([]uint32, n), make([]int32, n)
 	next := append([]int32(nil), p.wstart[:p.size]...)
 	var clock uint32
-	for i := range p.code {
-		in := &p.code[i]
+	for i, oa := range p.code {
 		clock++
-		lane := in.lane
-		switch in.opAddr >> opShift {
+		lane := p.args[i].lane
+		switch oa >> opShift {
 		case opCheckWrite:
 			clock++
-			lane = in.t0
+			lane = p.args[i].t0
 		case opWrite:
 		default:
 			continue
 		}
-		c := in.opAddr & addrMask
+		c := oa & addrMask
 		p.wclock[next[c]], p.wlane[next[c]] = clock, lane
 		next[c]++
 	}
@@ -468,33 +438,4 @@ func rowKey(rows []uint32) []byte {
 		binary.LittleEndian.PutUint32(b[4*i:], r)
 	}
 	return b
-}
-
-// pack1 builds the width-1 instruction stream from the compiled (and
-// fused) code: the data/expected bit rides in the instruction word
-// (recovered from the instruction's lanePool entry — width 1, so one
-// broadcast word per entry), affine term windows in a side table,
-// fused write bits in fus1; folds and observes consume the shared side
-// tables in program order.
-func (p *Program) pack1() {
-	p.code1 = make([]uint32, 0, len(p.code))
-	bit := func(off int32) uint32 { return uint32(p.lanePool[off] & 1) }
-	for i := range p.code {
-		in := &p.code[i]
-		oa := in.opAddr
-		switch in.opAddr >> opShift {
-		case opRead, opObserve:
-			// No data bit: a plain read senses whatever is stored, an
-			// observe touches no memory.
-		case opAffine:
-			oa |= bit(in.lane) << w1DataShift
-			p.aff1 = append(p.aff1, affEntry{t0: in.t0, tn: in.tn})
-		case opCheckWrite:
-			oa |= bit(in.lane) << w1DataShift
-			p.fus1 = append(p.fus1, uint8(p.lanePool[in.t0]&1))
-		default: // opCheck, opFold, opWrite
-			oa |= bit(in.lane) << w1DataShift
-		}
-		p.code1 = append(p.code1, oa)
-	}
 }

@@ -28,11 +28,18 @@ func recordWOM(t *testing.T, test march.Test, n, m int) *Trace {
 }
 
 // recordPRT captures a pseudo-ring trace, whose recurrence writes
-// exercise the affine instruction path.
+// exercise the affine instruction path: PRT-3 over the paper's
+// bit-oriented generator on an n-cell BOM when m is 1, over its
+// GF(2^4) generator on an n×m WOM otherwise.
 func recordPRT(t *testing.T, n, m int) *Trace {
 	t.Helper()
 	s := prt.StandardScheme3(prt.PaperWOMConfig().Gen)
-	tr, detected, ops := Record(ram.NewWOM(n, m), func(mem ram.Memory) (bool, uint64) {
+	var mem ram.Memory = ram.NewWOM(n, m)
+	if m == 1 {
+		s = prt.StandardScheme3(prt.PaperBOMConfig().Gen)
+		mem = ram.NewBOM(n)
+	}
+	tr, detected, ops := Record(mem, func(mem ram.Memory) (bool, uint64) {
 		r, err := s.Run(mem)
 		if err != nil {
 			t.Fatal(err)
@@ -142,11 +149,15 @@ func TestCompiledKernelGenericMatchesInterpreter(t *testing.T) {
 	assertCompiledMatchesReplayBatch(t, tr, u.Faults)
 }
 
+// TestCompiledKernelAffineMatchesInterpreter covers the affine write
+// path of the width-1 kernel (a PRT-3 trace on a BOM) and of the
+// generic kernel (on a 4-bit WOM).
 func TestCompiledKernelAffineMatchesInterpreter(t *testing.T) {
-	const n, m = 17, 4
-	tr := recordPRT(t, n, m)
-	u := fault.StandardUniverse(n, m, 8, 7)
-	assertCompiledMatchesReplayBatch(t, tr, u.Faults)
+	for _, c := range []struct{ n, m int }{{24, 1}, {17, 4}} {
+		tr := recordPRT(t, c.n, c.m)
+		u := fault.StandardUniverse(c.n, c.m, 8, 7)
+		assertCompiledMatchesReplayBatch(t, tr, u.Faults)
+	}
 }
 
 // TestCompiledKernelObserverMatchesInterpreter: both kernels must fold

@@ -50,8 +50,10 @@
 //     expanded clean values, flattened affine terms, fold/observe side
 //     tables with deduplicated GF(2) matrices, and the suffix after
 //     the last detection point trimmed (nothing past the final
-//     comparison can affect detection).  Width-1 traces additionally
-//     pack each op into a single uint32.  A literal program — every
+//     comparison can affect detection).  Every op compiles to a uint32
+//     code word (opcode and cell), all a skipped op reads, and an
+//     operand record beside it that only an executed op reads; the
+//     four kernels share that one encoding.  A literal program — every
 //     write a literal, no fold or observer, which is every March test
 //     — is marked sparse, and its write timeline lists each cell's
 //     writes by the operation clock the kernels assign.

@@ -102,41 +102,41 @@ func allDetected(det, full []uint64) bool {
 // cell whose flag byte is 0 is skipped: no fault has reached the cell,
 // so every machine holds the clean value there and its checked reads
 // cannot detect; the arena restores that value when a hook first
-// reaches the cell.  A skipped op still ticks the clock (twice for a
-// fused op) and advances width-1's fused cursor.  Each kernel leaves
-// the ops it executed in a.executed: the index it stopped at, less the
-// ops it skipped.  The wide kernels run only the lane groups the batch
-// fills (len(det)); their strides stay W.
+// reaches the cell.  A skipped op reads only its code word and still
+// ticks the clock (twice for a fused op).  Each kernel leaves the ops
+// it executed in a.executed: the index it stopped at, less the ops it
+// skipped.  The wide kernels run only the lane groups the batch fills
+// (len(det)); their strides stay W.
+//
+// All four kernels range over the same code words and read an executed
+// op's operands from p.args[i]: a read's expected value and a write's
+// literal data at lanePool[lane], a fused write's data at
+// lanePool[t0], affine terms at terms[t0:t0+tn].
 
 // run1 is the width-1 kernel for bit-oriented memories: one lane word
-// per cell, no per-bit inner loops anywhere on the hot path, and the
-// whole instruction — opcode, data bit, cell — in a single uint32, so
-// even 1M-cell traces stream 4 bytes per op.  It reads the arena's
-// buffers and the program's settings through a and p instead of
-// caching them in locals: with the read and write paths shared, cached
-// slice headers outnumber the registers and spill at every merge,
-// which cost March C− replay about a fifth of its speed.
+// per cell and no per-bit inner loops anywhere on the hot path.  It
+// reads the arena's buffers and the program's settings through a and p
+// instead of caching them in locals: with the read and write paths
+// shared, cached slice headers outnumber the registers and spill at
+// every merge, which cost March C− replay about a fifth of its speed.
 func (p *Program) run1(a *Arena, full uint64) uint64 {
 	var detected uint64
-	hpos, affPos, foldPos, obsPos, fusPos := 0, 0, 0, 0, 0
+	hpos, foldPos, obsPos := 0, 0, 0
 	clock := a.clock
 	i, skipped := 0, 0
 	var oa uint32
-	for i, oa = range p.code1 {
+	for i, oa = range p.code {
 		op := oa >> opShift
-		cell := int(oa & w1AddrMask)
+		cell := int(oa & addrMask)
 		if a.sparse && a.flags[cell] == 0 {
 			clock++
 			if op == opCheckWrite {
 				clock++
-				fusPos++
 			}
 			skipped++
 			continue
 		}
-		// d is the broadcast data bit: the expected value of a read, the
-		// literal (or affine offset) of a write.
-		d := uint64(0) - uint64(oa>>w1DataShift&1)
+		var d uint64 // the data a write stores
 		if op == opCheckWrite || op <= opFold {
 			clock++
 			v := a.lanes[cell]
@@ -151,49 +151,46 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 					hpos = 0
 				}
 			}
-			d ^= v // the read's difference from the clean value
-			if op != opCheckWrite {
-				if op == opRead {
-					continue
-				}
-				if op == opFold {
-					// acc ← step·acc ⊕ tap·diff, per lane.
-					fr := &p.folds[foldPos]
-					foldPos++
-					if fr.checked {
-						detected |= d & full
-						if detected == full {
-							break
-						}
-					}
-					step := p.rowPool[fr.step : fr.step+fr.bits]
-					tap := p.rowPool[fr.tap : fr.tap+fr.bits]
-					av := a.acc[fr.acc : fr.acc+fr.bits]
-					scr := a.obsScr
-					for r := range av {
-						var nv uint64
-						for m := step[r]; m != 0; m &= m - 1 {
-							nv ^= av[bits.TrailingZeros32(m)]
-						}
-						if tap[r]&1 != 0 {
-							nv ^= d
-						}
-						scr[r] = nv
-					}
-					copy(av, scr[:len(av)])
-					continue
-				}
+			if op == opRead {
+				continue
 			}
-			detected |= d & full
+			diff := v ^ p.lanePool[p.args[i].lane] // the read's difference from the clean value
+			if op == opFold {
+				// acc ← step·acc ⊕ tap·diff, per lane.
+				fr := &p.folds[foldPos]
+				foldPos++
+				if fr.checked {
+					detected |= diff & full
+					if detected == full {
+						break
+					}
+				}
+				step := p.rowPool[fr.step : fr.step+fr.bits]
+				tap := p.rowPool[fr.tap : fr.tap+fr.bits]
+				av := a.acc[fr.acc : fr.acc+fr.bits]
+				scr := a.obsScr
+				for r := range av {
+					var nv uint64
+					for m := step[r]; m != 0; m &= m - 1 {
+						nv ^= av[bits.TrailingZeros32(m)]
+					}
+					if tap[r]&1 != 0 {
+						nv ^= diff
+					}
+					scr[r] = nv
+				}
+				copy(av, scr[:len(av)])
+				continue
+			}
+			detected |= diff & full
 			if detected == full {
 				break // every machine has detected
 			}
-			if op != opCheckWrite {
+			if op == opCheck {
 				continue
 			}
-			// Fused write half: its literal bit rides in fus1.
-			d = uint64(0) - uint64(p.fus1[fusPos])
-			fusPos++
+			// Fused write half: t0 holds the literal data's offset.
+			d = p.lanePool[p.args[i].t0]
 		} else if op == opObserve {
 			// Compare point: no memory access, no clock tick — the
 			// machine diverges iff its accumulated signature diff is
@@ -209,16 +206,18 @@ func (p *Program) run1(a *Arena, full uint64) uint64 {
 				break
 			}
 			continue
-		} else if op == opAffine {
-			e := &p.aff1[affPos]
-			affPos++
-			for _, t := range p.terms[e.t0 : e.t0+e.tn] {
-				if t.mask&1 != 0 {
-					s := hpos - int(t.back)
-					if s < 0 {
-						s += p.maxBack
+		} else {
+			d = p.lanePool[p.args[i].lane] // literal data or affine offset
+			if op == opAffine {
+				arg := &p.args[i]
+				for _, t := range p.terms[arg.t0 : arg.t0+arg.tn] {
+					if t.mask&1 != 0 {
+						s := hpos - int(t.back)
+						if s < 0 {
+							s += p.maxBack
+						}
+						d ^= a.hist[s]
 					}
-					d ^= a.hist[s]
 				}
 			}
 		}
@@ -249,10 +248,10 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 	track := !p.dense || sparse // dense traces restore wholesale, skip marking
 	clock := a.clock
 	i, skipped := 0, 0
-	for i = range p.code {
-		in := &p.code[i]
-		cell := int(in.opAddr & addrMask)
-		op := in.opAddr >> opShift
+	var oa uint32
+	for i, oa = range p.code {
+		op := oa >> opShift
+		cell := int(oa & addrMask)
 		if sparse && flags[cell] == 0 {
 			clock++
 			if op == opCheckWrite {
@@ -277,7 +276,8 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 		}
 		base := cell * w
 		clock++
-		src := in.lane // lanePool offset of a write's literal data
+		arg := &p.args[i]
+		src := arg.lane // lanePool offset of a write's literal data
 		if op == opCheckWrite || op <= opFold {
 			copy(val, lanes[base:base+w])
 			if flags[cell]&flagRead != 0 || hasEvery {
@@ -292,7 +292,7 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 			if op == opRead {
 				continue
 			}
-			clean := p.lanePool[in.lane : int(in.lane)+w]
+			clean := p.lanePool[arg.lane : int(arg.lane)+w]
 			if op == opFold {
 				// acc ← step·acc ⊕ tap·diff, per lane.
 				fr := &p.folds[foldPos]
@@ -337,12 +337,12 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 				continue
 			}
 			// Fused write half: t0 holds the literal data's offset.
-			src = in.t0
+			src = arg.t0
 			clock++
 		}
 		copy(data, p.lanePool[src:int(src)+w])
 		if op == opAffine {
-			for _, t := range p.terms[in.t0 : in.t0+in.tn] {
+			for _, t := range p.terms[arg.t0 : arg.t0+arg.tn] {
 				s := hpos - int(t.back)
 				if s < 0 {
 					s += slots
@@ -373,7 +373,7 @@ func (p *Program) runN(a *Arena, full uint64) uint64 {
 // checks and history bookkeeping over G*64 machines.
 func (p *Program) run1W(a *Arena, det, full []uint64) {
 	W, G := p.laneWords, len(det)
-	slots, hpos, affPos, foldPos, obsPos, fusPos := p.maxBack, 0, 0, 0, 0, 0
+	slots, hpos, foldPos, obsPos := p.maxBack, 0, 0, 0
 	lanes, hist, flags := a.lanes, a.hist, a.flags
 	data := a.data[:G]
 	hasEvery, sparse := a.everyN != 0, a.sparse
@@ -381,14 +381,13 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 	clock := a.clock
 	i, skipped := 0, 0
 	var oa uint32
-	for i, oa = range p.code1 {
+	for i, oa = range p.code {
 		op := oa >> opShift
-		cell := int(oa & w1AddrMask)
+		cell := int(oa & addrMask)
 		if sparse && flags[cell] == 0 {
 			clock++
 			if op == opCheckWrite {
 				clock++
-				fusPos++
 			}
 			skipped++
 			continue
@@ -413,7 +412,8 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 		}
 		base := cell * W
 		clock++
-		d := uint64(0) - uint64(oa>>w1DataShift&1) // broadcast data bit
+		arg := &p.args[i]
+		src := arg.lane // lanePool offset of a write's literal data
 		if op == opCheckWrite || op <= opFold {
 			// No hooks can perturb an unhooked sense: read the lane block
 			// in place, no scratch copy.
@@ -432,13 +432,14 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 			if op == opRead {
 				continue
 			}
+			clean := p.lanePool[arg.lane]
 			if op == opFold {
 				// acc ← step·acc ⊕ tap·diff, per lane group.
 				fr := &p.folds[foldPos]
 				foldPos++
 				diff := a.diff[:G]
 				for g := 0; g < G; g++ {
-					diff[g] = v[g] ^ d
+					diff[g] = v[g] ^ clean
 					if fr.checked {
 						det[g] |= diff[g] & full[g]
 					}
@@ -467,7 +468,7 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 				continue
 			}
 			for g := 0; g < G; g++ {
-				det[g] |= (v[g] ^ d) & full[g]
+				det[g] |= (v[g] ^ clean) & full[g]
 			}
 			if allDetected(det, full) {
 				break // every machine has detected
@@ -475,19 +476,17 @@ func (p *Program) run1W(a *Arena, det, full []uint64) {
 			if op == opCheck {
 				continue
 			}
-			// Fused write half.
-			d = uint64(0) - uint64(p.fus1[fusPos])
-			fusPos++
+			// Fused write half: t0 holds the literal data's offset.
+			src = arg.t0
 			clock++
 		}
+		d := p.lanePool[src]
 		for g := range data {
 			data[g] = d
 		}
 		if op == opAffine {
 			// Per-group data diverges through the history terms.
-			e := &p.aff1[affPos]
-			affPos++
-			for _, t := range p.terms[e.t0 : e.t0+e.tn] {
+			for _, t := range p.terms[arg.t0 : arg.t0+arg.tn] {
 				if t.mask&1 != 0 {
 					s := hpos - int(t.back)
 					if s < 0 {
@@ -527,10 +526,10 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 	track := !p.dense || sparse // dense traces restore wholesale, skip marking
 	clock := a.clock
 	i, skipped := 0, 0
-	for i = range p.code {
-		in := &p.code[i]
-		cell := int(in.opAddr & addrMask)
-		op := in.opAddr >> opShift
+	var oa uint32
+	for i, oa = range p.code {
+		op := oa >> opShift
+		cell := int(oa & addrMask)
 		if sparse && flags[cell] == 0 {
 			clock++
 			if op == opCheckWrite {
@@ -559,7 +558,8 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 		}
 		base := cell * ww
 		clock++
-		src := in.lane // lanePool offset of a write's literal data
+		arg := &p.args[i]
+		src := arg.lane // lanePool offset of a write's literal data
 		if op == opCheckWrite || op <= opFold {
 			copy(val, lanes[base:base+gw])
 			if flags[cell]&flagRead != 0 || hasEvery {
@@ -574,7 +574,7 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 			if op == opRead {
 				continue
 			}
-			clean := p.lanePool[in.lane : int(in.lane)+w]
+			clean := p.lanePool[arg.lane : int(arg.lane)+w]
 			if op == opFold {
 				// acc ← step·acc ⊕ tap·diff, per lane group.
 				fr := &p.folds[foldPos]
@@ -629,7 +629,7 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 				continue
 			}
 			// Fused write half: t0 holds the literal data's offset.
-			src = in.t0
+			src = arg.t0
 			clock++
 		}
 		lit := p.lanePool[src : int(src)+w]
@@ -637,7 +637,7 @@ func (p *Program) runNW(a *Arena, det, full []uint64) {
 			copy(data[g*w:(g+1)*w], lit)
 		}
 		if op == opAffine {
-			for _, t := range p.terms[in.t0 : in.t0+in.tn] {
+			for _, t := range p.terms[arg.t0 : arg.t0+arg.tn] {
 				s := hpos - int(t.back)
 				if s < 0 {
 					s += slots

@@ -81,8 +81,9 @@ func sparseBatches(n, m, width int, seed int64) (batches [][]fault.Fault, sof []
 // tick the clock the retention faults decay on, and (c) a batch holding
 // an every-read hook runs dense.  Every batch — March C− and March B,
 // a 64-cell BOM and a 32×4 WOM, 64 and 512 lanes — must reproduce the
-// interpreter's masks, and the sparse batches must really have skipped
-// ops, so the test cannot pass vacuously.
+// interpreter's masks and end at the clock of the same program replayed
+// dense, and the sparse batches must really have skipped ops, so the
+// test cannot pass vacuously.
 func TestSparseReplayMatchesReplayBatch(t *testing.T) {
 	traces := []struct {
 		name string
@@ -106,6 +107,10 @@ func TestSparseReplayMatchesReplayBatch(t *testing.T) {
 				}
 				a := NewArena(p)
 				det := make([]uint64, W)
+				dense := *p
+				dense.sparse = false
+				da := NewArena(&dense)
+				ddet := make([]uint64, W)
 				var executed, scheduled, restored uint64
 				batches, sof := sparseBatches(tc.n, tc.m, p.BatchFaults(), int64(tc.n*tc.m+W))
 				for k, b := range batches {
@@ -114,6 +119,12 @@ func TestSparseReplayMatchesReplayBatch(t *testing.T) {
 					}
 					if a.sparse == sof[k] {
 						t.Fatalf("batch %d (stuck-open %v) ran sparse=%v", k, sof[k], a.sparse)
+					}
+					if err := dense.ReplayInto(da, b, ddet); err != nil {
+						t.Fatal(err)
+					}
+					if a.clock != da.clock {
+						t.Fatalf("batch %d ended at clock %d, replayed dense at %d", k, a.clock, da.clock)
 					}
 					if !sof[k] {
 						executed += a.executed

@@ -12,10 +12,11 @@ import (
 
 // wideTraceCases covers every kernel family the wide paths dispatch to:
 // the width-1 kernel (march on a 1-bit memory), the generic multi-bit
-// kernel, the affine recurrence path (PRT), and the fold/observe (MISR)
-// path at both widths.  Each case pairs the trace with a fault universe
-// whose size is deliberately NOT a multiple of any batch width, so the
-// final partial batch exercises the idle-group masking too.
+// kernel, the affine recurrence path (PRT) and the fold/observe (MISR)
+// path, the last two at both widths.  Each case pairs the trace with a
+// fault universe whose size is deliberately NOT a multiple of any batch
+// width, so the final partial batch exercises the idle-group masking
+// too.
 func wideTraceCases(t *testing.T) []struct {
 	name   string
 	tr     *Trace
@@ -33,6 +34,8 @@ func wideTraceCases(t *testing.T) []struct {
 			fault.StandardUniverse(24, 4, 8, 5).Faults},
 		{"affine", recordPRT(t, 17, 4),
 			fault.StandardUniverse(17, 4, 8, 7).Faults},
+		{"affine1", recordPRT(t, 24, 1),
+			fault.StandardUniverse(24, 1, 8, 7).Faults},
 		{"observer1", recordObserver(t, 24, 1),
 			fault.StandardUniverse(24, 1, 8, 9).Faults},
 		{"observerN", recordObserver(t, 24, 4),
