@@ -83,16 +83,19 @@ type ReadHook interface {
 // installed on, with those the hooks reach through StoredLane and
 // SetStoredLane, are the only cells whose operations the engine must
 // replay; a hook that must see other cells' reads registers through
-// OnEveryRead.
+// OnEveryRead.  On a read, the cell's OnReadOf hooks run first and the
+// every-read hooks after them, so an every-read hook sees the value the
+// read returns.
 type HookRegistry interface {
 	LaneMemory
 	// OnWriteTo runs h around every write to cell.
 	OnWriteTo(cell int, h WriteHook)
 	// OnReadOf runs h on every read of cell.
 	OnReadOf(cell int, h ReadHook)
-	// OnEveryRead runs h on every read of any cell (the stuck-open
-	// sense-amplifier model needs to observe the full read stream); a
-	// batch holding such a hook replays every operation.
+	// OnEveryRead runs h on every read of any cell, after the cell's
+	// OnReadOf hooks (the stuck-open sense-amplifier model needs to
+	// observe the full read stream); a batch holding such a hook
+	// replays every operation.
 	OnEveryRead(h ReadHook)
 }
 
@@ -193,12 +196,28 @@ func (f TF) BatchInject(reg HookRegistry, lane int, p *Pool) {
 
 // --- SOF ---
 
+// sofGroup is the one every-read hook of a lane group's stuck-open
+// faults: last[b] holds, for the group's SOF lanes (mask), bit b of the
+// word each of those machines last sensed.  A disconnected cell's own
+// read hook runs before it and returns last unchanged, so its reads
+// re-record the same word, as the sense amplifier keeps it.
+type sofGroup struct {
+	reg  HookRegistry
+	mask uint64
+	last [32]uint64
+}
+
+func (h *sofGroup) OnRead(_ LaneMemory, _ int, val []uint64) {
+	for b, v := range val {
+		h.last[b] = h.last[b]&^h.mask | v&h.mask
+	}
+}
+
 type sofHook struct {
-	cell     int
-	lane     int
-	mask     uint64
-	lastRead ram.Word
-	saved    ram.Word
+	group *sofGroup
+	lane  int
+	mask  uint64
+	saved ram.Word
 }
 
 func (h *sofHook) PreWrite(m LaneMemory, cell int, _ []uint64) {
@@ -209,27 +228,21 @@ func (h *sofHook) PostWrite(m LaneMemory, cell int, _ []uint64) {
 	setLaneWord(m, cell, h.lane, h.saved) // write lost
 }
 
-func (h *sofHook) OnRead(m LaneMemory, cell int, val []uint64) {
-	if cell == h.cell {
-		// The disconnected cell returns the previous sensed value.
-		for b := range val {
-			val[b] = val[b]&^h.mask | uint64(h.lastRead>>uint(b)&1)<<uint(h.lane)
-		}
-		return
+// OnRead returns, on the disconnected cell, the previous sensed value.
+func (h *sofHook) OnRead(_ LaneMemory, _ int, val []uint64) {
+	for b := range val {
+		val[b] = val[b]&^h.mask | h.group.last[b]&h.mask
 	}
-	var w ram.Word
-	for b, d := range val {
-		w |= ram.Word(d>>uint(h.lane)&1) << uint(b)
-	}
-	h.lastRead = w
 }
 
 // BatchInject implements BatchInjector.
 func (f SOF) BatchInject(reg HookRegistry, lane int, p *Pool) {
+	g := p.sofGroup(reg)
 	h := p.sof.get()
-	h.cell, h.lane, h.mask = f.Cell, lane, uint64(1)<<uint(lane)
+	h.group, h.lane, h.mask = g, lane, uint64(1)<<uint(lane)
+	g.mask |= h.mask
 	reg.OnWriteTo(f.Cell, h)
-	reg.OnEveryRead(h)
+	reg.OnReadOf(f.Cell, h)
 }
 
 // --- DRF ---

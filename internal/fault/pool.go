@@ -39,6 +39,7 @@ type Pool struct {
 	saf   freelist[safHook]
 	tf    freelist[tfHook]
 	sof   freelist[sofHook]
+	sofg  freelist[sofGroup]
 	drf   freelist[drfHook]
 	af    freelist[afHook]
 	cfin  freelist[cfinHook]
@@ -56,6 +57,7 @@ func (p *Pool) Reset() {
 	p.saf.reset()
 	p.tf.reset()
 	p.sof.reset()
+	p.sofg.reset()
 	p.drf.reset()
 	p.af.reset()
 	p.cfin.reset()
@@ -64,4 +66,19 @@ func (p *Pool) Reset() {
 	p.bf.reset()
 	p.snpsf.reset()
 	p.anpsf.reset()
+}
+
+// sofGroup returns the stuck-open group hook of reg for the current
+// batch, installing it as reg's every-read hook on first use.  A batch
+// registers through at most a few lane groups, so a scan finds it.
+func (p *Pool) sofGroup(reg HookRegistry) *sofGroup {
+	for _, g := range p.sofg.items[:p.sofg.used] {
+		if g.reg == reg {
+			return g
+		}
+	}
+	g := p.sofg.get()
+	g.reg = reg
+	reg.OnEveryRead(g)
+	return g
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // Arena is one replay worker's reusable machine-array state for a
-// compiled program: lane buffer, hook tables, read-history ring,
-// scratch and a hook pool.  Between batches only the cells the
-// previous batch dirtied are restored (a dirty-cell list with epoch
-// stamps), so steady-state batches allocate nothing and touch
-// O(dirty) instead of O(Size×Width) memory.  An Arena is single-
-// threaded; the streaming drivers create one per worker.
+// compiled program: lane buffer, hook tables, scratch and a hook pool.
+// Between batches only the cells the previous batch dirtied are
+// restored (a dirty-cell list with epoch stamps), so steady-state
+// batches allocate nothing and touch O(dirty) instead of O(Size×Width)
+// memory.  An Arena is single-threaded; the streaming drivers create
+// one per worker.
 type Arena struct {
 	p *Program
 
@@ -63,7 +63,6 @@ type Arena struct {
 	everyN    int                // total every-read hooks across groups
 	flags     []uint8
 
-	hist []uint64 // read-history ring, maxBack*width*laneWords words
 	val  []uint64 // scratch: sensed lanes of the current read, [group][bit]
 	data []uint64 // scratch: lanes of the current write, [group][bit]
 
@@ -136,8 +135,6 @@ func (a *Arena) Retarget(p *Program) {
 	clear(a.flags)
 	a.val = grow(a.val, p.width*W)
 	a.data = grow(a.data, p.width*W)
-	a.hist = grow(a.hist, p.maxBack*p.width*W)
-	clear(a.hist)
 	a.acc = grow(a.acc, p.accWords*W)
 	clear(a.acc)
 	a.obsScr = grow(a.obsScr, p.obsBits*W)

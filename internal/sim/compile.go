@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/ram"
@@ -26,7 +27,8 @@ import (
 //   - cell indices and lanePool offsets per instruction;
 //   - clean data and expected checked-read values, expanded from Words
 //     into broadcast lane words in one shared pool;
-//   - affine recurrence writes, flattened into (back, dst, mask) terms;
+//   - affine recurrence writes, each moved to the head of the run of
+//     reads it consumes, whose reads carry their (dst, mask) terms;
 //   - signature folds and observer compare points, resolved to offsets
 //     into a per-arena accumulator buffer with their GF(2) matrices
 //     deduplicated in one shared row pool;
@@ -40,11 +42,11 @@ import (
 // the fused super-op (read + check + literal write on one cell) and is
 // dispatched explicitly before the read/write split.
 const (
-	opRead       uint32 = iota // plain read: sense + hooks + history
+	opRead       uint32 = iota // plain read: sense + hooks
 	opCheck                    // checked read: opRead + comparison against lanes
 	opFold                     // read folded into a signature observer (side table)
 	opWrite                    // broadcast write of a literal clean value
-	opAffine                   // write recomputed from earlier reads (GF(2)-affine)
+	opAffine                   // head of a run: its reads, then a GF(2)-affine write
 	opObserve                  // observer compare point (no memory access)
 	opCheckWrite               // fused checked read + literal write of one cell
 
@@ -69,10 +71,14 @@ func ValidLaneWords(w int) bool { return w == 1 || w == MaxLaneWords }
 // cache.  The operand record, read only for an op the kernel executes,
 // indexes the program's lanePool (width words per entry): lane is the
 // expected value of an opCheck or opFold, the literal data of an
-// opWrite, the affine offset of an opAffine.  terms[t0:t0+tn] are the
-// affine terms of an opAffine.  A fused opCheckWrite keeps the expected
-// value in lane and reuses t0 (free: fused ops are never affine) as the
-// lanePool offset of the literal write data.
+// opWrite, the affine offset of an opAffine.  A fused opCheckWrite
+// keeps the expected value in lane and reuses t0 as the lanePool offset
+// of the literal write data.
+//
+// An affine write heads the run of reads it consumes: its opAffine word
+// comes first, t0 holding the run length, and each run read keeps its
+// own word and operand, terms[t0:t0+tn] being what its sensed value
+// feeds into the write (none for a stale-capture check of the target).
 type operand struct {
 	lane   int32
 	t0, tn int32
@@ -94,11 +100,9 @@ type obsRec struct {
 	acc, bits int32
 }
 
-// affTerm is one flattened affine contribution: source-read bits
-// selected by mask, from the read back steps ago, XORed into output
-// row dst.
+// affTerm is one flattened affine contribution of a run read: its
+// sensed bits selected by mask, XORed into write row dst.
 type affTerm struct {
-	back int32
 	dst  int32
 	mask uint32
 }
@@ -106,9 +110,8 @@ type affTerm struct {
 // Program is a compiled trace, shared read-only by all replay workers
 // of a campaign; per-worker mutable state lives in Arena.
 type Program struct {
-	size    int
-	width   int
-	maxBack int
+	size  int
+	width int
 
 	// laneWords is the lane-block width W in 64-machine words: every
 	// cell-bit owns W consecutive lane words, one batch simulates W*64
@@ -211,7 +214,9 @@ func (p *Program) appendLanes(w ram.Word) int32 {
 // laneWords*64 machines per batch (laneWords of 1 or 8).  It fails
 // on traces replay would also reject: no detection points (checked
 // reads or observer compares), an affine write referencing a read that
-// never happened, or a fold/observe of an unregistered observer.
+// never happened, or a fold/observe of an unregistered observer.  It
+// also refuses an affine write whose sources are not all in the run of
+// reads directly before it, the shape every recorder gives a step.
 //
 // Besides lowering, the compiler fuses each March-style
 // read-check-write sequence — a checked, unfolded read immediately
@@ -236,7 +241,6 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 	p := &Program{
 		size:      tr.Size,
 		width:     tr.Width,
-		maxBack:   tr.MaxBack,
 		laneWords: laneWords,
 		code:      make([]uint32, 0, len(ops)),
 		args:      make([]operand, 0, len(ops)),
@@ -285,13 +289,16 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 	written := make([]bool, tr.Size)
 	distinct := 0
 	reads := 0
+	// stretch is the code index where the reads directly before the
+	// current op begin: an affine write's run must start inside it.
+	stretch := 0
 	for i := 0; i < len(ops); i++ {
 		op := &ops[i]
 		// Op fusion: a checked, unfolded read immediately followed by a
 		// literal write of the same cell — the inner step of every March
 		// element — collapses into one opCheckWrite super-op.  The read
-		// still counts toward affine back distances and pushes history;
-		// the write still counts toward dense-trace detection.
+		// still counts toward affine back distances; the write still
+		// counts toward dense-trace detection and ends the stretch.
 		if op.Kind == ram.OpRead && op.Checked && op.Fold == nil && i+1 < len(ops) {
 			if nxt := &ops[i+1]; nxt.Kind == ram.OpWrite && nxt.Lin == nil && nxt.Addr == op.Addr {
 				arg := operand{lane: p.appendLanes(op.Data), t0: p.appendLanes(nxt.Data)}
@@ -306,6 +313,7 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 				p.code = append(p.code, uint32(op.Addr)|opCheckWrite<<opShift)
 				p.args = append(p.args, arg)
 				p.fused++
+				stretch = len(p.code)
 				i++
 				continue
 			}
@@ -365,25 +373,46 @@ func Compile(tr *Trace, laneWords int) (*Program, error) {
 			oa |= opAffine << opShift
 			p.affine = true
 			arg.lane = p.appendLanes(op.Lin.Offset)
-			arg.t0 = int32(len(p.terms))
-			for j, back := range op.Lin.Back {
+			for _, back := range op.Lin.Back {
 				if back > reads {
 					return nil, fmt.Errorf("sim: linear write references read %d back but only %d reads recorded", back, reads)
 				}
-				for r, m := range op.Lin.Rows[j] {
-					if m != 0 {
-						p.terms = append(p.terms, affTerm{back: int32(back), dst: int32(r), mask: m})
+				arg.t0 = max(arg.t0, int32(back))
+			}
+			head := len(p.code) - int(arg.t0)
+			if head < stretch {
+				return nil, fmt.Errorf("sim: linear write references read %d back but only the %d ops before it are reads", arg.t0, len(p.code)-stretch)
+			}
+			// Each run read gets the terms of the sources at its distance.
+			for r := head; r < len(p.code); r++ {
+				ra := &p.args[r]
+				ra.t0 = int32(len(p.terms))
+				for j, back := range op.Lin.Back {
+					if back != len(p.code)-r {
+						continue
+					}
+					for row, m := range op.Lin.Rows[j] {
+						if m != 0 {
+							p.terms = append(p.terms, affTerm{dst: int32(row), mask: m})
+						}
 					}
 				}
+				ra.tn = int32(len(p.terms)) - ra.t0
 			}
-			arg.tn = int32(len(p.terms)) - arg.t0
+			p.code = slices.Insert(p.code, head, oa)
+			p.args = slices.Insert(p.args, head, arg)
 		}
 		if op.Kind == ram.OpWrite && !written[op.Addr] {
 			written[op.Addr] = true
 			distinct++
 		}
-		p.code = append(p.code, oa)
-		p.args = append(p.args, arg)
+		if oa>>opShift != opAffine {
+			p.code = append(p.code, oa)
+			p.args = append(p.args, arg)
+		}
+		if op.Kind != ram.OpRead {
+			stretch = len(p.code)
+		}
 	}
 	p.dense = 2*distinct >= tr.Size
 	if !p.affine && len(p.folds) == 0 && len(p.observes) == 0 && uint64(len(p.code)) <= math.MaxUint32/2 {

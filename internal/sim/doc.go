@@ -47,21 +47,25 @@
 //
 //   - Compile lowers the trace once per campaign into a flat
 //     instruction stream with pre-resolved lane offsets, broadcast-
-//     expanded clean values, flattened affine terms, fold/observe side
-//     tables with deduplicated GF(2) matrices, and the suffix after
-//     the last detection point trimmed (nothing past the final
-//     comparison can affect detection).  Every op compiles to a uint32
-//     code word (opcode and cell), all a skipped op reads, and an
-//     operand record beside it that only an executed op reads; the
-//     four kernels share that one encoding.  A literal program — every
-//     write a literal, no fold or observer, which is every March test
-//     — is marked sparse, and its write timeline lists each cell's
+//     expanded clean values, fold/observe side tables with
+//     deduplicated GF(2) matrices, and the suffix after the last
+//     detection point trimmed (nothing past the final comparison can
+//     affect detection).  Every op compiles to a uint32 code word
+//     (opcode and cell), all a skipped op reads, and an operand record
+//     beside it that only an executed op reads; the four kernels share
+//     that one encoding.  An affine write and the unbroken run of reads
+//     it consumes (a π-test step: its source reads and the stale
+//     capture of its target) compile head first: the write's code word
+//     opens the run with its length, and each read after it carries the
+//     terms its sensed value feeds into the write.  A literal program —
+//     every write a literal, no fold or observer, which is every March
+//     test — is marked sparse, and its write timeline lists each cell's
 //     writes by the operation clock the kernels assign.
 //
 //   - Arena is a worker's reusable machine-array state: lane buffer,
 //     hook storage sized by one batch (a node list chained from int32
 //     heads, with a one-byte per-cell flag map the kernels test),
-//     history ring, observer accumulators, scratch, and a fault.Pool
+//     observer accumulators, scratch, and a fault.Pool
 //     recycling hook objects.  Every hook is installed and invoked
 //     through the 64-lane view of its lane group, and the kernels
 //     reach hooks only through senseHooked and storeHooked, so
@@ -82,7 +86,11 @@
 //     forms run only the lane groups a batch fills.  Every kernel has
 //     one read path and one write path: a fused read-check-write
 //     compares on the read path, then stores on the write path that
-//     literal and affine writes take.  In a sparse batch each kernel
+//     literal and affine writes take.  An affine head executes its
+//     run's reads in order on the write side — tick, sense, compare or
+//     fold, XOR into the write data — then stores once, so a recurrence
+//     step is one dispatch and needs no history of earlier reads.  In a
+//     sparse batch each kernel
 //     skips every op on a cell whose flag byte is 0, ticking the clock
 //     as if it had run: no fault has reached that cell, so every
 //     machine holds the clean value there (concurrent fault
@@ -116,8 +124,8 @@
 //     immutable after compilation and shared freely across campaigns;
 //
 //   - arena reuse across programs: Arena.Retarget rebinds a worker's
-//     arena to a different program (any width, size, observer or
-//     history shape) with a full state reset, and ArenaPool recycles
+//     arena to a different program (any width, size or observer
+//     shape) with a full state reset, and ArenaPool recycles
 //     arenas between a session's stages.
 //
 // The drivers live in stream.go: ShardsStream / ShardsCompiledStream

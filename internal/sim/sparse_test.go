@@ -55,6 +55,16 @@ func reachingFaults(n, m, count int, seed int64) []fault.Fault {
 	return out
 }
 
+// withStuckOpen turns every fifth fault into a stuck-open fault of an
+// n-cell memory, so each lane group holds a dozen of them.
+func withStuckOpen(faults []fault.Fault, n int) []fault.Fault {
+	out := append([]fault.Fault(nil), faults...)
+	for i := 0; i < len(out); i += 5 {
+		out[i] = fault.SOF{Cell: (3 * i) % n}
+	}
+	return out
+}
+
 // sparseBatches cuts batches of up to width faults from
 // reachingFaults.  Small batches leave most cells unhooked, so hooks
 // reach cells with no hook of their own even on a small memory, and at
@@ -154,34 +164,100 @@ func TestSparseReplayMatchesReplayBatch(t *testing.T) {
 	}
 }
 
-// TestNonLiteralProgramsNeverSkip: an affine recurrence (PRT) or a
-// signature fold (MISR) spreads errors through cells no hook touches,
+// TestNonLiteralProgramsNeverSkip: an affine recurrence (PRT, BIST) or
+// a signature fold (MISR) spreads errors through cells no hook touches,
 // so their batches run dense — a pass that no early detection cuts
-// short executes every op.
+// short executes every op, at 64 and 512 lanes, and ends at the clock
+// the interpreter's Array reaches over the compiled trace ops.
 func TestNonLiteralProgramsNeverSkip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		n, m int
 		tr   *Trace
 	}{
-		{"affine", recordPRT(t, 17, 4)},
-		{"observer", recordObserver(t, 24, 4)},
+		{"affine", 17, 4, recordPRT(t, 17, 4)},
+		{"affine1", 24, 1, recordPRT(t, 24, 1)},
+		{"bist", 17, 4, recordBIST(t, 17, 4)},
+		{"bist1", 24, 1, recordBIST(t, 24, 1)},
+		{"checked", 17, 4, recordCheckedRecurrence(t, 17, 4)},
+		{"checked1", 24, 1, recordCheckedRecurrence(t, 24, 1)},
+		{"observer", 24, 4, recordObserver(t, 24, 4)},
 	} {
-		p, err := Compile(tc.tr, 1)
-		if err != nil {
-			t.Fatal(err)
+		// Retention faults that never decay keep the pass running to its
+		// end; at 512 lanes they fill two lane groups.
+		var batch []fault.Fault
+		for c := 0; len(batch) < 70; c = (c + 1) % tc.n {
+			batch = append(batch, fault.DRF{Cell: c, Bit: len(batch) % tc.m, Delay: 1 << 62})
 		}
-		if p.sparse {
-			t.Fatalf("%s: compiled sparse", tc.name)
+		for _, W := range []int{1, MaxLaneWords} {
+			p, err := Compile(tc.tr, W)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.sparse {
+				t.Fatalf("%s: compiled sparse", tc.name)
+			}
+			a := NewArena(p)
+			det := make([]uint64, W)
+			if err := p.ReplayInto(a, batch[:min(len(batch), p.BatchFaults())], det); err != nil {
+				t.Fatal(err)
+			}
+			if got := a.executed; got != uint64(p.Ops()) {
+				t.Errorf("%s at %d lanes: executed %d of %d ops", tc.name, W*BatchSize, got, p.Ops())
+			}
+			if want := interpreterClock(tc.tr, len(tc.tr.Ops)-p.TrimmedOps()); a.clock != want {
+				t.Errorf("%s at %d lanes: the pass ended at clock %d, the interpreter at %d", tc.name, W*BatchSize, a.clock, want)
+			}
 		}
-		// A retention fault that never decays keeps the pass running to
-		// its end.
-		batch := []fault.Fault{fault.DRF{Cell: 3, Bit: 1, Delay: 1 << 62}}
-		a := NewArena(p)
-		if _, err := replay64(p, a, batch); err != nil {
-			t.Fatal(err)
-		}
-		if got := a.executed; got != uint64(p.Ops()) {
-			t.Errorf("%s: executed %d of %d ops", tc.name, got, p.Ops())
+	}
+}
+
+// TestStuckOpenGroupsMatchReplayBatch: the stuck-open faults of a lane
+// group share one every-read hook that records the group's sensed
+// words, and each fault's read hook on its own cell returns its lanes of
+// them.  Batches holding a dozen stuck-open faults per group, beside
+// faults whose hooks reach other cells, must reproduce the
+// interpreter's masks on March C− (BOM and WOM) and on PRT-3's fused
+// runs, at 64 and 512 lanes, and run dense.
+func TestStuckOpenGroupsMatchReplayBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n, m int
+		tr   *Trace
+	}{
+		{"bom/March C-", 48, 1, recordMarch(t, march.MarchCMinus(), 48)},
+		{"wom/March C-", 32, 4, recordWOM(t, march.MarchCMinus(), 32, 4)},
+		{"bom/PRT-3", 24, 1, recordPRT(t, 24, 1)},
+		{"wom/PRT-3", 17, 4, recordPRT(t, 17, 4)},
+	} {
+		faults := withStuckOpen(reachingFaults(tc.n, tc.m, 700, int64(tc.n)), tc.n)
+		for _, W := range []int{1, MaxLaneWords} {
+			t.Run(fmt.Sprintf("%s/lanes=%d", tc.name, W*BatchSize), func(t *testing.T) {
+				p, err := Compile(tc.tr, W)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := NewArena(p)
+				det := make([]uint64, W)
+				for lo := 0; lo < len(faults); lo += p.BatchFaults() {
+					b := faults[lo:min(lo+p.BatchFaults(), len(faults))]
+					if err := p.ReplayInto(a, b, det); err != nil {
+						t.Fatal(err)
+					}
+					if a.sparse {
+						t.Fatalf("batch at %d holds stuck-open faults but ran sparse", lo)
+					}
+					for g := 0; g*BatchSize < len(b); g++ {
+						want, err := ReplayBatch(tc.tr, b[g*BatchSize:min((g+1)*BatchSize, len(b))])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if det[g] != want {
+							t.Fatalf("batch at %d group %d:\n  compiled    %064b\n  interpreter %064b", lo, g, det[g], want)
+						}
+					}
+				}
+			})
 		}
 	}
 }

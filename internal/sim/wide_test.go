@@ -12,18 +12,21 @@ import (
 
 // wideTraceCases covers every kernel family the wide paths dispatch to:
 // the width-1 kernel (march on a 1-bit memory), the generic multi-bit
-// kernel, the affine recurrence path (PRT) and the fold/observe (MISR)
-// path, the last two at both widths.  Each case pairs the trace with a
-// fault universe whose size is deliberately NOT a multiple of any batch
-// width, so the final partial batch exercises the idle-group masking
-// too.
+// kernel, the affine recurrence path and the fold/observe (MISR) path,
+// the last two at both widths.  The affine cases put every read kind
+// inside a run: PRT-3's plain sources and checked stale capture, the
+// BIST controller's folded sources, and a recurrence whose sources are
+// all checked; their retention faults decay inside the runs.  Each case
+// pairs the trace with a fault universe whose size is deliberately NOT
+// a multiple of any batch width, so the final partial batch exercises
+// the idle-group masking too.
 func wideTraceCases(t *testing.T) []struct {
 	name   string
 	tr     *Trace
 	faults []fault.Fault
 } {
 	t.Helper()
-	return []struct {
+	cases := []struct {
 		name   string
 		tr     *Trace
 		faults []fault.Fault
@@ -33,14 +36,28 @@ func wideTraceCases(t *testing.T) []struct {
 		{"generic", recordWOM(t, march.MarchCMinus(), 24, 4),
 			fault.StandardUniverse(24, 4, 8, 5).Faults},
 		{"affine", recordPRT(t, 17, 4),
-			fault.StandardUniverse(17, 4, 8, 7).Faults},
+			withRetention(fault.StandardUniverse(17, 4, 8, 7).Faults, 17, 4)},
 		{"affine1", recordPRT(t, 24, 1),
-			fault.StandardUniverse(24, 1, 8, 7).Faults},
+			withRetention(fault.StandardUniverse(24, 1, 8, 7).Faults, 24, 1)},
+		{"bist", recordBIST(t, 17, 4),
+			withRetention(fault.StandardUniverse(17, 4, 8, 13).Faults, 17, 4)},
+		{"bist1", recordBIST(t, 24, 1),
+			withRetention(fault.StandardUniverse(24, 1, 8, 13).Faults, 24, 1)},
+		{"checked", recordCheckedRecurrence(t, 17, 4),
+			withRetention(fault.StandardUniverse(17, 4, 8, 15).Faults, 17, 4)},
+		{"checked1", recordCheckedRecurrence(t, 24, 1),
+			withRetention(fault.StandardUniverse(24, 1, 8, 15).Faults, 24, 1)},
 		{"observer1", recordObserver(t, 24, 1),
 			fault.StandardUniverse(24, 1, 8, 9).Faults},
 		{"observerN", recordObserver(t, 24, 4),
 			fault.StandardUniverse(24, 4, 8, 9).Faults},
 	}
+	for _, c := range cases {
+		if len(c.faults)%BatchSize == 0 {
+			t.Fatalf("%s: %d faults fill every batch", c.name, len(c.faults))
+		}
+	}
+	return cases
 }
 
 // TestWideKernelMatchesWidth1 is the wide-lane equivalence property: a
@@ -151,8 +168,9 @@ func TestWideStreamMatchesWidth1(t *testing.T) {
 }
 
 // TestWideReplaySteadyStateAllocatesNothing extends the zero-alloc
-// hot-path guarantee to the wide kernels, for every kernel family and
-// for sparse batches filling three lane groups.
+// hot-path guarantee to the wide kernels, for every kernel family, for
+// sparse batches filling three lane groups and for batches holding
+// several stuck-open faults per lane group.
 func TestWideReplaySteadyStateAllocatesNothing(t *testing.T) {
 	cases := append(wideTraceCases(t), []struct {
 		name   string
@@ -161,6 +179,8 @@ func TestWideReplaySteadyStateAllocatesNothing(t *testing.T) {
 	}{
 		{"sparse1", recordMarch(t, march.MarchCMinus(), 64), reachingFaults(64, 1, 130, 11)},
 		{"sparseN", recordWOM(t, march.MarchCMinus(), 32, 4), reachingFaults(32, 4, 130, 11)},
+		{"stuckOpen1", recordPRT(t, 24, 1), withStuckOpen(reachingFaults(24, 1, 300, 5), 24)},
+		{"stuckOpenN", recordWOM(t, march.MarchCMinus(), 32, 4), withStuckOpen(reachingFaults(32, 4, 300, 5), 32)},
 	}...)
 	for _, tc := range cases {
 		p, err := Compile(tc.tr, MaxLaneWords)
