@@ -20,7 +20,6 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/fault"
 	"repro/internal/gf"
-	"repro/internal/lfsr"
 	"repro/internal/march"
 	"repro/internal/prt"
 	"repro/internal/ram"
@@ -200,19 +199,6 @@ func BenchmarkGFMulStrategies(b *testing.B) {
 	})
 }
 
-// BenchmarkLFSRForms compares Fibonacci and Galois bit-LFSR stepping.
-func BenchmarkLFSRForms(b *testing.B) {
-	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
-		b.Run(form.String(), func(b *testing.B) {
-			reg := lfsr.MustBit(0x11D, form, 1)
-			for i := 0; i < b.N; i++ {
-				reg.Step()
-			}
-			sink = reg.State()
-		})
-	}
-}
-
 // BenchmarkPiIterationThroughput measures cells/second of the walk
 // itself across memory sizes.
 func BenchmarkPiIterationThroughput(b *testing.B) {
@@ -266,14 +252,23 @@ func BenchmarkSignatureVsVerify(b *testing.B) {
 	mem := ram.NewWOM(4096, 4)
 	b.Run("signature", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = sig.MustRun(mem)
+			_ = mustRun(sig, mem)
 		}
 	})
 	b.Run("verify+capture", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = full.MustRun(mem)
+			_ = mustRun(full, mem)
 		}
 	})
+}
+
+// mustRun is prt.Scheme.Run but panics on configuration errors.
+func mustRun(s prt.Scheme, mem ram.Memory) prt.SchemeResult {
+	r, err := s.Run(mem)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // BenchmarkCampaign compares the three coverage engines on the

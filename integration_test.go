@@ -29,7 +29,7 @@ func TestPipelineSynthesisToController(t *testing.T) {
 	// 1. Synthesise the tap multipliers and check them against the
 	// field on all inputs.
 	for _, a := range cfg.Gen.Taps() {
-		nl := xorsynth.ConstMultiplier(f, a)
+		nl := xorsynth.CSE(f.ConstMulMatrix(a))
 		for x := gf.Elem(0); x <= f.Mask(); x++ {
 			if gf.Elem(nl.Eval(uint32(x))) != f.Mul(a, x) {
 				t.Fatalf("netlist for tap %x disagrees with field at %x", a, x)

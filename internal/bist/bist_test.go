@@ -213,3 +213,11 @@ func TestBitsFor(t *testing.T) {
 		}
 	}
 }
+
+// RunAll is RunAllCompressed with the plain controller, which compares
+// the exact per-word final window.
+func RunAll(s prt.Scheme, mem ram.Memory) (pass bool, cycles uint64, err error) {
+	return runAll(s, mem, func(cfg prt.Config, _ int) (*Controller, error) {
+		return NewController(cfg, mem)
+	})
+}

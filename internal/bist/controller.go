@@ -51,7 +51,7 @@ func (s State) String() string {
 // memory operation (or one compare) per Step call, mirroring the
 // hardware the Budget accounts for.  It executes a single signature
 // π-iteration; the multi-iteration sequencing is a trivial outer loop
-// (see RunAll).
+// (see RunAllCompressed).
 type Controller struct {
 	cfg   prt.Config
 	mem   ram.Memory
@@ -165,22 +165,6 @@ func NewCompressedController(cfg prt.Config, mem ram.Memory, alpha gf.Elem, obs 
 	return c, nil
 }
 
-// Compressed reports whether the controller compares a MISR signature
-// instead of the per-word final window.
-func (c *Controller) Compressed() bool { return c.misr != nil }
-
-// Signature returns the accumulated MISR signature (compressed mode).
-func (c *Controller) Signature() gf.Elem {
-	if c.misr == nil {
-		return 0
-	}
-	return c.misr.Signature()
-}
-
-// PredictedSignature returns the model-computed clean signature the
-// compare step tests against (compressed mode).
-func (c *Controller) PredictedSignature() gf.Elem { return c.sigStar }
-
 // fold feeds one read value into the signature register and annotates
 // a replay trace, when recording, with the equivalent GF(2) fold.
 func (c *Controller) fold(v gf.Elem) {
@@ -284,25 +268,14 @@ func (c *Controller) Run() bool {
 	return c.state == StateDone
 }
 
-// Fin returns the observed final window (after completion).
-func (c *Controller) Fin() []gf.Elem { return append([]gf.Elem(nil), c.fin...) }
-
-// RunAll sequences the controller over every iteration of a scheme's
-// resolved configurations, returning pass/fail and total cycles.
-// Mirror placeholders are resolved against the memory size; the
+// RunAllCompressed sequences a MISR-compressed controller (observer id
+// = iteration index) over every iteration of a scheme's resolved
+// configurations, returning pass/fail and total cycles.  Mirror
+// placeholders are resolved against the memory size; the
 // verify/capture options are stripped (the FSM models the signature
-// engine the Budget prices).
-func RunAll(s prt.Scheme, mem ram.Memory) (pass bool, cycles uint64, err error) {
-	return runAll(s, mem, func(cfg prt.Config, _ int) (*Controller, error) {
-		return NewController(cfg, mem)
-	})
-}
-
-// RunAllCompressed is RunAll with MISR signature compression: each
-// iteration runs a compressed controller (observer id = iteration
-// index), so detection carries the register's ≈2^-m aliasing instead
-// of the exact per-word Fin comparison.  alpha 0 selects the field
-// generator.
+// engine the Budget prices).  Detection carries the register's ≈2^-m
+// aliasing instead of the exact per-word Fin comparison.  alpha 0
+// selects the field generator.
 func RunAllCompressed(s prt.Scheme, mem ram.Memory, alpha gf.Elem) (pass bool, cycles uint64, err error) {
 	return runAll(s, mem, func(cfg prt.Config, i int) (*Controller, error) {
 		return NewCompressedController(cfg, mem, alpha, i)

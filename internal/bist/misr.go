@@ -41,9 +41,6 @@ func NewMISR(f *gf.Field, alpha gf.Elem) (*MISR, error) {
 	return &MISR{f: f, alpha: alpha}, nil
 }
 
-// Reset clears the signature.
-func (m *MISR) Reset() { m.state, m.fed = 0, 0 }
-
 // Feed folds one data word.
 func (m *MISR) Feed(d gf.Elem) {
 	m.state = m.f.Add(m.f.Mul(m.alpha, m.state), d)
@@ -71,7 +68,7 @@ func (m *MISR) FoldMatrices() (step, tap []uint32) {
 	return step, tap
 }
 
-// Fed returns the number of words folded since the last reset.
+// Fed returns the number of words folded.
 func (m *MISR) Fed() uint64 { return m.fed }
 
 // Predict computes, without a register, the signature of the given
@@ -83,28 +80,4 @@ func Predict(f *gf.Field, alpha gf.Elem, ds []gf.Elem) (gf.Elem, error) {
 	}
 	r.FeedAll(ds)
 	return r.Signature(), nil
-}
-
-// AliasFreeDistance returns the number of trailing words over which a
-// single-word error can NEVER alias: infinite in exact arithmetic
-// (α is invertible), expressed here as the stream length itself — the
-// function exists to document the single-error guarantee and is used
-// by tests.
-func (m *MISR) AliasFreeDistance() uint64 { return m.fed }
-
-// CancellingPair returns two error values (e1 at position i, e2 at
-// position j > i, positions counted from the start of an n-word
-// stream) that alias to the same signature — the constructive witness
-// that multi-word errors can escape MISR compression.  Any e1 ≠ 0
-// works: e2 = α^(j-i)·e1 superimposed later cancels... specifically
-// the pair (e1 at i) and (α^(j-i)·e1 at j) produce equal contributions
-// when XORed into both streams, so e2 is returned such that injecting
-// e1 at i and e2 at j leaves the signature unchanged.
-func (m *MISR) CancellingPair(e1 gf.Elem, i, j, n int) (gf.Elem, error) {
-	if e1 == 0 || i < 0 || j <= i || j >= n {
-		return 0, fmt.Errorf("bist: bad cancelling pair request")
-	}
-	// Contribution of an error e at position p is α^(n-1-p)·e.
-	// Want α^(n-1-i)·e1 = α^(n-1-j)·e2  ⇒  e2 = α^(j-i)·e1.
-	return m.f.Mul(m.f.Pow(m.alpha, uint64(j-i)), e1), nil
 }

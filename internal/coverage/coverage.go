@@ -432,25 +432,3 @@ func (b bistRunner) Run(mem ram.Memory) (bool, uint64) {
 	}
 	return !pass, cycles
 }
-
-type dualPortRunner struct {
-	name string
-	run  func(mp *ram.MultiPort) (bool, uint64, error)
-}
-
-// DualPortRunner adapts a dual-port scheme; the faulty memory is
-// wrapped with a two-port front end.
-func DualPortRunner(name string, run func(mp *ram.MultiPort) (bool, uint64, error)) Runner {
-	return dualPortRunner{name: name, run: run}
-}
-
-func (d dualPortRunner) Name() string { return d.name }
-
-func (d dualPortRunner) Run(mem ram.Memory) (bool, uint64) {
-	mp := ram.NewMultiPortOn(mem, 2)
-	det, cycles, err := d.run(mp)
-	if err != nil {
-		panic(fmt.Sprintf("coverage: dual-port %s: %v", d.name, err))
-	}
-	return det, cycles
-}

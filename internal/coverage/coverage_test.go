@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/lfsr"
 	"repro/internal/march"
 	"repro/internal/prt"
 	"repro/internal/ram"
@@ -99,23 +98,6 @@ func TestBitSlicedRunner(t *testing.T) {
 	}
 	if res.Coverage() <= 0.3 {
 		t.Errorf("bit-sliced coverage %.2f suspiciously low", res.Coverage())
-	}
-}
-
-func TestDualPortRunner(t *testing.T) {
-	t.Parallel()
-	n := 16
-	g := lfsr.PaperGenPoly()
-	r := DualPortRunner("2P-PRT", func(mp *ram.MultiPort) (bool, uint64, error) {
-		return prt.DualPortScheme3(g, mp)
-	})
-	u := fault.Universe{Name: "saf", Faults: fault.SingleCellUniverse(n, 4)}
-	res := Campaign(r, u, womFactory(n, 4), 2)
-	if res.FalsePositive {
-		t.Fatal("dual-port false positive")
-	}
-	if res.ByClass[fault.ClassSAF].Ratio() != 1 {
-		t.Errorf("dual-port SAF coverage %.2f", res.ByClass[fault.ClassSAF].Ratio())
 	}
 }
 

@@ -113,7 +113,7 @@ func TestEngineEquivalenceBitSlicedLaneModes(t *testing.T) {
 	t.Parallel()
 	const n, m = 32, 4
 	for _, mode := range []prt.LaneMode{prt.ParallelLanes, prt.RandomLanes} {
-		r := BitSlicedRunner(fmt.Sprintf("lanes/%s", mode), prt.BitSlicedScheme3(m, mode))
+		r := BitSlicedRunner(fmt.Sprintf("lanes/%s", mode), prt.BitSlicedScheme(m, mode, 3))
 		for _, u := range []fault.Universe{
 			{Name: "single-cell", Faults: fault.SingleCellUniverse(n, m)},
 			{Name: "intra-word", Faults: fault.IntraWordUniverse(n, m)},

@@ -8,8 +8,6 @@
 
 package fault
 
-import "repro/internal/telemetry"
-
 // Structural fault collapsing: before a campaign simulates a universe,
 // faults that provably produce the same detection outcome are grouped
 // into equivalence classes, one representative per class is simulated,
@@ -234,11 +232,9 @@ func (c *Collapser) Collapse(faults []Fault, sum *TraceSummary) *Collapsed {
 		c.class[k] = r //faultsim:alloc-ok insert: clear keeps the buckets, so a chunk with no more candidates than an earlier one does not grow the map
 	}
 	if !merged {
-		telemetry.Active().CollapseDelta(len(faults), len(faults))
 		return nil
 	}
 	c.col.Reps, c.col.Map = reps, m
-	telemetry.Active().CollapseDelta(len(faults), len(reps))
 	return &c.col
 }
 

@@ -127,15 +127,6 @@ type Universe struct {
 	Faults []Fault
 }
 
-// ByClass groups the universe's faults per class, preserving order.
-func (u Universe) ByClass() map[Class][]Fault {
-	out := make(map[Class][]Fault)
-	for _, f := range u.Faults {
-		out[f.Class()] = append(out[f.Class()], f)
-	}
-	return out
-}
-
 // Len returns the number of faults.
 func (u Universe) Len() int { return len(u.Faults) }
 

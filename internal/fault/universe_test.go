@@ -262,3 +262,12 @@ func observable(f Fault, n, m int) bool {
 	}
 	return divergence
 }
+
+// ByClass groups the universe's faults per class, preserving order.
+func (u Universe) ByClass() map[Class][]Fault {
+	out := make(map[Class][]Fault)
+	for _, f := range u.Faults {
+		out[f.Class()] = append(out[f.Class()], f)
+	}
+	return out
+}

@@ -5,7 +5,7 @@
 // (see package gf2).  Field elements are represented as Elem, an
 // unsigned integer whose bit j is the coefficient of z^j; the value
 // therefore ranges over [0, 2^m).  For m <= 16 the field precomputes
-// discrete log/antilog tables keyed to a generator, making Mul/Div/Inv
+// discrete log/antilog tables keyed to a generator, making Mul and Inv
 // O(1); for larger m it falls back to shift-and-add reduction.
 //
 // The paper's worked example is GF(2^4) with p(z) = 1 + z + z^4, which
@@ -107,9 +107,6 @@ func (f *Field) Add(a, b Elem) Elem {
 	return a ^ b
 }
 
-// Sub returns a - b; identical to Add in characteristic 2.
-func (f *Field) Sub(a, b Elem) Elem { return f.Add(a, b) }
-
 // Mul returns the product a*b mod p(z).
 func (f *Field) Mul(a, b Elem) Elem {
 	f.check(a)
@@ -151,9 +148,6 @@ func (f *Field) Inv(a Elem) Elem {
 	return f.Pow(a, uint64(f.mask)-1)
 }
 
-// Div returns a / b.  It panics if b is 0.
-func (f *Field) Div(a, b Elem) Elem { return f.Mul(a, f.Inv(b)) }
-
 // Pow returns a^e (a^0 = 1, including 0^0 = 1 by convention).
 func (f *Field) Pow(a Elem, e uint64) Elem {
 	f.check(a)
@@ -188,19 +182,6 @@ func (f *Field) Order(a Elem) uint64 {
 		}
 	}
 	return e
-}
-
-// Trace returns the absolute trace Tr(a) = a + a^2 + a^4 + ... + a^(2^(m-1)),
-// an element of GF(2) returned as 0 or 1.
-func (f *Field) Trace(a Elem) Elem {
-	f.check(a)
-	t := a
-	s := a
-	for i := 1; i < f.m; i++ {
-		s = f.Mul(s, s)
-		t ^= s
-	}
-	return t & 1
 }
 
 // buildTables fills the log/exp tables by walking powers of z.  If z is
@@ -278,6 +259,3 @@ func (f *Field) FormatElem(v Elem) string {
 	digits := (f.m + 3) / 4
 	return fmt.Sprintf("%0*X", digits, uint32(v))
 }
-
-// PolyOf returns v viewed as a polynomial in z.
-func PolyOf(v Elem) gf2.Poly { return gf2.Poly(v) }

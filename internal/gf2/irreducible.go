@@ -61,82 +61,3 @@ func primeFactorsInt(n int) []int {
 	}
 	return f
 }
-
-// Irreducibles returns all irreducible polynomials of exactly degree k
-// in ascending numeric order.  It is intended for small k (the count
-// grows like 2^k/k); k must be between 1 and 24.
-func Irreducibles(k int) []Poly {
-	if k < 1 || k > 24 {
-		panic("gf2: Irreducibles degree out of range [1,24]")
-	}
-	var out []Poly
-	lo := Poly(1) << uint(k)
-	hi := Poly(1) << uint(k+1)
-	for p := lo; p < hi; p++ {
-		if IsIrreducible(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FirstIrreducible returns the numerically smallest irreducible
-// polynomial of degree k.
-func FirstIrreducible(k int) Poly {
-	if k < 1 || k > MaxDegree {
-		panic("gf2: FirstIrreducible degree out of range")
-	}
-	lo := Poly(1) << uint(k)
-	hi := Poly(1)<<uint(k+1) - 1
-	for p := lo; ; p++ {
-		if IsIrreducible(p) {
-			return p
-		}
-		if p == hi {
-			panic("gf2: no irreducible polynomial found (unreachable)")
-		}
-	}
-}
-
-// CountIrreducibles returns the number of monic irreducible polynomials
-// of degree k over GF(2), computed by the necklace-counting formula
-//
-//	N(k) = (1/k) * Σ_{d|k} μ(k/d) 2^d .
-func CountIrreducibles(k int) uint64 {
-	if k < 1 || k > 62 {
-		panic("gf2: CountIrreducibles degree out of range")
-	}
-	var sum int64
-	for d := 1; d <= k; d++ {
-		if k%d != 0 {
-			continue
-		}
-		mu := moebius(k / d)
-		if mu == 0 {
-			continue
-		}
-		sum += int64(mu) * int64(uint64(1)<<uint(d))
-	}
-	return uint64(sum) / uint64(k)
-}
-
-// moebius returns the Möbius function μ(n).
-func moebius(n int) int {
-	if n == 1 {
-		return 1
-	}
-	mu := 1
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			n /= d
-			if n%d == 0 {
-				return 0 // square factor
-			}
-			mu = -mu
-		}
-	}
-	if n > 1 {
-		mu = -mu
-	}
-	return mu
-}

@@ -79,21 +79,6 @@ func TestIrreduciblesProductCheck(t *testing.T) {
 	}
 }
 
-func TestFirstIrreducible(t *testing.T) {
-	cases := map[int]Poly{
-		1: 2,    // x
-		2: 7,    // x^2+x+1
-		3: 0xB,  // x^3+x+1
-		4: 0x13, // x^4+x+1
-		8: 0x11B,
-	}
-	for k, want := range cases {
-		if got := FirstIrreducible(k); got != want {
-			t.Errorf("FirstIrreducible(%d) = %#x, want %#x", k, uint64(got), uint64(want))
-		}
-	}
-}
-
 func TestMoebius(t *testing.T) {
 	want := map[int]int{1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1, 12: 0, 30: -1}
 	for n, w := range want {
@@ -123,4 +108,67 @@ func TestPrimeFactorsInt(t *testing.T) {
 			}
 		}
 	}
+}
+
+// --- helpers: the enumeration the tests walk and the count it must match ---
+
+// Irreducibles returns all irreducible polynomials of exactly degree k
+// in ascending numeric order.  It is intended for small k (the count
+// grows like 2^k/k); k must be between 1 and 24.
+func Irreducibles(k int) []Poly {
+	if k < 1 || k > 24 {
+		panic("gf2: Irreducibles degree out of range [1,24]")
+	}
+	var out []Poly
+	lo := Poly(1) << uint(k)
+	hi := Poly(1) << uint(k+1)
+	for p := lo; p < hi; p++ {
+		if IsIrreducible(p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// CountIrreducibles returns the number of monic irreducible polynomials
+// of degree k over GF(2), computed by the necklace-counting formula
+//
+//	N(k) = (1/k) * Σ_{d|k} μ(k/d) 2^d .
+func CountIrreducibles(k int) uint64 {
+	if k < 1 || k > 62 {
+		panic("gf2: CountIrreducibles degree out of range")
+	}
+	var sum int64
+	for d := 1; d <= k; d++ {
+		if k%d != 0 {
+			continue
+		}
+		mu := moebius(k / d)
+		if mu == 0 {
+			continue
+		}
+		sum += int64(mu) * int64(uint64(1)<<uint(d))
+	}
+	return uint64(sum) / uint64(k)
+}
+
+// moebius returns the Möbius function μ(n).
+func moebius(n int) int {
+	if n == 1 {
+		return 1
+	}
+	mu := 1
+	for d := 2; d*d <= n; d++ {
+		if n%d == 0 {
+			n /= d
+			if n%d == 0 {
+				return 0 // square factor
+			}
+			mu = -mu
+		}
+	}
+	if n > 1 {
+		mu = -mu
+	}
+	return mu
 }

@@ -23,38 +23,6 @@ func Factor64(n uint64) (primes []uint64, exps []int) {
 	return primes, exps
 }
 
-// Order returns the multiplicative order of x modulo p, i.e. the least
-// e > 0 with x^e ≡ 1 (mod p).  p must be irreducible with nonzero
-// constant term and degree k in [1,40]; the order then divides 2^k - 1.
-//
-// For an LFSR with characteristic polynomial p, Order(p) is the period
-// of the nonzero state sequence.
-func Order(p Poly) uint64 {
-	k := p.Deg()
-	if k < 1 || k > 40 {
-		panic("gf2: Order degree out of range [1,40]")
-	}
-	if p.Coeff(0) == 0 {
-		panic("gf2: Order requires nonzero constant term")
-	}
-	if !IsIrreducible(p) {
-		panic("gf2: Order requires an irreducible polynomial")
-	}
-	group := uint64(1)<<uint(k) - 1
-	if group == 1 {
-		return 1 // degree 1: x ≡ 1 (mod x+1)
-	}
-	e := group
-	primes, _ := Factor64(group)
-	// Divide out each prime factor while the power still equals 1.
-	for _, q := range primes {
-		for e%q == 0 && PowMod(X, e/q, p) == One {
-			e /= q
-		}
-	}
-	return e
-}
-
 // IsPrimitive reports whether p is a primitive polynomial over GF(2):
 // irreducible with the order of x equal to 2^deg(p) - 1.  A primitive
 // polynomial generates a maximum-length LFSR sequence.

@@ -44,41 +44,6 @@ func TestFactor64Reconstruct(t *testing.T) {
 	}
 }
 
-func TestOrderKnown(t *testing.T) {
-	cases := map[Poly]uint64{
-		0x13:  15, // primitive degree 4
-		0x19:  15, // primitive degree 4
-		0x1F:  5,  // x^4+x^3+x^2+x+1 divides x^5-1
-		0x7:   3,  // primitive degree 2
-		0xB:   7,  // primitive degree 3
-		0x11B: 51, // AES polynomial is irreducible but NOT primitive
-		0x11D: 255,
-	}
-	for p, want := range cases {
-		if got := Order(p); got != want {
-			t.Errorf("Order(%#x) = %d, want %d", uint64(p), got, want)
-		}
-	}
-}
-
-func TestOrderDividesGroupOrder(t *testing.T) {
-	for k := 2; k <= 10; k++ {
-		group := uint64(1)<<uint(k) - 1
-		for _, p := range Irreducibles(k) {
-			o := Order(p)
-			if group%o != 0 {
-				t.Errorf("Order(%v) = %d does not divide 2^%d-1", p, o, k)
-			}
-			// Verify minimality directly for small orders.
-			if o <= 4096 {
-				if PowMod(X, o, p) != One {
-					t.Errorf("x^order != 1 for %v", p)
-				}
-			}
-		}
-	}
-}
-
 func TestIsPrimitiveKnown(t *testing.T) {
 	primitive := []Poly{3, 7, 0xB, 0xD, 0x13, 0x19, 0x25, 0x11D}
 	for _, p := range primitive {
@@ -149,18 +114,5 @@ func TestDefaultModulusMatchesFirstPrimitive(t *testing.T) {
 	// The paper's worked example uses p(z) = 1 + z + z^4.
 	if DefaultModulus(4) != MustParse("1+z+z^4") {
 		t.Errorf("DefaultModulus(4) must be the paper's 1+z+z^4")
-	}
-}
-
-func TestOrderPanics(t *testing.T) {
-	for _, p := range []Poly{0x15 /* reducible */, 0x6 /* zero const */} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Order(%v) should panic", p)
-				}
-			}()
-			Order(p)
-		}()
 	}
 }

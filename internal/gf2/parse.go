@@ -77,16 +77,6 @@ func Parse(s string) (Poly, error) {
 	return p, nil
 }
 
-// MustParse is like Parse but panics on error; it is intended for
-// package-level constants and tests.
-func MustParse(s string) Poly {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // parseTerm parses a single term ("1", "z", "x^4") and returns its degree.
 func parseTerm(term string) (int, error) {
 	if term == "1" {

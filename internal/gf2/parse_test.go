@@ -112,3 +112,12 @@ func FuzzGF2Parse(f *testing.F) {
 		}
 	})
 }
+
+// MustParse is Parse for the tests' literal inputs: it panics on error.
+func MustParse(s string) Poly {
+	p, err := Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

@@ -7,10 +7,10 @@
 // for the pseudo-ring-testing reproduction: field moduli p(z) up to
 // GF(2^32) and LFSR characteristic polynomials g(x) of small degree.
 //
-// The package provides ring arithmetic (addition, multiplication,
-// Euclidean division, GCD), modular arithmetic (MulMod, PowMod),
-// irreducibility and primitivity tests, multiplicative order computation,
-// and a table of default irreducible/primitive moduli for each extension
+// The package provides what the field and LFSR code use: addition,
+// Euclidean division and GCD, modular arithmetic (MulMod, PowMod),
+// irreducibility and primitivity tests, parsing and formatting, and a
+// table of default irreducible/primitive moduli for each extension
 // degree used by the rest of the repository.
 package gf2
 
@@ -54,56 +54,12 @@ func (p Poly) Coeff(i int) uint {
 	return uint(p>>uint(i)) & 1
 }
 
-// SetCoeff returns a copy of p with the coefficient of x^i set to c&1.
-// Out-of-range indices return p unchanged.
-func (p Poly) SetCoeff(i int, c uint) Poly {
-	if i < 0 || i > MaxDegree {
-		return p
-	}
-	if c&1 == 1 {
-		return p | 1<<uint(i)
-	}
-	return p &^ (1 << uint(i))
-}
-
 // Weight returns the number of non-zero coefficients of p.
 func (p Poly) Weight() int { return bits.OnesCount64(uint64(p)) }
 
 // Add returns p + q.  Over GF(2), addition and subtraction coincide with
 // XOR.
 func (p Poly) Add(q Poly) Poly { return p ^ q }
-
-// Sub returns p - q, identical to Add over GF(2).
-func (p Poly) Sub(q Poly) Poly { return p ^ q }
-
-// MulX returns p * x^k.  The result must fit in 64 bits; overflowing
-// coefficients are silently discarded, so callers multiplying large
-// polynomials should bound degrees beforehand.
-func (p Poly) MulX(k int) Poly {
-	if k <= 0 {
-		return p
-	}
-	if k > MaxDegree {
-		return 0
-	}
-	return p << uint(k)
-}
-
-// Mul returns the product p*q.  The degrees must satisfy
-// p.Deg()+q.Deg() <= MaxDegree or high coefficients are lost; use MulMod
-// for modular products of large operands.
-func (p Poly) Mul(q Poly) Poly {
-	var r Poly
-	a, b := uint64(p), uint64(q)
-	for b != 0 {
-		if b&1 == 1 {
-			r ^= Poly(a)
-		}
-		a <<= 1
-		b >>= 1
-	}
-	return r
-}
 
 // DivMod returns the quotient and remainder of p divided by q.
 // It panics if q is the zero polynomial.
@@ -125,12 +81,6 @@ func (p Poly) DivMod(q Poly) (quo, rem Poly) {
 func (p Poly) Mod(q Poly) Poly {
 	_, r := p.DivMod(q)
 	return r
-}
-
-// Div returns the quotient of p divided by q.
-func (p Poly) Div(q Poly) Poly {
-	d, _ := p.DivMod(q)
-	return d
 }
 
 // GCD returns the greatest common divisor of p and q.  The result of
@@ -180,43 +130,4 @@ func PowMod(p Poly, e uint64, f Poly) Poly {
 		e >>= 1
 	}
 	return r
-}
-
-// Derivative returns the formal derivative of p.  Over GF(2) only odd
-// powers survive: d/dx x^i = i*x^(i-1) = x^(i-1) when i is odd.
-func (p Poly) Derivative() Poly {
-	var r Poly
-	for i := 1; i <= p.Deg(); i += 2 {
-		if p.Coeff(i) == 1 {
-			r = r.SetCoeff(i-1, 1)
-		}
-	}
-	return r
-}
-
-// Reverse returns the reciprocal polynomial x^deg(p) * p(1/x).
-// The reciprocal of an irreducible polynomial is irreducible, and the
-// reciprocal of a primitive polynomial is primitive.
-func (p Poly) Reverse() Poly {
-	d := p.Deg()
-	if d <= 0 {
-		return p
-	}
-	var r Poly
-	for i := 0; i <= d; i++ {
-		if p.Coeff(i) == 1 {
-			r = r.SetCoeff(d-i, 1)
-		}
-	}
-	return r
-}
-
-// Eval evaluates p at the point v in GF(2) (v taken mod 2).
-func (p Poly) Eval(v uint) uint {
-	if v&1 == 0 {
-		// Only the constant term matters at 0.
-		return uint(p) & 1
-	}
-	// p(1) is the parity of the coefficient weight.
-	return uint(p.Weight()) & 1
 }

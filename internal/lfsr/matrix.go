@@ -209,23 +209,6 @@ func factor64(n uint64) (primes []uint64, exps []int) {
 	return
 }
 
-// String renders the matrix with hexadecimal entries.
-func (m Matrix) String() string {
-	s := ""
-	for i := 0; i < m.K; i++ {
-		for j := 0; j < m.K; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += m.Field.FormatElem(m.A[i][j])
-		}
-		if i < m.K-1 {
-			s += "\n"
-		}
-	}
-	return s
-}
-
 // JumpAhead returns the LFSR state after n steps from state, computed
 // in O(k³ log n) field operations via matrix exponentiation — the
 // a-priori estimation of Fin* the paper relies on.

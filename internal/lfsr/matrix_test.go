@@ -103,14 +103,6 @@ func TestSingularDet(t *testing.T) {
 	z.Order(255)
 }
 
-func TestMatrixString(t *testing.T) {
-	f := gf.NewField(4)
-	id := Identity(f, 2)
-	if got := id.String(); got != "1 0\n0 1" {
-		t.Errorf("String = %q", got)
-	}
-}
-
 func TestOrderWrongBound(t *testing.T) {
 	c := Companion(PaperGenPoly())
 	// 7 is not a multiple of the order 255: must return 0.

@@ -1,3 +1,18 @@
+// Package lfsr implements the word-oriented linear feedback shift
+// register over GF(2^m) that pseudo-ring testing emulates, its affine
+// variant, jump-ahead through the companion matrix, and
+// Berlekamp-Massey synthesis.  A bit-oriented LFSR is the case m = 1.
+//
+// The word-oriented LFSR is the "virtual linear automaton" of the
+// paper: a π-test iteration walks its state sequence through the memory
+// array, and the expected final state Fin* is obtained by stepping the
+// LFSR model the same number of times.  The recurrence convention
+// matches the paper's generator polynomial g(x) = 1 + a₁x + … + a_k x^k:
+//
+//	u_t = a₁·u_{t-1} ⊕ a₂·u_{t-2} ⊕ … ⊕ a_k·u_{t-k}
+//
+// so the paper's g(x) = 1 + 2x + 2x² over GF(2⁴) produces the Fig. 1b
+// sequence 0, 1, 2, 6, 8, F, … .
 package lfsr
 
 import (
@@ -127,9 +142,6 @@ func MustWord(g GenPoly, init []gf.Elem) *Word {
 // K returns the register length.
 func (w *Word) K() int { return w.gen.K() }
 
-// Gen returns the generator polynomial.
-func (w *Word) Gen() GenPoly { return w.gen }
-
 // State returns a copy of the state window (oldest first).
 func (w *Word) State() []gf.Elem {
 	out := make([]gf.Elem, len(w.state))
@@ -165,14 +177,6 @@ func (w *Word) Step() gf.Elem {
 	copy(w.state, w.state[1:])
 	w.state[len(w.state)-1] = v
 	return v
-}
-
-// Run advances n clocks and returns the final state window.
-func (w *Word) Run(n int) []gf.Elem {
-	for i := 0; i < n; i++ {
-		w.Step()
-	}
-	return w.State()
 }
 
 // Sequence returns the first n values of the full sequence including

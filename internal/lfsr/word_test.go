@@ -208,3 +208,11 @@ func TestQuickSuperposition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Run advances n clocks and returns the final state window.
+func (w *Word) Run(n int) []gf.Elem {
+	for i := 0; i < n; i++ {
+		w.Step()
+	}
+	return w.State()
+}

@@ -217,67 +217,6 @@ func Run(t Test, mem ram.Memory, background ram.Word) Result {
 	return res
 }
 
-// FailingAddresses runs the test over the given backgrounds and
-// returns the sorted set of addresses that produced at least one
-// mismatching read.  Unlike the pseudo-ring walk, March reads compare
-// each cell against its own expected value with no error propagation,
-// so the failing set localises defects exactly — this is the
-// repair-grade diagnosis input for redundancy allocation (see package
-// repair).
-func FailingAddresses(t Test, mem ram.Memory, backgrounds []ram.Word) []int {
-	if len(backgrounds) == 0 {
-		backgrounds = []ram.Word{0}
-	}
-	bad := map[int]bool{}
-	for _, bg := range backgrounds {
-		collectFailures(t, mem, bg, bad)
-	}
-	out := make([]int, 0, len(bad))
-	for a := range bad {
-		out = append(out, a)
-	}
-	sortInts(out)
-	return out
-}
-
-// collectFailures is Run with per-address failure recording.
-func collectFailures(t Test, mem ram.Memory, background ram.Word, bad map[int]bool) {
-	if err := t.Validate(); err != nil {
-		panic(err)
-	}
-	n := mem.Size()
-	mask := ram.Word(1)<<uint(mem.Width()) - 1
-	data := [2]ram.Word{background & mask, ^background & mask}
-	for _, e := range t.Elems {
-		first, last, step := 0, n-1, 1
-		if e.Order == Down {
-			first, last, step = n-1, 0, -1
-		}
-		for a := first; ; a += step {
-			for _, op := range e.Ops {
-				if op.Read {
-					if got := mem.Read(a); got != data[op.D] {
-						bad[a] = true
-					}
-				} else {
-					mem.Write(a, data[op.D])
-				}
-			}
-			if a == last {
-				break
-			}
-		}
-	}
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // RunBackgrounds executes the test once per background and merges the
 // results (detected if any run detects).  This is the standard way to
 // extend bit-oriented March tests to word-oriented memories.

@@ -289,3 +289,12 @@ func TestRunContinuesAfterFirstMismatch(t *testing.T) {
 		t.Errorf("run aborted early: %d ops", res.Ops)
 	}
 }
+
+// MustParse is Parse but panics on error.
+func MustParse(name, s string) Test {
+	t, err := Parse(name, s)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}

@@ -33,15 +33,6 @@ func Parse(name, s string) (Test, error) {
 	return t, nil
 }
 
-// MustParse is Parse but panics on error.
-func MustParse(name, s string) Test {
-	t, err := Parse(name, s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 func parseElement(chunk string) (Element, error) {
 	c := strings.TrimSpace(chunk)
 	open := strings.IndexByte(c, '(')

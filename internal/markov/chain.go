@@ -1,7 +1,9 @@
-// Package markov implements the absorbing Markov-chain analysis the
-// paper's §3 appeals to ("Applying Markov chain analysis it was shown
-// that π-test iteration has a high resolution for most memory
-// faults"), plus the generic small-matrix machinery it needs.
+// Package markov implements the Markov-chain model behind the paper's
+// §3 claim ("Applying Markov chain analysis it was shown that π-test
+// iteration has a high resolution for most memory faults"): a small
+// chain with named states whose distribution, stepped forward, gives
+// the probability that a fault is detected within a number of
+// iterations.
 //
 // The model: a fault starts dormant; each π-iteration excites it with
 // some probability (determined by the test data background); once
@@ -48,15 +50,6 @@ func NewChain(states []string, p [][]float64) (*Chain, error) {
 	return &Chain{States: states, P: p}, nil
 }
 
-// MustChain is NewChain but panics on error.
-func MustChain(states []string, p [][]float64) *Chain {
-	c, err := NewChain(states, p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Index returns the index of the named state, or -1.
 func (c *Chain) Index(name string) int {
 	for i, s := range c.States {
@@ -65,11 +58,6 @@ func (c *Chain) Index(name string) int {
 		}
 	}
 	return -1
-}
-
-// IsAbsorbing reports whether state i is absorbing (P[i][i] = 1).
-func (c *Chain) IsAbsorbing(i int) bool {
-	return math.Abs(c.P[i][i]-1) < 1e-12
 }
 
 // Step advances a distribution one transition: d' = d·P.
@@ -102,136 +90,4 @@ func (c *Chain) PointMass(i int) []float64 {
 	d := make([]float64, len(c.States))
 	d[i] = 1
 	return d
-}
-
-// AbsorptionProbabilities returns, for each transient state i and each
-// absorbing state a, the probability of eventually being absorbed in a
-// when starting from i: B = N·R with N = (I-Q)^-1 the fundamental
-// matrix.  The result maps transientIndex -> absorbingIndex ->
-// probability (indices into States).
-func (c *Chain) AbsorptionProbabilities() (map[int]map[int]float64, error) {
-	var transient, absorbing []int
-	for i := range c.States {
-		if c.IsAbsorbing(i) {
-			absorbing = append(absorbing, i)
-		} else {
-			transient = append(transient, i)
-		}
-	}
-	if len(absorbing) == 0 {
-		return nil, fmt.Errorf("markov: chain has no absorbing states")
-	}
-	tn := len(transient)
-	// Build I-Q over the transient states.
-	iq := make([][]float64, tn)
-	for a, i := range transient {
-		iq[a] = make([]float64, tn)
-		for b, j := range transient {
-			v := -c.P[i][j]
-			if a == b {
-				v += 1
-			}
-			iq[a][b] = v
-		}
-	}
-	ninv, err := invert(iq)
-	if err != nil {
-		return nil, fmt.Errorf("markov: fundamental matrix: %w", err)
-	}
-	out := make(map[int]map[int]float64, tn)
-	for a, i := range transient {
-		out[i] = make(map[int]float64, len(absorbing))
-		for _, abs := range absorbing {
-			// B[a][abs] = Σ_b N[a][b] * R[b][abs]
-			sum := 0.0
-			for b, j := range transient {
-				sum += ninv[a][b] * c.P[j][abs]
-			}
-			out[i][abs] = sum
-		}
-	}
-	return out, nil
-}
-
-// ExpectedStepsToAbsorption returns, for each transient state, the
-// expected number of steps before absorption (t = N·1).
-func (c *Chain) ExpectedStepsToAbsorption() (map[int]float64, error) {
-	var transient []int
-	for i := range c.States {
-		if !c.IsAbsorbing(i) {
-			transient = append(transient, i)
-		}
-	}
-	tn := len(transient)
-	if tn == 0 {
-		return map[int]float64{}, nil
-	}
-	iq := make([][]float64, tn)
-	for a, i := range transient {
-		iq[a] = make([]float64, tn)
-		for b, j := range transient {
-			v := -c.P[i][j]
-			if a == b {
-				v += 1
-			}
-			iq[a][b] = v
-		}
-	}
-	ninv, err := invert(iq)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, tn)
-	for a, i := range transient {
-		sum := 0.0
-		for b := 0; b < tn; b++ {
-			sum += ninv[a][b]
-		}
-		out[i] = sum
-	}
-	return out, nil
-}
-
-// invert returns the inverse of a small dense matrix via Gauss-Jordan
-// elimination with partial pivoting.
-func invert(a [][]float64) ([][]float64, error) {
-	n := len(a)
-	// Augmented [A | I].
-	aug := make([][]float64, n)
-	for i := range aug {
-		aug[i] = make([]float64, 2*n)
-		copy(aug[i], a[i])
-		aug[i][n+i] = 1
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(aug[r][col]) > math.Abs(aug[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(aug[pivot][col]) < 1e-14 {
-			return nil, fmt.Errorf("singular matrix")
-		}
-		aug[col], aug[pivot] = aug[pivot], aug[col]
-		inv := 1 / aug[col][col]
-		for j := 0; j < 2*n; j++ {
-			aug[col][j] *= inv
-		}
-		for r := 0; r < n; r++ {
-			if r == col || aug[r][col] == 0 {
-				continue
-			}
-			f := aug[r][col]
-			for j := 0; j < 2*n; j++ {
-				aug[r][j] -= f * aug[col][j]
-			}
-		}
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = append([]float64(nil), aug[i][n:]...)
-	}
-	return out, nil
 }

@@ -35,70 +35,6 @@ func TestStepAndDistribution(t *testing.T) {
 	if c.Index("b") != 1 || c.Index("zz") != -1 {
 		t.Error("Index wrong")
 	}
-	if !c.IsAbsorbing(1) || c.IsAbsorbing(0) {
-		t.Error("absorbing detection wrong")
-	}
-}
-
-func TestGamblersRuinAbsorption(t *testing.T) {
-	// Fair gambler's ruin on {0,1,2,3} with absorbing 0 and 3:
-	// from state 1, P(absorb at 3) = 1/3; from 2, 2/3.
-	c := MustChain(
-		[]string{"0", "1", "2", "3"},
-		[][]float64{
-			{1, 0, 0, 0},
-			{0.5, 0, 0.5, 0},
-			{0, 0.5, 0, 0.5},
-			{0, 0, 0, 1},
-		})
-	abs, err := c.AbsorptionProbabilities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(abs[1][3], 1.0/3) || !almost(abs[1][0], 2.0/3) {
-		t.Errorf("from 1: %v", abs[1])
-	}
-	if !almost(abs[2][3], 2.0/3) {
-		t.Errorf("from 2: %v", abs[2])
-	}
-	// Expected steps: from 1 -> 2 steps, from 2 -> 2 steps.
-	steps, err := c.ExpectedStepsToAbsorption()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(steps[1], 2) || !almost(steps[2], 2) {
-		t.Errorf("expected steps: %v", steps)
-	}
-}
-
-func TestAbsorptionNoAbsorbingStates(t *testing.T) {
-	c := MustChain([]string{"a", "b"}, [][]float64{{0, 1}, {1, 0}})
-	if _, err := c.AbsorptionProbabilities(); err == nil {
-		t.Error("chain without absorbing states accepted")
-	}
-}
-
-func TestInvert(t *testing.T) {
-	a := [][]float64{{2, 0}, {0, 4}}
-	inv, err := invert(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(inv[0][0], 0.5) || !almost(inv[1][1], 0.25) {
-		t.Errorf("inverse wrong: %v", inv)
-	}
-	if _, err := invert([][]float64{{1, 1}, {1, 1}}); err == nil {
-		t.Error("singular matrix inverted")
-	}
-	// Requires pivoting.
-	b := [][]float64{{0, 1}, {1, 0}}
-	binv, err := invert(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(binv[0][1], 1) || !almost(binv[1][0], 1) {
-		t.Errorf("pivot inverse wrong: %v", binv)
-	}
 }
 
 // --- PRT model ---
@@ -168,22 +104,6 @@ func TestPaperThreeIterationResolution(t *testing.T) {
 	}
 }
 
-func TestEventualDetectionIsOne(t *testing.T) {
-	for _, p := range []PRTModel{
-		{M: 1, K: 2, PExcite: 0.1},
-		{M: 4, K: 2, PExcite: 0.9},
-		{M: 8, K: 3, PExcite: 0.5},
-	} {
-		d, err := p.EventualDetection()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almost(d, 1) {
-			t.Errorf("%+v: eventual detection %g != 1", p, d)
-		}
-	}
-}
-
 func TestPRTModelValidation(t *testing.T) {
 	if _, err := (PRTModel{M: 0, K: 2, PExcite: 1}).Chain(); err == nil {
 		t.Error("bad geometry accepted")
@@ -194,4 +114,13 @@ func TestPRTModelValidation(t *testing.T) {
 	if _, err := (PRTModel{M: 4, K: 2, PExcite: 0}).IterationsFor(0.9); err == nil {
 		t.Error("unreachable target accepted")
 	}
+}
+
+// MustChain is NewChain but panics on error.
+func MustChain(states []string, p [][]float64) *Chain {
+	c, err := NewChain(states, p)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -86,18 +86,3 @@ func (p PRTModel) IterationsFor(target float64) (int, error) {
 	}
 	return 0, fmt.Errorf("markov: target %g not reached within 10000 iterations", target)
 }
-
-// EventualDetection returns the infinite-horizon absorption probability
-// in Detected starting from Dormant (1 whenever PExcite > 0 — the
-// chain's only leak is the Escaped state, which is unreachable).
-func (p PRTModel) EventualDetection() (float64, error) {
-	c, err := p.Chain()
-	if err != nil {
-		return 0, err
-	}
-	abs, err := c.AbsorptionProbabilities()
-	if err != nil {
-		return 0, err
-	}
-	return abs[c.Index("Dormant")][c.Index("Detected")], nil
-}

@@ -229,28 +229,11 @@ type BitSlicedResult struct {
 	Ops          uint64
 }
 
-// BitSlicedScheme3 runs three bit-sliced iterations mirroring
-// StandardScheme3: ascending, descending, ascending with shifted lane
-// seeds, all with read-back verification; detection is the OR over
-// iterations.
-func BitSlicedScheme3(m int, mode LaneMode) []BitSlicedConfig {
-	base := NewBitSliced(m, mode)
-	base.Verify = true
-	it1 := base
-	it1.Trajectory = Ascending
-	it2 := base
-	it2.Trajectory = Descending
-	it2.LaneSeedSeed = 1
-	it3 := base
-	it3.Trajectory = Ascending
-	it3.LaneSeedSeed = 2
-	return []BitSlicedConfig{it1, it2, it3}
-}
-
-// BitSlicedScheme extends BitSlicedScheme3 to an arbitrary iteration
-// count, alternating trajectory direction and re-seeding lanes each
-// time (RandomLanes mode draws fresh decorrelated phases per
-// iteration).
+// BitSlicedScheme returns iters bit-sliced iterations with read-back
+// verification, alternating trajectory direction (ascending first) and
+// re-seeding lanes each time (RandomLanes mode draws fresh decorrelated
+// phases per iteration); at three iterations it mirrors
+// StandardScheme3.
 func BitSlicedScheme(m int, mode LaneMode, iters int) []BitSlicedConfig {
 	base := NewBitSliced(m, mode)
 	base.Verify = true

@@ -130,7 +130,7 @@ func TestBitSlicedSchemeMerging(t *testing.T) {
 	n, m := 32, 4
 	f := fault.SAF{Cell: 3, Bit: 1, Value: 0}
 	mem := f.Inject(ram.NewWOM(n, m))
-	res, err := RunBitSlicedScheme(BitSlicedScheme3(m, ParallelLanes), mem)
+	res, err := RunBitSlicedScheme(BitSlicedScheme(m, ParallelLanes, 3), mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestLaneModeString(t *testing.T) {
 }
 
 func TestBitSlicedScheme3HasThreeIterations(t *testing.T) {
-	cfgs := BitSlicedScheme3(8, RandomLanes)
+	cfgs := BitSlicedScheme(8, RandomLanes, 3)
 	if len(cfgs) != 3 {
 		t.Fatalf("scheme length %d", len(cfgs))
 	}

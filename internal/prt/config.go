@@ -18,8 +18,9 @@
 // The package provides single-port iterations with ascending,
 // descending and random trajectories, multi-iteration schemes (the
 // paper's 3-iteration full-coverage recipe), bit-sliced parallel
-// automatons for intra-word faults, and the dual-port scheme of Fig. 2
-// with 2n-cycle complexity.
+// automatons for intra-word faults, the dual-port scheme of Fig. 2
+// with 2n-cycle complexity, content-preserving (transparent) runs and
+// cell-level diagnosis.
 package prt
 
 import (

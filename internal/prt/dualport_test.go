@@ -47,7 +47,7 @@ func TestDualPortSameTDB(t *testing.T) {
 // TestDualPortWorksOnQuadPort: the Fig. 2 scheme runs unchanged on a
 // memory with more than two ports (the "QuadPort DSE family").
 func TestDualPortWorksOnQuadPort(t *testing.T) {
-	qp := ram.NewQuadPort(32, 4)
+	qp := ram.NewMultiPort(32, 4, 4)
 	res, err := RunDualPort(PaperWOMConfig(), qp)
 	if err != nil {
 		t.Fatal(err)

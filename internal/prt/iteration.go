@@ -244,24 +244,6 @@ func ExpectedSequence(cfg Config, count int) []gf.Elem {
 	return a.Sequence(count)
 }
 
-// Verify performs a standalone full-readback check of a memory that
-// has just completed a plain (non-ring) iteration, returning the
-// number of mismatching cells.  Equivalent to running with
-// Config.Verify set, split out for callers that want the two phases
-// separately.
-func Verify(cfg Config, mem ram.Memory) (mismatches int, ops uint64, err error) {
-	if err := cfg.Validate(mem.Size(), mem.Width()); err != nil {
-		return 0, 0, err
-	}
-	n := mem.Size()
-	steps := n
-	if cfg.Ring {
-		steps = n + cfg.Gen.K()
-	}
-	mm, o := verifyPass(cfg, mem, cfg.Addresses(n), steps)
-	return mm, o, nil
-}
-
 func elemsEqual(a, b []gf.Elem) bool {
 	if len(a) != len(b) {
 		return false

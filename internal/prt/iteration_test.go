@@ -386,3 +386,21 @@ func TestRandomTrajectorySchemeDetects(t *testing.T) {
 		t.Error("random-trajectory scheme missed a stuck cell")
 	}
 }
+
+// Verify performs a standalone full-readback check of a memory that
+// has just completed a plain (non-ring) iteration, returning the
+// number of mismatching cells.  Equivalent to running with
+// Config.Verify set, split out so a test can corrupt a cell between
+// the two phases.
+func Verify(cfg Config, mem ram.Memory) (mismatches int, ops uint64, err error) {
+	if err := cfg.Validate(mem.Size(), mem.Width()); err != nil {
+		return 0, 0, err
+	}
+	n := mem.Size()
+	steps := n
+	if cfg.Ring {
+		steps = n + cfg.Gen.K()
+	}
+	mm, o := verifyPass(cfg, mem, cfg.Addresses(n), steps)
+	return mm, o, nil
+}

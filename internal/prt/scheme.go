@@ -72,15 +72,6 @@ func (s Scheme) Run(mem ram.Memory) (SchemeResult, error) {
 	return res, nil
 }
 
-// MustRun is Run but panics on configuration errors.
-func (s Scheme) MustRun(mem ram.Memory) SchemeResult {
-	r, err := s.Run(mem)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Truncate returns a scheme with only the first count iterations —
 // used by the coverage-versus-iterations experiments.
 func (s Scheme) Truncate(count int) Scheme {

@@ -311,3 +311,12 @@ func TestMirrorConfigGF2(t *testing.T) {
 		t.Errorf("GF(2) mirror TDB differs")
 	}
 }
+
+// MustRun is Run but panics on configuration errors.
+func (s Scheme) MustRun(mem ram.Memory) SchemeResult {
+	r, err := s.Run(mem)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}

@@ -14,19 +14,6 @@ const (
 	PortWrite
 )
 
-func (k PortOpKind) String() string {
-	switch k {
-	case PortIdle:
-		return "idle"
-	case PortRead:
-		return "read"
-	case PortWrite:
-		return "write"
-	default:
-		return fmt.Sprintf("PortOpKind(%d)", int(k))
-	}
-}
-
 // PortOp is one port's action in a cycle.
 type PortOp struct {
 	Kind PortOpKind
@@ -88,10 +75,6 @@ func NewMultiPortOn(mem Memory, ports int) *MultiPort {
 // NewDualPort returns the two-port (2P) memory of §4 of the paper.
 func NewDualPort(n, m int) *MultiPort { return NewMultiPort(n, m, 2) }
 
-// NewQuadPort returns a four-port memory (the paper's "QuadPort DSE
-// family").
-func NewQuadPort(n, m int) *MultiPort { return NewMultiPort(n, m, 4) }
-
 // Ports returns the number of ports.
 func (mp *MultiPort) Ports() int { return mp.ports }
 
@@ -133,43 +116,6 @@ func (mp *MultiPort) Cycle(ops []PortOp) []Word {
 	}
 	return out
 }
-
-// Port returns a single-port Memory view bound to port p; each Read or
-// Write through the view consumes a full cycle with the other ports
-// idle.  This lets single-port algorithms (March tests, single-port
-// PRT) run unchanged on a multi-port device for comparison.
-func (mp *MultiPort) Port(p int) Memory {
-	if p < 0 || p >= mp.ports {
-		panic(fmt.Sprintf("ram: port %d out of range", p))
-	}
-	return &portView{mp: mp, p: p}
-}
-
-type portView struct {
-	mp *MultiPort
-	p  int
-}
-
-func (v *portView) Read(addr int) Word {
-	ops := make([]PortOp, v.mp.ports)
-	for i := range ops {
-		ops[i] = Idle()
-	}
-	ops[v.p] = ReadOp(addr)
-	return v.mp.Cycle(ops)[v.p]
-}
-
-func (v *portView) Write(addr int, w Word) {
-	ops := make([]PortOp, v.mp.ports)
-	for i := range ops {
-		ops[i] = Idle()
-	}
-	ops[v.p] = WriteOp(addr, w)
-	v.mp.Cycle(ops)
-}
-
-func (v *portView) Size() int  { return v.mp.Size() }
-func (v *portView) Width() int { return v.mp.Width() }
 
 // Backing returns the underlying single-port array, for direct
 // inspection by tests and the campaign engine.  Mutating it bypasses

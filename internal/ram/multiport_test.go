@@ -48,21 +48,7 @@ func TestDualPortDoubleRead(t *testing.T) {
 	}
 }
 
-func TestPortViewConsumesCycles(t *testing.T) {
-	dp := NewDualPort(8, 4)
-	a := dp.Port(0)
-	a.Write(0, 1)
-	_ = a.Read(0)
-	if dp.Cycles != 2 {
-		t.Errorf("port view should consume one cycle per op, got %d", dp.Cycles)
-	}
-	if a.Size() != 8 || a.Width() != 4 {
-		t.Errorf("port view geometry wrong")
-	}
-}
-
 func TestPortViewIsMemory(t *testing.T) {
-	var _ Memory = NewDualPort(8, 4).Port(0)
 	var _ Memory = NewWOM(4, 4)
 	var _ Memory = NewBOM(4)
 	var _ Memory = NewStats(NewWOM(4, 4))
@@ -70,7 +56,7 @@ func TestPortViewIsMemory(t *testing.T) {
 }
 
 func TestQuadPort(t *testing.T) {
-	qp := NewQuadPort(16, 8)
+	qp := NewMultiPort(16, 8, 4)
 	if qp.Ports() != 4 {
 		t.Fatalf("quad port has %d ports", qp.Ports())
 	}
@@ -89,8 +75,6 @@ func TestMultiPortValidation(t *testing.T) {
 		func() { NewMultiPort(8, 4, 0) },
 		func() { NewMultiPort(8, 4, 9) },
 		func() { NewDualPort(8, 4).Cycle([]PortOp{Idle()}) },
-		func() { NewDualPort(8, 4).Port(2) },
-		func() { NewDualPort(8, 4).Port(-1) },
 	} {
 		func() {
 			defer func() {
@@ -100,15 +84,6 @@ func TestMultiPortValidation(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestPortOpKindString(t *testing.T) {
-	if PortIdle.String() != "idle" || PortRead.String() != "read" || PortWrite.String() != "write" {
-		t.Error("PortOpKind strings wrong")
-	}
-	if PortOpKind(7).String() == "" {
-		t.Error("unknown kind should format")
 	}
 }
 

@@ -107,26 +107,6 @@ func (b *BOM) Width() int { return 1 }
 
 // --- helpers shared by tests, examples and the campaign engine ---
 
-// Fill writes v to every cell of m.
-func Fill(m Memory, v Word) {
-	for a := 0; a < m.Size(); a++ {
-		m.Write(a, v)
-	}
-}
-
-// Checkerboard writes alternating v, ^v patterns (masked) — the classic
-// data background used by word-oriented March tests.
-func Checkerboard(m Memory, v Word) {
-	mask := Word(1)<<uint(m.Width()) - 1
-	for a := 0; a < m.Size(); a++ {
-		if a&1 == 0 {
-			m.Write(a, v&mask)
-		} else {
-			m.Write(a, ^v&mask)
-		}
-	}
-}
-
 // Snapshot copies the full contents of m.
 func Snapshot(m Memory) []Word {
 	out := make([]Word, m.Size())

@@ -2,8 +2,8 @@ package ram
 
 import "fmt"
 
-// Stats wraps a Memory and counts operations.  The π-test complexity
-// results (O(3n) single-port, 2n dual-port) are measured through it.
+// Stats wraps a Memory and counts operations, for tests that need a
+// Memory whose reads and writes they can count.
 type Stats struct {
 	Mem    Memory
 	Reads  uint64
@@ -67,8 +67,7 @@ func (a Access) String() string {
 }
 
 // Trace wraps a Memory and records every access up to Limit entries
-// (0 = unlimited).  Used by the figure-regeneration code and by tests
-// asserting exact access patterns.
+// (0 = unlimited).  Used by tests asserting exact access patterns.
 type Trace struct {
 	Mem      Memory
 	Limit    int

@@ -247,6 +247,7 @@ func streamShard(ctx context.Context, src fault.Source, cfg StreamConfig, sum *f
 					if col = collapser.Collapse(faults, sum); col != nil {
 						r = col.Reps
 					}
+					reg.CollapseDelta(len(faults), len(r))
 				}
 				rd := repDet[:len(r)]
 				var ops uint64

@@ -153,7 +153,8 @@ func (r *Registry) ArenaGet(reused bool) {
 }
 
 // CollapseDelta records one structural-collapse pass: in faults
-// entered, out representatives survived (fault.Collapser.Collapse).
+// entered, out representatives survived (the compiled streaming driver
+// calls it once per collapsed chunk).
 func (r *Registry) CollapseDelta(in, out int) {
 	if r == nil {
 		return

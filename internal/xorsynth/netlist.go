@@ -95,7 +95,7 @@ func (n *Netlist) Matrix() gf.BitMatrix {
 	for i, g := range n.Gates {
 		support[n.NIn+i] = support[g.A] ^ support[g.B]
 	}
-	m := gf.NewBitMatrix(maxInt(n.NIn, len(n.Outputs)))
+	m := gf.NewBitMatrix(max(n.NIn, len(n.Outputs)))
 	for i, o := range n.Outputs {
 		if o >= 0 {
 			m.Rows[i] = support[o]
@@ -132,13 +132,6 @@ func (n *Netlist) Verilog(module string) string {
 	}
 	b.WriteString("endmodule\n")
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- synthesis ---
@@ -275,14 +268,6 @@ func substitute(row []int, a, b, fresh int) []int {
 	out = append(out, fresh)
 	sort.Ints(out)
 	return out
-}
-
-// --- convenience for fields ---
-
-// ConstMultiplier synthesises (with CSE) the network computing c*x in
-// the field f.  The returned netlist has f.M() inputs and outputs.
-func ConstMultiplier(f *gf.Field, c gf.Elem) *Netlist {
-	return CSE(f.ConstMulMatrix(c))
 }
 
 // Cost summarises a synthesis result.

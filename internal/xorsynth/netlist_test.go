@@ -195,3 +195,9 @@ func TestQuickRandomMatrixSynthesis(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ConstMultiplier synthesises (with CSE) the network computing c*x in
+// the field f.  The returned netlist has f.M() inputs and outputs.
+func ConstMultiplier(f *gf.Field, c gf.Elem) *Netlist {
+	return CSE(f.ConstMulMatrix(c))
+}
