@@ -20,8 +20,8 @@ func main() {
 	fmt.Printf("field: %v\n", f)
 	fmt.Printf("g(x):  %v  (k = %d stages)\n", cfg.Gen, cfg.Gen.K())
 
-	// The virtual automaton on its own.
-	w := lfsr.MustWord(cfg.Gen, cfg.Seed)
+	// The virtual automaton on its own (offset q = 0: the plain LFSR).
+	w := lfsr.MustAffine(cfg.Gen, 0, cfg.Seed)
 	fmt.Print("LFSR sequence: ")
 	for _, v := range w.Sequence(16) {
 		fmt.Printf("%s ", f.FormatElem(v))
@@ -44,7 +44,7 @@ func main() {
 
 	// Fin* can be predicted without simulation via companion-matrix
 	// jump-ahead — this is how the BIST knows the expected signature.
-	finStar, err := lfsr.JumpAhead(cfg.Gen, cfg.Seed, 255)
+	finStar, err := lfsr.AffineJumpAhead(cfg.Gen, 0, cfg.Seed, 255)
 	if err != nil {
 		panic(err)
 	}

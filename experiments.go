@@ -201,7 +201,7 @@ func ExperimentFig1b(n int) *report.Table {
 	for i := 0; i < show; i++ {
 		t.AddRowf(fmt.Sprintf("%d", i), f.FormatElem(gf.Elem(mem.Read(i))))
 	}
-	w := lfsr.MustWord(cfg.Gen, cfg.Seed)
+	w := lfsr.MustAffine(cfg.Gen, 0, cfg.Seed)
 	t.AddRowf("period", fmt.Sprintf("%d", w.Period(0)))
 	t.AddRowf("Init", prt.FormatState(f, cfg.Seed))
 	t.AddRowf("Fin", prt.FormatState(f, res.Fin))
@@ -852,11 +852,10 @@ func (r sisrRunner) Run(mem ram.Memory) (bool, uint64) {
 	var linRows [][]uint32
 	if _, tracing := mem.(ram.TraceAnnotator); tracing {
 		linBack = make([]int, k)
-		linRows = make([][]uint32, k)
 		for j := 1; j <= k; j++ {
 			linBack[j-1] = k - j + 1
-			linRows[j-1] = f.ConstMulMatrix(taps[j-1]).Rows
 		}
+		linRows = cfg.Gen.TapRows()
 	}
 
 	for i := 0; i < k; i++ {

@@ -221,3 +221,53 @@ func RunAll(s prt.Scheme, mem ram.Memory) (pass bool, cycles uint64, err error) 
 		return NewController(cfg, mem)
 	})
 }
+
+// TestMirrorRefusalIsOneError holds the three scheme executors to the
+// resolver's refusal of a mirror placeholder that does not name an
+// earlier iteration: each returns prt's Scheme.Resolve error, and none
+// panics.
+func TestMirrorRefusalIsOneError(t *testing.T) {
+	const n = 16
+	cfg := prt.PaperWOMConfig()
+	schemes := []prt.Scheme{
+		{Name: "self", Iters: []prt.Config{cfg, prt.Mirrored(1, true)}},
+		{Name: "later", Iters: []prt.Config{prt.Mirrored(1, true), cfg}},
+		{Name: "past-end", Iters: []prt.Config{cfg, prt.Mirrored(5, true)}},
+	}
+	executors := []struct {
+		name string
+		run  func(prt.Scheme, ram.Memory) error
+	}{
+		{"Scheme.Run", func(s prt.Scheme, mem ram.Memory) error {
+			_, err := s.Run(mem)
+			return err
+		}},
+		{"DiagnoseCells", func(s prt.Scheme, mem ram.Memory) error {
+			_, err := prt.DiagnoseCells(s, mem)
+			return err
+		}},
+		{"RunAllCompressed", func(s prt.Scheme, mem ram.Memory) error {
+			_, _, err := RunAllCompressed(s, mem, 0)
+			return err
+		}},
+	}
+	for _, s := range schemes {
+		_, want := s.Resolve(n)
+		if want == nil {
+			t.Fatalf("Resolve accepted scheme %q", s.Name)
+		}
+		for _, e := range executors {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on scheme %q panicked: %v", e.name, s.Name, r)
+					}
+				}()
+				err := e.run(s, ram.NewWOM(n, 4))
+				if err == nil || err.Error() != want.Error() {
+					t.Errorf("%s on scheme %q: error %v, want %v", e.name, s.Name, err, want)
+				}
+			}()
+		}
+	}
+}

@@ -111,13 +111,11 @@ func NewController(cfg prt.Config, mem ram.Memory) (*Controller, error) {
 	if _, tracing := mem.(ram.TraceAnnotator); tracing {
 		// Operand j (read order: most recent trajectory cell first) is
 		// the (k-j)-th most recent read when the write executes.
-		taps := cfg.Gen.Taps()
 		c.linBack = make([]int, c.k)
-		c.linRows = make([][]uint32, c.k)
 		for j := 0; j < c.k; j++ {
 			c.linBack[j] = c.k - j
-			c.linRows[j] = cfg.Gen.Field.ConstMulMatrix(taps[j]).Rows
 		}
+		c.linRows = cfg.Gen.TapRows()
 	}
 	return c, nil
 }
@@ -271,11 +269,11 @@ func (c *Controller) Run() bool {
 // RunAllCompressed sequences a MISR-compressed controller (observer id
 // = iteration index) over every iteration of a scheme's resolved
 // configurations, returning pass/fail and total cycles.  Mirror
-// placeholders are resolved against the memory size; the
-// verify/capture options are stripped (the FSM models the signature
-// engine the Budget prices).  Detection carries the register's ≈2^-m
-// aliasing instead of the exact per-word Fin comparison.  alpha 0
-// selects the field generator.
+// placeholders are resolved against the memory size (prt's
+// Scheme.Resolve); the verify/capture options are stripped (the FSM
+// models the signature engine the Budget prices).  Detection carries
+// the register's ≈2^-m aliasing instead of the exact per-word Fin
+// comparison.  alpha 0 selects the field generator.
 func RunAllCompressed(s prt.Scheme, mem ram.Memory, alpha gf.Elem) (pass bool, cycles uint64, err error) {
 	return runAll(s, mem, func(cfg prt.Config, i int) (*Controller, error) {
 		return NewCompressedController(cfg, mem, alpha, i)
@@ -285,20 +283,15 @@ func RunAllCompressed(s prt.Scheme, mem ram.Memory, alpha gf.Elem) (pass bool, c
 // runAll resolves the scheme's configurations and steps one controller
 // per iteration, built by the supplied constructor.
 func runAll(s prt.Scheme, mem ram.Memory, build func(cfg prt.Config, iter int) (*Controller, error)) (pass bool, cycles uint64, err error) {
+	iters, err := s.Resolve(mem.Size())
+	if err != nil {
+		return false, 0, err
+	}
 	pass = true
-	resolved := make([]prt.Config, len(s.Iters))
-	for i, cfg := range s.Iters {
-		if t := cfg.MirrorOf - 1; t >= 0 {
-			m, err := prt.MirrorConfig(resolved[t], mem.Size())
-			if err != nil {
-				return false, cycles, err
-			}
-			cfg = m
-		}
+	for i, cfg := range iters {
 		cfg.Verify = false
 		cfg.CaptureStale = false
 		cfg.StaleExpect = nil
-		resolved[i] = cfg
 		ctl, err := build(cfg, i)
 		if err != nil {
 			return false, cycles, err

@@ -10,7 +10,7 @@ func TestBMRecoversPaperAutomaton(t *testing.T) {
 	// The Fig. 1b sequence must synthesise back to g(x)=1+2x+2x^2 with
 	// linear complexity 2.
 	g := PaperGenPoly()
-	seq := MustWord(g, []gf.Elem{0, 1}).Sequence(40)
+	seq := MustAffine(g, 0, []gf.Elem{0, 1}).Sequence(40)
 	rec, L, err := BerlekampMassey(g.Field, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +22,7 @@ func TestBMRecoversPaperAutomaton(t *testing.T) {
 		t.Errorf("recovered generator %v, want 1+2x+2x^2", rec)
 	}
 	// And the recovered automaton regenerates the sequence.
-	reseq := MustWord(rec, seq[:2]).Sequence(40)
+	reseq := MustAffine(rec, 0, seq[:2]).Sequence(40)
 	for i := range seq {
 		if reseq[i] != seq[i] {
 			t.Fatalf("regenerated sequence diverges at %d", i)
@@ -33,7 +33,7 @@ func TestBMRecoversPaperAutomaton(t *testing.T) {
 func TestBMRecoversBitLFSR(t *testing.T) {
 	f := gf.NewField(1)
 	g := MustGenPoly(f, []gf.Elem{1, 1, 0, 1}) // 1+x+x^3... wait taps
-	seq := MustWord(g, []gf.Elem{1, 0, 0}).Sequence(30)
+	seq := MustAffine(g, 0, []gf.Elem{1, 0, 0}).Sequence(30)
 	rec, L, err := BerlekampMassey(f, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestBMRecoversBitLFSR(t *testing.T) {
 	if L != 3 {
 		t.Fatalf("complexity = %d, want 3", L)
 	}
-	reseq := MustWord(rec, seq[:L]).Sequence(30)
+	reseq := MustAffine(rec, 0, seq[:L]).Sequence(30)
 	for i := range seq {
 		if reseq[i] != seq[i] {
 			t.Fatalf("regeneration diverges at %d", i)
@@ -69,7 +69,7 @@ func TestBMCorruptionRaisesComplexity(t *testing.T) {
 	// Flipping one value of an order-2 sequence must raise the linear
 	// complexity above 2 — the diagnosis signal.
 	g := PaperGenPoly()
-	seq := MustWord(g, []gf.Elem{0, 1}).Sequence(60)
+	seq := MustAffine(g, 0, []gf.Elem{0, 1}).Sequence(60)
 	seq[30] ^= 0x5
 	L, err := LinearComplexity(g.Field, seq)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestBMRandomSequencesRegenerate(t *testing.T) {
 		}
 		// Regenerate using the first gen.K() values as seed.
 		k := gen.K()
-		reseq := MustWord(gen, seq[:k]).Sequence(len(seq))
+		reseq := MustAffine(gen, 0, seq[:k]).Sequence(len(seq))
 		// BM guarantees regeneration when 2L <= len(seq).
 		if 2*L <= len(seq) {
 			for i := range seq {

@@ -1,13 +1,9 @@
 package lfsr
 
-import (
-	"fmt"
-
-	"repro/internal/gf"
-)
+import "repro/internal/gf"
 
 // Matrix is a small dense k×k matrix over GF(2^m), used for the
-// companion-matrix model of the word LFSR and for jump-ahead.
+// companion-matrix model of the automaton and for jump-ahead.
 type Matrix struct {
 	Field *gf.Field
 	K     int
@@ -35,8 +31,9 @@ func Identity(f *gf.Field, k int) Matrix {
 	return m
 }
 
-// Companion returns the state-transition matrix of the word LFSR with
-// generator polynomial g, acting on the state window (oldest first):
+// Companion returns the state-transition matrix of the plain (q = 0)
+// automaton with generator polynomial g, acting on the state window
+// (oldest first):
 //
 //	(u_{t-k+1}, …, u_t)  =  C · (u_{t-k}, …, u_{t-1})ᵀ
 //
@@ -207,15 +204,4 @@ func factor64(n uint64) (primes []uint64, exps []int) {
 		exps = append(exps, 1)
 	}
 	return
-}
-
-// JumpAhead returns the LFSR state after n steps from state, computed
-// in O(k³ log n) field operations via matrix exponentiation — the
-// a-priori estimation of Fin* the paper relies on.
-func JumpAhead(g GenPoly, state []gf.Elem, n uint64) ([]gf.Elem, error) {
-	if len(state) != g.K() {
-		return nil, fmt.Errorf("lfsr: state length %d != k=%d", len(state), g.K())
-	}
-	c := Companion(g).Pow(n)
-	return c.Apply(state), nil
 }

@@ -1,6 +1,7 @@
 package lfsr
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gf"
@@ -9,12 +10,12 @@ import (
 func TestCompanionMatchesStep(t *testing.T) {
 	g := PaperGenPoly()
 	c := Companion(g)
-	w := MustWord(g, []gf.Elem{0, 1})
+	w := MustAffine(g, 0, []gf.Elem{0, 1})
 	v := []gf.Elem{0, 1}
 	for i := 0; i < 300; i++ {
 		w.Step()
 		v = c.Apply(v)
-		if !equalStates(w.State(), v) {
+		if !slices.Equal(w.State(), v) {
 			t.Fatalf("companion diverged at step %d: %v vs %v", i, w.State(), v)
 		}
 	}
@@ -39,17 +40,17 @@ func TestCompanionDetNonzero(t *testing.T) {
 func TestJumpAhead(t *testing.T) {
 	g := PaperGenPoly()
 	for _, n := range []uint64{0, 1, 2, 17, 254, 255, 1000} {
-		w := MustWord(g, []gf.Elem{0, 1})
+		w := MustAffine(g, 0, []gf.Elem{0, 1})
 		w.Run(int(n))
-		jumped, err := JumpAhead(g, []gf.Elem{0, 1}, n)
+		jumped, err := AffineJumpAhead(g, 0, []gf.Elem{0, 1}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalStates(w.State(), jumped) {
-			t.Errorf("JumpAhead(%d) = %v, want %v", n, jumped, w.State())
+		if !slices.Equal(w.State(), jumped) {
+			t.Errorf("AffineJumpAhead(q=0, %d) = %v, want %v", n, jumped, w.State())
 		}
 	}
-	if _, err := JumpAhead(g, []gf.Elem{1}, 3); err == nil {
+	if _, err := AffineJumpAhead(g, 0, []gf.Elem{1}, 3); err == nil {
 		t.Error("short state accepted")
 	}
 }

@@ -90,11 +90,10 @@ func (c BitSlicedConfig) laneSeeds() [][]gf.Elem {
 	for i := range base {
 		base[i] = 1
 	}
-	w := lfsr.MustWord(c.Gen, base)
-	period := w.Period(0)
+	period := lfsr.MustAffine(c.Gen, 0, base).Period(0)
 	for b := range seeds {
 		offset := uint64(r.intn(int(period)))
-		s, err := lfsr.JumpAhead(c.Gen, base, offset)
+		s, err := lfsr.AffineJumpAhead(c.Gen, 0, base, offset)
 		if err != nil {
 			panic(err)
 		}
@@ -190,7 +189,7 @@ func RunBitSliced(c BitSlicedConfig, mem ram.Memory) (BitSlicedResult, error) {
 		res.Ops++
 	}
 	for b := 0; b < c.M; b++ {
-		want, err := lfsr.JumpAhead(c.Gen, seeds[b], uint64(n-k))
+		want, err := lfsr.AffineJumpAhead(c.Gen, 0, seeds[b], uint64(n-k))
 		if err != nil {
 			return res, err
 		}
@@ -205,7 +204,7 @@ func RunBitSliced(c BitSlicedConfig, mem ram.Memory) (BitSlicedResult, error) {
 	if c.Verify {
 		laneSeqs := make([][]gf.Elem, c.M)
 		for b := 0; b < c.M; b++ {
-			laneSeqs[b] = lfsr.MustWord(c.Gen, seeds[b]).Sequence(n)
+			laneSeqs[b] = lfsr.MustAffine(c.Gen, 0, seeds[b]).Sequence(n)
 		}
 		for i := 0; i < n; i++ {
 			got := mem.Read(addr[i])

@@ -109,14 +109,15 @@ type Config struct {
 	// Mirrored helper): it regenerates exactly the same per-cell TDB
 	// but walks the trajectory in the opposite direction, using the
 	// reciprocal recurrence and the end state as seed.  The concrete
-	// Config is resolved against the memory size by Scheme.Run /
-	// MirrorConfig; a Config with MirrorOf > 0 cannot be run directly.
+	// Config is resolved against the memory size by Scheme.Resolve; a
+	// Config with MirrorOf > 0 cannot be run directly.
 	// The zero value means a plain iteration.
 	MirrorOf int
 }
 
-// Mirrored returns a placeholder Config to be resolved by Scheme.Run
-// as the direction-reversed twin of iteration index idx (0-based).
+// Mirrored returns a placeholder Config to be resolved by
+// Scheme.Resolve as the direction-reversed twin of iteration index idx
+// (0-based).
 func Mirrored(idx int, verify bool) Config {
 	return Config{MirrorOf: idx + 1, Verify: verify}
 }

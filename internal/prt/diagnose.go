@@ -70,25 +70,16 @@ func DiagnoseCells(s Scheme, mem ram.Memory) (Diagnosis, error) {
 	perCell := make(map[int]*CellReport)
 	var firstObserved []gf.Elem
 
-	resolved := make([]Config, len(s.Iters))
-	for i, cfg := range s.Iters {
-		if t := cfg.mirrorTarget(); t >= 0 {
-			if t >= i {
-				return diag, fmt.Errorf("prt: diagnose: iteration %d mirrors later iteration", i+1)
-			}
-			m, err := MirrorConfig(resolved[t], n)
-			if err != nil {
-				return diag, err
-			}
-			m.Verify = cfg.Verify
-			cfg = m
-		}
+	iters, err := s.Resolve(n)
+	if err != nil {
+		return diag, err
+	}
+	for i, cfg := range iters {
 		// Diagnosis drives its own read-back; disable the in-iteration
 		// extras to keep op accounting clean.
 		cfg.Verify = false
 		cfg.CaptureStale = false
 		cfg.StaleExpect = nil
-		resolved[i] = cfg
 		ir, err := RunIteration(cfg, mem)
 		if err != nil {
 			return diag, fmt.Errorf("prt: diagnose iteration %d: %w", i+1, err)
@@ -128,7 +119,7 @@ func DiagnoseCells(s Scheme, mem ram.Memory) (Diagnosis, error) {
 	}
 
 	if firstObserved != nil {
-		l, err := lfsr.LinearComplexity(resolved[0].Gen.Field, firstObserved)
+		l, err := lfsr.LinearComplexity(iters[0].Gen.Field, firstObserved)
 		if err == nil {
 			diag.Complexity = l
 		}

@@ -2,6 +2,7 @@ package prt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gf"
 	"repro/internal/lfsr"
@@ -88,7 +89,7 @@ func RunDualPort(cfg Config, mp *ram.MultiPort) (DualPortResult, error) {
 		return res, err
 	}
 	res.FinStar = finStar
-	res.Detected = !elemsEqual(res.Fin, res.FinStar)
+	res.Detected = !slices.Equal(res.Fin, res.FinStar)
 	res.Cycles = mp.Cycles - start
 	return res, nil
 }
@@ -99,19 +100,13 @@ func RunDualPort(cfg Config, mp *ram.MultiPort) (DualPortResult, error) {
 // the single-port scheme do not apply (the Fig. 2 scheme is the pure
 // signature pipeline).
 func DualPortScheme3(g lfsr.GenPoly, mp *ram.MultiPort) (detected bool, cycles uint64, err error) {
-	s := StandardScheme3(g)
-	resolved := make([]Config, len(s.Iters))
-	for i, cfg := range s.Iters {
-		if t := cfg.mirrorTarget(); t >= 0 {
-			m, err := MirrorConfig(resolved[t], mp.Size())
-			if err != nil {
-				return detected, cycles, fmt.Errorf("prt: dual-port iteration %d: %w", i+1, err)
-			}
-			cfg = m
-		}
+	iters, err := StandardScheme3(g).Resolve(mp.Size())
+	if err != nil {
+		return detected, cycles, err
+	}
+	for i, cfg := range iters {
 		cfg.Verify = false
 		cfg.CaptureStale = false
-		resolved[i] = cfg
 		r, err := RunDualPort(cfg, mp)
 		if err != nil {
 			return detected, cycles, fmt.Errorf("prt: dual-port iteration %d: %w", i+1, err)

@@ -1,6 +1,8 @@
 package prt
 
 import (
+	"slices"
+
 	"repro/internal/gf"
 	"repro/internal/lfsr"
 	"repro/internal/ram"
@@ -66,11 +68,10 @@ func RunIteration(cfg Config, mem ram.Memory) (IterationResult, error) {
 	var tapRows [][]uint32
 	var backPlain, backStale []int
 	if _, tracing := mem.(ram.TraceAnnotator); tracing {
-		tapRows = make([][]uint32, k)
+		tapRows = cfg.Gen.TapRows()
 		backPlain = make([]int, k)
 		backStale = make([]int, k)
 		for j := 1; j <= k; j++ {
-			tapRows[j-1] = mulRows(f, taps[j-1])
 			backPlain[j-1] = k - j + 1
 			backStale[j-1] = k - j + 2
 		}
@@ -141,9 +142,9 @@ func RunIteration(cfg Config, mem ram.Memory) (IterationResult, error) {
 		return res, err
 	}
 	res.FinStar = finStar
-	res.SignatureMiss = !elemsEqual(res.Fin, res.FinStar)
+	res.SignatureMiss = !slices.Equal(res.Fin, res.FinStar)
 	res.Detected = res.SignatureMiss || res.StaleMismatches > 0
-	res.RingClosed = elemsEqual(res.Fin, cfg.Seed)
+	res.RingClosed = slices.Equal(res.Fin, cfg.Seed)
 
 	// Phase 4 (optional): full read-back verification against the TDB.
 	if cfg.Verify {
@@ -169,14 +170,6 @@ func verifyPass(cfg Config, mem ram.Memory, addr []int, steps int) (mismatches i
 		}
 	}
 	return mismatches, ops
-}
-
-// mulRows returns the GF(2) matrix of multiplication by c as row
-// bitmasks: bit s of rows[r] is set when bit r of c·2^s is 1, i.e.
-// bit r of (c·v) = XOR over set bits s of v of (rows[r] >> s & 1) —
-// the gf.BitMatrix row convention.
-func mulRows(f *gf.Field, c gf.Elem) []uint32 {
-	return f.ConstMulMatrix(c).Rows
 }
 
 // ExpectedFinalContents returns the fault-free post-iteration cell
@@ -242,18 +235,6 @@ func RingCloses(cfg Config, n int) bool {
 func ExpectedSequence(cfg Config, count int) []gf.Elem {
 	a := lfsr.MustAffine(cfg.Gen, cfg.Offset, cfg.Seed)
 	return a.Sequence(count)
-}
-
-func elemsEqual(a, b []gf.Elem) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatState renders an automaton state like "(0,1)" with hex digits.

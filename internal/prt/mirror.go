@@ -79,6 +79,32 @@ func MirrorConfig(src Config, n int) (Config, error) {
 	return out, nil
 }
 
+// Resolve returns the scheme's iterations for a memory of n cells, each
+// mirror placeholder (Config.MirrorOf > 0) replaced by the MirrorConfig
+// of the resolved iteration it names.  A mirror keeps its placeholder's
+// Verify and CaptureStale options.  A placeholder must name an earlier
+// iteration: one that names itself, a later iteration or an index past
+// the scheme's end is refused with the same error.
+func (s Scheme) Resolve(n int) ([]Config, error) {
+	out := make([]Config, len(s.Iters))
+	for i, cfg := range s.Iters {
+		if t := cfg.mirrorTarget(); t >= 0 {
+			if t >= i {
+				return nil, fmt.Errorf("prt: scheme %q iteration %d mirrors iteration %d, which does not precede it", s.Name, i+1, t+1)
+			}
+			m, err := MirrorConfig(out[t], n)
+			if err != nil {
+				return nil, fmt.Errorf("prt: scheme %q iteration %d: %w", s.Name, i+1, err)
+			}
+			m.Verify = cfg.Verify
+			m.CaptureStale = cfg.CaptureStale
+			cfg = m
+		}
+		out[i] = cfg
+	}
+	return out, nil
+}
+
 // reverseTrajectory flips ascending/descending; a Random trajectory
 // reverses by revisiting the same permutation backwards, which is
 // expressed with the dedicated RandomReversed value.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ram"
+	"repro/internal/sim"
 )
 
 // TestEq1AccessPattern pins the exact memory access sequence of the
@@ -14,37 +15,37 @@ import (
 // operands must be READ from the array at every step, never cached.
 func TestEq1AccessPattern(t *testing.T) {
 	n := 8
-	tr := ram.NewTrace(ram.NewWOM(n, 4), 0)
+	rec := sim.NewRecorder(ram.NewWOM(n, 4))
 	cfg := PaperWOMConfig()
-	MustRunIteration(cfg, tr)
+	MustRunIteration(cfg, rec)
 
-	var want []ram.Access
+	var want []sim.Op
 	// Seed writes.
 	want = append(want,
-		ram.Access{Kind: ram.OpWrite, Addr: 0},
-		ram.Access{Kind: ram.OpWrite, Addr: 1},
+		sim.Op{Kind: ram.OpWrite, Addr: 0},
+		sim.Op{Kind: ram.OpWrite, Addr: 1},
 	)
 	// Walk: read i-1, read i-2, write i.
 	for i := 2; i < n; i++ {
 		want = append(want,
-			ram.Access{Kind: ram.OpRead, Addr: i - 1},
-			ram.Access{Kind: ram.OpRead, Addr: i - 2},
-			ram.Access{Kind: ram.OpWrite, Addr: i},
+			sim.Op{Kind: ram.OpRead, Addr: i - 1},
+			sim.Op{Kind: ram.OpRead, Addr: i - 2},
+			sim.Op{Kind: ram.OpWrite, Addr: i},
 		)
 	}
 	// Fin observation.
 	want = append(want,
-		ram.Access{Kind: ram.OpRead, Addr: n - 2},
-		ram.Access{Kind: ram.OpRead, Addr: n - 1},
+		sim.Op{Kind: ram.OpRead, Addr: n - 2},
+		sim.Op{Kind: ram.OpRead, Addr: n - 1},
 	)
 
-	if len(tr.Accesses) != len(want) {
-		t.Fatalf("access count %d, want %d", len(tr.Accesses), len(want))
+	ops := rec.Trace().Ops
+	if len(ops) != len(want) {
+		t.Fatalf("access count %d, want %d", len(ops), len(want))
 	}
 	for i, w := range want {
-		got := tr.Accesses[i]
-		if got.Kind != w.Kind || got.Addr != w.Addr {
-			t.Fatalf("access %d = %v, want %s@%d", i, got, w.Kind, w.Addr)
+		if got := ops[i]; got.Kind != w.Kind || got.Addr != w.Addr {
+			t.Fatalf("access %d = %s@%d, want %s@%d", i, got.Kind, got.Addr, w.Kind, w.Addr)
 		}
 	}
 }
@@ -53,13 +54,13 @@ func TestEq1AccessPattern(t *testing.T) {
 // cells through the recurrence at the end of the walk.
 func TestRingAccessPatternWraps(t *testing.T) {
 	n := 6
-	tr := ram.NewTrace(ram.NewWOM(n, 4), 0)
+	rec := sim.NewRecorder(ram.NewWOM(n, 4))
 	cfg := PaperWOMConfig()
 	cfg.Ring = true
-	MustRunIteration(cfg, tr)
+	MustRunIteration(cfg, rec)
 	// The wrap steps write addresses 0 and 1 again after address n-1.
 	var writes []int
-	for _, a := range tr.Accesses {
+	for _, a := range rec.Trace().Ops {
 		if a.Kind == ram.OpWrite {
 			writes = append(writes, a.Addr)
 		}

@@ -2,6 +2,7 @@ package prt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gf"
 	"repro/internal/lfsr"
@@ -31,32 +32,21 @@ type SchemeResult struct {
 
 // Run executes all iterations in order on mem (the memory state carries
 // over between iterations; each iteration re-seeds its first k cells).
-// Mirror placeholders (Config.MirrorOf > 0) are resolved against the
-// memory size here.
+// Mirror placeholders are resolved against the memory size first (see
+// Resolve).
 func (s Scheme) Run(mem ram.Memory) (SchemeResult, error) {
 	var res SchemeResult
-	resolved := make([]Config, len(s.Iters))
+	iters, err := s.Resolve(mem.Size())
+	if err != nil {
+		return res, err
+	}
 	var prevContents []gf.Elem
-	for i, cfg := range s.Iters {
-		capture := cfg.CaptureStale
-		if t := cfg.mirrorTarget(); t >= 0 {
-			if t >= i {
-				return res, fmt.Errorf("prt: scheme %q iteration %d mirrors a later iteration %d", s.Name, i+1, t+1)
-			}
-			m, err := MirrorConfig(resolved[t], mem.Size())
-			if err != nil {
-				return res, fmt.Errorf("prt: scheme %q iteration %d: %w", s.Name, i+1, err)
-			}
-			m.Verify = cfg.Verify
-			m.CaptureStale = capture
-			cfg = m
-		}
+	for i, cfg := range iters {
 		// Feed the previous iteration's predicted contents to the
 		// transparent stale capture.
-		if capture && cfg.StaleExpect == nil {
+		if cfg.CaptureStale && cfg.StaleExpect == nil {
 			cfg.StaleExpect = prevContents // nil on the first iteration
 		}
-		resolved[i] = cfg
 		ir, err := RunIteration(cfg, mem)
 		if err != nil {
 			return res, fmt.Errorf("prt: scheme %q iteration %d: %w", s.Name, i+1, err)
@@ -231,11 +221,11 @@ func ExtendedScheme(g lfsr.GenPoly, blocks int) Scheme {
 	return s
 }
 
-// nextPhase walks the orbit of `from` and returns the first nonzero
-// state distinct from both arguments; if the orbit is too short it
-// returns `from` unchanged.
+// nextPhase walks the plain (q = 0) orbit of `from` and returns the
+// first nonzero state distinct from both arguments; if the orbit is too
+// short it returns `from` unchanged.
 func nextPhase(g lfsr.GenPoly, from, avoid []gf.Elem) []gf.Elem {
-	w := lfsr.MustWord(g, from)
+	w := lfsr.MustAffine(g, 0, from)
 	bits := g.Field.M() * g.K()
 	if bits > 20 {
 		bits = 20 // a distinct phase appears within a few steps anyway
@@ -244,7 +234,7 @@ func nextPhase(g lfsr.GenPoly, from, avoid []gf.Elem) []gf.Elem {
 	for i := uint64(0); i < bound; i++ {
 		w.Step()
 		s := w.State()
-		if !elemsEqual(s, from) && !elemsEqual(s, avoid) && !allZeroElems(s) {
+		if !slices.Equal(s, from) && !slices.Equal(s, avoid) && !allZeroElems(s) {
 			return s
 		}
 	}

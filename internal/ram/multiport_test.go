@@ -51,8 +51,6 @@ func TestDualPortDoubleRead(t *testing.T) {
 func TestPortViewIsMemory(t *testing.T) {
 	var _ Memory = NewWOM(4, 4)
 	var _ Memory = NewBOM(4)
-	var _ Memory = NewStats(NewWOM(4, 4))
-	var _ Memory = NewTrace(NewWOM(4, 4), 0)
 }
 
 func TestQuadPort(t *testing.T) {

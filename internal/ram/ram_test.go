@@ -150,50 +150,6 @@ func TestRestoreLengthMismatchPanics(t *testing.T) {
 	Restore(NewWOM(4, 4), make([]Word, 5))
 }
 
-func TestStats(t *testing.T) {
-	s := NewStats(NewWOM(8, 4))
-	s.Write(0, 3)
-	s.Write(1, 4)
-	_ = s.Read(0)
-	if s.Reads != 1 || s.Writes != 2 || s.Ops() != 3 {
-		t.Errorf("counters wrong: %+v", s)
-	}
-	if s.Size() != 8 || s.Width() != 4 {
-		t.Errorf("delegation wrong")
-	}
-	s.Reset()
-	if s.Ops() != 0 {
-		t.Errorf("Reset failed")
-	}
-}
-
-func TestTrace(t *testing.T) {
-	tr := NewTrace(NewWOM(8, 4), 0)
-	tr.Write(2, 7)
-	if got := tr.Read(2); got != 7 {
-		t.Fatalf("read = %d", got)
-	}
-	if len(tr.Accesses) != 2 {
-		t.Fatalf("trace length = %d", len(tr.Accesses))
-	}
-	if tr.Accesses[0].String() != "w[2]=7" || tr.Accesses[1].String() != "r[2]=7" {
-		t.Errorf("trace rendering: %v", tr.Accesses)
-	}
-	if tr.Size() != 8 || tr.Width() != 4 {
-		t.Errorf("delegation wrong")
-	}
-}
-
-func TestTraceLimit(t *testing.T) {
-	tr := NewTrace(NewWOM(8, 4), 2)
-	for i := 0; i < 5; i++ {
-		tr.Write(0, Word(i))
-	}
-	if len(tr.Accesses) != 2 || tr.Dropped != 3 {
-		t.Errorf("limit not enforced: %d kept, %d dropped", len(tr.Accesses), tr.Dropped)
-	}
-}
-
 func TestQuickWOMLastWriteWins(t *testing.T) {
 	m := NewWOM(64, 8)
 	prop := func(addr uint8, v1, v2 Word) bool {

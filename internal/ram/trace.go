@@ -1,5 +1,23 @@
 package ram
 
+// OpKind distinguishes the entries of an operation trace (package sim
+// records one).
+type OpKind int
+
+const (
+	// OpRead is a read access.
+	OpRead OpKind = iota
+	// OpWrite is a write access.
+	OpWrite
+)
+
+func (k OpKind) String() string {
+	if k == OpRead {
+		return "r"
+	}
+	return "w"
+}
+
 // TraceAnnotator is implemented by instrumented memories (the trace
 // recorder of package sim) that capture an operation stream for later
 // bit-parallel replay.  Test executors that know the semantics of
